@@ -6,7 +6,6 @@ so that discrete mass/energy are conserved, the discrete l2-norm or entropy
 changes at a prescribed rate, and density/pressure stay positive.
 """
 
-from ._backend import backend_name, numba_enabled
 from .core import (DgField, EulerState1D, FvField1D, FvField2D, SpectralField,
                    UniformGrid1D, UniformGrid2D, VorticityState2D, bracket,
                    coarse_grain, coarse_grain_2d, volume_mean)
@@ -20,8 +19,8 @@ from .correctors import (AntiDiffusiveTargetWarning, EntropyRateTarget,
                          estimate_boundary_entropy_flux,
                          limit_positivity_euler1d)
 from .errors import (CflViolation, ConfigurationError, DegenerateCorrection,
-                     InfeasibleTarget, InvariantGuardError, NumericalBlowup,
-                     PositivityViolation)
+                     InfeasibleTarget, InvariantGuardError, NonFiniteState,
+                     NumericalBlowup, PositivityViolation)
 from .schemes import (BoundaryFluxes2D, FluxScheme, advective_fluxes_2d,
                       euler1d_muscl_flux, euler1d_rhs, face_velocities,
                       ftcs_increment, fv_rhs_1d, fv_rhs_2d, numerical_flux_1d,
@@ -29,3 +28,8 @@ from .schemes import (BoundaryFluxes2D, FluxScheme, advective_fluxes_2d,
 from .timeloop import StepPlan, Trajectory, cfl_dt, discrete_step, run, ssprk3_step
 
 __version__ = "0.1.0"
+
+
+def backend_name():
+    """Name of the kernel implementation; the numpy kernels are the only one."""
+    return "numpy"

@@ -2,8 +2,10 @@
 
 Outputs are CSV only (one sub-directory per resolution/variant plus an
 optional reference run); a `manifest` file records the config hash, package
-and numpy versions, the active kernel backend, and per-run status.  Exit
-codes: 0 ok, 1 property failure, 2 config or runtime error.
+and numpy versions, and per-run status.  Exit codes: 0 ok, 1 property
+failure, 2 config or runtime error (any ``InvariantGuardError``).  Any other
+exception is a bug and is left uncaught: Python prints its traceback and
+exits with status 1.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import numpy as np
 
 from . import __version__
 from . import correctors as co
-from ._backend import backend_name
 from .config import ExperimentConfig, VariantConfig, parse_config
 from .core import (FvField1D, UniformGrid1D, UniformGrid2D, coarse_grain,
                    coarse_grain_2d, FvField2D)
@@ -372,8 +373,7 @@ def _write_manifest(out_dir, config_path, status):
     sha = hashlib.sha256(Path(config_path).read_bytes()).hexdigest()
     lines = [f"config_sha256 = {sha}",
              f"package_version = {__version__}",
-             f"numpy_version = {np.__version__}",
-             f"backend = {backend_name()}"]
+             f"numpy_version = {np.__version__}"]
     for key in sorted(status):
         lines.append(f"status.{key} = {status[key]}")
     (out_dir / "manifest").write_text("\n".join(lines) + "\n")
@@ -381,10 +381,7 @@ def _write_manifest(out_dir, config_path, status):
 
 def cmd_verify(config_path, output_root=None, fns=None):
     from .verification import run_property_suite
-    try:
-        ec = parse_config(config_path)
-    except ConfigurationError:
-        raise
+    ec = parse_config(config_path)
     results = run_property_suite(seed=ec.verify_seed, trials=ec.verify_trials,
                                  fns=fns)
     width = max(len(r.name) for r in results)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NonFiniteState
 
 PERIODIC = "periodic"
 DIRICHLET = "dirichlet"
@@ -20,7 +20,7 @@ DIRICHLET = "dirichlet"
 def _as_float_array(values):
     arr = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
-        raise ValueError("field values must be finite")
+        raise NonFiniteState("field values must be finite")
     return arr
 
 
@@ -197,7 +197,7 @@ class SpectralField:
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("coeffs must hold modes m = 0..N with N >= 1")
         if not np.all(np.isfinite(arr.view(np.float64))):
-            raise ValueError("coefficients must be finite")
+            raise NonFiniteState("coefficients must be finite")
         arr[0] = arr[0].real
         self.coeffs = arr
         if self.length <= 0:

@@ -32,13 +32,6 @@ from .kernels import euler_physical_flux
 DEGENERACY_RTOL = 1e-13
 
 
-def _as_f64(a):
-    """float64 view without copying (asarray with dtype= copies numba buffers,
-    which would break the bitwise no-op guarantees)."""
-    a = np.asarray(a)
-    return a if a.dtype == np.float64 else a.astype(np.float64)
-
-
 class AntiDiffusiveTargetWarning(RuntimeWarning):
     """An entropy target below the current rate adds anti-diffusion; positivity
     is no longer guaranteed."""
@@ -144,11 +137,13 @@ def _check_denominator(denom, scale, what):
             "choose a different weight field G")
 
 
-def _laplacian_1d(values):
+def laplacian_1d(values):
+    """Periodic second difference u_{j+1} - 2 u_j + u_{j-1} (not divided by dx^2)."""
     return np.roll(values, -1) - 2.0 * values + np.roll(values, 1)
 
 
-def _laplacian_2d(values, dx, dy):
+def laplacian_2d(values, dx, dy):
+    """Periodic five-point Laplacian on a uniform (nx, ny) grid."""
     return (np.roll(values, -1, axis=0) - 2.0 * values + np.roll(values, 1, axis=0)) \
         / dx**2 \
         + (np.roll(values, -1, axis=1) - 2.0 * values + np.roll(values, 1, axis=1)) \
@@ -161,7 +156,7 @@ def _laplacian_2d(values, dx, dy):
 
 def flux_l2_rate_1d(fluxes, u: FvField1D):
     """Measured d(l2)/dt of a flux-form update, boundary terms included."""
-    f = _as_f64(fluxes)
+    f = np.asarray(fluxes, dtype=np.float64)
     vals = u.values
     if u.grid.periodic:
         du = np.roll(vals, -1) - vals
@@ -177,7 +172,7 @@ def correct_flux_l2_1d(fluxes, u: FvField1D, target: L2RateTarget, G=None):
     boundary fluxes fixed and correct the interior, with the boundary terms
     entering the measured rate.  Default G is the interface jump u_{j+1}-u_j.
     """
-    f = _as_f64(fluxes)
+    f = np.asarray(fluxes, dtype=np.float64)
     vals = u.values
     periodic = u.grid.periodic
     du = (np.roll(vals, -1) - vals) if periodic else np.diff(vals)
@@ -251,9 +246,9 @@ def _field_parts(u):
 
 def _default_cell_G(u, volumes):
     if isinstance(u, FvField1D):
-        g = _laplacian_1d(u.values)
+        g = laplacian_1d(u.values)
     else:
-        g = _laplacian_2d(u.values, u.grid.dx, u.grid.dy)
+        g = laplacian_2d(u.values, u.grid.dx, u.grid.dy)
     return g - volume_mean(g, volumes)
 
 
@@ -356,7 +351,7 @@ def correct_increment_mass_l2(increment, u, delta_l2, G=None):
 def correct_dg_l2(rhs, a: DgField, target: L2RateTarget):
     """Add interior-penalty diffusion with coefficient nu chosen so the
     weighted-bracket l2 rate equals the target; mass is untouched."""
-    n = _as_f64(rhs)
+    n = np.asarray(rhs, dtype=np.float64)
     if n.shape != a.coeffs.shape:
         raise ValueError("RHS shape must match the coefficient matrix")
     old = dg_l2_rate(a, n)
@@ -446,7 +441,7 @@ def correct_euler2d_mass_energy_l2(rhs, state: VorticityState2D,
 
     if G is None:
         grid = state.chi.grid
-        lap_w = _laplacian_2d(w, grid.dx, grid.dy)
+        lap_w = laplacian_2d(w, grid.dx, grid.dy)
         g = lap_w - bracket(lap_w, phi, vol) / pp * phi
     else:
         g = np.asarray(G, dtype=np.float64)
@@ -500,7 +495,7 @@ def entropy_total(state: EulerState1D):
 def entropy_rate_euler1d(fluxes, state: EulerState1D, w=None):
     """Summation-by-parts entropy rate of a flux update, boundary terms
     included for bounded grids."""
-    f = _as_f64(fluxes)
+    f = np.asarray(fluxes, dtype=np.float64)
     if w is None:
         w = entropy_variables_euler1d(state).w
     if state.grid.periodic:
@@ -518,7 +513,7 @@ def correct_entropy_euler1d(fluxes, state: EulerState1D,
     Boundary fluxes are held fixed (Dirichlet) or mirrored (periodic);
     default G_{j+1/2} = (0, v_{j+1}-v_j, p_{j+1}-p_j).
     """
-    f = _as_f64(fluxes)
+    f = np.asarray(fluxes, dtype=np.float64)
     n = state.grid.n_cells
     if f.shape != (n + 1, 3):
         raise ValueError("expected fluxes at the N+1 interfaces")
@@ -590,7 +585,7 @@ def estimate_boundary_entropy_flux(state: EulerState1D, boundary_primitive=None)
 
 
 def limit_positivity_euler1d(fluxes, state: EulerState1D, dt, eps_pos=None,
-                             boundary_state=None, tol=1e-10):
+                             boundary_state=None):
     """Blend each interface flux toward first-order Lax-Friedrichs until a
     forward-Euler step keeps rho and p at or above ``eps_pos``.
 
@@ -599,7 +594,7 @@ def limit_positivity_euler1d(fluxes, state: EulerState1D, dt, eps_pos=None,
     bisection finds the largest feasible theta.  Raises ``CflViolation``
     when even theta = 0 fails.
     """
-    f = _as_f64(fluxes)
+    f = np.asarray(fluxes, dtype=np.float64)
     n = state.grid.n_cells
     if f.shape != (n + 1, 3):
         raise ValueError("expected fluxes at the N+1 interfaces")
@@ -639,7 +634,8 @@ def limit_positivity_euler1d(fluxes, state: EulerState1D, dt, eps_pos=None,
         return ok
 
     ones = np.ones(n + 1)
-    if feasible(ones).all():
+    ok_full = feasible(ones)
+    if ok_full.all():
         return f
     if not feasible(np.zeros(n + 1)).all():
         raise CflViolation("first-order Lax-Friedrichs violates positivity; "
@@ -647,7 +643,6 @@ def limit_positivity_euler1d(fluxes, state: EulerState1D, dt, eps_pos=None,
 
     lo = np.zeros(n + 1)
     hi = ones.copy()
-    ok_full = feasible(ones)
     lo[ok_full] = 1.0
     for _ in range(40):  # 2^-40 < 1e-10 interval width
         mid = 0.5 * (lo + hi)

@@ -158,7 +158,7 @@ class ScalarFv1D(_DriverBase):
         out = schemes.fv_rhs_1d(f, self.grid)
         if self.nu > 0.0:
             dx = self.grid.cell_volumes
-            out = out + self.nu * (np.roll(y, -1) - 2.0 * y + np.roll(y, 1)) / dx**2
+            out = out + self.nu * co.laplacian_1d(y) / dx**2
         if self.forcing is not None:
             out = out + self.forcing(self._x, t, self.grid.length)
         return out
@@ -396,11 +396,7 @@ class Vorticity2D(_DriverBase):
                            * bracket(out, out, vol)))}))
 
         if self.nu > 0.0:
-            lap = (np.roll(chi.values, -1, 0) - 2 * chi.values
-                   + np.roll(chi.values, 1, 0)) / g.dx**2 \
-                + (np.roll(chi.values, -1, 1) - 2 * chi.values
-                   + np.roll(chi.values, 1, 1)) / g.dy**2
-            out = out + self.nu * lap
+            out = out + self.nu * co.laplacian_2d(chi.values, g.dx, g.dy)
         if self.forcing:
             from .problems import forcing_2d_kolmogorov
             out = out + forcing_2d_kolmogorov(g, chi.values, self.forcing_k,
@@ -413,9 +409,6 @@ class Vorticity2D(_DriverBase):
         chi = FvField2D(self.grid, y_old.reshape(self.grid.nx, self.grid.ny))
         return _apply_step_increment_correction(
             self, chi, y_old, y_new, t, dt, self.step_delta_l2)
-
-    def snapshot(self, y):
-        return y.copy()
 
 
 # ---------------------------------------------------------------------------

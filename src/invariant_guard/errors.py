@@ -27,6 +27,11 @@ class InfeasibleTarget(InvariantGuardError):
         self.min_delta_l2 = min_delta_l2
 
 
+class NonFiniteState(InvariantGuardError, ValueError):
+    """A field was built from values holding NaN or Inf, as an RK stage of a
+    run that is blowing up does."""
+
+
 class PositivityViolation(InvariantGuardError):
     """Density or pressure is non-positive where positivity is required."""
 

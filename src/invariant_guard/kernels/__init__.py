@@ -1,16 +1,16 @@
-"""Hot numeric kernels: numba ``@njit`` loops with pure-numpy fallbacks.
-
-Dispatch is controlled by the ``INVARIANT_GUARD_NUMBA`` env flag (see
-``invariant_guard._backend``).  Each public function picks the active
-implementation at call time so the flag can be flipped per process.
+"""Hot numeric kernels, vectorized with numpy: the MC slope limiter, the
+scalar 1D and 2D MUSCL fluxes, the Godunov-Burgers flux and the
+characteristic MUSCL flux for the 1D Euler equations.
 """
 
-from .scalar1d import mc_limited_slopes, muscl_fluxes_advection, muscl_fluxes_burgers
+from .limiter import mc_limited_slopes
+from .scalar1d import godunov_burgers_flux, muscl_fluxes_advection, muscl_fluxes_burgers
 from .scalar2d import muscl_advective_fluxes_2d
 from .euler1d import characteristic_muscl_fluxes, euler_physical_flux
 
 __all__ = [
     "mc_limited_slopes",
+    "godunov_burgers_flux",
     "muscl_fluxes_advection",
     "muscl_fluxes_burgers",
     "muscl_advective_fluxes_2d",

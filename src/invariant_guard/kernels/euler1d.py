@@ -11,7 +11,7 @@ non-positive fall back to the first-order local Lax-Friedrichs flux.
 
 import numpy as np
 
-from .._backend import njit, numba_enabled
+from .limiter import mc_limit
 
 
 def euler_physical_flux(u, gamma):
@@ -23,13 +23,10 @@ def euler_physical_flux(u, gamma):
     return np.stack([u[..., 1], u[..., 1] * v + p, v * (u[..., 2] + p)], axis=-1)
 
 
-def _mc(centered, fwd, bwd):
-    same = (fwd * bwd) > 0.0
-    mag = np.minimum(np.abs(centered), np.minimum(np.abs(fwd), np.abs(bwd)))
-    return np.where(same, np.sign(centered) * mag, 0.0)
-
-
-def _fluxes_numpy(u_ext, gamma):
+def characteristic_muscl_fluxes(u_ext, gamma):
+    """MUSCL fluxes at the N+1 interfaces of an (N+4, 3) extended state."""
+    u_ext = np.asarray(u_ext, dtype=np.float64)
+    gamma = float(gamma)
     n_faces = u_ext.shape[0] - 3
     li = np.arange(1, 1 + n_faces)   # extended index of the left cell
     uL, uR = u_ext[li], u_ext[li + 1]
@@ -70,7 +67,7 @@ def _fluxes_numpy(u_ext, gamma):
         dp = u_ext[cell_idx + 1] - u_ext[cell_idx]
         wm = to_char(dm)
         wp = to_char(dp)
-        lim = [_mc(0.5 * (a + b), 2.0 * b, 2.0 * a) for a, b in zip(wm, wp)]
+        lim = [mc_limit(0.5 * (a + b), 2.0 * b, 2.0 * a) for a, b in zip(wm, wp)]
         return from_char(*lim)
 
     uLf = uL + 0.5 * limited_slope(li)
@@ -137,152 +134,3 @@ def _fluxes_numpy(u_ext, gamma):
             - 0.5 * alpha[:, None] * (uR - uL)
         flux = np.where(lf_bad[:, None], lf, flux)
     return flux
-
-
-@njit(cache=True)
-def _fluxes_numba(u_ext, gamma):
-    n_faces = u_ext.shape[0] - 3
-    flux = np.empty((n_faces, 3))
-    wm = np.empty(3)
-    wp = np.empty(3)
-    sl = np.empty((2, 3))
-    uf = np.empty((2, 3))
-    for k in range(n_faces):
-        il = k + 1
-        rho_l = u_ext[il, 0]
-        rho_r = u_ext[il + 1, 0]
-        v_l = u_ext[il, 1] / rho_l
-        v_r = u_ext[il + 1, 1] / rho_r
-        p_l = (gamma - 1.0) * (u_ext[il, 2] - 0.5 * rho_l * v_l * v_l)
-        p_r = (gamma - 1.0) * (u_ext[il + 1, 2] - 0.5 * rho_r * v_r * v_r)
-        h_l = (u_ext[il, 2] + p_l) / rho_l
-        h_r = (u_ext[il + 1, 2] + p_r) / rho_r
-        sq_l = np.sqrt(rho_l)
-        sq_r = np.sqrt(rho_r)
-        vh = (sq_l * v_l + sq_r * v_r) / (sq_l + sq_r)
-        hh = (sq_l * h_l + sq_r * h_r) / (sq_l + sq_r)
-        c2 = (gamma - 1.0) * (hh - 0.5 * vh * vh)
-
-        good = c2 > 0.0
-        if good:
-            ch = np.sqrt(c2)
-            b1 = (gamma - 1.0) / c2
-            b2 = 0.5 * b1 * vh * vh
-            for side in range(2):
-                ic = il + side
-                dm0 = u_ext[ic, 0] - u_ext[ic - 1, 0]
-                dm1 = u_ext[ic, 1] - u_ext[ic - 1, 1]
-                dm2 = u_ext[ic, 2] - u_ext[ic - 1, 2]
-                dp0 = u_ext[ic + 1, 0] - u_ext[ic, 0]
-                dp1 = u_ext[ic + 1, 1] - u_ext[ic, 1]
-                dp2 = u_ext[ic + 1, 2] - u_ext[ic, 2]
-                wm[0] = 0.5 * (b2 + vh / ch) * dm0 - 0.5 * (b1 * vh + 1.0 / ch) * dm1 \
-                    + 0.5 * b1 * dm2
-                wm[1] = (1.0 - b2) * dm0 + b1 * vh * dm1 - b1 * dm2
-                wm[2] = 0.5 * (b2 - vh / ch) * dm0 - 0.5 * (b1 * vh - 1.0 / ch) * dm1 \
-                    + 0.5 * b1 * dm2
-                wp[0] = 0.5 * (b2 + vh / ch) * dp0 - 0.5 * (b1 * vh + 1.0 / ch) * dp1 \
-                    + 0.5 * b1 * dp2
-                wp[1] = (1.0 - b2) * dp0 + b1 * vh * dp1 - b1 * dp2
-                wp[2] = 0.5 * (b2 - vh / ch) * dp0 - 0.5 * (b1 * vh - 1.0 / ch) * dp1 \
-                    + 0.5 * b1 * dp2
-                w1 = 0.0
-                w2 = 0.0
-                w3 = 0.0
-                if wm[0] * wp[0] > 0.0:
-                    cen = 0.5 * (wm[0] + wp[0])
-                    mag = min(abs(cen), 2.0 * min(abs(wm[0]), abs(wp[0])))
-                    w1 = mag if cen > 0.0 else -mag
-                if wm[1] * wp[1] > 0.0:
-                    cen = 0.5 * (wm[1] + wp[1])
-                    mag = min(abs(cen), 2.0 * min(abs(wm[1]), abs(wp[1])))
-                    w2 = mag if cen > 0.0 else -mag
-                if wm[2] * wp[2] > 0.0:
-                    cen = 0.5 * (wm[2] + wp[2])
-                    mag = min(abs(cen), 2.0 * min(abs(wm[2]), abs(wp[2])))
-                    w3 = mag if cen > 0.0 else -mag
-                sl[side, 0] = w1 + w2 + w3
-                sl[side, 1] = w1 * (vh - ch) + w2 * vh + w3 * (vh + ch)
-                sl[side, 2] = w1 * (hh - vh * ch) + w2 * 0.5 * vh * vh \
-                    + w3 * (hh + vh * ch)
-            for comp in range(3):
-                uf[0, comp] = u_ext[il, comp] + 0.5 * sl[0, comp]
-                uf[1, comp] = u_ext[il + 1, comp] - 0.5 * sl[1, comp]
-            for side in range(2):
-                rho = uf[side, 0]
-                if rho <= 0.0:
-                    good = False
-                    break
-                p = (gamma - 1.0) * (uf[side, 2] - 0.5 * uf[side, 1] ** 2 / rho)
-                if p <= 0.0:
-                    good = False
-                    break
-
-        if good:
-            rho_a = uf[0, 0]
-            rho_b = uf[1, 0]
-            v_a = uf[0, 1] / rho_a
-            v_b = uf[1, 1] / rho_b
-            p_a = (gamma - 1.0) * (uf[0, 2] - 0.5 * rho_a * v_a * v_a)
-            p_b = (gamma - 1.0) * (uf[1, 2] - 0.5 * rho_b * v_b * v_b)
-            h_a = (uf[0, 2] + p_a) / rho_a
-            h_b = (uf[1, 2] + p_b) / rho_b
-            c_a = np.sqrt(gamma * p_a / rho_a)
-            c_b = np.sqrt(gamma * p_b / rho_b)
-            sq_a = np.sqrt(rho_a)
-            sq_b = np.sqrt(rho_b)
-            vm = (sq_a * v_a + sq_b * v_b) / (sq_a + sq_b)
-            hm = (sq_a * h_a + sq_b * h_b) / (sq_a + sq_b)
-            cm2 = (gamma - 1.0) * (hm - 0.5 * vm * vm)
-            if cm2 > 0.0:
-                cm = np.sqrt(cm2)
-                d0 = uf[1, 0] - uf[0, 0]
-                d1 = uf[1, 1] - uf[0, 1]
-                d2 = uf[1, 2] - uf[0, 2]
-                a2 = (gamma - 1.0) / cm2 * (d0 * (hm - vm * vm) + vm * d1 - d2)
-                a1 = 0.5 * (d0 - a2 - (d1 - vm * d0) / cm)
-                a3 = d0 - a1 - a2
-                lam1 = abs(vm - cm)
-                lam2 = abs(vm)
-                lam3 = abs(vm + cm)
-                e1 = (v_b - c_b) - (v_a - c_a)
-                if e1 > 0.0 and lam1 < e1:
-                    lam1 = 0.5 * (lam1 * lam1 / e1 + e1)
-                e3 = (v_b + c_b) - (v_a + c_a)
-                if e3 > 0.0 and lam3 < e3:
-                    lam3 = 0.5 * (lam3 * lam3 / e3 + e3)
-                f_a0 = rho_a * v_a
-                f_a1 = rho_a * v_a * v_a + p_a
-                f_a2 = v_a * (uf[0, 2] + p_a)
-                f_b0 = rho_b * v_b
-                f_b1 = rho_b * v_b * v_b + p_b
-                f_b2 = v_b * (uf[1, 2] + p_b)
-                flux[k, 0] = 0.5 * (f_a0 + f_b0) \
-                    - 0.5 * (a1 * lam1 + a2 * lam2 + a3 * lam3)
-                flux[k, 1] = 0.5 * (f_a1 + f_b1) \
-                    - 0.5 * (a1 * lam1 * (vm - cm) + a2 * lam2 * vm
-                             + a3 * lam3 * (vm + cm))
-                flux[k, 2] = 0.5 * (f_a2 + f_b2) \
-                    - 0.5 * (a1 * lam1 * (hm - vm * cm) + a2 * lam2 * 0.5 * vm * vm
-                             + a3 * lam3 * (hm + vm * cm))
-            else:
-                good = False
-
-        if not good:
-            alpha = max(abs(v_l) + np.sqrt(gamma * p_l / rho_l),
-                        abs(v_r) + np.sqrt(gamma * p_r / rho_r))
-            flux[k, 0] = 0.5 * (rho_l * v_l + rho_r * v_r) \
-                - 0.5 * alpha * (u_ext[il + 1, 0] - u_ext[il, 0])
-            flux[k, 1] = 0.5 * (rho_l * v_l * v_l + p_l + rho_r * v_r * v_r + p_r) \
-                - 0.5 * alpha * (u_ext[il + 1, 1] - u_ext[il, 1])
-            flux[k, 2] = 0.5 * (v_l * (u_ext[il, 2] + p_l) + v_r * (u_ext[il + 1, 2] + p_r)) \
-                - 0.5 * alpha * (u_ext[il + 1, 2] - u_ext[il, 2])
-    return flux
-
-
-def characteristic_muscl_fluxes(u_ext, gamma):
-    """MUSCL fluxes at the N+1 interfaces of an (N+4, 3) extended state."""
-    u_ext = np.ascontiguousarray(u_ext, dtype=np.float64)
-    if numba_enabled():
-        return _fluxes_numba(u_ext, float(gamma))
-    return _fluxes_numpy(u_ext, float(gamma))

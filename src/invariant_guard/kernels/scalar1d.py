@@ -2,48 +2,13 @@
 
 import numpy as np
 
-from .._backend import njit, numba_enabled
+from .limiter import mc_limited_slopes
 
 
-def _mc_slopes_numpy(u):
-    um = np.roll(u, 1)
-    up = np.roll(u, -1)
-    centered = 0.5 * (up - um)
-    fwd = 2.0 * (up - u)
-    bwd = 2.0 * (u - um)
-    same_sign = (fwd * bwd) > 0.0
-    mag = np.minimum(np.abs(centered), np.minimum(np.abs(fwd), np.abs(bwd)))
-    return np.where(same_sign, np.sign(centered) * mag, 0.0)
-
-
-@njit(cache=True)
-def _mc_slopes_numba(u):
-    n = u.size
-    out = np.empty(n)
-    for j in range(n):
-        um = u[(j - 1) % n]
-        up = u[(j + 1) % n]
-        fwd = 2.0 * (up - u[j])
-        bwd = 2.0 * (u[j] - um)
-        if fwd * bwd > 0.0:
-            centered = 0.5 * (up - um)
-            mag = min(abs(centered), min(abs(fwd), abs(bwd)))
-            out[j] = mag if centered > 0.0 else -mag
-        else:
-            out[j] = 0.0
-    return out
-
-
-def mc_limited_slopes(u):
-    """Monotonized-central limited slope per cell (periodic), in units of du."""
-    u = np.ascontiguousarray(u, dtype=np.float64)
-    if numba_enabled():
-        return _mc_slopes_numba(u)
-    return _mc_slopes_numpy(u)
-
-
-def _muscl_advection_numpy(u, c):
-    sig = _mc_slopes_numpy(u)
+def muscl_fluxes_advection(u, c):
+    """Interface fluxes f_{j+1/2} (j = 0..N-1, wrapping) for f(u) = c*u."""
+    u = np.asarray(u, dtype=np.float64)
+    sig = mc_limited_slopes(u)
     if c >= 0.0:
         face = u + 0.5 * sig
     else:
@@ -51,30 +16,8 @@ def _muscl_advection_numpy(u, c):
     return c * face
 
 
-@njit(cache=True)
-def _muscl_advection_numba(u, c):
-    sig = _mc_slopes_numba(u)
-    n = u.size
-    f = np.empty(n)
-    for j in range(n):
-        if c >= 0.0:
-            f[j] = c * (u[j] + 0.5 * sig[j])
-        else:
-            jp = (j + 1) % n
-            f[j] = c * (u[jp] - 0.5 * sig[jp])
-    return f
-
-
-def muscl_fluxes_advection(u, c):
-    """Interface fluxes f_{j+1/2} (j = 0..N-1, wrapping) for f(u) = c*u."""
-    u = np.ascontiguousarray(u, dtype=np.float64)
-    if numba_enabled():
-        return _muscl_advection_numba(u, float(c))
-    return _muscl_advection_numpy(u, float(c))
-
-
-def _godunov_burgers(ul, ur):
-    # exact Riemann flux for f(u) = u^2/2 on reconstructed states
+def godunov_burgers_flux(ul, ur):
+    """Exact Riemann flux for f(u) = u^2/2 between states ``ul`` and ``ur``."""
     fl = 0.5 * ul * ul
     fr = 0.5 * ur * ur
     rarefaction = ul <= ur
@@ -82,37 +25,10 @@ def _godunov_burgers(ul, ur):
     return np.where(rarefaction, fmin, np.maximum(fl, fr))
 
 
-def _muscl_burgers_numpy(u):
-    sig = _mc_slopes_numpy(u)
-    ul = u + 0.5 * sig
-    ur = np.roll(u, -1) - 0.5 * np.roll(sig, -1)
-    return _godunov_burgers(ul, ur)
-
-
-@njit(cache=True)
-def _muscl_burgers_numba(u):
-    sig = _mc_slopes_numba(u)
-    n = u.size
-    f = np.empty(n)
-    for j in range(n):
-        jp = (j + 1) % n
-        ul = u[j] + 0.5 * sig[j]
-        ur = u[jp] - 0.5 * sig[jp]
-        fl = 0.5 * ul * ul
-        fr = 0.5 * ur * ur
-        if ul <= ur:
-            if ul <= 0.0 <= ur:
-                f[j] = 0.0
-            else:
-                f[j] = min(fl, fr)
-        else:
-            f[j] = max(fl, fr)
-    return f
-
-
 def muscl_fluxes_burgers(u):
     """Interface fluxes for the inviscid Burgers flux f(u) = u^2/2."""
-    u = np.ascontiguousarray(u, dtype=np.float64)
-    if numba_enabled():
-        return _muscl_burgers_numba(u)
-    return _muscl_burgers_numpy(u)
+    u = np.asarray(u, dtype=np.float64)
+    sig = mc_limited_slopes(u)
+    ul = u + 0.5 * sig
+    ur = np.roll(u, -1) - 0.5 * np.roll(sig, -1)
+    return godunov_burgers_flux(ul, ur)

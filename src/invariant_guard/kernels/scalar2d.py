@@ -7,23 +7,16 @@ same locations.
 
 import numpy as np
 
-from .._backend import njit, numba_enabled
+from .limiter import mc_limited_slopes
 
 
-def _mc_slopes_axis(chi, axis):
-    um = np.roll(chi, 1, axis=axis)
-    up = np.roll(chi, -1, axis=axis)
-    centered = 0.5 * (up - um)
-    fwd = 2.0 * (up - chi)
-    bwd = 2.0 * (chi - um)
-    same_sign = (fwd * bwd) > 0.0
-    mag = np.minimum(np.abs(centered), np.minimum(np.abs(fwd), np.abs(bwd)))
-    return np.where(same_sign, np.sign(centered) * mag, 0.0)
-
-
-def _fluxes_numpy(chi, ux, uy):
-    sx = _mc_slopes_axis(chi, 0)
-    sy = _mc_slopes_axis(chi, 1)
+def muscl_advective_fluxes_2d(chi, ux, uy):
+    """MC-limited upwinded fluxes (u*chi) at vertical and horizontal faces."""
+    chi = np.asarray(chi, dtype=np.float64)
+    ux = np.asarray(ux, dtype=np.float64)
+    uy = np.asarray(uy, dtype=np.float64)
+    sx = mc_limited_slopes(chi, 0)
+    sy = mc_limited_slopes(chi, 1)
     up_x = chi + 0.5 * sx
     dn_x = np.roll(chi, -1, axis=0) - 0.5 * np.roll(sx, -1, axis=0)
     fx = ux * np.where(ux >= 0.0, up_x, dn_x)
@@ -31,69 +24,3 @@ def _fluxes_numpy(chi, ux, uy):
     dn_y = np.roll(chi, -1, axis=1) - 0.5 * np.roll(sy, -1, axis=1)
     fy = uy * np.where(uy >= 0.0, up_y, dn_y)
     return fx, fy
-
-
-@njit(cache=True)
-def _fluxes_numba(chi, ux, uy):
-    nx, ny = chi.shape
-    fx = np.empty((nx, ny))
-    fy = np.empty((nx, ny))
-    for i in range(nx):
-        im = (i - 1) % nx
-        ip = (i + 1) % nx
-        ipp = (i + 2) % nx
-        for j in range(ny):
-            jm = (j - 1) % ny
-            jp = (j + 1) % ny
-            jpp = (j + 2) % ny
-
-            # x-direction face (i+1/2, j)
-            if ux[i, j] >= 0.0:
-                fwd = 2.0 * (chi[ip, j] - chi[i, j])
-                bwd = 2.0 * (chi[i, j] - chi[im, j])
-                sig = 0.0
-                if fwd * bwd > 0.0:
-                    centered = 0.5 * (chi[ip, j] - chi[im, j])
-                    mag = min(abs(centered), min(abs(fwd), abs(bwd)))
-                    sig = mag if centered > 0.0 else -mag
-                fx[i, j] = ux[i, j] * (chi[i, j] + 0.5 * sig)
-            else:
-                fwd = 2.0 * (chi[ipp, j] - chi[ip, j])
-                bwd = 2.0 * (chi[ip, j] - chi[i, j])
-                sig = 0.0
-                if fwd * bwd > 0.0:
-                    centered = 0.5 * (chi[ipp, j] - chi[i, j])
-                    mag = min(abs(centered), min(abs(fwd), abs(bwd)))
-                    sig = mag if centered > 0.0 else -mag
-                fx[i, j] = ux[i, j] * (chi[ip, j] - 0.5 * sig)
-
-            # y-direction face (i, j+1/2)
-            if uy[i, j] >= 0.0:
-                fwd = 2.0 * (chi[i, jp] - chi[i, j])
-                bwd = 2.0 * (chi[i, j] - chi[i, jm])
-                sig = 0.0
-                if fwd * bwd > 0.0:
-                    centered = 0.5 * (chi[i, jp] - chi[i, jm])
-                    mag = min(abs(centered), min(abs(fwd), abs(bwd)))
-                    sig = mag if centered > 0.0 else -mag
-                fy[i, j] = uy[i, j] * (chi[i, j] + 0.5 * sig)
-            else:
-                fwd = 2.0 * (chi[i, jpp] - chi[i, jp])
-                bwd = 2.0 * (chi[i, jp] - chi[i, j])
-                sig = 0.0
-                if fwd * bwd > 0.0:
-                    centered = 0.5 * (chi[i, jpp] - chi[i, j])
-                    mag = min(abs(centered), min(abs(fwd), abs(bwd)))
-                    sig = mag if centered > 0.0 else -mag
-                fy[i, j] = uy[i, j] * (chi[i, jp] - 0.5 * sig)
-    return fx, fy
-
-
-def muscl_advective_fluxes_2d(chi, ux, uy):
-    """MC-limited upwinded fluxes (u*chi) at vertical and horizontal faces."""
-    chi = np.ascontiguousarray(chi, dtype=np.float64)
-    ux = np.ascontiguousarray(ux, dtype=np.float64)
-    uy = np.ascontiguousarray(uy, dtype=np.float64)
-    if numba_enabled():
-        return _fluxes_numba(chi, ux, uy)
-    return _fluxes_numpy(chi, ux, uy)

@@ -77,9 +77,7 @@ def numerical_flux_1d(scheme, u: FvField1D, equation, c=None, lf_ratio=None):
             # the l2-increasing demo flux (u_j^2 + u_{j+1}^2)/4
             return 0.25 * (vals * vals + up * up)
         if scheme is FluxScheme.GODUNOV:
-            fl, fr = _burgers_flux(vals), _burgers_flux(up)
-            fmin = np.where((vals <= 0.0) & (up >= 0.0), 0.0, np.minimum(fl, fr))
-            return np.where(vals <= up, fmin, np.maximum(fl, fr))
+            return kernels.godunov_burgers_flux(vals, up)
         if scheme is FluxScheme.LAX_FRIEDRICHS:
             if lf_ratio is None:
                 raise ConfigurationError("Lax-Friedrichs needs lf_ratio = dx/(2 dt)")

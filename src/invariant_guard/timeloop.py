@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalBlowup
+from .errors import ConfigurationError, InvariantGuardError, NumericalBlowup
 
 SSPRK3 = "ssprk3"
 FORWARD_EULER = "forward_euler"
@@ -89,8 +89,10 @@ def run(plan: StepPlan, problem, record_stages=True) -> Trajectory:
 
     The driver supplies ``initial_array()``, ``stable_dt(y, cfl, dt_max)``,
     one of ``rhs(y, t, dt)`` / ``increment(y, t, dt)``, and optional
-    ``observe(y, t)`` / ``report(y, t)`` hooks.  Blowups surface as a
-    trajectory with ``error`` set and the partial record intact.
+    ``observe(y, t)`` / ``report(y, t)`` hooks.  Blowups and other
+    ``InvariantGuardError``s surface as a trajectory with ``error`` set and
+    the partial record intact; ``ConfigurationError`` and every other
+    exception propagate.
     """
     traj = Trajectory()
     if record_stages:
@@ -135,7 +137,9 @@ def run(plan: StepPlan, problem, record_stages=True) -> Trajectory:
             if hasattr(problem, "post_step"):
                 y_new = problem.post_step(y, y_new, t, dt)
             y = y_new
-        except Exception as exc:  # corrector errors are part of the record
+        except ConfigurationError:
+            raise
+        except InvariantGuardError as exc:  # numerical failures are part of the record
             traj.error = exc
             return traj
         t += dt

@@ -156,7 +156,7 @@ def test_fig1_config_reproduces_three_variants(tmp_path):
     out = tmp_path / "fig1_burgers_centered"
     manifest = (out / "manifest").read_text()
     assert "status.n64.centered = NumericalBlowup" in manifest \
-        or "status.n64.centered = ValueError" in manifest
+        or "status.n64.centered = NonFiniteState" in manifest
 
     def l2_series(variant):
         lines = (out / "n64" / variant / "invariants.csv").read_text().splitlines()

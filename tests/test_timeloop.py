@@ -5,7 +5,8 @@ from invariant_guard import correctors as co
 from invariant_guard.core import (FvField1D, SpectralField, UniformGrid1D)
 from invariant_guard.drivers import (FtcsAdvection, ScalarFv1D,
                                      SpectralAdvection)
-from invariant_guard.errors import NumericalBlowup
+from invariant_guard.errors import (ConfigurationError, DegenerateCorrection,
+                                    NonFiniteState, NumericalBlowup)
 from invariant_guard.problems import ic_sine
 from invariant_guard.schemes import FluxScheme
 from invariant_guard.timeloop import (StepPlan, cfl_dt, cfl_dt_2d,
@@ -123,6 +124,55 @@ def test_blowup_keeps_partial_trajectory():
                  drv)
     assert tr.error is not None
     assert len(tr.snapshots) >= 1  # the initial snapshot survives
+
+
+def test_non_finite_stage_is_recorded():
+    # an overflowing stage makes the next stage's field constructor reject
+    # the state; the run must record that as a blow-up, not raise
+    g = UniformGrid1D(16, 1.0)
+
+    class OverflowsOnce(ScalarFv1D):
+        calls = 0
+
+        def rhs(self, y, t, dt):
+            self.calls += 1
+            if self.calls == 1:
+                return np.full_like(y, np.inf)
+            return super().rhs(y, t, dt)
+
+    drv = OverflowsOnce(ic_sine(g), "advection", FluxScheme.UPWIND, c=1.0)
+    with np.errstate(invalid="ignore"):
+        tr = run(StepPlan(t_end=1.0, n_snapshots=2, dt_override=0.1), drv)
+    assert isinstance(tr.error, NonFiniteState)
+    assert isinstance(tr.error, ValueError)
+    assert drv.calls == 2
+    assert len(tr.snapshots) == 1
+
+
+def _raising_driver(exc):
+    g = UniformGrid1D(16, 1.0)
+
+    class Raising(ScalarFv1D):
+        def rhs(self, y, t, dt):
+            raise exc
+
+    return Raising(ic_sine(g), "advection", FluxScheme.UPWIND, c=1.0)
+
+
+@pytest.mark.parametrize("exc", [TypeError("bug in rhs"),
+                                 ConfigurationError("bad option")])
+def test_programming_and_configuration_errors_propagate(exc):
+    with pytest.raises(type(exc)):
+        run(StepPlan(t_end=1.0, n_snapshots=2, dt_override=0.1),
+            _raising_driver(exc))
+
+
+def test_corrector_error_is_recorded():
+    exc = DegenerateCorrection("zero denominator")
+    tr = run(StepPlan(t_end=1.0, n_snapshots=2, dt_override=0.1),
+             _raising_driver(exc))
+    assert tr.error is exc
+    assert len(tr.snapshots) == 1
 
 
 def test_stepplan_validation():
