@@ -9,8 +9,8 @@ changes at a prescribed rate, and density/pressure stay positive.
 from .core import (DgField, EulerState1D, FvField1D, FvField2D, SpectralField,
                    UniformGrid1D, UniformGrid2D, VorticityState2D, bracket,
                    coarse_grain, coarse_grain_2d, volume_mean)
-from .correctors import (AntiDiffusiveTargetWarning, EntropyRateTarget,
-                         L2RateTarget, TrackedRateSource,
+from .correctors import (AntiDiffusiveTargetWarning, Correction,
+                         EntropyRateTarget, L2RateTarget, TrackedRateSource,
                          correct_dg_l2, correct_entropy_euler1d,
                          correct_euler2d_mass_energy_l2, correct_flux_l2_1d,
                          correct_flux_l2_2d, correct_increment_mass_l2,

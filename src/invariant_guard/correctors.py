@@ -1,16 +1,19 @@
 """Closed-form error-correcting transformations for solver updates.
 
 Each corrector takes a proposed update (interface fluxes, a cell RHS, or a
-discrete increment), a rate target, and a weight field G, and returns the
-update transformed so the targeted bracket identities hold exactly:
+discrete increment), a rate target, and a weight field G, and returns
+``(update, Correction)``: the update transformed so the targeted bracket
+identities hold exactly, and the rates it computed on the way (old, target,
+achieved on the output):
 
 * mass stays conserved (flux form keeps telescoping; RHS/increment forms are
   demeaned),
 * the discrete l2-norm (or entropy) changes at exactly the prescribed rate,
 * for 2D incompressible flow the energy bracket is projected to zero.
 
-When the input already satisfies the target the output equals the input, so
-correction never perturbs an update that is already invariant-legal.
+When the input already satisfies the target the output equals the input
+and the achieved rate is the old one, so correction never perturbs an
+update that is already invariant-legal.
 """
 
 from __future__ import annotations
@@ -130,6 +133,21 @@ class EntropyRateTarget:
             + self.ratio * (old_rate - self.boundary_flux_estimate)
 
 
+@dataclass
+class Correction:
+    """What one corrector call did: the rate of the incoming update, the
+    resolved target and the rate measured on the returned update (per-step
+    l2 changes for the increment corrector).  Drivers stamp ``kind`` and
+    the stage time ``t`` when they record it."""
+
+    old_rate: float
+    target_rate: float
+    achieved_rate: float
+    extra: dict = None
+    kind: str = None
+    t: float = None
+
+
 def _check_denominator(denom, scale, what):
     if abs(denom) <= DEGENERACY_RTOL * max(scale, 1e-300):
         raise DegenerateCorrection(
@@ -154,15 +172,22 @@ def laplacian_2d(values, dx, dy):
 # flux-form correctors (scalar)
 # ---------------------------------------------------------------------------
 
-def flux_l2_rate_1d(fluxes, u: FvField1D):
-    """Measured d(l2)/dt of a flux-form update, boundary terms included."""
-    f = np.asarray(fluxes, dtype=np.float64)
+def _jumps_1d(u):
+    """u_{j+1} - u_j at the interfaces a flux correction moves."""
+    vals = u.values
+    return (np.roll(vals, -1) - vals) if u.grid.periodic else np.diff(vals)
+
+
+def _flux_rate_1d(f, u, du):
     vals = u.values
     if u.grid.periodic:
-        du = np.roll(vals, -1) - vals
         return float(f @ du)
-    du = np.diff(vals)
     return float(f[1:-1] @ du + f[0] * vals[0] - f[-1] * vals[-1])
+
+
+def flux_l2_rate_1d(fluxes, u: FvField1D):
+    """Measured d(l2)/dt of a flux-form update, boundary terms included."""
+    return _flux_rate_1d(np.asarray(fluxes, dtype=np.float64), u, _jumps_1d(u))
 
 
 def correct_flux_l2_1d(fluxes, u: FvField1D, target: L2RateTarget, G=None):
@@ -173,15 +198,13 @@ def correct_flux_l2_1d(fluxes, u: FvField1D, target: L2RateTarget, G=None):
     entering the measured rate.  Default G is the interface jump u_{j+1}-u_j.
     """
     f = np.asarray(fluxes, dtype=np.float64)
-    vals = u.values
-    periodic = u.grid.periodic
-    du = (np.roll(vals, -1) - vals) if periodic else np.diff(vals)
-
     old = flux_l2_rate_1d(f, u)
     new = target.resolve(old)
     if new == old:
-        return f
+        return f, Correction(old, new, old)
 
+    periodic = u.grid.periodic
+    du = _jumps_1d(u)
     g = du if G is None else np.asarray(G, dtype=np.float64)
     g_int = g if periodic else (g[1:-1] if g.shape == f.shape else g)
     if g_int.shape != du.shape:
@@ -194,7 +217,7 @@ def correct_flux_l2_1d(fluxes, u: FvField1D, target: L2RateTarget, G=None):
         out += (new - old) * g_int / denom
     else:
         out[1:-1] += (new - old) * g_int / denom
-    return out
+    return out, Correction(old, new, _flux_rate_1d(out, u, du))
 
 
 def flux_l2_rates_2d(fluxes, u: FvField2D):
@@ -206,30 +229,30 @@ def flux_l2_rates_2d(fluxes, u: FvField2D):
             float(g.dx * np.sum(fluxes.fy * duy)))
 
 
+def _correct_direction(f, u, axis, h, old, target, G):
+    """One direction of ``correct_flux_l2_2d``: its fluxes and Correction."""
+    new = target.resolve(old)
+    if new == old:
+        return f, Correction(old, new, old)
+    du = np.roll(u.values, -1, axis=axis) - u.values
+    g = du if G is None else np.asarray(G, dtype=np.float64)
+    denom = float(h * np.sum(g * du))
+    _check_denominator(denom, h * np.linalg.norm(g) * np.linalg.norm(du),
+                       "xy"[axis] + "-flux correction")
+    out = f + (new - old) * g / denom
+    return out, Correction(old, new, float(h * np.sum(out * du)))
+
+
 def correct_flux_l2_2d(fluxes, u: FvField2D, target_x: L2RateTarget,
                        target_y: L2RateTarget, Gx=None, Gy=None):
-    """Directional analogue of ``correct_flux_l2_1d`` on a periodic 2D grid."""
-    g = u.grid
-    dux = np.roll(u.values, -1, axis=0) - u.values
-    duy = np.roll(u.values, -1, axis=1) - u.values
+    """Directional analogue of ``correct_flux_l2_1d`` on a periodic 2D grid;
+    the report is a pair of ``Correction``s, x first."""
     old_x, old_y = flux_l2_rates_2d(fluxes, u)
-    new_x = target_x.resolve(old_x)
-    new_y = target_y.resolve(old_y)
-
-    fx, fy = fluxes.fx, fluxes.fy
-    if new_x != old_x:
-        gx = dux if Gx is None else np.asarray(Gx, dtype=np.float64)
-        denom = float(g.dy * np.sum(gx * dux))
-        _check_denominator(denom, g.dy * np.linalg.norm(gx) * np.linalg.norm(dux),
-                           "x-flux correction")
-        fx = fx + (new_x - old_x) * gx / denom
-    if new_y != old_y:
-        gy = duy if Gy is None else np.asarray(Gy, dtype=np.float64)
-        denom = float(g.dx * np.sum(gy * duy))
-        _check_denominator(denom, g.dx * np.linalg.norm(gy) * np.linalg.norm(duy),
-                           "y-flux correction")
-        fy = fy + (new_y - old_y) * gy / denom
-    return BoundaryFluxes2D(fx, fy)
+    fx, cx = _correct_direction(fluxes.fx, u, 0, u.grid.dy, old_x, target_x, Gx)
+    fy, cy = _correct_direction(fluxes.fy, u, 1, u.grid.dx, old_y, target_y, Gy)
+    if fx is not fluxes.fx or fy is not fluxes.fy:
+        fluxes = BoundaryFluxes2D(fx, fy)
+    return fluxes, (cx, cy)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +275,16 @@ def _default_cell_G(u, volumes):
     return g - volume_mean(g, volumes)
 
 
+def _cell_weight(u, volumes, G):
+    """The caller's G, which must be mean-free, or the default weight."""
+    if G is None:
+        return _default_cell_G(u, volumes)
+    g = np.asarray(G, dtype=np.float64)
+    if abs(volume_mean(g, volumes)) > 1e-12 * max(np.abs(g).max(), 1e-300):
+        raise ValueError("G must be mean-free for mass conservation")
+    return g
+
+
 def correct_rhs_mass_l2(rhs, u, target: L2RateTarget, G=None):
     """Demean an arbitrary cell RHS and set its l2 rate to the target.
 
@@ -268,38 +301,36 @@ def correct_rhs_mass_l2(rhs, u, target: L2RateTarget, G=None):
     old = bracket(big_u, m, volumes)
     new = target.resolve(old)
     if new == old:
-        return m
+        return m, Correction(old, new, old)
 
-    if G is None:
-        g = _default_cell_G(u, volumes)
-    else:
-        g = np.asarray(G, dtype=np.float64)
-        g_mean = volume_mean(g, volumes)
-        if abs(g_mean) > 1e-12 * max(np.abs(g).max(), 1e-300):
-            raise ValueError("G must be mean-free for mass conservation")
+    g = _cell_weight(u, volumes, G)
     denom = bracket(big_u, g, volumes)
     _check_denominator(denom,
                        float(np.sqrt(bracket(big_u, big_u, volumes)
                                      * bracket(g, g, volumes))),
                        "RHS correction")
-    return m + (new - old) * g / denom
+    out = m + (new - old) * g / denom
+    return out, Correction(old, new, bracket(big_u, out, volumes))
+
+
+def _increment_terms(increment, u, G):
+    """Demeaned increment, weight G, and (a, b, c0): the l2 change of the
+    state plus ``bar + eps*G`` is (a eps^2 + 2 b eps + c0) / 2."""
+    vals, volumes = _field_parts(u)
+    inc = np.asarray(increment, dtype=np.float64)
+    bar = inc - volume_mean(inc, volumes)
+    g = _cell_weight(u, volumes, G)
+    a = bracket(g, g, volumes)
+    b = bracket(vals + bar, g, volumes)
+    c0 = 2.0 * bracket(vals, bar, volumes) + bracket(bar, bar, volumes)
+    return bar, g, (a, b, c0)
 
 
 def increment_quadratic_coefficients(increment, u, delta_l2, G=None):
     """Coefficients (a, b, c) of a eps^2 + 2 b eps + c = 0 from the
     discrete-time l2 condition, exposed for inspection and oracles."""
-    vals, volumes = _field_parts(u)
-    inc = np.asarray(increment, dtype=np.float64)
-    bar = inc - volume_mean(inc, volumes)
-    if G is None:
-        g = _default_cell_G(u, volumes)
-    else:
-        g = np.asarray(G, dtype=np.float64)
-    a = bracket(g, g, volumes)
-    b = bracket(vals + bar, g, volumes)
-    c = 2.0 * bracket(vals, bar, volumes) + bracket(bar, bar, volumes) \
-        - 2.0 * float(delta_l2)
-    return a, b, c
+    _, _, (a, b, c0) = _increment_terms(increment, u, G)
+    return a, b, c0 - 2.0 * float(delta_l2)
 
 
 def correct_increment_mass_l2(increment, u, delta_l2, G=None):
@@ -310,23 +341,12 @@ def correct_increment_mass_l2(increment, u, delta_l2, G=None):
     limit (the paper's plus sign) is chosen.  A negative discriminant raises
     ``InfeasibleTarget`` carrying the minimum achievable delta_l2.
     """
-    vals, volumes = _field_parts(u)
-    inc = np.asarray(increment, dtype=np.float64)
-    bar = inc - volume_mean(inc, volumes)
-    if G is None:
-        g = _default_cell_G(u, volumes)
-    else:
-        g = np.asarray(G, dtype=np.float64)
-        g_mean = volume_mean(g, volumes)
-        if abs(g_mean) > 1e-12 * max(np.abs(g).max(), 1e-300):
-            raise ValueError("G must be mean-free for mass conservation")
-
-    a = bracket(g, g, volumes)
-    b = bracket(vals + bar, g, volumes)
-    c0 = 2.0 * bracket(vals, bar, volumes) + bracket(bar, bar, volumes)
-    c = c0 - 2.0 * float(delta_l2)
+    bar, g, (a, b, c0) = _increment_terms(increment, u, G)
+    delta_l2 = float(delta_l2)
+    old = 0.5 * c0
+    c = c0 - 2.0 * delta_l2
     if c == 0.0:
-        return bar
+        return bar, Correction(old, delta_l2, old)
     if a == 0.0:
         raise DegenerateCorrection("G vanishes; the quadratic degenerates")
     disc = b * b - a * c
@@ -341,7 +361,10 @@ def correct_increment_mass_l2(increment, u, delta_l2, G=None):
     else:
         big = -(b + np.sign(b) * root) / a   # larger-magnitude root
         eps = c / (a * big)                  # smaller-magnitude (plus-sign) root
-    return bar + eps * g
+    out = bar + eps * g
+    vals, volumes = _field_parts(u)
+    achieved = bracket(vals, out, volumes) + 0.5 * bracket(out, out, volumes)
+    return out, Correction(old, delta_l2, achieved)
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +380,14 @@ def correct_dg_l2(rhs, a: DgField, target: L2RateTarget):
     old = dg_l2_rate(a, n)
     new = target.resolve(old)
     if new == old:
-        return n
+        return n, Correction(old, new, old)
     n_diff = dg_diffusion_rhs(a)
     denom = dg_l2_rate(a, n_diff)
     _check_denominator(denom,
                        float(np.linalg.norm(a.coeffs) * np.linalg.norm(n_diff)),
                        "DG correction")
-    return n + (new - old) / denom * n_diff
+    out = n + (new - old) / denom * n_diff
+    return out, Correction(old, new, dg_l2_rate(a, out))
 
 
 def spectral_pair_dot(a, b):
@@ -391,7 +415,7 @@ def correct_spectral_mass_l2(rhs, u: SpectralField, target: L2RateTarget, G=None
     old = spectral_l2_rate(u, n)
     new = target.resolve(old)
     if new == old:
-        return n
+        return n, Correction(old, new, old)
 
     if G is None:
         m = np.arange(u.n_modes + 1)
@@ -405,7 +429,8 @@ def correct_spectral_mass_l2(rhs, u: SpectralField, target: L2RateTarget, G=None
                        2.0 * u.length * float(np.linalg.norm(u.coeffs)
                                               * np.linalg.norm(g)),
                        "spectral correction")
-    return n + (new - old) * g / denom
+    out = n + (new - old) * g / denom
+    return out, Correction(old, new, spectral_l2_rate(u, out))
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +442,9 @@ def correct_euler2d_mass_energy_l2(rhs, state: VorticityState2D,
     """Demean, project out the energy direction, then set the enstrophy rate.
 
     The output P' satisfies <P'> = 0, <psi_bar|P'> = 0 and <W|P'> = target,
-    where W is the streamfunction-orthogonal part of the vorticity.
+    where W is the streamfunction-orthogonal part of the vorticity.  The
+    report's ``extra`` holds ``energy_bracket`` <psi_bar|P'> and its scale
+    ``energy_scale`` = sqrt(<psi_bar|psi_bar> <P'|P'>).
     """
     chi = state.chi.values
     vol = state.chi.grid.cell_volume
@@ -436,26 +463,29 @@ def correct_euler2d_mass_energy_l2(rhs, state: VorticityState2D,
     p = m - bracket(m, phi, vol) / pp * phi
     old = bracket(w, p, vol)
     new = target.resolve(old)
-    if new == old:
-        return p
-
-    if G is None:
-        grid = state.chi.grid
-        lap_w = laplacian_2d(w, grid.dx, grid.dy)
-        g = lap_w - bracket(lap_w, phi, vol) / pp * phi
-    else:
-        g = np.asarray(G, dtype=np.float64)
-        scale = max(float(np.abs(g).max()), 1e-300) * vol * g.size
-        if abs(bracket(g, np.ones_like(g), vol)) > 1e-12 * scale:
-            raise ValueError("G must be mean-free")
-        psi_scale = max(float(np.abs(state.psi_bar).max()), 1e-300)
-        if abs(bracket(g, state.psi_bar, vol)) > 1e-10 * scale * psi_scale:
-            raise ValueError("G must be orthogonal to the streamfunction")
-    denom = bracket(w, g, vol)
-    _check_denominator(denom,
-                       float(np.sqrt(bracket(w, w, vol) * bracket(g, g, vol))),
-                       "2D Euler correction")
-    return p + (new - old) * g / denom
+    psi = state.psi_bar
+    if new != old:
+        if G is None:
+            grid = state.chi.grid
+            lap_w = laplacian_2d(w, grid.dx, grid.dy)
+            g = lap_w - bracket(lap_w, phi, vol) / pp * phi
+        else:
+            g = np.asarray(G, dtype=np.float64)
+            scale = max(float(np.abs(g).max()), 1e-300) * vol * g.size
+            if abs(bracket(g, np.ones_like(g), vol)) > 1e-12 * scale:
+                raise ValueError("G must be mean-free")
+            psi_scale = max(float(np.abs(psi).max()), 1e-300)
+            if abs(bracket(g, psi, vol)) > 1e-10 * scale * psi_scale:
+                raise ValueError("G must be orthogonal to the streamfunction")
+        denom = bracket(w, g, vol)
+        _check_denominator(denom,
+                           float(np.sqrt(bracket(w, w, vol) * bracket(g, g, vol))),
+                           "2D Euler correction")
+        p = p + (new - old) * g / denom
+    extra = {"energy_bracket": bracket(psi, p, vol),
+             "energy_scale": float(np.sqrt(bracket(psi, psi, vol)
+                                           * bracket(p, p, vol)))}
+    return p, Correction(old, new, bracket(w, p, vol), extra)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +551,7 @@ def correct_entropy_euler1d(fluxes, state: EulerState1D,
     old = entropy_rate_euler1d(f, state, w)
     new = target.resolve(old)
     if new == old:
-        return f
+        return f, Correction(old, new, old)
     if new < old:
         warnings.warn("entropy target below the current rate adds "
                       "anti-diffusion; positivity is no longer guaranteed",
@@ -555,7 +585,7 @@ def correct_entropy_euler1d(fluxes, state: EulerState1D,
         out[0] = out[-1]
     else:
         out[1:-1] += (new - old) * g / denom
-    return out
+    return out, Correction(old, new, entropy_rate_euler1d(out, state, w))
 
 
 def estimate_boundary_entropy_flux(state: EulerState1D, boundary_primitive=None):

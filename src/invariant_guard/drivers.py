@@ -2,37 +2,27 @@
 corrector chains, and the time loop for each replication problem.
 
 A driver owns its grid, initial data, and corrector configuration.  The
-``rhs``/``increment`` hooks receive every Runge-Kutta stage, apply the
-corrector chain there, and append a ``StageRecord`` per correction so runs
-can be audited after the fact.
+``rhs``/``increment`` hooks receive every Runge-Kutta stage and apply the
+corrector chain there.  Every corrector call goes through
+``_DriverBase._corrected``, which records the ``Correction`` the corrector
+returned, stamped with the stage time and a kind, so runs can be audited
+after the fact; drivers never measure a rate themselves.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import correctors as co
 from . import schemes
 from .core import (DgField, EulerState1D, FvField1D, FvField2D, SpectralField,
-                   UniformGrid1D, UniformGrid2D, VorticityState2D,
-                   bracket)
+                   VorticityState2D, bracket)
 from .diagnostics import invariant_report, InvariantReport
 from .dg import dg_coefficient_rate, dg_rhs, face_traces
 from .errors import InfeasibleTarget, PositivityViolation
 from .timeloop import cfl_dt, cfl_dt_2d
-
-
-@dataclass
-class StageRecord:
-    t: float
-    kind: str
-    old_rate: float
-    target_rate: float
-    achieved_rate: float
-    extra: dict = None
 
 
 def resolve_l2_target(spec, t):
@@ -65,25 +55,33 @@ def _apply_step_increment_correction(driver, field, y_old, y_new, t, dt, spec):
     else:
         delta = float(spec)
     try:
-        out = co.correct_increment_mass_l2(inc, field, delta)
+        out = driver._corrected(t, "step_delta_l2", co.correct_increment_mass_l2,
+                                inc, field, delta)
     except InfeasibleTarget as err:
         delta = err.min_delta_l2 + 1e-12
         warnings.warn(
             f"per-step delta_l2 infeasible at t={t:.6g}; clamped to the "
             f"achievable minimum {delta:.3e}", InfeasibleTargetWarning,
             stacklevel=2)
-        out = co.correct_increment_mass_l2(inc, field, delta)
-    achieved = bracket(vals, out, volumes) + 0.5 * bracket(out, out, volumes)
-    driver._record(StageRecord(t, "step_delta_l2", actual, delta, achieved))
+        out = driver._corrected(t, "step_delta_l2", co.correct_increment_mass_l2,
+                                inc, field, delta)
     return (y_old.reshape(vals.shape) + out).reshape(y_old.shape)
 
 
 class _DriverBase:
-    stage_records = None
+    stage_records = None   # set by timeloop.run; None outside a run
 
-    def _record(self, rec):
+    def _corrected(self, t, kind, corrector, *args):
+        """Call ``corrector(*args)``, record its report stamped with ``t`` and
+        ``kind`` (a tuple of kinds for a pair of reports), return the update."""
+        update, report = corrector(*args)
         if self.stage_records is not None:
-            self.stage_records.append(rec)
+            pairs = zip(kind, report) if isinstance(kind, tuple) \
+                else ((kind, report),)
+            for k, rec in pairs:
+                rec.t, rec.kind = t, k
+                self.stage_records.append(rec)
+        return update
 
     def report(self, y, t) -> InvariantReport:
         return invariant_report(self.state_of(y), t)
@@ -150,11 +148,8 @@ class ScalarFv1D(_DriverBase):
         field = self.state_of(y)
         f = self.fluxes(field, dt)
         if self.target is not None:
-            target = resolve_l2_target(self.target, t)
-            old = co.flux_l2_rate_1d(f, field)
-            f = co.correct_flux_l2_1d(f, field, target, self.G)
-            self._record(StageRecord(t, "l2", old, target.resolve(old),
-                                     co.flux_l2_rate_1d(f, field)))
+            f = self._corrected(t, "l2", co.correct_flux_l2_1d, f, field,
+                                resolve_l2_target(self.target, t), self.G)
         out = schemes.fv_rhs_1d(f, self.grid)
         if self.nu > 0.0:
             dx = self.grid.cell_volumes
@@ -198,14 +193,9 @@ class NonconservativeBurgers1D(_DriverBase):
         forward = (np.roll(y, -1) - y) / dx
         out = -y * np.where(y >= 0.0, backward, forward)
         if self.target is not None:
-            field = self.state_of(y)
-            target = resolve_l2_target(self.target, t)
-            vols = self.grid.cell_volumes
-            big_u = y - co.volume_mean(y, vols)
-            old = bracket(big_u, out - co.volume_mean(out, vols), vols)
-            out = co.correct_rhs_mass_l2(out, field, target, self.G)
-            self._record(StageRecord(t, "l2", old, target.resolve(old),
-                                     bracket(y, out, vols)))
+            out = self._corrected(t, "l2", co.correct_rhs_mass_l2, out,
+                                  self.state_of(y),
+                                  resolve_l2_target(self.target, t), self.G)
         return out
 
 
@@ -238,12 +228,8 @@ class FtcsAdvection(_DriverBase):
         inc = schemes.ftcs_increment(field, self.c, dt)
         if self.delta_l2 is None:
             return inc
-        vols = self.grid.cell_volumes
-        old = bracket(y, inc, vols) + 0.5 * bracket(inc, inc, vols)
-        out = co.correct_increment_mass_l2(inc, field, self.delta_l2, self.G)
-        achieved = bracket(y, out, vols) + 0.5 * bracket(out, out, vols)
-        self._record(StageRecord(t, "delta_l2", old, self.delta_l2, achieved))
-        return out
+        return self._corrected(t, "delta_l2", co.correct_increment_mass_l2,
+                               inc, field, self.delta_l2, self.G)
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +263,8 @@ class DgScalar1D(_DriverBase):
         a = self.state_of(y)
         n = dg_rhs(a, self.flux_fn, self.interface_rule)
         if self.target is not None:
-            target = resolve_l2_target(self.target, t)
-            from .dg import dg_l2_rate
-            old = dg_l2_rate(a, n)
-            n = co.correct_dg_l2(n, a, target)
-            self._record(StageRecord(t, "l2", old, target.resolve(old),
-                                     dg_l2_rate(a, n)))
+            n = self._corrected(t, "l2", co.correct_dg_l2, n, a,
+                                resolve_l2_target(self.target, t))
         return dg_coefficient_rate(a, n).ravel()
 
 
@@ -310,11 +292,8 @@ class SpectralAdvection(_DriverBase):
         u = self.state_of(y)
         n = schemes.spectral_rhs_advection(u, self.c)
         if self.target is not None:
-            target = resolve_l2_target(self.target, t)
-            old = co.spectral_l2_rate(u, n)
-            n = co.correct_spectral_mass_l2(n, u, target)
-            self._record(StageRecord(t, "l2", old, target.resolve(old),
-                                     co.spectral_l2_rate(u, n)))
+            n = self._corrected(t, "l2", co.correct_spectral_mass_l2, n, u,
+                                resolve_l2_target(self.target, t))
         return n
 
 
@@ -367,33 +346,15 @@ class Vorticity2D(_DriverBase):
                 tx = ty = co.L2RateTarget.tracked(half)
             else:
                 tx = ty = self.target
-            old_x, old_y = co.flux_l2_rates_2d(fluxes, chi)
-            fluxes = co.correct_flux_l2_2d(fluxes, chi, tx, ty)
-            new_x, new_y = co.flux_l2_rates_2d(fluxes, chi)
-            self._record(StageRecord(t, "l2_x", old_x, tx.resolve(old_x), new_x))
-            self._record(StageRecord(t, "l2_y", old_y, ty.resolve(old_y), new_y))
+            fluxes = self._corrected(t, ("l2_x", "l2_y"), co.correct_flux_l2_2d,
+                                     fluxes, chi, tx, ty)
 
         out = schemes.fv_rhs_2d(fluxes, g)
 
         if self.corrector == "energy":
-            target = resolve_l2_target(self.target, t)
-            vol = g.cell_volume
-            phi = state.psi_bar - state.psi_bar.mean()
-            pp = bracket(phi, phi, vol)
-            u_c = chi.values - chi.values.mean()
-            w = u_c - bracket(u_c, phi, vol) / pp * phi
-            # <W|phi> = 0, so the projected rate reduces to <W|demeaned rhs>
-            old = bracket(w, out - out.mean(), vol)
-            out = co.correct_euler2d_mass_energy_l2(out, state, target)
-            energy_bracket = bracket(state.psi_bar, out, vol)
-            self._record(StageRecord(
-                t, "enstrophy", old, target.resolve(old),
-                bracket(w, out, vol),
-                extra={"energy_bracket": energy_bracket,
-                       "mass_bracket": float(np.sum(out) * vol),
-                       "energy_scale": float(np.sqrt(
-                           bracket(state.psi_bar, state.psi_bar, vol)
-                           * bracket(out, out, vol)))}))
+            out = self._corrected(t, "enstrophy",
+                                  co.correct_euler2d_mass_energy_l2, out, state,
+                                  resolve_l2_target(self.target, t))
 
         if self.nu > 0.0:
             out = out + self.nu * co.laplacian_2d(chi.values, g.dx, g.dy)
@@ -464,11 +425,8 @@ class Euler1D(_DriverBase):
             boundary = co.estimate_boundary_entropy_flux(
                 state, self.boundary_primitive)
             target = co.EntropyRateTarget(boundary, self.entropy_ratio)
-            old = co.entropy_rate_euler1d(f, state)
-            f = co.correct_entropy_euler1d(f, state, target)
-            self._record(StageRecord(t, "entropy", old, target.resolve(old),
-                                     co.entropy_rate_euler1d(f, state),
-                                     extra={"boundary": boundary}))
+            f = self._corrected(t, "entropy", co.correct_entropy_euler1d, f,
+                                state, target)
         return schemes.euler1d_rhs(f, self.grid).ravel()
 
     def observe(self, y, t, traj):

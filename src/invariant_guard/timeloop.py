@@ -69,8 +69,9 @@ def discrete_step(y, t, dt, increment):
 @dataclass
 class Trajectory:
     """Everything a run emits: cadence snapshots, invariant reports, the
-    per-stage corrector diagnostics, and (on failure) the error that ended
-    the run with the partial record retained."""
+    ``correctors.Correction`` of every corrector call (stamped by the driver
+    with its stage time and kind), and (on failure) the error that ended the
+    run with the partial record retained."""
 
     times: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
@@ -83,7 +84,7 @@ class Trajectory:
         return np.asarray(self.snapshots)
 
 
-def run(plan: StepPlan, problem, record_stages=True) -> Trajectory:
+def run(plan: StepPlan, problem) -> Trajectory:
     """Advance a problem driver to t_end, emitting snapshots at the cadence
     times k * t_end / (n_snapshots - 1).
 
@@ -95,8 +96,7 @@ def run(plan: StepPlan, problem, record_stages=True) -> Trajectory:
     exception propagate.
     """
     traj = Trajectory()
-    if record_stages:
-        problem.stage_records = traj.stage_records
+    problem.stage_records = traj.stage_records
 
     y = problem.initial_array()
     t = 0.0

@@ -2,10 +2,11 @@
 
 Every property draws fresh random inputs per size from a seeded generator,
 applies a corrector, and re-measures the targeted bracket identities with
-independent bracket evaluations.  ``run_property_suite`` returns one result
-row per property; ``cmd_verify`` prints them and any failure is a release
-blocker.  The corrector function table can be overridden to prove the suite
-detects injected faults.
+independent bracket evaluations; the ``Correction`` a corrector reports is
+never read, so a corrector cannot vouch for itself.  ``run_property_suite``
+returns one result row per property; ``cmd_verify`` prints them and any
+failure is a release blocker.  The corrector function table can be
+overridden to prove the suite detects injected faults.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def check_flux1d_exactness(rng, fns, trials):
             f = rng.normal(size=n)
             target = co.L2RateTarget.fixed(-float(rng.uniform(0.0, 3.0)))
             try:
-                out = fns["correct_flux_l2_1d"](f, u, target)
+                out, _ = fns["correct_flux_l2_1d"](f, u, target)
             except DegenerateCorrection:
                 continue
             old = co.flux_l2_rate_1d(f, u)
@@ -101,7 +102,7 @@ def check_flux1d_noop(rng, fns, trials):
             f = rng.normal(size=n)
             if float(f @ du) > 0:
                 f = -f  # the rate is linear in f, so this forces it negative
-            out = fns["correct_flux_l2_1d"](f, u, co.L2RateTarget.clamp())
+            out, _ = fns["correct_flux_l2_1d"](f, u, co.L2RateTarget.clamp())
             assert np.array_equal(out, f), "clamp with old rate <= 0 must be bitwise"
             checks += 1
     return checks
@@ -116,7 +117,8 @@ def check_flux1d_mass(rng, fns, trials):
             u = FvField1D(grid, rng.normal(size=n))
             f = rng.normal(size=n)
             try:
-                out = fns["correct_flux_l2_1d"](f, u, co.L2RateTarget.fixed(-1.0))
+                out, _ = fns["correct_flux_l2_1d"](f, u,
+                                                   co.L2RateTarget.fixed(-1.0))
             except DegenerateCorrection:
                 continue
             rhs = fv_rhs_1d(out, grid)
@@ -139,7 +141,7 @@ def check_flux2d_exactness(rng, fns, trials):
             tx = co.L2RateTarget.fixed(-float(rng.uniform(0, 2)))
             ty = co.L2RateTarget.fixed(-float(rng.uniform(0, 2)))
             try:
-                out = fns["correct_flux_l2_2d"](fl, u, tx, ty)
+                out, _ = fns["correct_flux_l2_2d"](fl, u, tx, ty)
             except DegenerateCorrection:
                 continue
             ox, oy = co.flux_l2_rates_2d(fl, u)
@@ -164,7 +166,7 @@ def check_flux2d_noop(rng, fns, trials):
             if grid.dx * float(np.sum(fy * duy)) > 0:
                 fy = -fy
             fl = BoundaryFluxes2D(fx, fy)
-            out = fns["correct_flux_l2_2d"](fl, u, co.L2RateTarget.clamp(),
+            out, _ = fns["correct_flux_l2_2d"](fl, u, co.L2RateTarget.clamp(),
                                             co.L2RateTarget.clamp())
             assert np.array_equal(out.fx, fx) and np.array_equal(out.fy, fy)
             checks += 1
@@ -182,7 +184,7 @@ def check_rhs_identities(rng, fns, trials):
             rhs = rng.normal(size=n)
             target = co.L2RateTarget.fixed(-float(rng.uniform(0, 2)))
             try:
-                out = fns["correct_rhs_mass_l2"](rhs, u, target)
+                out, _ = fns["correct_rhs_mass_l2"](rhs, u, target)
             except DegenerateCorrection:
                 continue
             vols = grid.cell_volumes
@@ -207,7 +209,8 @@ def check_rhs_noop(rng, fns, trials):
             rhs -= co.volume_mean(rhs, vols)          # mean-free input
             if bracket(u.values, rhs, vols) > 0:
                 rhs = -rhs
-            out = fns["correct_rhs_mass_l2"](rhs, u, co.L2RateTarget.clamp())
+            out, _ = fns["correct_rhs_mass_l2"](rhs, u,
+                                                co.L2RateTarget.clamp())
             _assert_noop(out, rhs, "rhs clamp")
             checks += 1
     return checks
@@ -225,7 +228,7 @@ def check_increment_identities(rng, fns, trials):
             vols = grid.cell_volumes
             delta = -float(rng.uniform(0.0, 0.05))
             try:
-                out = fns["correct_increment_mass_l2"](inc, u, delta)
+                out, _ = fns["correct_increment_mass_l2"](inc, u, delta)
             except (InfeasibleTarget, DegenerateCorrection):
                 continue
             l2_old = 0.5 * bracket(u.values, u.values, vols)
@@ -248,7 +251,7 @@ def check_increment_noop(rng, fns, trials):
             inc = 0.1 * rng.normal(size=n)
             inc -= co.volume_mean(inc, vols)
             exact = bracket(u.values, inc, vols) + 0.5 * bracket(inc, inc, vols)
-            out = fns["correct_increment_mass_l2"](inc, u, exact)
+            out, _ = fns["correct_increment_mass_l2"](inc, u, exact)
             _assert_noop(out, inc, "increment fixed point")
             checks += 1
     return checks
@@ -265,7 +268,7 @@ def check_increment_infeasible(rng, fns, trials):
                 fns["correct_increment_mass_l2"](inc, u, -1e6)
             except InfeasibleTarget as err:
                 # the reported minimum must itself be achievable
-                out = fns["correct_increment_mass_l2"](inc, u,
+                out, _ = fns["correct_increment_mass_l2"](inc, u,
                                                        err.min_delta_l2 + 1e-9)
                 assert np.all(np.isfinite(out))
                 checks += 1
@@ -285,7 +288,7 @@ def check_dg_identities(rng, fns, trials):
                 a = DgField(grid, rng.normal(size=(n, p + 1)))
                 rhs = rng.normal(size=(n, p + 1))
                 target = co.L2RateTarget.fixed(-float(rng.uniform(0, 2)))
-                out = fns["correct_dg_l2"](rhs, a, target)
+                out, _ = fns["correct_dg_l2"](rhs, a, target)
                 old = dg_l2_rate(a, rhs)
                 _rate_close(dg_l2_rate(a, out), target.resolve(old), old)
                 dmass = float(np.sum((out[:, 0] - rhs[:, 0])))
@@ -304,7 +307,7 @@ def check_dg_noop(rng, fns, trials):
             rhs = rng.normal(size=(8, p + 1))
             if dg_l2_rate(a, rhs) > 0:
                 rhs = -rhs
-            out = fns["correct_dg_l2"](rhs, a, co.L2RateTarget.clamp())
+            out, _ = fns["correct_dg_l2"](rhs, a, co.L2RateTarget.clamp())
             assert np.array_equal(out, rhs), "DG clamp no-op must be bitwise"
             checks += 1
     return checks
@@ -325,7 +328,7 @@ def check_spectral_identities(rng, fns, trials):
             rhs = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
             target = co.L2RateTarget.fixed(-float(rng.uniform(0, 2)))
             try:
-                out = fns["correct_spectral_mass_l2"](rhs, u, target)
+                out, _ = fns["correct_spectral_mass_l2"](rhs, u, target)
             except DegenerateCorrection:
                 continue
             assert out[0] == 0.0, "mode-0 rate must vanish exactly"
@@ -346,7 +349,8 @@ def check_spectral_noop(rng, fns, trials):
             rhs[0] = 0.0
             if co.spectral_l2_rate(u, rhs) > 0:
                 rhs = -rhs
-            out = fns["correct_spectral_mass_l2"](rhs, u, co.L2RateTarget.clamp())
+            out, _ = fns["correct_spectral_mass_l2"](rhs, u,
+                                                     co.L2RateTarget.clamp())
             _assert_noop(out.view(np.float64), rhs.view(np.float64),
                          "spectral clamp")
             checks += 1
@@ -368,7 +372,7 @@ def check_euler2d_identities(rng, fns, trials):
             state = _random_vorticity_state(rng, n)
             rhs = rng.normal(size=(n, n))
             target = co.L2RateTarget.fixed(-float(rng.uniform(0, 2)))
-            out = fns["correct_euler2d_mass_energy_l2"](rhs, state, target)
+            out, _ = fns["correct_euler2d_mass_energy_l2"](rhs, state, target)
             vol = state.chi.grid.cell_volume
             scale = float(np.sum(np.abs(out)) * vol) + 1e-30
             assert abs(np.sum(out) * vol) <= MASS_ATOL_SCALE * scale
@@ -394,8 +398,8 @@ def check_euler2d_projection_invariance(rng, fns, trials):
             phi = state.psi_bar - np.mean(state.psi_bar)
             shifted = rhs + rng.normal() * phi + rng.normal()
             target = co.L2RateTarget.fixed(-1.0)
-            a = fns["correct_euler2d_mass_energy_l2"](rhs, state, target)
-            b = fns["correct_euler2d_mass_energy_l2"](shifted, state, target)
+            a, _ = fns["correct_euler2d_mass_energy_l2"](rhs, state, target)
+            b, _ = fns["correct_euler2d_mass_energy_l2"](shifted, state, target)
             assert np.linalg.norm(a - b) <= 1e-12 * max(np.linalg.norm(a), 1e-30)
             checks += 1
     return checks
@@ -415,7 +419,7 @@ def check_euler2d_noop(rng, fns, trials):
             w = u_c - bracket(u_c, phi, vol) / bracket(phi, phi, vol) * phi
             if bracket(w, rhs, vol) > 0:
                 rhs = -rhs
-            out = fns["correct_euler2d_mass_energy_l2"](rhs, state,
+            out, _ = fns["correct_euler2d_mass_energy_l2"](rhs, state,
                                                         co.L2RateTarget.clamp())
             _assert_noop(out, rhs, "euler2d no-op")
             checks += 1
@@ -448,7 +452,7 @@ def check_entropy_correction(rng, fns, trials):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     try:
-                        out = fns["correct_entropy_euler1d"](f, state, target)
+                        out, _ = fns["correct_entropy_euler1d"](f, state, target)
                     except DegenerateCorrection:
                         continue
                 old = co.entropy_rate_euler1d(f, state)
@@ -467,7 +471,7 @@ def check_entropy_ratio_one_noop(rng, fns, trials):
         for _ in range(trials):
             state = _random_euler_state(rng, n, periodic=False)
             f = rng.normal(size=(n + 1, 3))
-            out = fns["correct_entropy_euler1d"](
+            out, _ = fns["correct_entropy_euler1d"](
                 f, state, co.EntropyRateTarget(0.0, 1.0))
             assert np.array_equal(out, f), "R = 1 must be bitwise identity"
             checks += 1
@@ -511,7 +515,7 @@ def check_flux1d_bounded(rng, fns, trials):
             f = rng.normal(size=n + 1)
             target = co.L2RateTarget.fixed(-float(rng.uniform(0, 2)))
             try:
-                out = fns["correct_flux_l2_1d"](f, u, target)
+                out, _ = fns["correct_flux_l2_1d"](f, u, target)
             except DegenerateCorrection:
                 continue
             assert out[0] == f[0] and out[-1] == f[-1], "boundary fluxes moved"
@@ -536,7 +540,7 @@ def check_increment_root_oracle(rng, fns, trials):
                 continue
             roots = np.roots([a, 2.0 * b, c])
             eps_oracle = roots[np.argmin(np.abs(roots))].real
-            out = fns["correct_increment_mass_l2"](inc, u, delta, g)
+            out, _ = fns["correct_increment_mass_l2"](inc, u, delta, g)
             bar = inc - co.volume_mean(inc, grid.cell_volumes)
             eps = float((out - bar) @ g) / float(g @ g)
             assert abs(eps - eps_oracle) <= 1e-9 * max(abs(eps_oracle), 1e-12), \

@@ -147,7 +147,7 @@ def test_criterion_4_fig3_ftcs():
     for _ in range(128):
         field = FvField1D(g, y)
         inc = ftcs_increment(field, 1.0, dt)
-        out = co.correct_increment_mass_l2(inc, field, 0.0)
+        out, _ = co.correct_increment_mass_l2(inc, field, 0.0)
         gvec = co._default_cell_G(field, vols)
         a, b, c = co.increment_quadratic_coefficients(inc, field, 0.0, gvec)
         roots = np.roots([a, 2.0 * b, c])

@@ -98,8 +98,8 @@ def test_verify_detects_injected_sign_flip(capsys, tmp_path):
     from invariant_guard import correctors as co
 
     def broken_flux1d(fluxes, u, target, G=None):
-        out = co.correct_flux_l2_1d(fluxes, u, target, G)
-        return 2.0 * np.asarray(fluxes) - out   # reflected: wrong rate
+        out, report = co.correct_flux_l2_1d(fluxes, u, target, G)
+        return 2.0 * np.asarray(fluxes) - out, report   # reflected: wrong rate
     cfg = tmp_path / "verify.cfg"
     cfg.write_text("[verify]\nseed = 0\ntrials = 20\n")
     rc = cmd_verify(cfg, fns={"correct_flux_l2_1d": broken_flux1d})

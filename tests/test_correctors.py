@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from invariant_guard import correctors as co
-from invariant_guard.core import (DgField, FvField1D, FvField2D, SpectralField,
-                                  UniformGrid1D, UniformGrid2D, bracket,
-                                  volume_mean)
+from invariant_guard.core import (DgField, EulerState1D, FvField1D, FvField2D,
+                                  SpectralField, UniformGrid1D, UniformGrid2D,
+                                  bracket, volume_mean)
 from invariant_guard.dg import dg_l2_rate
 from invariant_guard.errors import DegenerateCorrection, InfeasibleTarget
-from invariant_guard.schemes import (BoundaryFluxes2D, ftcs_increment,
-                                     poisson_solve)
+from invariant_guard.schemes import (BoundaryFluxes2D, euler1d_muscl_flux,
+                                     ftcs_increment, poisson_solve)
 from invariant_guard.core import VorticityState2D
 
 
@@ -40,7 +40,7 @@ def test_flux1d_hand_case():
     g = UniformGrid1D(3, 3.0)
     u = FvField1D(g, [0.0, 1.0, 0.0])
     f = np.array([1.0, 1.0, 1.0])
-    out = co.correct_flux_l2_1d(f, u, co.L2RateTarget.fixed(-2.0),
+    out, _ = co.correct_flux_l2_1d(f, u, co.L2RateTarget.fixed(-2.0),
                                 G=np.array([1.0, -1.0, 0.0]))
     assert np.allclose(out, [0.0, 2.0, 1.0])
     assert co.flux_l2_rate_1d(out, u) == pytest.approx(-2.0, abs=1e-14)
@@ -50,12 +50,12 @@ def test_flux1d_clamp_noop_is_bitwise():
     g = UniformGrid1D(4, 1.0)
     u = FvField1D(g, [0.0, 1.0, 2.0, 1.0])
     f = np.zeros(4)  # zero fluxes: zero rate
-    out = co.correct_flux_l2_1d(f, u, co.L2RateTarget.clamp())
+    out, _ = co.correct_flux_l2_1d(f, u, co.L2RateTarget.clamp())
     assert out is f
     # constant field: du = 0 everywhere, rate 0, no correction needed
     uc = FvField1D(g, np.full(4, 2.0))
     f2 = np.array([1.0, 2.0, 3.0, 4.0])
-    out = co.correct_flux_l2_1d(f2, uc, co.L2RateTarget.clamp())
+    out, _ = co.correct_flux_l2_1d(f2, uc, co.L2RateTarget.clamp())
     assert np.array_equal(out, f2)
 
 
@@ -72,7 +72,7 @@ def test_flux1d_bounded_domain():
     g = UniformGrid1D(8, 1.0, boundary="dirichlet")
     u = FvField1D(g, rng.normal(size=8))
     f = rng.normal(size=9)
-    out = co.correct_flux_l2_1d(f, u, co.L2RateTarget.fixed(-0.5))
+    out, _ = co.correct_flux_l2_1d(f, u, co.L2RateTarget.fixed(-0.5))
     assert out[0] == f[0] and out[-1] == f[-1]
     assert co.flux_l2_rate_1d(out, u) == pytest.approx(-0.5, rel=1e-12)
 
@@ -83,7 +83,7 @@ def test_flux2d_hand_and_split_target():
     u = FvField2D(g, rng.normal(size=(4, 4)))
     fl = BoundaryFluxes2D(rng.normal(size=(4, 4)), rng.normal(size=(4, 4)))
     tx, ty = co.L2RateTarget.fixed(-0.5), co.L2RateTarget.fixed(-0.5)
-    out = co.correct_flux_l2_2d(fl, u, tx, ty)
+    out, _ = co.correct_flux_l2_2d(fl, u, tx, ty)
     nx, ny = co.flux_l2_rates_2d(out, u)
     assert nx == pytest.approx(-0.5, rel=1e-12)
     assert ny == pytest.approx(-0.5, rel=1e-12)
@@ -96,7 +96,7 @@ def test_flux2d_zero_gradient_direction_noop():
     u = FvField2D(g, vals)
     fx = np.ones((4, 4))
     fy = np.zeros((4, 4))
-    out = co.correct_flux_l2_2d(BoundaryFluxes2D(fx, fy), u,
+    out, _ = co.correct_flux_l2_2d(BoundaryFluxes2D(fx, fy), u,
                                 co.L2RateTarget.clamp(), co.L2RateTarget.clamp())
     assert np.array_equal(out.fx, fx)  # x-rate is 0: untouched
 
@@ -109,7 +109,7 @@ def test_rhs_corrector_brackets_random():
     u = FvField1D(g, rng.normal(size=8))
     rhs = rng.normal(size=8)
     lap = np.roll(u.values, -1) - 2 * u.values + np.roll(u.values, 1)
-    out = co.correct_rhs_mass_l2(rhs, u, co.L2RateTarget.fixed(-0.7), G=lap)
+    out, _ = co.correct_rhs_mass_l2(rhs, u, co.L2RateTarget.fixed(-0.7), G=lap)
     vols = g.cell_volumes
     assert abs(np.sum(out * vols)) <= 1e-13 * np.abs(out).max() * 8
     assert bracket(u.values, out, vols) == pytest.approx(-0.7, rel=1e-12)
@@ -124,7 +124,7 @@ def test_rhs_corrector_fixed_point():
     rhs -= volume_mean(rhs, vols)
     rate = bracket(u.values, rhs, vols)
     target = co.L2RateTarget.tracked(rate)
-    out = co.correct_rhs_mass_l2(rhs, u, target)
+    out, _ = co.correct_rhs_mass_l2(rhs, u, target)
     assert np.abs(out - rhs).max() <= 1e-14 * np.abs(rhs).max()
 
 
@@ -135,7 +135,7 @@ def test_rhs_corrector_demeaning_branch():
     m = rhs - volume_mean(rhs, g.cell_volumes)
     old = bracket(u.values - volume_mean(u.values, g.cell_volumes), m,
                   g.cell_volumes)
-    out = co.correct_rhs_mass_l2(rhs, u, co.L2RateTarget.tracked(old))
+    out, _ = co.correct_rhs_mass_l2(rhs, u, co.L2RateTarget.tracked(old))
     assert np.abs(out).max() <= 1e-14  # constant N demeans to zero exactly
 
 
@@ -161,7 +161,7 @@ def test_increment_identity_cases():
     g = UniformGrid1D(8, 1.0)
     rng = np.random.default_rng(54)
     u = FvField1D(g, rng.normal(size=8))
-    out = co.correct_increment_mass_l2(np.zeros(8), u, 0.0)
+    out, _ = co.correct_increment_mass_l2(np.zeros(8), u, 0.0)
     assert np.abs(out).max() <= 1e-15
 
 
@@ -170,7 +170,7 @@ def test_increment_ftcs_keeps_l2():
     x = g.cell_centers()
     u = FvField1D(g, np.sin(2 * np.pi * x))
     inc = ftcs_increment(u, 1.0, 0.5 * g.dx_min)
-    out = co.correct_increment_mass_l2(inc, u, 0.0)
+    out, _ = co.correct_increment_mass_l2(inc, u, 0.0)
     vols = g.cell_volumes
     l2_old = 0.5 * bracket(u.values, u.values, vols)
     unew = u.values + out
@@ -192,10 +192,21 @@ def test_increment_eps_matches_roots_oracle():
             continue
         roots = np.roots([a, 2 * b, c])
         oracle = roots[np.argmin(np.abs(roots))].real
-        out = co.correct_increment_mass_l2(inc, u, delta, gvec)
+        out, _ = co.correct_increment_mass_l2(inc, u, delta, gvec)
         bar = inc - volume_mean(inc, g.cell_volumes)
         eps = float((out - bar) @ gvec) / float(gvec @ gvec)
         assert eps == pytest.approx(oracle, rel=1e-9, abs=1e-13)
+
+
+def test_increment_coefficients_reject_weight_with_mean():
+    # the same G check as the corrector: no coefficients for a G it rejects
+    g = UniformGrid1D(8, 1.0)
+    u = FvField1D(g, np.random.default_rng(65).normal(size=8))
+    inc = 0.1 * np.random.default_rng(66).normal(size=8)
+    with pytest.raises(ValueError):
+        co.increment_quadratic_coefficients(inc, u, 0.0, G=np.ones(8))
+    with pytest.raises(ValueError):
+        co.correct_increment_mass_l2(inc, u, 0.0, G=np.ones(8))
 
 
 def test_increment_infeasible_carries_minimum():
@@ -207,7 +218,7 @@ def test_increment_infeasible_carries_minimum():
         co.correct_increment_mass_l2(inc, u, -1e9)
     min_delta = excinfo.value.min_delta_l2
     # the minimum is achievable (plus a hair for roundoff)
-    out = co.correct_increment_mass_l2(inc, u, min_delta + 1e-10)
+    out, _ = co.correct_increment_mass_l2(inc, u, min_delta + 1e-10)
     assert np.all(np.isfinite(out))
     with pytest.raises(InfeasibleTarget):
         co.correct_increment_mass_l2(inc, u, min_delta - 1e-6)
@@ -222,9 +233,9 @@ def test_dg_corrector_noop_and_exactness():
     rhs = rng.normal(size=(8, 3))
     if dg_l2_rate(a, rhs) > 0:
         rhs = -rhs
-    out = co.correct_dg_l2(rhs, a, co.L2RateTarget.clamp())
+    out, _ = co.correct_dg_l2(rhs, a, co.L2RateTarget.clamp())
     assert out is rhs
-    out = co.correct_dg_l2(rhs, a, co.L2RateTarget.fixed(-2.0))
+    out, _ = co.correct_dg_l2(rhs, a, co.L2RateTarget.fixed(-2.0))
     assert dg_l2_rate(a, out) == pytest.approx(-2.0, rel=1e-12)
     assert np.sum(out[:, 0]) == pytest.approx(np.sum(rhs[:, 0]), abs=1e-12)
 
@@ -248,13 +259,13 @@ def test_dg_p0_equals_fv_rhs_corrector():
     f = rng.normal(size=16)
     n_dg = -(np.outer(f, [1.0]) - np.outer(np.roll(f, 1), [1.0]))
     target = co.L2RateTarget.fixed(-0.9)
-    out_dg = co.correct_dg_l2(n_dg, a, target)
+    out_dg, _ = co.correct_dg_l2(n_dg, a, target)
     rate_dg = out_dg[:, 0] / g.cell_volumes
 
     from invariant_guard.schemes import fv_rhs_1d
     field = FvField1D(g, u)
     lap = np.roll(u, -1) - 2 * u + np.roll(u, 1)
-    out_fv = co.correct_rhs_mass_l2(fv_rhs_1d(f, g), field, target, G=lap)
+    out_fv, _ = co.correct_rhs_mass_l2(fv_rhs_1d(f, g), field, target, G=lap)
     assert np.allclose(rate_dg, out_fv, rtol=1e-12, atol=1e-13)
 
 
@@ -264,7 +275,7 @@ def test_spectral_corrector_zeroes_mode0():
     rng = np.random.default_rng(59)
     u = SpectralField(2 * np.pi, rng.normal(size=5) + 1j * rng.normal(size=5))
     rhs = rng.normal(size=5) + 1j * rng.normal(size=5)
-    out = co.correct_spectral_mass_l2(rhs, u, co.L2RateTarget.clamp())
+    out, _ = co.correct_spectral_mass_l2(rhs, u, co.L2RateTarget.clamp())
     assert out[0] == 0.0
 
 
@@ -273,7 +284,7 @@ def test_spectral_skew_rhs_clamp_noop():
     rng = np.random.default_rng(60)
     u = SpectralField(2 * np.pi, rng.normal(size=6) + 1j * rng.normal(size=6))
     rhs = spectral_rhs_advection(u, 1.0)
-    out = co.correct_spectral_mass_l2(rhs, u, co.L2RateTarget.clamp())
+    out, _ = co.correct_spectral_mass_l2(rhs, u, co.L2RateTarget.clamp())
     assert np.abs(out - rhs).max() <= 1e-14 * np.abs(rhs).max()
 
 
@@ -281,7 +292,7 @@ def test_spectral_diffusion_weight_rate():
     rng = np.random.default_rng(61)
     u = SpectralField(3.0, rng.normal(size=9) + 1j * rng.normal(size=9))
     rhs = rng.normal(size=9) + 1j * rng.normal(size=9)
-    out = co.correct_spectral_mass_l2(rhs, u, co.L2RateTarget.fixed(-1.2))
+    out, _ = co.correct_spectral_mass_l2(rhs, u, co.L2RateTarget.fixed(-1.2))
     # Plancherel-sum oracle
     rate = 2.0 * u.length * float(
         np.sum(u.coeffs.real * out.real + u.coeffs.imag * out.imag))
@@ -300,7 +311,7 @@ def _vorticity_state(seed, n=8):
 def test_euler2d_three_brackets():
     state, rng = _vorticity_state(62)
     rhs = rng.normal(size=(8, 8))
-    out = co.correct_euler2d_mass_energy_l2(rhs, state,
+    out, _ = co.correct_euler2d_mass_energy_l2(rhs, state,
                                             co.L2RateTarget.fixed(-0.4))
     vol = state.chi.grid.cell_volume
     assert abs(np.sum(out) * vol) <= 1e-13 * np.abs(out).max() * 64 * vol
@@ -315,7 +326,7 @@ def test_euler2d_three_brackets():
 def test_euler2d_projection_kills_phi_direction():
     state, _ = _vorticity_state(63)
     phi = state.psi_bar - state.psi_bar.mean()
-    out = co.correct_euler2d_mass_energy_l2(0.8 * phi, state,
+    out, _ = co.correct_euler2d_mass_energy_l2(0.8 * phi, state,
                                             co.L2RateTarget.clamp())
     assert np.abs(out).max() <= 1e-12 * np.abs(phi).max()
 
@@ -325,8 +336,8 @@ def test_euler2d_invariance_under_gauge_shift():
     rhs = rng.normal(size=(8, 8))
     phi = state.psi_bar - state.psi_bar.mean()
     target = co.L2RateTarget.fixed(-1.0)
-    a = co.correct_euler2d_mass_energy_l2(rhs, state, target)
-    b = co.correct_euler2d_mass_energy_l2(rhs + 2.3 * phi - 0.7, state, target)
+    a, _ = co.correct_euler2d_mass_energy_l2(rhs, state, target)
+    b, _ = co.correct_euler2d_mass_energy_l2(rhs + 2.3 * phi - 0.7, state, target)
     assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
@@ -337,3 +348,158 @@ def test_euler2d_constant_streamfunction_degenerate():
     with pytest.raises(DegenerateCorrection):
         co.correct_euler2d_mass_energy_l2(np.ones((4, 4)), state,
                                           co.L2RateTarget.fixed(-1.0))
+
+
+# --- every corrector reports what it did ------------------------------------
+#
+# Each case builds an input that needs correcting and returns the corrector,
+# the input, an independent rate measurement (the public rate functions and
+# brackets, applied from scratch), the target, the expected resolved target,
+# and a no-op input/target pair built from the first report.  ``same`` marks
+# correctors whose no-op returns the input object itself; the others still
+# demean or project it.
+
+def _clamp_noop(update, rate):
+    """Clamp on the input turned to a non-growing rate: nothing to correct."""
+    calm = -update if rate(update) > 0 else update
+    return lambda report: (calm, co.L2RateTarget.clamp())
+
+
+def _case_flux1d(rng):
+    u = FvField1D(UniformGrid1D(12, 2.0, "dirichlet"), rng.normal(size=12))
+    rate = lambda f: co.flux_l2_rate_1d(f, u)
+    f = rng.normal(size=13)
+    return dict(correct=lambda f, tg: co.correct_flux_l2_1d(f, u, tg),
+                update=f, rate=rate, target=co.L2RateTarget.fixed(-0.5),
+                expected=lambda old: -0.5,
+                noop=_clamp_noop(f, rate),
+                same=True)
+
+
+def _case_flux2d(rng):
+    u = FvField2D(UniformGrid2D(6, 6, 2.0, 3.0), rng.normal(size=(6, 6)))
+    rate = lambda fl: co.flux_l2_rates_2d(fl, u)
+    fl = BoundaryFluxes2D(rng.normal(size=(6, 6)), rng.normal(size=(6, 6)))
+    rx, ry = rate(fl)
+    calm = BoundaryFluxes2D(-fl.fx if rx > 0 else fl.fx,
+                            -fl.fy if ry > 0 else fl.fy)
+    clamp = co.L2RateTarget.clamp()
+    return dict(correct=lambda fl, tg: co.correct_flux_l2_2d(fl, u, *tg),
+                update=fl, rate=rate,
+                target=(co.L2RateTarget.fixed(-0.5), co.L2RateTarget.fixed(-0.3)),
+                expected=lambda old: (-0.5, -0.3),
+                noop=lambda report: (calm, (clamp, clamp)), same=True)
+
+
+def _case_rhs(rng):
+    u = FvField1D(UniformGrid1D(12, 2.0), rng.normal(size=12))
+    vols = u.grid.cell_volumes
+    rate = lambda n: bracket(u.values, n - volume_mean(n, vols), vols)
+    rhs = rng.normal(size=12)
+    return dict(correct=lambda n, tg: co.correct_rhs_mass_l2(n, u, tg),
+                update=rhs, rate=rate, target=co.L2RateTarget.fixed(-0.7),
+                expected=lambda old: -0.7,
+                noop=_clamp_noop(rhs, rate),
+                same=False)
+
+
+def _case_increment(rng):
+    u = FvField1D(UniformGrid1D(12, 2.0), rng.normal(size=12))
+    vols = u.grid.cell_volumes
+    l2 = lambda v: 0.5 * bracket(v, v, vols)
+    rate = lambda d: l2(u.values + d - volume_mean(d, vols)) - l2(u.values)
+    inc = 0.1 * rng.normal(size=12)
+    delta = rate(inc) - 1e-3
+    # the reported old change c0 / 2 as target makes c = c0 - 2 delta == 0
+    return dict(correct=lambda d, tg: co.correct_increment_mass_l2(d, u, tg),
+                update=inc, rate=rate, target=delta,
+                expected=lambda old: delta,
+                noop=lambda report: (inc, report.old_rate), same=False)
+
+
+def _case_dg(rng):
+    a = DgField(UniformGrid1D(8, 1.5), rng.normal(size=(8, 3)))
+    rate = lambda n: dg_l2_rate(a, n)
+    rhs = rng.normal(size=(8, 3))
+    return dict(correct=lambda n, tg: co.correct_dg_l2(n, a, tg),
+                update=rhs, rate=rate, target=co.L2RateTarget.fixed(-2.0),
+                expected=lambda old: -2.0,
+                noop=_clamp_noop(rhs, rate),
+                same=True)
+
+
+def _case_spectral(rng):
+    u = SpectralField(3.0, rng.normal(size=7) + 1j * rng.normal(size=7))
+
+    def rate(n):
+        zeroed = np.array(n, dtype=np.complex128)
+        zeroed[0] = 0.0
+        return 2.0 * u.length * float(np.sum(u.coeffs.real * zeroed.real
+                                             + u.coeffs.imag * zeroed.imag))
+    rhs = rng.normal(size=7) + 1j * rng.normal(size=7)
+    return dict(correct=lambda n, tg: co.correct_spectral_mass_l2(n, u, tg),
+                update=rhs, rate=rate, target=co.L2RateTarget.fixed(-1.2),
+                expected=lambda old: -1.2,
+                noop=_clamp_noop(rhs, rate),
+                same=False)
+
+
+def _case_euler2d(rng):
+    state, _ = _vorticity_state(91)
+    vol = state.chi.grid.cell_volume
+    phi = state.psi_bar - state.psi_bar.mean()
+    u_c = state.chi.values - state.chi.values.mean()
+    w = u_c - bracket(u_c, phi, vol) / bracket(phi, phi, vol) * phi
+    rate = lambda n: bracket(w, n - n.mean(), vol)
+    rhs = rng.normal(size=(8, 8))
+    return dict(
+        correct=lambda n, tg: co.correct_euler2d_mass_energy_l2(n, state, tg),
+        update=rhs, rate=rate, target=co.L2RateTarget.fixed(-0.4),
+        expected=lambda old: -0.4,
+        noop=_clamp_noop(rhs, rate), same=False)
+
+
+def _case_entropy(rng):
+    g = UniformGrid1D(16, 1.0, "dirichlet")
+    s = EulerState1D.from_primitive(g, rng.uniform(0.5, 2.0, 16),
+                                    rng.uniform(-1.0, 1.0, 16),
+                                    rng.uniform(0.5, 2.0, 16), 1.4)
+    f = euler1d_muscl_flux(s)
+    rate = lambda f: co.entropy_rate_euler1d(f, s)
+    boundary = rate(f) - 1.0   # R = 2 then asks for old + 1: no warning
+    return dict(correct=lambda f, tg: co.correct_entropy_euler1d(f, s, tg),
+                update=f, rate=rate, target=co.EntropyRateTarget(boundary, 2.0),
+                expected=lambda old: boundary + 2.0 * (old - boundary),
+                noop=lambda report: (f, co.EntropyRateTarget(boundary, 1.0)),
+                same=True)
+
+
+def _as_tuple(x):
+    return x if isinstance(x, tuple) else (x,)
+
+
+@pytest.mark.parametrize("case", [
+    _case_flux1d, _case_flux2d, _case_rhs, _case_increment, _case_dg,
+    _case_spectral, _case_euler2d, _case_entropy],
+    ids=lambda case: case.__name__[len("_case_"):])
+def test_correction_reports_what_it_did(case):
+    c = case(np.random.default_rng(90))
+    out, report = c["correct"](c["update"], c["target"])
+    olds = _as_tuple(c["rate"](c["update"]))
+    for rec, old, expected, achieved in zip(
+            _as_tuple(report), olds, _as_tuple(c["expected"](olds[0])),
+            _as_tuple(c["rate"](out))):
+        assert rec.old_rate == pytest.approx(old, rel=1e-10, abs=1e-12)
+        assert rec.target_rate == pytest.approx(expected, rel=1e-10, abs=1e-12)
+        assert rec.achieved_rate == pytest.approx(achieved, rel=1e-10, abs=1e-12)
+        assert rec.achieved_rate == pytest.approx(rec.target_rate, rel=1e-10,
+                                                  abs=1e-12)
+        assert rec.achieved_rate != rec.old_rate
+
+    update, target = c["noop"](report)
+    out, report = c["correct"](update, target)
+    if c["same"]:
+        assert out is update
+    for rec, old in zip(_as_tuple(report), _as_tuple(c["rate"](update))):
+        assert rec.achieved_rate == rec.old_rate
+        assert rec.old_rate == pytest.approx(old, rel=1e-10, abs=1e-12)

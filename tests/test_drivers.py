@@ -1,0 +1,65 @@
+"""Drivers record what the correctors report instead of re-measuring it."""
+
+import warnings
+
+import numpy as np
+
+from invariant_guard import correctors as co
+from invariant_guard.core import UniformGrid1D
+from invariant_guard.drivers import Euler1D, ScalarFv1D
+from invariant_guard.problems import ic_sine, ic_sod
+from invariant_guard.schemes import FluxScheme
+from invariant_guard.timeloop import StepPlan, run
+
+
+def _calls_per_stage(monkeypatch, driver, plan, name):
+    """Run ``driver`` with ``co.<name>`` counted; the trajectory and the
+    count within each rhs call."""
+    calls = [0]
+    fn = getattr(co, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(co, name, counted)
+
+    per_stage = []
+    rhs = driver.rhs
+
+    def rhs_counted(y, t, dt):
+        before = calls[0]
+        out = rhs(y, t, dt)
+        per_stage.append(calls[0] - before)
+        return out
+    driver.rhs = rhs_counted
+    traj = run(plan, driver)
+    assert traj.error is None
+    assert len(traj.stage_records) == len(per_stage)   # one record per stage
+    return traj, per_stage
+
+
+def test_sod_entropy_variables_at_most_twice_per_stage(monkeypatch):
+    # one for the boundary entropy-flux estimate, one inside the corrector
+    driver = Euler1D(ic_sod(UniformGrid1D(64, 1.0, boundary="dirichlet")),
+                     entropy_ratio=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", co.AntiDiffusiveTargetWarning)
+        _, per_stage = _calls_per_stage(
+            monkeypatch, driver, StepPlan(t_end=0.02, cfl=0.3, n_snapshots=2),
+            "entropy_variables_euler1d")
+    assert per_stage and max(per_stage) <= 2
+
+
+def test_flux_rate_at_most_twice_per_stage(monkeypatch):
+    driver = ScalarFv1D(ic_sine(UniformGrid1D(32, 1.0)), "burgers",
+                        FluxScheme.CENTERED, target=co.L2RateTarget.fixed(-0.1))
+    traj, per_stage = _calls_per_stage(
+        monkeypatch, driver, StepPlan(t_end=0.1, cfl=0.3, n_snapshots=2),
+        "flux_l2_rate_1d")
+    assert per_stage and max(per_stage) <= 2
+    # the records are the corrector's reports, stamped by the driver
+    for rec in traj.stage_records:
+        assert isinstance(rec, co.Correction)
+        assert rec.kind == "l2" and 0.0 <= rec.t <= 0.1
+        assert rec.target_rate == -0.1
+        assert np.isclose(rec.achieved_rate, -0.1, rtol=1e-12)
