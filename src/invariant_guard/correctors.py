@@ -517,11 +517,6 @@ def entropy_variables_euler1d(state: EulerState1D) -> EntropyVariables1D:
     return EntropyVariables1D(w, eta, p_star, eta * state.velocity())
 
 
-def entropy_total(state: EulerState1D):
-    ev = entropy_variables_euler1d(state)
-    return float(np.sum(ev.eta * state.grid.cell_volumes))
-
-
 def entropy_rate_euler1d(fluxes, state: EulerState1D, w=None):
     """Summation-by-parts entropy rate of a flux update, boundary terms
     included for bounded grids."""
@@ -596,13 +591,20 @@ def estimate_boundary_entropy_flux(state: EulerState1D, boundary_primitive=None)
     """
     if state.grid.periodic:
         return 0.0
+    gamma = state.gamma
 
     def psi_of(rho, v, p):
-        g = (p / rho**state.gamma) ** (1.0 / (state.gamma + 1.0))
+        g = (p / rho**gamma) ** (1.0 / (gamma + 1.0))
         return rho * v * g
 
-    ev = entropy_variables_euler1d(state)
-    psi_cells = ev.psi
+    # psi of the two outermost cells only, in the operation order of
+    # entropy_variables_euler1d, which psi_of does not share
+    rho, mom, energy = (x[[0, -1]] for x in (state.rho, state.mom, state.energy))
+    p = (gamma - 1.0) * (energy - 0.5 * mom**2 / rho)
+    if np.any(rho <= 0.0) or np.any(p <= 0.0):
+        raise PositivityViolation("entropy flux needs positive rho and p")
+    g = (p / rho**gamma) ** (1.0 / (gamma + 1.0))
+    psi_cells = (rho * g) * (mom / rho)
     if boundary_primitive is None:
         psi_left_bc, psi_right_bc = psi_cells[0], psi_cells[-1]
     else:

@@ -3,10 +3,10 @@ diffusion, and projection helpers.  Periodic grids, degrees p in {0, 1, 2}.
 
 Coefficient right-hand sides follow the bracket-form normalization
 ``da_{jk}/dt = N_{jk} / (dx_j <psi_k|psi_k>)`` so that the weighted l2 rate
-is the plain sum ``sum_jk a_jk N_jk``.
+is the plain sum ``sum_jk a_jk N_jk``.  The operators are fixed tables: the
+volume quadrature is built once per degree at import, and the
+interior-penalty form is applied face by face, so a call costs O(N).
 """
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +31,18 @@ def _legendre_vals(xi, p):
 def _legendre_derivs(xi, p):
     cols = [np.zeros_like(xi), np.ones_like(xi), 3.0 * xi]
     return np.stack(cols[: p + 1], axis=-1)
+
+
+def _volume_quadrature(p):
+    """Gauss-Legendre weights with the basis values and derivatives at the
+    nodes, exact for the polynomial degree of f(u) at p <= 2."""
+    xi, w = np.polynomial.legendre.leggauss(p + 2)
+    return w, _legendre_vals(xi, p), _legendre_derivs(xi, p)
+
+
+#: (weights, basis values (q, p+1), basis derivatives (q, p+1)) per degree;
+#: p = 0 has no volume term
+_QUADRATURE = {p: _volume_quadrature(p) for p in (1, 2)}
 
 
 def face_traces(a: DgField):
@@ -61,9 +73,7 @@ def dg_rhs(a: DgField, flux_fn, interface_rule):
 
     rhs = -np.outer(fp, _EDGE_PLUS[: p + 1]) + np.outer(fm, _EDGE_MINUS[: p + 1])
     if p > 0:
-        xi, w = np.polynomial.legendre.leggauss(p + 2)
-        vals = _legendre_vals(xi, p)          # (q, p+1)
-        derivs = _legendre_derivs(xi, p)
+        w, vals, derivs = _QUADRATURE[p]
         u_q = a.coeffs @ vals.T               # (N, q)
         rhs += (flux_fn(u_q) * w) @ derivs
     return rhs
@@ -90,47 +100,15 @@ def burgers_centered_rule(um, up):
     return 0.125 * (um + up) ** 2
 
 
-@lru_cache(maxsize=8)
-def _sip_matrix(n_cells, dx, p):
-    """Symmetric interior-penalty bilinear form B over flattened coefficients.
-
-    B is positive semi-definite with null space spanned by the constant
-    field; penalty sigma = (p+1)^2/dx.
-    """
-    nk = p + 1
-    sigma = (p + 1) ** 2 / dx
-    ep = _EDGE_PLUS[:nk]
-    em = _EDGE_MINUS[:nk]
-    # u' at the edges in physical units carries the 2/dx mapping factor
-    dp = _DEDGE_PLUS[:nk] * (2.0 / dx)
-    dm = _DEDGE_MINUS[:nk] * (2.0 / dx)
-
-    ndof = n_cells * nk
-    B = np.zeros((ndof, ndof))
-    vol = (2.0 / dx) * np.diag(_STIFFNESS_DIAG[:nk])
-    for j in range(n_cells):
-        s = slice(j * nk, (j + 1) * nk)
-        B[s, s] += vol
-
-    for j in range(n_cells):
-        jn = (j + 1) % n_cells
-        sl = slice(j * nk, (j + 1) * nk)
-        sr = slice(jn * nk, (jn + 1) * nk)
-        # linear functionals of the face j+1/2: jump [u] = u^- - u^+ and
-        # average {u'}, split into their left/right coefficient blocks
-        sides = ((sl, ep, 0.5 * dp), (sr, -em, 0.5 * dm))
-        for sa, ja, aa in sides:
-            for sb, jb, ab in sides:
-                B[sa, sb] += sigma * np.outer(ja, jb) \
-                    - np.outer(aa, jb) - np.outer(ja, ab)
-    return B
-
-
 def dg_diffusion_rhs(a: DgField):
-    """Bracket-form RHS of a unit-coefficient diffusion term.
+    """Bracket-form RHS -B a of a unit-coefficient diffusion term, where B is
+    the symmetric interior-penalty form with penalty sigma = (p+1)^2/dx.
 
-    ``sum_jk a_jk N_jk < 0`` for every non-constant field and the k=0 moments
-    telescope, so mass is conserved; at p=0 this is the standard
+    B is applied per face: face j+1/2 couples only cells j and j+1, through
+    the jump [u] = u^- - u^+ and the average {u'}.  B is positive
+    semi-definite with null space spanned by the constant field, so
+    ``sum_jk a_jk N_jk < 0`` for every non-constant field, and the k=0
+    moments telescope, so mass is conserved; at p=0 this is the standard
     (u_{j+1} - 2 u_j + u_{j-1})/dx stencil.
     """
     if not a.grid.periodic:
@@ -138,8 +116,21 @@ def dg_diffusion_rhs(a: DgField):
     dx = float(a.grid.cell_volumes[0])
     if not np.allclose(a.grid.cell_volumes, dx):
         raise ConfigurationError("DG diffusion assumes a uniform grid")
-    B = _sip_matrix(a.grid.n_cells, dx, a.degree)
-    return -(B @ a.coeffs.ravel()).reshape(a.coeffs.shape)
+    nk = a.degree + 1
+    sigma = nk**2 / dx
+    ep, em = _EDGE_PLUS[:nk], _EDGE_MINUS[:nk]
+    # half of u' at the edges in physical units, with the 2/dx mapping factor
+    hdp, hdm = _DEDGE_PLUS[:nk] / dx, _DEDGE_MINUS[:nk] / dx
+    um, up = face_traces(a)
+    jump = um - up
+    avg = a.coeffs @ hdp + np.roll(a.coeffs, -1, axis=0) @ hdm
+    s = sigma * jump - avg
+    # face j+1/2 acts on cell j through P_k(1), P_k'(1) and on cell j+1
+    # through P_k(-1), P_k'(-1)
+    left = np.outer(s, ep) - np.outer(jump, hdp)
+    right = -np.outer(s, em) - np.outer(jump, hdm)
+    vol = a.coeffs * ((2.0 / dx) * _STIFFNESS_DIAG[:nk])
+    return -(vol + left + np.roll(right, 1, axis=0))
 
 
 def dg_mass(a: DgField):

@@ -47,8 +47,8 @@ def _apply_step_increment_correction(driver, field, y_old, y_new, t, dt, spec):
     """
     vals, volumes = co._field_parts(field)
     inc = (y_new - y_old).reshape(vals.shape)
-    actual = bracket(vals, inc, volumes) + 0.5 * bracket(inc, inc, volumes)
     if spec == "clamp":
+        actual = bracket(vals, inc, volumes) + 0.5 * bracket(inc, inc, volumes)
         delta = min(actual, 0.0)
     elif isinstance(spec, co.TrackedRateSource):
         delta = min(spec.rate_at(t + 0.5 * dt), 0.0) * dt

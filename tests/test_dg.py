@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,79 @@ def test_diffusion_p0_matches_fv_stencil():
     dx = g.cell_volumes[0]
     stencil = (np.roll(u, -1) - 2 * u + np.roll(u, 1)) / dx
     assert np.allclose(nd[:, 0], stencil, rtol=1e-12, atol=1e-14)
+
+
+def dense_sip_matrix(n_cells, dx, p):
+    """Reference: the symmetric interior-penalty form B assembled as a dense
+    matrix over flattened coefficients, one face at a time."""
+    nk = p + 1
+    sigma = (p + 1) ** 2 / dx
+    ep = np.array([1.0, 1.0, 1.0])[:nk]              # P_k(1)
+    em = np.array([1.0, -1.0, 1.0])[:nk]             # P_k(-1)
+    dp = np.array([0.0, 1.0, 3.0])[:nk] * (2.0 / dx)    # P_k'(1), physical units
+    dm = np.array([0.0, 1.0, -3.0])[:nk] * (2.0 / dx)   # P_k'(-1)
+
+    ndof = n_cells * nk
+    B = np.zeros((ndof, ndof))
+    vol = (2.0 / dx) * np.diag(np.array([0.0, 2.0, 6.0])[:nk])
+    for j in range(n_cells):
+        s = slice(j * nk, (j + 1) * nk)
+        B[s, s] += vol
+
+    for j in range(n_cells):
+        jn = (j + 1) % n_cells
+        sl = slice(j * nk, (j + 1) * nk)
+        sr = slice(jn * nk, (jn + 1) * nk)
+        # jump [u] = u^- - u^+ and average {u'} at face j+1/2, split into
+        # their left/right coefficient blocks
+        sides = ((sl, ep, 0.5 * dp), (sr, -em, 0.5 * dm))
+        for sa, ja, aa in sides:
+            for sb, jb, ab in sides:
+                B[sa, sb] += sigma * np.outer(ja, jb) \
+                    - np.outer(aa, jb) - np.outer(ja, ab)
+    return B
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+@pytest.mark.parametrize("n", [2, 3, 8, 17])
+def test_diffusion_matches_dense_penalty_form(n, p):
+    # n = 2: both neighbours of a cell wrap onto the same cell
+    rng = np.random.default_rng(100 * n + p)
+    for _ in range(3):
+        g = UniformGrid1D(n, rng.uniform(0.1, 10.0))
+        a = DgField(g, rng.normal(size=(n, p + 1)))
+        B = dense_sip_matrix(n, g.cell_volumes[0], p)
+        ref = -(B @ a.coeffs.ravel()).reshape(a.coeffs.shape)
+        np.testing.assert_allclose(dg_diffusion_rhs(a), ref, rtol=1e-13,
+                                   atol=1e-13 * np.abs(ref).max())
+
+
+def test_diffusion_memory_is_linear():
+    # a dense (N(p+1))^2 form would hold 75 MB here
+    a = DgField(UniformGrid1D(1024, 3.7),
+                np.random.default_rng(44).normal(size=(1024, 3)))
+    tracemalloc.start()
+    try:
+        dg_diffusion_rhs(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def test_rhs_does_no_quadrature_setup(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counted(deg):
+        calls.append(deg)
+        return leggauss(deg)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    g = UniformGrid1D(8, 1.0)
+    for p in (0, 1, 2):
+        a = DgField(g, np.random.default_rng(p).normal(size=(8, p + 1)))
+        dg_rhs(a, lambda u: 0.5 * u * u, burgers_centered_rule)
+    assert calls == []
 
 
 def test_face_traces():

@@ -38,8 +38,9 @@ def _calls_per_stage(monkeypatch, driver, plan, name):
     return traj, per_stage
 
 
-def test_sod_entropy_variables_at_most_twice_per_stage(monkeypatch):
-    # one for the boundary entropy-flux estimate, one inside the corrector
+def test_sod_entropy_variables_once_per_stage(monkeypatch):
+    # inside the corrector; the boundary entropy-flux estimate reads only
+    # the two end cells
     driver = Euler1D(ic_sod(UniformGrid1D(64, 1.0, boundary="dirichlet")),
                      entropy_ratio=2.0)
     with warnings.catch_warnings():
@@ -47,7 +48,7 @@ def test_sod_entropy_variables_at_most_twice_per_stage(monkeypatch):
         _, per_stage = _calls_per_stage(
             monkeypatch, driver, StepPlan(t_end=0.02, cfl=0.3, n_snapshots=2),
             "entropy_variables_euler1d")
-    assert per_stage and max(per_stage) <= 2
+    assert per_stage and max(per_stage) <= 1
 
 
 def test_flux_rate_at_most_twice_per_stage(monkeypatch):

@@ -256,3 +256,13 @@ def test_boundary_flux_minimum_selection():
     est = co.estimate_boundary_entropy_flux(s, bp)
     # left: min(0.25, 1.0) = 0.25, right: min(1.0, 1.0) = 1.0
     assert est == pytest.approx(0.25 - 1.0, rel=1e-14)
+
+
+def test_boundary_flux_reads_end_cells_as_entropy_variables_do():
+    for n in (2, 5, 64, 257):
+        s = random_state(79 + n, n=n, boundary="dirichlet")
+        psi = co.entropy_variables_euler1d(s).psi
+        assert co.estimate_boundary_entropy_flux(s) == psi[0] - psi[-1]
+    s.energy[-1] = 0.5 * s.mom[-1] ** 2 / s.rho[-1]     # p = 0 in the last cell
+    with pytest.raises(PositivityViolation):
+        co.estimate_boundary_entropy_flux(s)
