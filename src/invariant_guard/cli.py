@@ -21,11 +21,13 @@ import numpy as np
 
 from . import __version__
 from . import correctors as co
-from .config import ExperimentConfig, VariantConfig, parse_config
+from .config import ExperimentConfig, VariantConfig, parse_config, rate_spec
 from .core import (FvField1D, UniformGrid1D, UniformGrid2D, coarse_grain,
                    coarse_grain_2d, FvField2D)
 from .diagnostics import InvariantReport, mae, normalized_mse, vorticity_correlation
-from .drivers import Euler1D, ScalarFv1D, Vorticity2D
+from .dg import burgers_centered_rule, dg_project
+from .drivers import (DgScalar1D, Euler1D, FtcsAdvection,
+                      NonconservativeBurgers1D, ScalarFv1D, Vorticity2D)
 from .errors import ConfigurationError, InvariantGuardError
 from .problems import (ic_random_vorticity, ic_sine, ic_sod, ic_sum_of_sines)
 from .schemes import FluxScheme
@@ -102,33 +104,19 @@ def _flux_scheme(name, ec: ExperimentConfig, equation):
     return FluxScheme(name)
 
 
-def _parse_target(spec, tracked_source):
-    head, _, arg = spec.partition(":")
-    if head == "clamp":
-        return co.L2RateTarget.clamp()
-    if head == "fixed":
-        return co.L2RateTarget.fixed(float(arg))
-    if head == "tracked":
-        if tracked_source is None:
-            raise ConfigurationError("tracked target needs a reference run; "
-                                     "set [run] reference_resolution")
-        return tracked_source
-    raise ConfigurationError(f"unknown target {spec!r}")
-
-
-def _parse_step_correction(spec, tracked_source):
-    head, _, arg = spec.partition(":")
-    if head == "none":
+def _driver_spec(text, tracked_source, step=False):
+    """The driver argument for a ``target`` or (``step=True``) a per-step
+    ``step_correction`` value: None, an L2RateTarget for a target, "clamp"
+    or a float for a step change, or the reference's TrackedRateSource."""
+    kind, value = rate_spec(text)
+    if kind == "none":
         return None
-    if head == "clamp":
-        return "clamp"
-    if head == "fixed":
-        return float(arg)
-    if head == "tracked":
-        if tracked_source is None:
-            raise ConfigurationError("tracked step correction needs a reference")
+    if kind == "tracked":
         return tracked_source
-    raise ConfigurationError(f"unknown step correction {spec!r}")
+    if step:
+        return kind if kind == "clamp" else value
+    return co.L2RateTarget.clamp() if kind == "clamp" \
+        else co.L2RateTarget.fixed(value)
 
 
 def _scalar_ic(ec: ExperimentConfig, n):
@@ -148,86 +136,46 @@ def _scalar_ic(ec: ExperimentConfig, n):
 
 def build_driver(ec: ExperimentConfig, variant: VariantConfig, n,
                  tracked_source=None):
-    """Instantiate the問題 driver for one (variant, resolution) cell."""
+    """Instantiate the driver for one (variant, resolution) cell.
+
+    ``ec`` must have passed ``parse_config``, which checks every corrector,
+    target and step-correction rule; this function only builds."""
     equation = ec.equation
+    corrected = variant.corrector != "none"
     if equation == "advection" and ec.integrator == "discrete":
-        # the FTCS demo path: increment update, optionally corrected
-        from .drivers import FtcsAdvection
-        delta = None
-        if variant.corrector == "increment_l2":
-            head, _, arg = variant.target.partition(":")
-            delta = float(arg) if head == "fixed" else 0.0
-        elif variant.corrector != "none":
-            raise ConfigurationError("the discrete integrator supports the "
-                                     "increment corrector only")
+        # the FTCS demo: the increment corrector reads its target per step
+        delta = _driver_spec(variant.target, tracked_source, step=True) \
+            if corrected else None
         return FtcsAdvection(_scalar_ic(ec, n), c=ec.c, delta_l2=delta)
+    target = _driver_spec(variant.target, tracked_source) if corrected else None
+    step = _driver_spec(variant.step_correction, tracked_source, step=True)
+    nu = variant.nu if variant.nu is not None else ec.nu
     if equation == "burgers_nonconservative":
-        from .drivers import NonconservativeBurgers1D
-        target = None
-        if variant.corrector == "rhs_l2":
-            target = _parse_target(variant.target, tracked_source)
-        elif variant.corrector != "none":
-            raise ConfigurationError(
-                "the non-conservative demo supports the rhs corrector only")
         return NonconservativeBurgers1D(_scalar_ic(ec, n), target=target)
     if equation == "dg_burgers":
-        from .dg import burgers_centered_rule, dg_project
-        from .drivers import DgScalar1D
         grid = UniformGrid1D(n, ec.length)
         ic = dg_project(grid, ec.dg_degree,
                         lambda x: np.sin(2.0 * np.pi * x / ec.length)
                         + ec.ic_offset)
-        target = None
-        if variant.corrector == "dg_l2":
-            target = _parse_target(variant.target, tracked_source)
-        elif variant.corrector != "none":
-            raise ConfigurationError(
-                "the DG demo supports the dg corrector only")
         return DgScalar1D(ic, lambda u: 0.5 * u * u, burgers_centered_rule,
                           target=target)
     if equation in ("advection", "burgers", "burgers_forced"):
         base_eq = "advection" if equation == "advection" else "burgers"
         ic = _scalar_ic(ec, n)
-        target = None
-        if variant.corrector == "flux_l2":
-            target = _parse_target(variant.target, tracked_source)
-        elif variant.corrector == "rhs_l2":
-            raise ConfigurationError("rhs_l2 applies to the non-conservative "
-                                     "demo equation")
-        elif variant.corrector != "none":
-            raise ConfigurationError(
-                f"corrector {variant.corrector!r} unsupported for {equation}")
         forcing = None
-        nu = variant.nu if variant.nu is not None else ec.nu
         if equation == "burgers_forced":
             forcing = ic_sum_of_sines(ic.grid, ec.forcing_seed, "burgers-forcing")
         return ScalarFv1D(
             ic, base_eq, _flux_scheme(variant.scheme, ec, base_eq), c=ec.c,
-            target=target, nu=nu, forcing=forcing,
-            step_delta_l2=_parse_step_correction(variant.step_correction,
-                                                 tracked_source))
+            target=target, nu=nu, forcing=forcing, step_delta_l2=step)
     if equation == "euler2d":
         grid = UniformGrid2D(n, n, ec.length, ec.length)
         ic = ic_random_vorticity(grid, ec.ic_seed)
         forcing_name = variant.forcing if variant.forcing is not None else ec.forcing
-        nu = variant.nu if variant.nu is not None else ec.nu
-        corrector = "none"
-        target = None
-        if variant.corrector == "flux_l2":
-            corrector = "flux_l2"
-            target = _parse_target(variant.target, tracked_source)
-        elif variant.corrector == "energy":
-            corrector = "energy"
-            target = _parse_target(variant.target, tracked_source)
-        elif variant.corrector != "none":
-            raise ConfigurationError(
-                f"corrector {variant.corrector!r} unsupported for euler2d")
         return Vorticity2D(
-            ic, corrector=corrector, target=target, nu=nu,
+            ic, corrector=variant.corrector, target=target, nu=nu,
             forcing=forcing_name == "kolmogorov", forcing_k=ec.kolmogorov_k,
-            drag=ec.drag,
-            step_delta_l2=_parse_step_correction(variant.step_correction,
-                                                 tracked_source))
+            drag=ec.drag, step_delta_l2=step)
     if equation == "euler1d":
         grid = UniformGrid1D(n, ec.length, ec.boundary)
         if ec.ic == "sod":
@@ -236,13 +184,8 @@ def build_driver(ec: ExperimentConfig, variant: VariantConfig, n,
             ic = ic_sum_of_sines(grid, ec.ic_seed, "euler1d")
         else:
             raise ConfigurationError(f"ic {ec.ic!r} unsupported for euler1d")
-        ratio = None
-        if variant.corrector == "euler1d_entropy":
-            ratio = variant.entropy_ratio
-        elif variant.corrector != "none":
-            raise ConfigurationError(
-                f"corrector {variant.corrector!r} unsupported for euler1d")
-        return Euler1D(ic, entropy_ratio=ratio, positivity=variant.positivity)
+        return Euler1D(ic, entropy_ratio=variant.entropy_ratio if corrected
+                       else None, positivity=variant.positivity)
     raise ConfigurationError(f"unknown equation {equation!r}")
 
 
@@ -270,7 +213,7 @@ def run_reference(ec: ExperimentConfig, out_dir):
     if traj.error is not None:
         raise InvariantGuardError(f"reference run failed: {traj.error}")
 
-    if ec.equation in ("advection", "burgers", "burgers_forced"):
+    if isinstance(driver, ScalarFv1D):
         rates = []
         for y in traj.snapshots:
             f = FvField1D(driver.grid, y)
@@ -403,8 +346,9 @@ def cmd_sweep(config_path, output_root=None):
     """Accuracy-vs-resolution comparison on advection with the surrogate
     standing in for a learned flux; emits sweep.csv."""
     ec = parse_config(config_path)
-    if ec.equation != "advection":
-        raise ConfigurationError("sweep compares flux choices on advection")
+    if ec.equation != "advection" or ec.integrator == "discrete":
+        raise ConfigurationError("sweep compares flux choices on advection "
+                                 "under a Runge-Kutta integrator")
     out_dir = _resolve_out_dir(ec, output_root)
     out_dir.mkdir(parents=True, exist_ok=True)
 

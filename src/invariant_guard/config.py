@@ -12,13 +12,47 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
 
-_EQUATIONS = ("advection", "burgers", "burgers_forced",
-              "burgers_nonconservative", "dg_burgers", "euler2d", "euler1d")
 _ICS = ("sine", "sum_of_sines", "sod", "random_vorticity", "random_euler")
 _SCHEMES = ("centered", "upwind", "godunov", "lax_friedrichs", "muscl",
             "surrogate")
-_CORRECTORS = ("none", "flux_l2", "rhs_l2", "increment_l2", "dg_l2", "energy",
-               "euler1d_entropy")
+_INTEGRATORS = ("ssprk3", "forward_euler", "discrete")
+#: the correctors each equation accepts under the Runge-Kutta integrators
+_CORRECTORS = {
+    "advection": ("none", "flux_l2"),
+    "burgers": ("none", "flux_l2"),
+    "burgers_forced": ("none", "flux_l2"),
+    "burgers_nonconservative": ("none", "rhs_l2"),
+    "dg_burgers": ("none", "dg_l2"),
+    "euler2d": ("none", "flux_l2", "energy"),
+    "euler1d": ("none", "euler1d_entropy"),
+}
+#: the discrete integrator runs the FTCS advection demo only
+_DISCRETE_CORRECTORS = {"advection": ("none", "increment_l2")}
+#: equations whose driver chains ``step_correction`` over each RK step
+_STEP_CORRECTED = ("advection", "burgers", "burgers_forced", "euler2d")
+#: equations with a reference run (rate curve and coarse-grained snapshots)
+_REFERENCED = ("advection", "burgers", "burgers_forced",
+               "burgers_nonconservative", "euler2d")
+
+
+def rate_spec(text):
+    """Split a ``target`` or ``step_correction`` value into (kind, value).
+
+    The grammar is ``none | clamp | tracked | fixed:<x <= 0>``; only
+    ``fixed`` carries a value.  Raises ValueError outside it.
+    """
+    kind, sep, arg = text.partition(":")
+    if kind in ("none", "clamp", "tracked") and not sep:
+        return kind, None
+    if kind != "fixed":
+        raise ValueError("expected none, clamp, tracked or fixed:<x <= 0>")
+    try:
+        value = float(arg)
+    except ValueError:
+        raise ValueError("fixed needs a numeric value, e.g. fixed:0") from None
+    if not value <= 0.0:
+        raise ValueError("a fixed rate or step change must be <= 0")
+    return kind, value
 
 
 @dataclass
@@ -26,8 +60,8 @@ class VariantConfig:
     label: str
     scheme: str = "muscl"
     corrector: str = "none"
-    target: str = "clamp"            # clamp | fixed:<rate> | tracked
-    step_correction: str = "none"    # none | clamp | fixed:<delta> | tracked
+    target: str = "clamp"            # see rate_spec
+    step_correction: str = "none"    # see rate_spec
     entropy_ratio: float = 1.0
     positivity: bool = True
     t_end: float = None              # per-variant horizon override
@@ -161,34 +195,53 @@ def parse_config(path):
         v.expect_blowup = g(section, "expect_blowup", bool, v.expect_blowup)
         ec.variants.append(v)
 
-    # validation
-    if ec.equation not in _EQUATIONS:
-        errors.append(f"[problem] equation must be one of {_EQUATIONS}")
+    # validation: every run rule is checked here, before any output exists
+    correctors = (_DISCRETE_CORRECTORS if ec.integrator == "discrete"
+                  else _CORRECTORS).get(ec.equation)
+    if ec.equation not in _CORRECTORS:
+        errors.append(f"[problem] equation must be one of {tuple(_CORRECTORS)}")
+    if ec.integrator not in _INTEGRATORS:
+        errors.append(f"[plan] integrator must be one of {_INTEGRATORS}")
+    elif correctors is None and ec.equation in _CORRECTORS:
+        errors.append("[plan] integrator = discrete runs the FTCS advection "
+                      "demo only")
     if ec.ic not in _ICS:
         errors.append(f"[problem] ic must be one of {_ICS}")
     if ec.boundary not in ("periodic", "dirichlet"):
         errors.append("[problem] boundary must be periodic or dirichlet")
     if not 0.0 < ec.cfl <= 1.0:
         errors.append("[plan] cfl must lie in (0, 1]")
+    if ec.reference_scheme not in _SCHEMES:
+        errors.append(f"[run] reference_scheme must be one of {_SCHEMES}")
+    steps = ec.equation in _STEP_CORRECTED and ec.integrator != "discrete"
     for v in ec.variants:
+        where = f"[variant.{v.label}]"
         if v.scheme not in _SCHEMES:
-            errors.append(f"[variant.{v.label}] scheme must be one of {_SCHEMES}")
-        if v.corrector not in _CORRECTORS:
-            errors.append(f"[variant.{v.label}] corrector must be one of "
-                          f"{_CORRECTORS}")
-        for key, val in (("target", v.target), ("step_correction",
-                                                v.step_correction)):
-            head = val.split(":", 1)[0]
-            if head not in ("clamp", "fixed", "tracked", "none"):
-                errors.append(f"[variant.{v.label}] {key} must be clamp, "
-                              f"fixed:<value>, tracked, or none")
-            if head == "fixed":
-                try:
-                    float(val.split(":", 1)[1])
-                except (IndexError, ValueError):
-                    errors.append(f"[variant.{v.label}] {key}: fixed needs a "
-                                  "numeric value, e.g. fixed:0")
+            errors.append(f"{where} scheme must be one of {_SCHEMES}")
+        if correctors is not None and v.corrector not in correctors:
+            errors.append(f"{where} corrector = {v.corrector!r}: {ec.equation} "
+                          f"with {ec.integrator} accepts {correctors}")
+        kinds = {}
+        for key in ("target", "step_correction"):
+            try:
+                kinds[key] = rate_spec(getattr(v, key))[0]
+            except ValueError as err:
+                errors.append(f"{where} {key} = {getattr(v, key)!r}: {err}")
+                continue
+            if kinds[key] == "tracked" and not ec.reference_resolution:
+                errors.append(f"{where} {key} = tracked needs a reference run; "
+                              "set [run] reference_resolution")
+        if kinds.get("target") == "none" \
+                and v.corrector not in ("none", "euler1d_entropy"):
+            errors.append(f"{where} target = none: corrector {v.corrector!r} "
+                          "needs a target")
+        if kinds.get("step_correction", "none") != "none" and not steps:
+            errors.append(f"{where} step_correction applies only to "
+                          f"{_STEP_CORRECTED} under a Runge-Kutta integrator")
     if ec.reference_resolution:
+        if ec.equation not in _REFERENCED:
+            errors.append(f"[run] reference_resolution: {ec.equation} has no "
+                          "reference run")
         for n in ec.resolutions:
             if ec.reference_resolution % n != 0:
                 errors.append(f"[run] reference_resolution "

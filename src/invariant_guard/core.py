@@ -73,10 +73,6 @@ class UniformGrid1D:
         edges = np.concatenate(([0.0], np.cumsum(self.cell_volumes)))
         return 0.5 * (edges[:-1] + edges[1:])
 
-    def n_interfaces(self):
-        """Number of stored interface fluxes: N for periodic, N+1 otherwise."""
-        return self.n_cells if self.periodic else self.n_cells + 1
-
 
 @dataclass(frozen=True)
 class UniformGrid2D:

@@ -198,13 +198,13 @@ def correct_flux_l2_1d(fluxes, u: FvField1D, target: L2RateTarget, G=None):
     entering the measured rate.  Default G is the interface jump u_{j+1}-u_j.
     """
     f = np.asarray(fluxes, dtype=np.float64)
-    old = flux_l2_rate_1d(f, u)
+    du = _jumps_1d(u)
+    old = _flux_rate_1d(f, u, du)
     new = target.resolve(old)
     if new == old:
         return f, Correction(old, new, old)
 
     periodic = u.grid.periodic
-    du = _jumps_1d(u)
     g = du if G is None else np.asarray(G, dtype=np.float64)
     g_int = g if periodic else (g[1:-1] if g.shape == f.shape else g)
     if g_int.shape != du.shape:

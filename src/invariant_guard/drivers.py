@@ -37,17 +37,17 @@ class InfeasibleTargetWarning(RuntimeWarning):
     the run continues at the best achievable dissipation."""
 
 
-def _apply_step_increment_correction(driver, field, y_old, y_new, t, dt, spec):
-    """Correct the full-step increment so the discrete l2 change is exact.
+def _correct_step_increment(driver, field, inc, t, dt, spec):
+    """Correct a full-step increment ``inc`` (shaped like ``field``'s values)
+    so the discrete l2 change is exact; returns the corrected increment.
 
     ``spec`` is "clamp" (change = min(actual, 0)), a number (per-step
     change), or a TrackedRateSource (change = rate(t + dt/2) * dt).  An
     infeasible change is clamped to the quadratic's vertex plus a 1e-12
     margin, with a warning, so the run stays alive.
     """
-    vals, volumes = co._field_parts(field)
-    inc = (y_new - y_old).reshape(vals.shape)
     if spec == "clamp":
+        vals, volumes = co._field_parts(field)
         actual = bracket(vals, inc, volumes) + 0.5 * bracket(inc, inc, volumes)
         delta = min(actual, 0.0)
     elif isinstance(spec, co.TrackedRateSource):
@@ -55,17 +55,24 @@ def _apply_step_increment_correction(driver, field, y_old, y_new, t, dt, spec):
     else:
         delta = float(spec)
     try:
-        out = driver._corrected(t, "step_delta_l2", co.correct_increment_mass_l2,
-                                inc, field, delta)
+        return driver._corrected(t, "step_delta_l2",
+                                 co.correct_increment_mass_l2, inc, field, delta)
     except InfeasibleTarget as err:
         delta = err.min_delta_l2 + 1e-12
         warnings.warn(
             f"per-step delta_l2 infeasible at t={t:.6g}; clamped to the "
             f"achievable minimum {delta:.3e}", InfeasibleTargetWarning,
-            stacklevel=2)
-        out = driver._corrected(t, "step_delta_l2", co.correct_increment_mass_l2,
-                                inc, field, delta)
-    return (y_old.reshape(vals.shape) + out).reshape(y_old.shape)
+            stacklevel=3)
+        return driver._corrected(t, "step_delta_l2",
+                                 co.correct_increment_mass_l2, inc, field, delta)
+
+
+def _apply_step_increment_correction(driver, field, y_old, y_new, t, dt, spec):
+    """``_correct_step_increment`` over the full RK step y_old -> y_new."""
+    shape = field.values.shape
+    inc = _correct_step_increment(driver, field, (y_new - y_old).reshape(shape),
+                                  t, dt, spec)
+    return (y_old.reshape(shape) + inc).reshape(y_old.shape)
 
 
 class _DriverBase:
@@ -105,15 +112,13 @@ class ScalarFv1D(_DriverBase):
     """
 
     def __init__(self, ic: FvField1D, equation, scheme, c=1.0,
-                 target=None, G=None, nu=0.0, forcing=None,
-                 step_delta_l2=None):
+                 target=None, nu=0.0, forcing=None, step_delta_l2=None):
         self.grid = ic.grid
         self.ic = ic
         self.equation = equation
         self.scheme = scheme
         self.c = c
         self.target = target
-        self.G = G
         self.nu = nu
         self.forcing = forcing
         self.step_delta_l2 = step_delta_l2
@@ -149,7 +154,7 @@ class ScalarFv1D(_DriverBase):
         f = self.fluxes(field, dt)
         if self.target is not None:
             f = self._corrected(t, "l2", co.correct_flux_l2_1d, f, field,
-                                resolve_l2_target(self.target, t), self.G)
+                                resolve_l2_target(self.target, t))
         out = schemes.fv_rhs_1d(f, self.grid)
         if self.nu > 0.0:
             dx = self.grid.cell_volumes
@@ -172,11 +177,10 @@ class NonconservativeBurgers1D(_DriverBase):
     mass conservation and pins the l2 rate.
     """
 
-    def __init__(self, ic: FvField1D, target=None, G=None):
+    def __init__(self, ic: FvField1D, target=None):
         self.grid = ic.grid
         self.ic = ic
         self.target = target
-        self.G = G
 
     def initial_array(self):
         return self.ic.values.copy()
@@ -195,7 +199,7 @@ class NonconservativeBurgers1D(_DriverBase):
         if self.target is not None:
             out = self._corrected(t, "l2", co.correct_rhs_mass_l2, out,
                                   self.state_of(y),
-                                  resolve_l2_target(self.target, t), self.G)
+                                  resolve_l2_target(self.target, t))
         return out
 
 
@@ -205,14 +209,14 @@ class NonconservativeBurgers1D(_DriverBase):
 
 class FtcsAdvection(_DriverBase):
     """Forward-time centered-space advection, optionally corrected to a
-    prescribed per-step l2 change."""
+    per-step l2 change: ``delta_l2`` is a step spec as for
+    ``ScalarFv1D.step_delta_l2``."""
 
-    def __init__(self, ic: FvField1D, c=1.0, delta_l2=None, G=None):
+    def __init__(self, ic: FvField1D, c=1.0, delta_l2=None):
         self.grid = ic.grid
         self.ic = ic
         self.c = c
         self.delta_l2 = delta_l2
-        self.G = G
 
     def initial_array(self):
         return self.ic.values.copy()
@@ -228,8 +232,7 @@ class FtcsAdvection(_DriverBase):
         inc = schemes.ftcs_increment(field, self.c, dt)
         if self.delta_l2 is None:
             return inc
-        return self._corrected(t, "delta_l2", co.correct_increment_mass_l2,
-                               inc, field, self.delta_l2, self.G)
+        return _correct_step_increment(self, field, inc, t, dt, self.delta_l2)
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +344,13 @@ class Vorticity2D(_DriverBase):
         fluxes = schemes.advective_fluxes_2d(chi, ux, uy)
 
         if self.corrector == "flux_l2":
-            if isinstance(self.target, co.TrackedRateSource):
-                half = 0.5 * self.target.rate_at(t)
-                tx = ty = co.L2RateTarget.tracked(half)
-            else:
-                tx = ty = self.target
+            # each direction carries half of a prescribed rate; clamp acts
+            # on each direction's own rate
+            target = resolve_l2_target(self.target, t)
+            if target.mode != co.CLAMP:
+                target = co.L2RateTarget(target.mode, 0.5 * target.rate)
             fluxes = self._corrected(t, ("l2_x", "l2_y"), co.correct_flux_l2_2d,
-                                     fluxes, chi, tx, ty)
+                                     fluxes, chi, target, target)
 
         out = schemes.fv_rhs_2d(fluxes, g)
 

@@ -2,10 +2,13 @@ import filecmp
 import numpy as np
 import pytest
 
-from invariant_guard.cli import (bundled_config, cmd_run, cmd_sweep,
-                                 cmd_verify, main)
-from invariant_guard.config import parse_config
+from invariant_guard.cli import (build_driver, bundled_config, cmd_run,
+                                 cmd_sweep, cmd_verify, main, variant_plan)
+from invariant_guard.config import (_CORRECTORS, _DISCRETE_CORRECTORS,
+                                    VariantConfig, parse_config)
+from invariant_guard.correctors import TrackedRateSource
 from invariant_guard.errors import ConfigurationError
+from invariant_guard.timeloop import run
 
 ALL_CONFIGS = ["fig1_burgers_centered", "fig2_nonconservative", "fig3_ftcs",
                "fig4_euler2d_invariants", "fig4_euler2d_correlation",
@@ -15,8 +18,98 @@ ALL_CONFIGS = ["fig1_burgers_centered", "fig2_nonconservative", "fig3_ftcs",
 
 @pytest.mark.parametrize("name", ALL_CONFIGS)
 def test_bundled_configs_parse(name):
+    # every driver a run of the config builds is built too (tracked targets
+    # read a placeholder rate curve), so the config rules cannot drift from
+    # build_driver
     ec = parse_config(bundled_config(name))
     assert ec.resolutions
+    tracked = TrackedRateSource([0.0, 1.0], [0.0, 0.0])
+    for n in ec.resolutions:
+        for variant in ec.variants:
+            build_driver(ec, variant, n, tracked)
+    if ec.reference_resolution:
+        build_driver(ec, VariantConfig("reference", scheme=ec.reference_scheme),
+                     ec.reference_resolution)
+
+
+EQUATION_LINES = {
+    "advection": "ic = sine", "burgers": "ic = sine",
+    "burgers_forced": "ic = sine", "burgers_nonconservative": "ic = sine",
+    "dg_burgers": "ic = sine", "euler2d": "ic = random_vorticity",
+    "euler1d": "ic = sod\nboundary = dirichlet"}
+
+
+def _config(tmp_path, problem, variant, plan="", run=""):
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(f"[problem]\n{problem}\n[plan]\n{plan}\nt_end = 0.01\n"
+                   f"snapshots = 2\n[run]\n{run}\nresolutions = 16\n"
+                   "output = case\n[variant.plain]\ncorrector = none\n"
+                   f"[variant.bad]\n{variant}\n")
+    return cfg
+
+
+@pytest.mark.parametrize("equation,integrator,corrector", [
+    (eq, integrator, corrector)
+    for integrator, table in (("ssprk3", _CORRECTORS),
+                              ("discrete", _DISCRETE_CORRECTORS))
+    for eq, correctors in table.items() for corrector in correctors])
+def test_accepted_correctors_build_and_step(tmp_path, equation, integrator,
+                                            corrector):
+    # every corrector the table accepts is built and steps without error
+    cfg = _config(tmp_path,
+                  f"equation = {equation}\n" + EQUATION_LINES[equation],
+                  f"corrector = {corrector}\ntarget = fixed:0",
+                  plan=f"integrator = {integrator}")
+    ec = parse_config(cfg)
+    for variant in ec.variants:
+        traj = run(variant_plan(ec, variant), build_driver(ec, variant, 16))
+        assert traj.error is None
+
+
+BURGERS = "equation = burgers\nic = sine"
+REJECTED = {
+    "unknown_integrator": (dict(problem=BURGERS, plan="integrator = rk4",
+                                variant="corrector = flux_l2"),
+                           "[plan] integrator"),
+    "discrete_burgers": (dict(problem=BURGERS, plan="integrator = discrete",
+                              variant="corrector = none"),
+                         "[plan] integrator"),
+    "positive_fixed_rate": (dict(problem=BURGERS, variant="corrector = flux_l2"
+                                 "\ntarget = fixed:0.5"),
+                            "[variant.bad] target"),
+    "target_none": (dict(problem=BURGERS,
+                         variant="corrector = flux_l2\ntarget = none"),
+                    "[variant.bad] target"),
+    "dg_corrector_on_burgers": (dict(problem=BURGERS,
+                                     variant="corrector = dg_l2"),
+                                "[variant.bad] corrector"),
+    "ftcs_tracked_without_reference": (
+        dict(problem="equation = advection\nic = sine",
+             plan="integrator = discrete",
+             variant="corrector = increment_l2\ntarget = tracked"),
+        "[variant.bad] target"),
+    "step_correction_on_euler1d": (
+        dict(problem="equation = euler1d\n" + EQUATION_LINES["euler1d"],
+             variant="corrector = euler1d_entropy\nstep_correction = fixed:0"),
+        "[variant.bad] step_correction"),
+    "reference_on_dg": (
+        dict(problem="equation = dg_burgers\nic = sine",
+             run="reference_resolution = 32", variant="corrector = dg_l2"),
+        "[run] reference_resolution"),
+}
+
+
+@pytest.mark.parametrize("sections,field", REJECTED.values(),
+                         ids=list(REJECTED))
+def test_rejected_config_exits_2_before_any_output(tmp_path, sections, field):
+    cfg = _config(tmp_path, **sections)
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(cfg)
+    assert field in str(err.value)
+    root = tmp_path / "out"
+    root.mkdir()
+    assert main(["--output-root", str(root), "run", str(cfg)]) == 2
+    assert not any(root.iterdir())
 
 
 def test_unknown_bundled_config():

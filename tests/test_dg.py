@@ -83,6 +83,21 @@ def test_diffusion_strictly_dissipative_and_conservative():
         assert abs(np.sum(nd[:, 0])) <= 1e-12 * np.abs(nd).max() * 16
 
 
+def test_diffusion_rejects_a_non_uniform_grid():
+    # the penalty form assumes one dx: widths are compared with allclose's
+    # rule, |dx_j - dx_0| <= 1e-8 + 1e-5 dx_0
+    for eps, uniform in ((1e-7, True), (3e-6, False)):
+        vols = np.full(8, 0.125)
+        vols[1] += eps
+        vols[2] -= eps
+        a = DgField(UniformGrid1D(8, 1.0, cell_volumes=vols), np.ones((8, 2)))
+        if uniform:
+            dg_diffusion_rhs(a)
+        else:
+            with pytest.raises(ConfigurationError):
+                dg_diffusion_rhs(a)
+
+
 def test_diffusion_p0_matches_fv_stencil():
     rng = np.random.default_rng(43)
     g = UniformGrid1D(10, 5.0)

@@ -3,10 +3,11 @@
 import warnings
 
 import numpy as np
+import pytest
 
 from invariant_guard import correctors as co
 from invariant_guard.core import UniformGrid1D
-from invariant_guard.drivers import Euler1D, ScalarFv1D
+from invariant_guard.drivers import Euler1D, FtcsAdvection, ScalarFv1D
 from invariant_guard.problems import ic_sine, ic_sod
 from invariant_guard.schemes import FluxScheme
 from invariant_guard.timeloop import StepPlan, run
@@ -64,3 +65,17 @@ def test_flux_rate_at_most_twice_per_stage(monkeypatch):
         assert rec.kind == "l2" and 0.0 <= rec.t <= 0.1
         assert rec.target_rate == -0.1
         assert np.isclose(rec.achieved_rate, -0.1, rtol=1e-12)
+
+
+def test_ftcs_tracked_step_changes_l2_by_rate_times_dt():
+    # the FTCS increment corrector reads a step spec, as step_correction does
+    src = co.TrackedRateSource([0.0, 1.0], [-0.1, -0.3])
+    driver = FtcsAdvection(ic_sine(UniformGrid1D(64, 1.0)), c=1.0,
+                           delta_l2=src)
+    y, dt = driver.initial_array(), 0.005
+    for t in (0.0, 0.4):
+        y_new = y + driver.increment(y, t, dt)
+        change = driver.report(y_new, t + dt).l2 - driver.report(y, t).l2
+        assert change == pytest.approx(src.rate_at(t + 0.5 * dt) * dt,
+                                       rel=1e-9)
+        y = y_new

@@ -69,3 +69,17 @@ def test_stage_records_carry_rates(ic32):
     for rec in tr.stage_records:
         assert rec.achieved_rate == pytest.approx(rec.target_rate, rel=1e-10,
                                                   abs=1e-12)
+
+
+@pytest.mark.parametrize("target", [
+    co.L2RateTarget.fixed(-0.2), co.TrackedRateSource([0.0, 1.0], [-0.2, -0.2])],
+    ids=["fixed", "tracked"])
+def test_flux_l2_total_enstrophy_rate_is_the_target(target):
+    # the x and y fluxes each carry half of the prescribed rate
+    ic = ic_random_vorticity(UniformGrid2D(32, 32, 2 * np.pi, 2 * np.pi),
+                             seed=42)
+    driver = Vorticity2D(ic, corrector="flux_l2", target=target)
+    y = driver.initial_array()
+    rhs = driver.rhs(y, 0.0, 0.01).reshape(ic.values.shape)
+    rate = bracket(ic.values, rhs, ic.grid.cell_volume)
+    assert rate == pytest.approx(-0.2, rel=1e-10)
