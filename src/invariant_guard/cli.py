@@ -125,10 +125,8 @@ def _scalar_ic(ec: ExperimentConfig, n):
         field = ic_sine(grid)
     elif ec.ic == "sum_of_sines":
         field = ic_sum_of_sines(grid, ec.ic_seed, "advection")
-    elif ec.equation == "burgers_forced":
+    else:  # "zero", which only burgers_forced accepts
         field = FvField1D(grid, np.zeros(n))
-    else:
-        raise ConfigurationError(f"ic {ec.ic!r} unsupported for {ec.equation}")
     if ec.ic_offset:
         field.values = field.values + ec.ic_offset
     return field
@@ -138,8 +136,9 @@ def build_driver(ec: ExperimentConfig, variant: VariantConfig, n,
                  tracked_source=None):
     """Instantiate the driver for one (variant, resolution) cell.
 
-    ``ec`` must have passed ``parse_config``, which checks every corrector,
-    target and step-correction rule; this function only builds."""
+    ``ec`` must have passed ``parse_config``, which checks every equation,
+    initial condition, scheme, corrector, target and step-correction rule;
+    this function only builds."""
     equation = ec.equation
     corrected = variant.corrector != "none"
     if equation == "advection" and ec.integrator == "discrete":
@@ -176,17 +175,12 @@ def build_driver(ec: ExperimentConfig, variant: VariantConfig, n,
             ic, corrector=variant.corrector, target=target, nu=nu,
             forcing=forcing_name == "kolmogorov", forcing_k=ec.kolmogorov_k,
             drag=ec.drag, step_delta_l2=step)
-    if equation == "euler1d":
-        grid = UniformGrid1D(n, ec.length, ec.boundary)
-        if ec.ic == "sod":
-            ic = ic_sod(grid, ec.gamma)
-        elif ec.ic == "random_euler":
-            ic = ic_sum_of_sines(grid, ec.ic_seed, "euler1d")
-        else:
-            raise ConfigurationError(f"ic {ec.ic!r} unsupported for euler1d")
-        return Euler1D(ic, entropy_ratio=variant.entropy_ratio if corrected
-                       else None, positivity=variant.positivity)
-    raise ConfigurationError(f"unknown equation {equation!r}")
+    # euler1d
+    grid = UniformGrid1D(n, ec.length, ec.boundary)
+    ic = ic_sod(grid, ec.gamma) if ec.ic == "sod" \
+        else ic_sum_of_sines(grid, ec.ic_seed, "euler1d")
+    return Euler1D(ic, entropy_ratio=variant.entropy_ratio if corrected
+                   else None, positivity=variant.positivity)
 
 
 def variant_plan(ec: ExperimentConfig, variant: VariantConfig) -> StepPlan:
@@ -349,6 +343,9 @@ def cmd_sweep(config_path, output_root=None):
     if ec.equation != "advection" or ec.integrator == "discrete":
         raise ConfigurationError("sweep compares flux choices on advection "
                                  "under a Runge-Kutta integrator")
+    if min(ec.resolutions) < 4:
+        raise ConfigurationError("sweep runs muscl, which needs at least 4 "
+                                 "cells per resolution")
     out_dir = _resolve_out_dir(ec, output_root)
     out_dir.mkdir(parents=True, exist_ok=True)
 

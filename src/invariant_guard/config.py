@@ -12,7 +12,16 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
 
-_ICS = ("sine", "sum_of_sines", "sod", "random_vorticity", "random_euler")
+#: the initial conditions each equation accepts; the first is the default
+_ICS = {
+    "advection": ("sine", "sum_of_sines"),
+    "burgers": ("sine", "sum_of_sines"),
+    "burgers_forced": ("sine", "sum_of_sines", "zero"),
+    "burgers_nonconservative": ("sine", "sum_of_sines"),
+    "dg_burgers": ("sine",),
+    "euler2d": ("random_vorticity",),
+    "euler1d": ("sod", "random_euler"),
+}
 _SCHEMES = ("centered", "upwind", "godunov", "lax_friedrichs", "muscl",
             "surrogate")
 _INTEGRATORS = ("ssprk3", "forward_euler", "discrete")
@@ -33,6 +42,8 @@ _STEP_CORRECTED = ("advection", "burgers", "burgers_forced", "euler2d")
 #: equations with a reference run (rate curve and coarse-grained snapshots)
 _REFERENCED = ("advection", "burgers", "burgers_forced",
                "burgers_nonconservative", "euler2d")
+#: equations whose RK driver reads ``scheme`` (``schemes.numerical_flux_1d``)
+_FLUX_SCHEMED = ("advection", "burgers", "burgers_forced")
 
 
 def rate_spec(text):
@@ -122,6 +133,27 @@ def _get(cfg, section, key, conv, default, errors):
         return default
 
 
+def _scheme_errors(ec):
+    """The rules of ``schemes.numerical_flux_1d`` for every run of a flux
+    scheme: each variant at the smallest resolution and the reference."""
+    runs = [(f"[variant.{v.label}] scheme", v.scheme, "resolutions",
+             min(ec.resolutions)) for v in ec.variants]
+    if ec.reference_resolution:
+        runs.append(("[run] reference_scheme", ec.reference_scheme,
+                     "reference_resolution", ec.reference_resolution))
+    errors = []
+    for where, scheme, key, n in runs:
+        if scheme == "surrogate":
+            where, scheme = "[surrogate] base", ec.surrogate_base
+        if scheme == "upwind" and ec.equation != "advection":
+            errors.append(f"{where} = upwind is sign-ambiguous for "
+                          f"{ec.equation}; use godunov")
+        if scheme == "muscl" and n < 4:
+            errors.append(f"[run] {key} = {n}: {where} = muscl needs at "
+                          "least 4 cells")
+    return errors
+
+
 def parse_config(path):
     """Parse and validate an experiment config; raises ConfigurationError
     with per-field diagnostics on malformed input."""
@@ -144,7 +176,7 @@ def parse_config(path):
     ec.nu = g("problem", "nu", float, ec.nu)
     ec.gamma = g("problem", "gamma", float, ec.gamma)
     ec.boundary = g("problem", "boundary", str, ec.boundary)
-    ec.ic = g("problem", "ic", str, ec.ic)
+    ec.ic = g("problem", "ic", str, _ICS.get(ec.equation, (ec.ic,))[0])
     ec.ic_seed = g("problem", "ic_seed", int, ec.ic_seed)
     ec.ic_offset = g("problem", "ic_offset", float, ec.ic_offset)
     ec.dg_degree = g("problem", "dg_degree", int, ec.dg_degree)
@@ -205,14 +237,24 @@ def parse_config(path):
     elif correctors is None and ec.equation in _CORRECTORS:
         errors.append("[plan] integrator = discrete runs the FTCS advection "
                       "demo only")
-    if ec.ic not in _ICS:
-        errors.append(f"[problem] ic must be one of {_ICS}")
+    if ec.equation in _ICS and ec.ic not in _ICS[ec.equation]:
+        errors.append(f"[problem] ic = {ec.ic!r}: {ec.equation} accepts "
+                      f"{_ICS[ec.equation]}")
     if ec.boundary not in ("periodic", "dirichlet"):
         errors.append("[problem] boundary must be periodic or dirichlet")
+    elif ec.boundary == "dirichlet" and ec.equation != "euler1d":
+        errors.append(f"[problem] boundary = dirichlet: {ec.equation} is "
+                      "periodic-only; only euler1d has a bounded solver")
+    if ec.dg_degree not in (0, 1, 2):
+        errors.append("[problem] dg_degree must be 0, 1 or 2")
+    if min(ec.resolutions) < 2:
+        errors.append("[run] resolutions must be at least 2 cells")
     if not 0.0 < ec.cfl <= 1.0:
         errors.append("[plan] cfl must lie in (0, 1]")
     if ec.reference_scheme not in _SCHEMES:
         errors.append(f"[run] reference_scheme must be one of {_SCHEMES}")
+    if ec.surrogate_base not in _SCHEMES[:-1]:
+        errors.append(f"[surrogate] base must be one of {_SCHEMES[:-1]}")
     steps = ec.equation in _STEP_CORRECTED and ec.integrator != "discrete"
     for v in ec.variants:
         where = f"[variant.{v.label}]"
@@ -243,10 +285,12 @@ def parse_config(path):
             errors.append(f"[run] reference_resolution: {ec.equation} has no "
                           "reference run")
         for n in ec.resolutions:
-            if ec.reference_resolution % n != 0:
+            if n and ec.reference_resolution % n != 0:
                 errors.append(f"[run] reference_resolution "
                               f"{ec.reference_resolution} not divisible by {n}")
+    if ec.equation in _FLUX_SCHEMED and ec.integrator != "discrete":
+        errors += _scheme_errors(ec)
     if errors:
-        raise ConfigurationError(
-            f"invalid config {path}:\n  " + "\n  ".join(errors))
+        raise ConfigurationError(f"invalid config {path}:\n  "
+                                 + "\n  ".join(dict.fromkeys(errors)))
     return ec

@@ -24,6 +24,19 @@ def _as_float_array(values):
     return arr
 
 
+def shift(a, k, axis=0):
+    """Periodic neighbour ``a[(i + k) mod n]`` along ``axis`` (0 or 1).
+
+    ``shift(u, 1)`` is u_{j+1} and ``shift(u, -1)`` is u_{j-1}.  The result
+    equals numpy's ``roll(a, -k, axis)`` bit for bit, but two slices and one
+    concatenate cost a fraction of a roll on the small grids stencils see.
+    """
+    k %= a.shape[axis]
+    if axis == 0:
+        return np.concatenate((a[k:], a[:k]))
+    return np.concatenate((a[:, k:], a[:, :k]), axis=1)
+
+
 # ---------------------------------------------------------------------------
 # grids
 # ---------------------------------------------------------------------------

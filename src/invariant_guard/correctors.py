@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DgField, EulerState1D, FvField1D, FvField2D, SpectralField,
-                   VorticityState2D, bracket, volume_mean)
+                   VorticityState2D, bracket, shift, volume_mean)
 from .dg import dg_diffusion_rhs, dg_l2_rate
 from .errors import (CflViolation, DegenerateCorrection, InfeasibleTarget,
                      PositivityViolation)
@@ -157,15 +157,13 @@ def _check_denominator(denom, scale, what):
 
 def laplacian_1d(values):
     """Periodic second difference u_{j+1} - 2 u_j + u_{j-1} (not divided by dx^2)."""
-    return np.roll(values, -1) - 2.0 * values + np.roll(values, 1)
+    return shift(values, 1) - 2.0 * values + shift(values, -1)
 
 
 def laplacian_2d(values, dx, dy):
     """Periodic five-point Laplacian on a uniform (nx, ny) grid."""
-    return (np.roll(values, -1, axis=0) - 2.0 * values + np.roll(values, 1, axis=0)) \
-        / dx**2 \
-        + (np.roll(values, -1, axis=1) - 2.0 * values + np.roll(values, 1, axis=1)) \
-        / dy**2
+    return (shift(values, 1) - 2.0 * values + shift(values, -1)) / dx**2 \
+        + (shift(values, 1, 1) - 2.0 * values + shift(values, -1, 1)) / dy**2
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +173,7 @@ def laplacian_2d(values, dx, dy):
 def _jumps_1d(u):
     """u_{j+1} - u_j at the interfaces a flux correction moves."""
     vals = u.values
-    return (np.roll(vals, -1) - vals) if u.grid.periodic else np.diff(vals)
+    return (shift(vals, 1) - vals) if u.grid.periodic else np.diff(vals)
 
 
 def _flux_rate_1d(f, u, du):
@@ -223,8 +221,8 @@ def correct_flux_l2_1d(fluxes, u: FvField1D, target: L2RateTarget, G=None):
 def flux_l2_rates_2d(fluxes, u: FvField2D):
     """Directional l2 rates (d l2^x/dt, d l2^y/dt) of a 2D flux update."""
     g = u.grid
-    dux = np.roll(u.values, -1, axis=0) - u.values
-    duy = np.roll(u.values, -1, axis=1) - u.values
+    dux = shift(u.values, 1) - u.values
+    duy = shift(u.values, 1, 1) - u.values
     return (float(g.dy * np.sum(fluxes.fx * dux)),
             float(g.dx * np.sum(fluxes.fy * duy)))
 
@@ -234,7 +232,7 @@ def _correct_direction(f, u, axis, h, old, target, G):
     new = target.resolve(old)
     if new == old:
         return f, Correction(old, new, old)
-    du = np.roll(u.values, -1, axis=axis) - u.values
+    du = shift(u.values, 1, axis) - u.values
     g = du if G is None else np.asarray(G, dtype=np.float64)
     denom = float(h * np.sum(g * du))
     _check_denominator(denom, h * np.linalg.norm(g) * np.linalg.norm(du),
@@ -525,7 +523,7 @@ def entropy_rate_euler1d(fluxes, state: EulerState1D, w=None):
         w = entropy_variables_euler1d(state).w
     if state.grid.periodic:
         # distinct faces are 1..N: face k sits between cells k-1 and k (mod N)
-        return float(np.sum(f[1:] * (np.roll(w, -1, axis=0) - w)))
+        return float(np.sum(f[1:] * (shift(w, 1) - w)))
     interior = float(np.sum(f[1:-1] * np.diff(w, axis=0)))
     return interior + float(f[0] @ w[0] - f[-1] @ w[-1])
 

@@ -10,7 +10,7 @@ interior-penalty form is applied face by face, so a call costs O(N).
 
 import numpy as np
 
-from .core import DgField, LEGENDRE_NORMS, UniformGrid1D
+from .core import DgField, LEGENDRE_NORMS, UniformGrid1D, shift
 from .errors import ConfigurationError
 
 #: P_k at the right/left cell edge and P_k' at the edges, k = 0..2
@@ -51,7 +51,7 @@ def face_traces(a: DgField):
     Index j wraps periodically, so both arrays have length N.
     """
     um = a.coeffs @ _EDGE_PLUS[: a.degree + 1]
-    up = np.roll(a.coeffs, -1, axis=0) @ _EDGE_MINUS[: a.degree + 1]
+    up = shift(a.coeffs, 1) @ _EDGE_MINUS[: a.degree + 1]
     return um, up
 
 
@@ -68,10 +68,10 @@ def dg_rhs(a: DgField, flux_fn, interface_rule):
     p = a.degree
     um, up = face_traces(a)
     f_face = np.asarray(interface_rule(um, up), dtype=np.float64)
-    fp = f_face                      # flux at j+1/2
-    fm = np.roll(f_face, 1)          # flux at j-1/2
+    fp = f_face[:, None]                # flux at j+1/2
+    fm = shift(f_face, -1)[:, None]     # flux at j-1/2
 
-    rhs = -np.outer(fp, _EDGE_PLUS[: p + 1]) + np.outer(fm, _EDGE_MINUS[: p + 1])
+    rhs = -fp * _EDGE_PLUS[: p + 1] + fm * _EDGE_MINUS[: p + 1]
     if p > 0:
         w, vals, derivs = _QUADRATURE[p]
         u_q = a.coeffs @ vals.T               # (N, q)
@@ -121,16 +121,16 @@ def dg_diffusion_rhs(a: DgField):
     ep, em = _EDGE_PLUS[:nk], _EDGE_MINUS[:nk]
     # half of u' at the edges in physical units, with the 2/dx mapping factor
     hdp, hdm = _DEDGE_PLUS[:nk] / dx, _DEDGE_MINUS[:nk] / dx
-    um, up = face_traces(a)
-    jump = um - up
-    avg = a.coeffs @ hdp + np.roll(a.coeffs, -1, axis=0) @ hdm
+    nxt = shift(a.coeffs, 1)    # cell j+1, across face j+1/2
+    jump = (a.coeffs @ ep - nxt @ em)[:, None]
+    avg = (a.coeffs @ hdp + nxt @ hdm)[:, None]
     s = sigma * jump - avg
     # face j+1/2 acts on cell j through P_k(1), P_k'(1) and on cell j+1
     # through P_k(-1), P_k'(-1)
-    left = np.outer(s, ep) - np.outer(jump, hdp)
-    right = -np.outer(s, em) - np.outer(jump, hdm)
+    left = s * ep - jump * hdp
+    right = -s * em - jump * hdm
     vol = a.coeffs * ((2.0 / dx) * _STIFFNESS_DIAG[:nk])
-    return -(vol + left + np.roll(right, 1, axis=0))
+    return -(vol + left + shift(right, -1))
 
 
 def dg_mass(a: DgField):

@@ -18,7 +18,7 @@ import numpy as np
 from . import correctors as co
 from . import schemes
 from .core import (DgField, EulerState1D, FvField1D, FvField2D, SpectralField,
-                   VorticityState2D, bracket)
+                   VorticityState2D, bracket, shift)
 from .diagnostics import invariant_report, InvariantReport
 from .dg import dg_coefficient_rate, dg_rhs, face_traces
 from .errors import InfeasibleTarget, PositivityViolation
@@ -193,8 +193,8 @@ class NonconservativeBurgers1D(_DriverBase):
 
     def rhs(self, y, t, dt):
         dx = self.grid.cell_volumes
-        backward = (y - np.roll(y, 1)) / dx
-        forward = (np.roll(y, -1) - y) / dx
+        backward = (y - shift(y, -1)) / dx
+        forward = (shift(y, 1) - y) / dx
         out = -y * np.where(y >= 0.0, backward, forward)
         if self.target is not None:
             out = self._corrected(t, "l2", co.correct_rhs_mass_l2, out,

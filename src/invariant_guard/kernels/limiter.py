@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from ..core import shift
+
 
 def mc_limit(centered, fwd, bwd):
     """MC-limited slope: the smallest of |centered|, |fwd|, |bwd| with the
@@ -13,6 +15,6 @@ def mc_limit(centered, fwd, bwd):
 
 def mc_limited_slopes(u, axis=0):
     """MC-limited slope per cell along ``axis`` (periodic), in units of du."""
-    um = np.roll(u, 1, axis=axis)
-    up = np.roll(u, -1, axis=axis)
+    um = shift(u, -1, axis)
+    up = shift(u, 1, axis)
     return mc_limit(0.5 * (up - um), 2.0 * (up - u), 2.0 * (u - um))

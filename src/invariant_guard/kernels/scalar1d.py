@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from ..core import shift
 from .limiter import mc_limited_slopes
 
 
@@ -12,7 +13,7 @@ def muscl_fluxes_advection(u, c):
     if c >= 0.0:
         face = u + 0.5 * sig
     else:
-        face = np.roll(u, -1) - 0.5 * np.roll(sig, -1)
+        face = shift(u, 1) - 0.5 * shift(sig, 1)
     return c * face
 
 
@@ -30,5 +31,5 @@ def muscl_fluxes_burgers(u):
     u = np.asarray(u, dtype=np.float64)
     sig = mc_limited_slopes(u)
     ul = u + 0.5 * sig
-    ur = np.roll(u, -1) - 0.5 * np.roll(sig, -1)
+    ur = shift(u, 1) - 0.5 * shift(sig, 1)
     return godunov_burgers_flux(ul, ur)

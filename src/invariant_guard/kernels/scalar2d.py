@@ -7,6 +7,7 @@ same locations.
 
 import numpy as np
 
+from ..core import shift
 from .limiter import mc_limited_slopes
 
 
@@ -18,9 +19,9 @@ def muscl_advective_fluxes_2d(chi, ux, uy):
     sx = mc_limited_slopes(chi, 0)
     sy = mc_limited_slopes(chi, 1)
     up_x = chi + 0.5 * sx
-    dn_x = np.roll(chi, -1, axis=0) - 0.5 * np.roll(sx, -1, axis=0)
+    dn_x = shift(chi, 1) - 0.5 * shift(sx, 1)
     fx = ux * np.where(ux >= 0.0, up_x, dn_x)
     up_y = chi + 0.5 * sy
-    dn_y = np.roll(chi, -1, axis=1) - 0.5 * np.roll(sy, -1, axis=1)
+    dn_y = shift(chi, 1, 1) - 0.5 * shift(sy, 1, 1)
     fy = uy * np.where(uy >= 0.0, up_y, dn_y)
     return fx, fy

@@ -10,8 +10,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .core import (DIRICHLET, PERIODIC, EulerState1D, FvField1D, FvField2D,
-                   UniformGrid2D)
+from .core import EulerState1D, FvField1D, FvField2D, UniformGrid2D, shift
 from .errors import ConfigurationError, PositivityViolation
 
 
@@ -48,28 +47,30 @@ def numerical_flux_1d(scheme, u: FvField1D, equation, c=None, lf_ratio=None):
     """
     if not u.grid.periodic:
         raise ConfigurationError("scalar interface fluxes are periodic-only")
+    if equation not in ("advection", "burgers"):
+        raise ConfigurationError(f"unknown equation {equation!r}")
+    advection = equation == "advection"
+    if advection and c is None:
+        raise ConfigurationError("advection needs a wave speed c")
     vals = u.values
-    up = np.roll(vals, -1)
+    if scheme is FluxScheme.MUSCL_MC:
+        if u.grid.n_cells < 4:
+            raise ConfigurationError("MUSCL needs at least 4 cells")
+        return kernels.muscl_fluxes_advection(vals, c) if advection \
+            else kernels.muscl_fluxes_burgers(vals)
+    if scheme is FluxScheme.LAX_FRIEDRICHS and lf_ratio is None:
+        raise ConfigurationError("Lax-Friedrichs needs lf_ratio = dx/(2 dt)")
+    up = shift(vals, 1)
 
-    if equation == "advection":
-        if c is None:
-            raise ConfigurationError("advection needs a wave speed c")
-        if scheme is FluxScheme.UPWIND:
+    if advection:
+        if scheme in (FluxScheme.UPWIND, FluxScheme.GODUNOV):
+            # the monotone flux of a linear f(u)=c*u is plain upwinding
             return c * (vals if c >= 0 else up)
         if scheme is FluxScheme.CENTERED:
             return 0.5 * c * (vals + up)
-        if scheme is FluxScheme.GODUNOV:
-            # monotone flux of a linear f(u)=c*u is plain upwinding
-            return c * (vals if c >= 0 else up)
         if scheme is FluxScheme.LAX_FRIEDRICHS:
-            if lf_ratio is None:
-                raise ConfigurationError("Lax-Friedrichs needs lf_ratio = dx/(2 dt)")
             return 0.5 * c * (vals + up) - lf_ratio * (up - vals)
-        if scheme is FluxScheme.MUSCL_MC:
-            if u.grid.n_cells < 4:
-                raise ConfigurationError("MUSCL needs at least 4 cells")
-            return kernels.muscl_fluxes_advection(vals, c)
-    elif equation == "burgers":
+    else:
         if scheme is FluxScheme.UPWIND:
             raise ConfigurationError("upwinding is sign-ambiguous for burgers; "
                                      "use godunov")
@@ -79,16 +80,8 @@ def numerical_flux_1d(scheme, u: FvField1D, equation, c=None, lf_ratio=None):
         if scheme is FluxScheme.GODUNOV:
             return kernels.godunov_burgers_flux(vals, up)
         if scheme is FluxScheme.LAX_FRIEDRICHS:
-            if lf_ratio is None:
-                raise ConfigurationError("Lax-Friedrichs needs lf_ratio = dx/(2 dt)")
             return 0.5 * (_burgers_flux(vals) + _burgers_flux(up)) \
                 - lf_ratio * (up - vals)
-        if scheme is FluxScheme.MUSCL_MC:
-            if u.grid.n_cells < 4:
-                raise ConfigurationError("MUSCL needs at least 4 cells")
-            return kernels.muscl_fluxes_burgers(vals)
-    else:
-        raise ConfigurationError(f"unknown equation {equation!r}")
     raise ConfigurationError(f"unsupported scheme {scheme} for {equation}")
 
 
@@ -102,7 +95,7 @@ def fv_rhs_1d(fluxes, grid):
     if grid.periodic:
         if f.shape != (grid.n_cells,):
             raise ValueError("periodic flux array must have one entry per cell")
-        return -(f - np.roll(f, 1)) / grid.cell_volumes
+        return -(f - shift(f, -1)) / grid.cell_volumes
     if f.shape != (grid.n_cells + 1,):
         raise ValueError("bounded flux array must have N+1 entries")
     return -np.diff(f) / grid.cell_volumes
@@ -113,8 +106,7 @@ def fv_rhs_2d(fluxes: BoundaryFluxes2D, grid: UniformGrid2D):
     fx, fy = fluxes.fx, fluxes.fy
     if fx.shape != (grid.nx, grid.ny) or fy.shape != (grid.nx, grid.ny):
         raise ValueError("flux arrays must have shape (nx, ny)")
-    return -(fx - np.roll(fx, 1, axis=0)) / grid.dx \
-        - (fy - np.roll(fy, 1, axis=1)) / grid.dy
+    return -(fx - shift(fx, -1)) / grid.dx - (fy - shift(fy, -1, 1)) / grid.dy
 
 
 def ftcs_increment(u: FvField1D, c, dt):
@@ -123,7 +115,7 @@ def ftcs_increment(u: FvField1D, c, dt):
         raise ConfigurationError("the FTCS demo update is periodic-only")
     dx = u.grid.cell_volumes
     vals = u.values
-    return -(c * dt) / (2.0 * dx) * (np.roll(vals, -1) - np.roll(vals, 1))
+    return -(c * dt) / (2.0 * dx) * (shift(vals, 1) - shift(vals, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +186,11 @@ def face_velocities(psi_bar, grid: UniformGrid2D):
     The streamfunction is first averaged to cell corners; differencing corner
     values along each face makes the discrete divergence vanish identically.
     """
-    corner = 0.25 * (psi_bar + np.roll(psi_bar, -1, axis=0)
-                     + np.roll(psi_bar, -1, axis=1)
-                     + np.roll(np.roll(psi_bar, -1, axis=0), -1, axis=1))
+    east = shift(psi_bar, 1)
+    corner = 0.25 * (psi_bar + east + shift(psi_bar, 1, 1) + shift(east, 1, 1))
     # corner[i, j] holds psi at (i+1/2, j+1/2)
-    ux = (corner - np.roll(corner, 1, axis=1)) / grid.dy
-    uy = -(corner - np.roll(corner, 1, axis=0)) / grid.dx
+    ux = (corner - shift(corner, -1, 1)) / grid.dy
+    uy = -(corner - shift(corner, -1)) / grid.dx
     return ux, uy
 
 
@@ -211,7 +202,7 @@ def advective_fluxes_2d(chi: FvField2D, ux, uy, div_tol=1e-10):
     velocity scale raise.
     """
     g = chi.grid
-    div = (ux - np.roll(ux, 1, axis=0)) / g.dx + (uy - np.roll(uy, 1, axis=1)) / g.dy
+    div = (ux - shift(ux, -1)) / g.dx + (uy - shift(uy, -1, 1)) / g.dy
     scale = max(np.abs(ux).max(), np.abs(uy).max(), 1e-300) / min(g.dx, g.dy)
     if np.abs(div).max() > div_tol * max(scale, 1.0):
         raise ValueError("face velocities are not discretely divergence-free")

@@ -3,7 +3,9 @@
 Every property draws fresh random inputs per size from a seeded generator,
 applies a corrector, and re-measures the targeted bracket identities with
 independent bracket evaluations; the ``Correction`` a corrector reports is
-never read, so a corrector cannot vouch for itself.  ``run_property_suite``
+never read, so a corrector cannot vouch for itself.  For the same reason
+the suite takes periodic neighbours with ``np.roll``, not ``core.shift``:
+a re-measurement must not share the primitive it checks.  ``run_property_suite``
 returns one result row per property; ``cmd_verify`` prints them and any
 failure is a release blocker.  The corrector function table can be
 overridden to prove the suite detects injected faults.

@@ -39,12 +39,13 @@ EQUATION_LINES = {
     "euler1d": "ic = sod\nboundary = dirichlet"}
 
 
-def _config(tmp_path, problem, variant, plan="", run=""):
+def _config(tmp_path, problem, variant, plan="", run="", resolutions=16,
+            extra=""):
     cfg = tmp_path / "case.cfg"
     cfg.write_text(f"[problem]\n{problem}\n[plan]\n{plan}\nt_end = 0.01\n"
-                   f"snapshots = 2\n[run]\n{run}\nresolutions = 16\n"
+                   f"snapshots = 2\n[run]\n{run}\nresolutions = {resolutions}\n"
                    "output = case\n[variant.plain]\ncorrector = none\n"
-                   f"[variant.bad]\n{variant}\n")
+                   f"[variant.bad]\n{variant}\n{extra}")
     return cfg
 
 
@@ -96,6 +97,47 @@ REJECTED = {
         dict(problem="equation = dg_burgers\nic = sine",
              run="reference_resolution = 32", variant="corrector = dg_l2"),
         "[run] reference_resolution"),
+    # the scheme rules of schemes.numerical_flux_1d
+    "upwind_on_burgers": (dict(problem=BURGERS, variant="scheme = upwind"),
+                          "[variant.bad] scheme"),
+    "upwind_surrogate_base_on_burgers_forced": (
+        dict(problem="equation = burgers_forced\nic = sine",
+             variant="scheme = surrogate"),
+        "[surrogate] base"),
+    "upwind_reference_on_burgers": (
+        dict(problem=BURGERS, variant="scheme = godunov",
+             run="reference_resolution = 32\nreference_scheme = upwind"),
+        "[run] reference_scheme"),
+    "muscl_below_4_cells": (dict(problem=BURGERS, variant="scheme = muscl",
+                                 resolutions=3),
+                            "[run] resolutions"),
+    "muscl_reference_below_4_cells": (
+        dict(problem="equation = advection\nic = sine", resolutions=2,
+             variant="scheme = godunov", run="reference_resolution = 2"),
+        "[run] reference_resolution"),
+    "dirichlet_scalar_fv": (
+        dict(problem="equation = advection\nic = sine\nboundary = dirichlet",
+             variant="scheme = godunov"),
+        "[problem] boundary"),
+    "unknown_surrogate_base": (
+        dict(problem=BURGERS, variant="scheme = surrogate",
+             extra="[surrogate]\nbase = surrogate\n"),
+        "[surrogate] base"),
+    "one_cell": (dict(problem=BURGERS, variant="scheme = godunov",
+                      resolutions=1),
+                 "[run] resolutions"),
+    # initial conditions and DG degree, checked before any build
+    "sine_on_euler1d": (
+        dict(problem="equation = euler1d\nic = sine\nboundary = dirichlet",
+             variant="corrector = euler1d_entropy"),
+        "[problem] ic"),
+    "sod_on_burgers": (dict(problem="equation = burgers\nic = sod",
+                            variant="scheme = godunov"),
+                       "[problem] ic"),
+    "dg_degree_3": (
+        dict(problem="equation = dg_burgers\nic = sine\ndg_degree = 3",
+             variant="corrector = dg_l2"),
+        "[problem] dg_degree"),
 }
 
 
@@ -234,6 +276,31 @@ seed = 0
 def test_sweep_rejects_non_advection(tmp_path):
     with pytest.raises(ConfigurationError):
         cmd_sweep(bundled_config("fig6_sod"), output_root=tmp_path)
+
+
+def test_sweep_below_4_cells_exits_2_before_any_output(tmp_path):
+    # every sweep runs muscl, whatever the config's variants
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("[problem]\nequation = advection\n[plan]\nt_end = 0.01\n"
+                   "[run]\nresolutions = 3, 4\noutput = sweep\n")
+    parse_config(cfg)
+    root = tmp_path / "out"
+    root.mkdir()
+    assert main(["--output-root", str(root), "sweep", str(cfg)]) == 2
+    assert not any(root.iterdir())
+
+
+def test_ic_defaults_to_the_first_the_equation_accepts(tmp_path):
+    for equation, ic in (("euler2d", "random_vorticity"), ("euler1d", "sod"),
+                         ("advection", "sine")):
+        cfg = _config(tmp_path, f"equation = {equation}", "corrector = none")
+        assert parse_config(cfg).ic == ic
+    # forced Burgers may start from rest
+    cfg = _config(tmp_path, "equation = burgers_forced\nic = zero",
+                  "scheme = godunov")
+    ec = parse_config(cfg)
+    driver = build_driver(ec, ec.variants[1], 16)
+    assert not driver.initial_array().any()
 
 
 def test_output_root_env(tmp_path, monkeypatch):

@@ -4,7 +4,29 @@ import pytest
 from invariant_guard.core import (DgField, EulerState1D, FvField1D,
                                   SpectralField, UniformGrid1D, UniformGrid2D,
                                   bracket, coarse_grain, coarse_grain_2d,
-                                  volume_mean, FvField2D)
+                                  shift, volume_mean, FvField2D)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 32])
+@pytest.mark.parametrize("k", [-1, 1])
+def test_shift_is_roll_bitwise(n, k):
+    rng = np.random.default_rng(n)
+    cases = [(rng.normal(size=n), 0)]
+    cases += [(rng.normal(size=(n, n + 1)), axis) for axis in (0, 1)]
+    cases += [(rng.normal(size=(n + 1, n)), axis) for axis in (0, 1)]
+    for a, axis in cases:
+        a.flat[0] = -0.0
+        out = shift(a, k, axis)
+        ref = np.roll(a, -k, axis)
+        assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+
+
+def test_shift_reads_the_stencil_neighbour():
+    u = np.arange(5.0)
+    assert list(shift(u, 1)) == [1, 2, 3, 4, 0]     # u_{j+1}
+    assert list(shift(u, -1)) == [4, 0, 1, 2, 3]    # u_{j-1}
+    a = np.arange(6.0).reshape(2, 3)
+    assert shift(a, 1, 1).tolist() == [[1, 2, 0], [4, 5, 3]]
 
 
 def test_bracket_hand_cases():

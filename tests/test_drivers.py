@@ -6,10 +6,15 @@ import numpy as np
 import pytest
 
 from invariant_guard import correctors as co
-from invariant_guard.core import UniformGrid1D
-from invariant_guard.drivers import Euler1D, FtcsAdvection, ScalarFv1D
-from invariant_guard.problems import ic_sine, ic_sod
+from invariant_guard.core import UniformGrid1D, UniformGrid2D
+from invariant_guard.dg import burgers_centered_rule, dg_project
+from invariant_guard.drivers import (DgScalar1D, Euler1D, FtcsAdvection,
+                                     NonconservativeBurgers1D, ScalarFv1D,
+                                     Vorticity2D)
+from invariant_guard.problems import (ic_random_vorticity, ic_sine, ic_sod,
+                                      ic_sum_of_sines)
 from invariant_guard.schemes import FluxScheme
+from invariant_guard.surrogate import SurrogateFluxRule
 from invariant_guard.timeloop import StepPlan, run
 
 
@@ -79,3 +84,48 @@ def test_ftcs_tracked_step_changes_l2_by_rate_times_dt():
         assert change == pytest.approx(src.rate_at(t + 0.5 * dt) * dt,
                                        rel=1e-9)
         y = y_new
+
+
+def _stage_path_drivers():
+    g = UniformGrid1D(32, 1.0)
+    fixed = co.L2RateTarget.fixed(-0.1)
+    dg_ic = dg_project(g, 2, lambda x: np.sin(2.0 * np.pi * x))
+    return {
+        "centered": ScalarFv1D(ic_sine(g), "burgers", FluxScheme.CENTERED,
+                               target=fixed, step_delta_l2="clamp"),
+        "godunov": ScalarFv1D(ic_sine(g), "burgers", FluxScheme.GODUNOV,
+                              nu=1e-3),
+        "muscl": ScalarFv1D(ic_sine(g), "advection", FluxScheme.MUSCL_MC,
+                            target=fixed),
+        "surrogate": ScalarFv1D(
+            ic_sine(g), "advection",
+            SurrogateFluxRule(FluxScheme.UPWIND, "advection", 1.5, 0),
+            target=co.L2RateTarget.clamp()),
+        "nonconservative": NonconservativeBurgers1D(ic_sine(g), target=fixed),
+        "ftcs": FtcsAdvection(ic_sine(g), delta_l2="clamp"),
+        "dg_diffusion": DgScalar1D(dg_ic, lambda u: 0.5 * u * u,
+                                   burgers_centered_rule, target=fixed),
+        "vorticity": Vorticity2D(
+            ic_random_vorticity(UniformGrid2D(16, 16, 1.0, 1.0), 42),
+            corrector="flux_l2", target=fixed, nu=1e-3, step_delta_l2="clamp"),
+        "periodic_euler": Euler1D(ic_sum_of_sines(g, 3, "euler1d"),
+                                  entropy_ratio=0.5),
+    }
+
+
+@pytest.mark.parametrize("name", list(_stage_path_drivers()))
+def test_stage_path_makes_no_roll(monkeypatch, name):
+    # periodic neighbours come from core.shift on every stage path; only
+    # verification.py, the independent re-measurement, keeps np.roll
+    driver = _stage_path_drivers()[name]
+
+    def roll(*args, **kwargs):
+        raise AssertionError("np.roll on the stage path")
+    monkeypatch.setattr(np, "roll", roll)
+    integrator = "discrete" if name == "ftcs" else "ssprk3"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", co.AntiDiffusiveTargetWarning)
+        traj = run(StepPlan(integrator, t_end=1e-3, n_snapshots=2, dt_max=1e-3),
+                   driver)
+    assert traj.error is None and traj.times == [0.0, 1e-3]
+    assert name == "godunov" or traj.stage_records
