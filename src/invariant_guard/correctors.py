@@ -170,10 +170,11 @@ def laplacian_2d(values, dx, dy):
 # flux-form correctors (scalar)
 # ---------------------------------------------------------------------------
 
-def _jumps_1d(u):
-    """u_{j+1} - u_j at the interfaces a flux correction moves."""
-    vals = u.values
-    return (shift(vals, 1) - vals) if u.grid.periodic else np.diff(vals)
+def _face_jumps(a, periodic):
+    """a_{j+1} - a_j along axis 0 at the interfaces a flux correction moves:
+    faces 1..N (the last wraps to cell 0) on a periodic grid, 1..N-1 on a
+    bounded one."""
+    return (shift(a, 1) - a) if periodic else np.diff(a, axis=0)
 
 
 def _flux_rate_1d(f, u, du):
@@ -185,7 +186,8 @@ def _flux_rate_1d(f, u, du):
 
 def flux_l2_rate_1d(fluxes, u: FvField1D):
     """Measured d(l2)/dt of a flux-form update, boundary terms included."""
-    return _flux_rate_1d(np.asarray(fluxes, dtype=np.float64), u, _jumps_1d(u))
+    return _flux_rate_1d(np.asarray(fluxes, dtype=np.float64), u,
+                         _face_jumps(u.values, u.grid.periodic))
 
 
 def correct_flux_l2_1d(fluxes, u: FvField1D, target: L2RateTarget, G=None):
@@ -196,7 +198,7 @@ def correct_flux_l2_1d(fluxes, u: FvField1D, target: L2RateTarget, G=None):
     entering the measured rate.  Default G is the interface jump u_{j+1}-u_j.
     """
     f = np.asarray(fluxes, dtype=np.float64)
-    du = _jumps_1d(u)
+    du = _face_jumps(u.values, u.grid.periodic)
     old = _flux_rate_1d(f, u, du)
     new = target.resolve(old)
     if new == old:
@@ -515,17 +517,23 @@ def entropy_variables_euler1d(state: EulerState1D) -> EntropyVariables1D:
     return EntropyVariables1D(w, eta, p_star, eta * state.velocity())
 
 
+def _entropy_rate(f, w, dw, periodic):
+    """Summation-by-parts entropy rate from the face jumps ``dw`` of ``w``."""
+    if periodic:
+        # distinct faces are 1..N: face k sits between cells k-1 and k (mod N)
+        return float(np.sum(f[1:] * dw))
+    interior = float(np.sum(f[1:-1] * dw))
+    return interior + float(f[0] @ w[0] - f[-1] @ w[-1])
+
+
 def entropy_rate_euler1d(fluxes, state: EulerState1D, w=None):
     """Summation-by-parts entropy rate of a flux update, boundary terms
     included for bounded grids."""
     f = np.asarray(fluxes, dtype=np.float64)
     if w is None:
         w = entropy_variables_euler1d(state).w
-    if state.grid.periodic:
-        # distinct faces are 1..N: face k sits between cells k-1 and k (mod N)
-        return float(np.sum(f[1:] * (shift(w, 1) - w)))
-    interior = float(np.sum(f[1:-1] * np.diff(w, axis=0)))
-    return interior + float(f[0] @ w[0] - f[-1] @ w[-1])
+    periodic = state.grid.periodic
+    return _entropy_rate(f, w, _face_jumps(w, periodic), periodic)
 
 
 def correct_entropy_euler1d(fluxes, state: EulerState1D,
@@ -534,14 +542,18 @@ def correct_entropy_euler1d(fluxes, state: EulerState1D,
     boundary + R*(old - boundary).
 
     Boundary fluxes are held fixed (Dirichlet) or mirrored (periodic);
-    default G_{j+1/2} = (0, v_{j+1}-v_j, p_{j+1}-p_j).
+    default G_{j+1/2} = (0, v_{j+1}-v_j, p_{j+1}-p_j).  The entropy-variable
+    jumps are taken once and serve the old rate, the denominator and the
+    achieved rate.
     """
     f = np.asarray(fluxes, dtype=np.float64)
     n = state.grid.n_cells
     if f.shape != (n + 1, 3):
         raise ValueError("expected fluxes at the N+1 interfaces")
+    periodic = state.grid.periodic
     w = entropy_variables_euler1d(state).w
-    old = entropy_rate_euler1d(f, state, w)
+    dw = _face_jumps(w, periodic)
+    old = _entropy_rate(f, w, dw, periodic)
     new = target.resolve(old)
     if new == old:
         return f, Correction(old, new, old)
@@ -550,20 +562,9 @@ def correct_entropy_euler1d(fluxes, state: EulerState1D,
                       "anti-diffusion; positivity is no longer guaranteed",
                       AntiDiffusiveTargetWarning, stacklevel=2)
 
-    periodic = state.grid.periodic
-    if periodic:
-        dw = np.vstack([np.diff(w, axis=0), (w[0] - w[-1])[None, :]])  # faces 1..N
-    else:
-        dw = np.diff(w, axis=0)                                        # faces 1..N-1
-
     if G is None:
-        v = state.velocity()
-        p = state.pressure()
-        if periodic:
-            dv = np.concatenate([np.diff(v), [v[0] - v[-1]]])
-            dp = np.concatenate([np.diff(p), [p[0] - p[-1]]])
-        else:
-            dv, dp = np.diff(v), np.diff(p)
+        dv = _face_jumps(state.velocity(), periodic)
+        dp = _face_jumps(state.pressure(), periodic)
         g = np.stack([np.zeros_like(dv), dv, dp], axis=1)
     else:
         g = np.asarray(G, dtype=np.float64)
@@ -578,7 +579,7 @@ def correct_entropy_euler1d(fluxes, state: EulerState1D,
         out[0] = out[-1]
     else:
         out[1:-1] += (new - old) * g / denom
-    return out, Correction(old, new, entropy_rate_euler1d(out, state, w))
+    return out, Correction(old, new, _entropy_rate(out, w, dw, periodic))
 
 
 def estimate_boundary_entropy_flux(state: EulerState1D, boundary_primitive=None):
@@ -632,58 +633,62 @@ def limit_positivity_euler1d(fluxes, state: EulerState1D, dt, eps_pos=None,
         eps_pos = 1e-12 * max(float(state.rho.max()), float(state.pressure().max()))
 
     u = state.conserved()
-    fu = euler_physical_flux(u, state.gamma)
-    lam = dt / state.grid.cell_volumes
-    f_lf = euler1d_lax_friedrichs_flux(state, dt, boundary_state)
-
     periodic = state.grid.periodic
-    left = np.arange(-1, n)      # cell left of face k
-    right = np.arange(0, n + 1)  # cell right of face k
-    if periodic:
-        left %= n
-        right %= n
-        check_left = np.ones(n + 1, dtype=bool)
-        check_right = np.ones(n + 1, dtype=bool)
-    else:
-        check_left = left >= 0
-        check_right = right <= n - 1
-        left = np.clip(left, 0, n - 1)
-        right = np.clip(right, 0, n - 1)
+    gamma = state.gamma
+    # cell left and cell right of each face; on a bounded grid face 0 has no
+    # left cell and face N no right cell, so their stand-ins go unchecked
+    u_l, u_r = _face_cells(u, periodic)
+    fu_l, fu_r = _face_cells(euler_physical_flux(u, gamma), periodic)
+    lam_l, lam_r = (lam[:, None] for lam in
+                    _face_cells(dt / state.grid.cell_volumes, periodic))
+    skip_l = np.zeros(n + 1, dtype=bool)
+    skip_r = np.zeros(n + 1, dtype=bool)
+    if not periodic:
+        skip_l[0] = skip_r[-1] = True
 
-    def feasible(theta):
-        ft = theta[:, None] * f + (1.0 - theta[:, None]) * f_lf
-        ok = np.ones(n + 1, dtype=bool)
+    def feasible(ft):
         # right-moving half of the left cell: u_L - 2 lam_L (F - f(u_L))
-        hl = u[left] - 2.0 * lam[left, None] * (ft - fu[left])
-        okl = _positive_state(hl, state.gamma, eps_pos)
-        ok &= np.where(check_left, okl, True)
+        okl = _positive_state(u_l - 2.0 * lam_l * (ft - fu_l), gamma, eps_pos)
         # left half of the right cell: u_R + 2 lam_R (F - f(u_R))
-        hr = u[right] + 2.0 * lam[right, None] * (ft - fu[right])
-        okr = _positive_state(hr, state.gamma, eps_pos)
-        ok &= np.where(check_right, okr, True)
-        return ok
+        okr = _positive_state(u_r + 2.0 * lam_r * (ft - fu_r), gamma, eps_pos)
+        return (okl | skip_l) & (okr | skip_r)
 
-    ones = np.ones(n + 1)
-    ok_full = feasible(ones)
+    # theta = 1 is f itself: the blend f + 0*f_lf differs from f only in the
+    # sign of a zero while f_lf is finite, which no positivity test sees, so
+    # the Lax-Friedrichs flux is built only when some face fails
+    ok_full = feasible(f)
     if ok_full.all():
         return f
-    if not feasible(np.zeros(n + 1)).all():
+    f_lf = euler1d_lax_friedrichs_flux(state, dt, boundary_state)
+
+    def blend(theta):
+        return theta[:, None] * f + (1.0 - theta[:, None]) * f_lf
+
+    if not feasible(blend(np.zeros(n + 1))).all():
         raise CflViolation("first-order Lax-Friedrichs violates positivity; "
                            "reduce dt")
 
     lo = np.zeros(n + 1)
-    hi = ones.copy()
+    hi = np.ones(n + 1)
     lo[ok_full] = 1.0
     for _ in range(40):  # 2^-40 < 1e-10 interval width
         mid = 0.5 * (lo + hi)
-        ok = feasible(mid)
+        ok = feasible(blend(mid))
         lo = np.where(ok, mid, lo)
         hi = np.where(ok, hi, mid)
     theta = lo
     theta[ok_full] = 1.0
-    out = theta[:, None] * f + (1.0 - theta[:, None]) * f_lf
+    out = blend(theta)
     out[ok_full] = f[ok_full]
     return out
+
+
+def _face_cells(a, periodic):
+    """Rows of ``a`` for the cell left and the cell right of each of the N+1
+    faces; a bounded grid repeats its end cell where a face has no neighbour."""
+    if periodic:
+        return np.concatenate((a[-1:], a)), np.concatenate((a, a[:1]))
+    return np.concatenate((a[:1], a)), np.concatenate((a, a[-1:]))
 
 
 def _positive_state(u, gamma, eps):

@@ -124,17 +124,48 @@ def _stable_dt(s, cfl=0.3):
     return cfl * s.grid.dx_min / float((np.abs(s.velocity()) + s.sound_speed()).max())
 
 
-def test_limiter_passes_safe_fluxes_bitwise():
+def _safe_case():
     # smooth, well-separated-from-vacuum state: the MUSCL fluxes are safe
     g = UniformGrid1D(16, 1.0)
     x = g.cell_centers()
     s = EulerState1D.from_primitive(g, 1.0 + 0.2 * np.sin(2 * np.pi * x),
                                     0.3 * np.cos(2 * np.pi * x),
                                     np.full(16, 1.0), 1.4)
-    dt = _stable_dt(s, cfl=0.2)
-    f = euler1d_muscl_flux(s)
+    return s, euler1d_muscl_flux(s), _stable_dt(s, cfl=0.2)
+
+
+def test_limiter_passes_safe_fluxes_bitwise():
+    s, f, dt = _safe_case()
     out = co.limit_positivity_euler1d(f, s, dt)
     assert out is f
+
+
+def test_limiter_builds_no_fallback_flux_for_safe_fluxes(monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("Lax-Friedrichs flux built although theta = 1 is safe")
+
+    monkeypatch.setattr(co, "euler1d_lax_friedrichs_flux", unexpected)
+    s, f, dt = _safe_case()
+    assert co.limit_positivity_euler1d(f, s, dt) is f
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+def test_limiter_checks_only_cells_a_face_touches(boundary):
+    # at rest F = f(u) everywhere; a mass flux of 0.75/lam at an end face
+    # empties the half-cell on one side of it (rho = 1 - 1.5) and fills the
+    # other.  On a bounded grid that side lies outside the domain, so the
+    # flux stays; on a periodic grid it is the cell across the seam.
+    s = uniform_state(n=8, boundary=boundary)
+    dt = _stable_dt(s)
+    lam = dt / s.grid.cell_volumes[0]
+    for face, sign in ((0, 1.0), (-1, -1.0)):
+        f = euler1d_muscl_flux(s).copy()
+        f[face, 0] += sign * 0.75 / lam
+        out = co.limit_positivity_euler1d(f, s, dt)
+        if boundary == "dirichlet":
+            assert out is f
+        else:
+            assert not np.array_equal(out[face], f[face])
 
 
 def test_limiter_theta_zero_endpoint():

@@ -101,7 +101,12 @@ def _mc_char(wm, wp):
     return 0.0
 
 
-def ref_euler_fluxes(u_ext, gamma):
+def ref_euler_fluxes(u_ext, gamma, fired=None):
+    """Per-face reference; adds (face, branch) to the set ``fired`` for each
+    branch a face takes: 'harten1', 'harten3', 'reconstruction' (a
+    reconstructed state is non-positive) or 'roe_degenerate' (c^2 of a Roe
+    average <= 0)."""
+    fired = set() if fired is None else fired
     n_faces = u_ext.shape[0] - 3
     flux = np.empty((n_faces, 3))
     sl = np.empty((2, 3))
@@ -123,6 +128,8 @@ def ref_euler_fluxes(u_ext, gamma):
         c2 = (gamma - 1.0) * (hh - 0.5 * vh * vh)
 
         good = c2 > 0.0
+        if not good:
+            fired.add((k, "roe_degenerate"))
         if good:
             ch = np.sqrt(c2)
             b1 = (gamma - 1.0) / c2
@@ -156,6 +163,8 @@ def ref_euler_fluxes(u_ext, gamma):
                 if p <= 0.0:
                     good = False
                     break
+            if not good:
+                fired.add((k, "reconstruction"))
 
         if good:
             rho_a = uf[0, 0]
@@ -185,9 +194,11 @@ def ref_euler_fluxes(u_ext, gamma):
                 e1 = (v_b - c_b) - (v_a - c_a)
                 if e1 > 0.0 and lam1 < e1:
                     lam1 = 0.5 * (lam1 * lam1 / e1 + e1)
+                    fired.add((k, "harten1"))
                 e3 = (v_b + c_b) - (v_a + c_a)
                 if e3 > 0.0 and lam3 < e3:
                     lam3 = 0.5 * (lam3 * lam3 / e3 + e3)
+                    fired.add((k, "harten3"))
                 f_a = (rho_a * v_a, rho_a * v_a * v_a + p_a, v_a * (uf[0, 2] + p_a))
                 f_b = (rho_b * v_b, rho_b * v_b * v_b + p_b, v_b * (uf[1, 2] + p_b))
                 diss = (a1 * lam1 + a2 * lam2 + a3 * lam3,
@@ -198,6 +209,7 @@ def ref_euler_fluxes(u_ext, gamma):
                     flux[k, comp] = 0.5 * (f_a[comp] + f_b[comp]) - 0.5 * diss[comp]
             else:
                 good = False
+                fired.add((k, "roe_degenerate"))
 
         if not good:
             alpha = max(abs(v_l) + np.sqrt(gamma * p_l / rho_l),
@@ -264,3 +276,62 @@ def test_euler_kernel_near_vacuum_falls_back():
     fb = ref_euler_fluxes(u_ext, 1.4)
     assert np.all(np.isfinite(fa)) and np.all(np.isfinite(fb))
     assert np.allclose(fa, fb, rtol=1e-12, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# each branch of the Euler kernel, forced
+# ---------------------------------------------------------------------------
+
+def _cons(rho, v, p, gamma=1.4):
+    return [rho, rho * v, p / (gamma - 1.0) + 0.5 * rho * v**2]
+
+
+def _cold(rho, v):
+    """Conserved state whose E is the smallest value giving a positive
+    pressure: p is a few ulps of E, so c^2 of a Roe average rounds to <= 0."""
+    e = 0.5 * rho * v**2
+    while not (0.4 * (e - 0.5 * rho * v**2) > 0.0
+               and 0.4 * (e - 0.5 * (rho * v) ** 2 / rho) > 0.0):
+        e = np.nextafter(e, np.inf)
+    return [rho, rho * v, e]
+
+
+REST = _cons(1.0, 0.0, 1.0)
+# Each case puts the branch on one face.  A step of three equal cells per
+# side (N = 2) gives face 1 zero MC slopes, so face 1 sees the two states as
+# they are.
+BRANCH_CASES = {
+    # transonic expansion of the left-moving acoustic wave: v - c changes sign
+    "harten1": (1, [_cons(1.0, 0.8, 1.0)] * 3 + [_cons(0.5, 1.5, 0.4)] * 3),
+    # its mirror image in the right-moving wave: v + c changes sign
+    "harten3": (1, [_cons(0.5, -1.5, 0.4)] * 3 + [_cons(1.0, -0.8, 1.0)] * 3),
+    # a fast, light, cold cell between rest states: the limited
+    # characteristic slopes reconstruct a non-positive state at face 2
+    "reconstruction": (2, [REST] * 2 + [_cons(0.1, -2.0, 0.1), _cons(1.0, -2.0, 0.1),
+                                         _cons(1.0, 0.0, 0.1)] + [REST] * 2),
+    # two cold states of one velocity: c^2 of their Roe average is <= 0
+    "roe_degenerate": (1, [_cold(1.0, 0.1)] * 3 + [_cold(2.0, 0.1)] * 3),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(BRANCH_CASES))
+def test_euler_kernel_branch_matches_reference(branch):
+    face, rows = BRANCH_CASES[branch]
+    u_ext = np.array(rows)
+    fired = set()
+    fb = ref_euler_fluxes(u_ext, 1.4, fired)
+    assert (face, branch) in fired
+    fa = characteristic_muscl_fluxes(u_ext, 1.4)
+    assert np.all(np.isfinite(fa))
+    assert np.allclose(fa, fb, rtol=1e-13, atol=1e-13)
+
+
+def test_euler_kernel_layout_and_input_untouched():
+    u_ext = random_euler_ext(np.random.default_rng(3), 16)
+    before = u_ext.copy()
+    f = characteristic_muscl_fluxes(u_ext, 1.4)
+    assert f.shape == (17, 3) and f.dtype == np.float64 and f.flags.c_contiguous
+    assert np.array_equal(u_ext, before)
+    # a column-major copy of the same values gives the same bytes
+    assert characteristic_muscl_fluxes(np.asfortranarray(u_ext), 1.4).tobytes() \
+        == f.tobytes()
