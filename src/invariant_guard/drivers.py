@@ -420,8 +420,7 @@ class Euler1D(_DriverBase):
 
     def rhs(self, y, t, dt):
         state = self.state_of(y)
-        f = schemes.euler1d_muscl_flux(state, self.boundary_state,
-                                       y.reshape(self.grid.n_cells, 3))
+        f = schemes.euler1d_muscl_flux(state, self.boundary_state)
         if self.positivity:
             f = co.limit_positivity_euler1d(f, state, dt, self.eps_pos,
                                             self.boundary_state)

@@ -22,7 +22,7 @@ formulation's: every elementwise operation keeps its operands and order.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .limiter import mc_limit
 
@@ -81,11 +81,10 @@ def characteristic_muscl_fluxes(u_ext, gamma):
     lc[2, 1] = -b1
     lc[2, 2] = 0.5 * b1
 
-    # jumps across faces k-1, k and k+1 (a strided view, no copy), each
+    # jumps across faces k-1, k and k+1 (a window view, no copy), each
     # projected once onto face k's characteristic fields
     jump = q[:, 1:] - q[:, :-1]
-    d = as_strided(jump, (3, 3, n_faces), (jump.strides[0],) + 2 * (jump.strides[1],),
-                   writeable=False)
+    d = sliding_window_view(jump, n_faces, axis=1)
     w = lc[0] * d[0] + lc[1] * d[1] + lc[2] * d[2]
     # limited characteristic slopes of the left (0) and right (1) cell
     back, fwd = w[:, :2], w[:, 1:]

@@ -214,15 +214,14 @@ def advective_fluxes_2d(chi: FvField2D, ux, uy, div_tol=1e-10):
 # 1D Euler fluxes
 # ---------------------------------------------------------------------------
 
-def _extend_state(state: EulerState1D, boundary_state=None, conserved=None):
+def _extend_state(state: EulerState1D, boundary_state=None):
     """Conserved array with two ghost cells per side.
 
     Periodic grids wrap; Dirichlet grids hold the ghosts at the boundary
     states ((left, right) EulerState-like triples of conserved values), which
-    default to the outermost cell values.  ``conserved`` is
-    ``state.conserved()`` when the caller already holds it.
+    default to the outermost cell values.
     """
-    u = state.conserved() if conserved is None else conserved
+    u = state.conserved()
     if state.grid.periodic:
         return np.concatenate([u[-2:], u, u[:2]], axis=0)
     if boundary_state is None:
@@ -234,19 +233,18 @@ def _extend_state(state: EulerState1D, boundary_state=None, conserved=None):
     return np.concatenate([ghosts_l, u, ghosts_r], axis=0)
 
 
-def euler1d_muscl_flux(state: EulerState1D, boundary_state=None, conserved=None):
+def euler1d_muscl_flux(state: EulerState1D, boundary_state=None):
     """Characteristic-MUSCL interface fluxes F_{j+1/2}, shape (N+1, 3).
 
     Face 0 and face N are the domain boundaries; on periodic grids they are
     equal by construction.  Raises ``PositivityViolation`` when the cell
     states themselves are non-positive (the eigendecomposition needs
     positive rho and p); degenerate reconstructed faces silently fall back
-    to the first-order local Lax-Friedrichs flux.  ``conserved`` is
-    ``state.conserved()`` when the caller already holds it.
+    to the first-order local Lax-Friedrichs flux.
     """
     if np.any(state.rho <= 0.0) or np.any(state.pressure() <= 0.0):
         raise PositivityViolation("non-positive density or pressure in state")
-    u_ext = _extend_state(state, boundary_state, conserved)
+    u_ext = _extend_state(state, boundary_state)
     return kernels.characteristic_muscl_fluxes(u_ext, state.gamma)
 
 
