@@ -178,7 +178,7 @@ def build_driver(ec: ExperimentConfig, variant: VariantConfig, n,
     # euler1d
     grid = UniformGrid1D(n, ec.length, ec.boundary)
     ic = ic_sod(grid, ec.gamma) if ec.ic == "sod" \
-        else ic_sum_of_sines(grid, ec.ic_seed, "euler1d")
+        else ic_sum_of_sines(grid, ec.ic_seed, "euler1d", ec.gamma)
     return Euler1D(ic, entropy_ratio=variant.entropy_ratio if corrected
                    else None, positivity=variant.positivity)
 
@@ -351,9 +351,7 @@ def cmd_sweep(config_path, output_root=None):
 
     rows = []
     for n in ec.resolutions:
-        grid = UniformGrid1D(n, ec.length)
-        ic = _scalar_ic(ec, n)
-        x = grid.cell_centers()
+        x = UniformGrid1D(n, ec.length).cell_centers()
         for label in SWEEP_VARIANTS:
             if label == "surrogate_clamp":
                 variant = VariantConfig(label, scheme="surrogate",
@@ -368,7 +366,7 @@ def cmd_sweep(config_path, output_root=None):
                 continue
             nmse, err_mae = [], []
             for t, snap in zip(traj.times, traj.snapshots):
-                exact = _exact_advection(ec, ic, grid, x, t)
+                exact = _exact_advection(ec, x, t)
                 nmse.append(normalized_mse(snap, exact))
                 err_mae.append(mae(snap, exact))
             l2_ratio = traj.reports[-1].l2 / traj.reports[0].l2
@@ -382,7 +380,7 @@ def cmd_sweep(config_path, output_root=None):
     return 0
 
 
-def _exact_advection(ec, ic, grid, x, t):
+def _exact_advection(ec, x, t):
     """Exact translated solution sampled at cell centers."""
     from .problems import advection_sine_params, evaluate_sines
     shift = (x - ec.c * t) % ec.length

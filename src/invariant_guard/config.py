@@ -125,8 +125,8 @@ def _get(cfg, section, key, conv, default, errors):
         return default
     raw = cfg.get(section, key)
     try:
-        if conv is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
+        if conv is bool:  # ValueError outside configparser's BOOLEAN_STATES
+            return cfg.getboolean(section, key)
         return conv(raw)
     except ValueError:
         errors.append(f"[{section}] {key} = {raw!r}: expected {conv.__name__}")
@@ -245,12 +245,20 @@ def parse_config(path):
     elif ec.boundary == "dirichlet" and ec.equation != "euler1d":
         errors.append(f"[problem] boundary = dirichlet: {ec.equation} is "
                       "periodic-only; only euler1d has a bounded solver")
+    if not ec.length > 0.0:
+        errors.append("[problem] length must be > 0")
+    if ec.equation == "euler1d" and not ec.gamma > 1.0:
+        errors.append("[problem] gamma must exceed 1")
     if ec.dg_degree not in (0, 1, 2):
         errors.append("[problem] dg_degree must be 0, 1 or 2")
     if min(ec.resolutions) < 2:
         errors.append("[run] resolutions must be at least 2 cells")
     if not 0.0 < ec.cfl <= 1.0:
         errors.append("[plan] cfl must lie in (0, 1]")
+    if ec.snapshots < 1:
+        errors.append("[plan] snapshots must be at least 1")
+    if ec.reference_resolution < 0:
+        errors.append("[run] reference_resolution must be >= 0 (0: none)")
     if ec.reference_scheme not in _SCHEMES:
         errors.append(f"[run] reference_scheme must be one of {_SCHEMES}")
     if ec.surrogate_base not in _SCHEMES[:-1]:
@@ -260,6 +268,8 @@ def parse_config(path):
         where = f"[variant.{v.label}]"
         if v.scheme not in _SCHEMES:
             errors.append(f"{where} scheme must be one of {_SCHEMES}")
+        if v.cfl is not None and not 0.0 < v.cfl <= 1.0:
+            errors.append(f"{where} cfl must lie in (0, 1]")
         if correctors is not None and v.corrector not in correctors:
             errors.append(f"{where} corrector = {v.corrector!r}: {ec.equation} "
                           f"with {ec.integrator} accepts {correctors}")

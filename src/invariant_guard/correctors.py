@@ -1,15 +1,20 @@
 """Closed-form error-correcting transformations for solver updates.
 
 Each corrector takes a proposed update (interface fluxes, a cell RHS, or a
-discrete increment), a rate target, and a weight field G, and returns
-``(update, Correction)``: the update transformed so the targeted bracket
-identities hold exactly, and the rates it computed on the way (old, target,
-achieved on the output):
+discrete increment) and a rate target, and returns ``(update, Correction)``:
+the update moved along a weight field G so the targeted bracket identities
+hold exactly, and the rates it computed on the way (old, target, achieved on
+the output):
 
 * mass stays conserved (flux form keeps telescoping; RHS/increment forms are
   demeaned),
 * the discrete l2-norm (or entropy) changes at exactly the prescribed rate,
 * for 2D incompressible flow the energy bracket is projected to zero.
+
+G is fixed by the solution representation: the face jump of u for fluxes,
+the demeaned discrete Laplacian of u for a cell RHS or increment, -m^2 u~_m
+for spectral modes, the streamfunction-orthogonal Laplacian of W for 2D
+Euler, and (0, dv, dp) at the faces for the Euler entropy fluxes.
 
 When the input already satisfies the target the output equals the input
 and the achieved rate is the old one, so correction never perturbs an
@@ -151,8 +156,7 @@ class Correction:
 def _check_denominator(denom, scale, what):
     if abs(denom) <= DEGENERACY_RTOL * max(scale, 1e-300):
         raise DegenerateCorrection(
-            f"{what} denominator {denom:.3e} is zero at scale {scale:.3e}; "
-            "choose a different weight field G")
+            f"{what} denominator {denom:.3e} is zero at scale {scale:.3e}")
 
 
 def laplacian_1d(values):
@@ -190,12 +194,12 @@ def flux_l2_rate_1d(fluxes, u: FvField1D):
                          _face_jumps(u.values, u.grid.periodic))
 
 
-def correct_flux_l2_1d(fluxes, u: FvField1D, target: L2RateTarget, G=None):
+def correct_flux_l2_1d(fluxes, u: FvField1D, target: L2RateTarget):
     """Transform interface fluxes so the l2 rate equals the target.
 
     Periodic grids modify every interface; bounded grids hold the two
     boundary fluxes fixed and correct the interior, with the boundary terms
-    entering the measured rate.  Default G is the interface jump u_{j+1}-u_j.
+    entering the measured rate.  G is the interface jump u_{j+1}-u_j.
     """
     f = np.asarray(fluxes, dtype=np.float64)
     du = _face_jumps(u.values, u.grid.periodic)
@@ -204,19 +208,14 @@ def correct_flux_l2_1d(fluxes, u: FvField1D, target: L2RateTarget, G=None):
     if new == old:
         return f, Correction(old, new, old)
 
-    periodic = u.grid.periodic
-    g = du if G is None else np.asarray(G, dtype=np.float64)
-    g_int = g if periodic else (g[1:-1] if g.shape == f.shape else g)
-    if g_int.shape != du.shape:
-        raise ValueError("G must cover the corrected interfaces")
-    denom = float(g_int @ du)
-    _check_denominator(denom, np.linalg.norm(g_int) * np.linalg.norm(du),
+    denom = float(du @ du)
+    _check_denominator(denom, np.linalg.norm(du) * np.linalg.norm(du),
                        "flux correction")
     out = f.copy()
-    if periodic:
-        out += (new - old) * g_int / denom
+    if u.grid.periodic:
+        out += (new - old) * du / denom
     else:
-        out[1:-1] += (new - old) * g_int / denom
+        out[1:-1] += (new - old) * du / denom
     return out, Correction(old, new, _flux_rate_1d(out, u, du))
 
 
@@ -229,27 +228,26 @@ def flux_l2_rates_2d(fluxes, u: FvField2D):
             float(g.dx * np.sum(fluxes.fy * duy)))
 
 
-def _correct_direction(f, u, axis, h, old, target, G):
+def _correct_direction(f, u, axis, h, old, target):
     """One direction of ``correct_flux_l2_2d``: its fluxes and Correction."""
     new = target.resolve(old)
     if new == old:
         return f, Correction(old, new, old)
     du = shift(u.values, 1, axis) - u.values
-    g = du if G is None else np.asarray(G, dtype=np.float64)
-    denom = float(h * np.sum(g * du))
-    _check_denominator(denom, h * np.linalg.norm(g) * np.linalg.norm(du),
+    denom = float(h * np.sum(du * du))
+    _check_denominator(denom, h * np.linalg.norm(du) * np.linalg.norm(du),
                        "xy"[axis] + "-flux correction")
-    out = f + (new - old) * g / denom
+    out = f + (new - old) * du / denom
     return out, Correction(old, new, float(h * np.sum(out * du)))
 
 
 def correct_flux_l2_2d(fluxes, u: FvField2D, target_x: L2RateTarget,
-                       target_y: L2RateTarget, Gx=None, Gy=None):
+                       target_y: L2RateTarget):
     """Directional analogue of ``correct_flux_l2_1d`` on a periodic 2D grid;
     the report is a pair of ``Correction``s, x first."""
     old_x, old_y = flux_l2_rates_2d(fluxes, u)
-    fx, cx = _correct_direction(fluxes.fx, u, 0, u.grid.dy, old_x, target_x, Gx)
-    fy, cy = _correct_direction(fluxes.fy, u, 1, u.grid.dx, old_y, target_y, Gy)
+    fx, cx = _correct_direction(fluxes.fx, u, 0, u.grid.dy, old_x, target_x)
+    fy, cy = _correct_direction(fluxes.fy, u, 1, u.grid.dx, old_y, target_y)
     if fx is not fluxes.fx or fy is not fluxes.fy:
         fluxes = BoundaryFluxes2D(fx, fy)
     return fluxes, (cx, cy)
@@ -275,21 +273,11 @@ def _default_cell_G(u, volumes):
     return g - volume_mean(g, volumes)
 
 
-def _cell_weight(u, volumes, G):
-    """The caller's G, which must be mean-free, or the default weight."""
-    if G is None:
-        return _default_cell_G(u, volumes)
-    g = np.asarray(G, dtype=np.float64)
-    if abs(volume_mean(g, volumes)) > 1e-12 * max(np.abs(g).max(), 1e-300):
-        raise ValueError("G must be mean-free for mass conservation")
-    return g
-
-
-def correct_rhs_mass_l2(rhs, u, target: L2RateTarget, G=None):
+def correct_rhs_mass_l2(rhs, u, target: L2RateTarget):
     """Demean an arbitrary cell RHS and set its l2 rate to the target.
 
-    Output satisfies <N> = 0 and <u|N> = resolved rate.  G must be mean-free
-    (default: the demeaned discrete Laplacian of u).
+    Output satisfies <N> = 0 and <u|N> = resolved rate.  G is the demeaned
+    discrete Laplacian of u.
     """
     vals, volumes = _field_parts(u)
     n = np.asarray(rhs, dtype=np.float64)
@@ -303,7 +291,7 @@ def correct_rhs_mass_l2(rhs, u, target: L2RateTarget, G=None):
     if new == old:
         return m, Correction(old, new, old)
 
-    g = _cell_weight(u, volumes, G)
+    g = _default_cell_G(u, volumes)
     denom = bracket(big_u, g, volumes)
     _check_denominator(denom,
                        float(np.sqrt(bracket(big_u, big_u, volumes)
@@ -313,35 +301,36 @@ def correct_rhs_mass_l2(rhs, u, target: L2RateTarget, G=None):
     return out, Correction(old, new, bracket(big_u, out, volumes))
 
 
-def _increment_terms(increment, u, G):
+def _increment_terms(increment, u):
     """Demeaned increment, weight G, and (a, b, c0): the l2 change of the
     state plus ``bar + eps*G`` is (a eps^2 + 2 b eps + c0) / 2."""
     vals, volumes = _field_parts(u)
     inc = np.asarray(increment, dtype=np.float64)
     bar = inc - volume_mean(inc, volumes)
-    g = _cell_weight(u, volumes, G)
+    g = _default_cell_G(u, volumes)
     a = bracket(g, g, volumes)
     b = bracket(vals + bar, g, volumes)
     c0 = 2.0 * bracket(vals, bar, volumes) + bracket(bar, bar, volumes)
     return bar, g, (a, b, c0)
 
 
-def increment_quadratic_coefficients(increment, u, delta_l2, G=None):
+def increment_quadratic_coefficients(increment, u, delta_l2):
     """Coefficients (a, b, c) of a eps^2 + 2 b eps + c = 0 from the
     discrete-time l2 condition, exposed for inspection and oracles."""
-    _, _, (a, b, c0) = _increment_terms(increment, u, G)
+    _, _, (a, b, c0) = _increment_terms(increment, u)
     return a, b, c0 - 2.0 * float(delta_l2)
 
 
-def correct_increment_mass_l2(increment, u, delta_l2, G=None):
+def correct_increment_mass_l2(increment, u, delta_l2):
     """Discrete-time correction: demean the increment and add eps*G so the
-    new-state l2 integral changes by exactly ``delta_l2``.
+    new-state l2 integral changes by exactly ``delta_l2``.  G is the demeaned
+    discrete Laplacian of u, as for ``correct_rhs_mass_l2``.
 
     eps solves a quadratic; the root continuous in the already-satisfied
     limit (the paper's plus sign) is chosen.  A negative discriminant raises
     ``InfeasibleTarget`` carrying the minimum achievable delta_l2.
     """
-    bar, g, (a, b, c0) = _increment_terms(increment, u, G)
+    bar, g, (a, b, c0) = _increment_terms(increment, u)
     delta_l2 = float(delta_l2)
     old = 0.5 * c0
     c = c0 - 2.0 * delta_l2
@@ -402,10 +391,10 @@ def spectral_l2_rate(u: SpectralField, rhs):
     return 2.0 * u.length * spectral_pair_dot(u.coeffs, rhs)
 
 
-def correct_spectral_mass_l2(rhs, u: SpectralField, target: L2RateTarget, G=None):
+def correct_spectral_mass_l2(rhs, u: SpectralField, target: L2RateTarget):
     """Zero the mode-0 rate exactly, then rescale toward the l2 target.
 
-    Default G is the spectral diffusion -m^2 u~_m (G_0 = 0 automatically).
+    G is the spectral diffusion -m^2 u~_m (G_0 = 0 automatically).
     """
     n = np.asarray(rhs, dtype=np.complex128).copy()
     if n.shape != u.coeffs.shape:
@@ -417,13 +406,8 @@ def correct_spectral_mass_l2(rhs, u: SpectralField, target: L2RateTarget, G=None
     if new == old:
         return n, Correction(old, new, old)
 
-    if G is None:
-        m = np.arange(u.n_modes + 1)
-        g = -(m**2) * u.coeffs
-    else:
-        g = np.asarray(G, dtype=np.complex128)
-        if abs(g[0]) > 1e-12 * max(np.abs(g).max(), 1e-300):
-            raise ValueError("G_0 must vanish for mass conservation")
+    m = np.arange(u.n_modes + 1)
+    g = -(m**2) * u.coeffs
     denom = 2.0 * u.length * spectral_pair_dot(u.coeffs, g)
     _check_denominator(denom,
                        2.0 * u.length * float(np.linalg.norm(u.coeffs)
@@ -438,11 +422,12 @@ def correct_spectral_mass_l2(rhs, u: SpectralField, target: L2RateTarget, G=None
 # ---------------------------------------------------------------------------
 
 def correct_euler2d_mass_energy_l2(rhs, state: VorticityState2D,
-                                   target: L2RateTarget, G=None):
+                                   target: L2RateTarget):
     """Demean, project out the energy direction, then set the enstrophy rate.
 
     The output P' satisfies <P'> = 0, <psi_bar|P'> = 0 and <W|P'> = target,
-    where W is the streamfunction-orthogonal part of the vorticity.  The
+    where W is the streamfunction-orthogonal part of the vorticity.  G is the
+    streamfunction-orthogonal part of the discrete Laplacian of W.  The
     report's ``extra`` holds ``energy_bracket`` <psi_bar|P'> and its scale
     ``energy_scale`` = sqrt(<psi_bar|psi_bar> <P'|P'>).
     """
@@ -465,18 +450,9 @@ def correct_euler2d_mass_energy_l2(rhs, state: VorticityState2D,
     new = target.resolve(old)
     psi = state.psi_bar
     if new != old:
-        if G is None:
-            grid = state.chi.grid
-            lap_w = laplacian_2d(w, grid.dx, grid.dy)
-            g = lap_w - bracket(lap_w, phi, vol) / pp * phi
-        else:
-            g = np.asarray(G, dtype=np.float64)
-            scale = max(float(np.abs(g).max()), 1e-300) * vol * g.size
-            if abs(bracket(g, np.ones_like(g), vol)) > 1e-12 * scale:
-                raise ValueError("G must be mean-free")
-            psi_scale = max(float(np.abs(psi).max()), 1e-300)
-            if abs(bracket(g, psi, vol)) > 1e-10 * scale * psi_scale:
-                raise ValueError("G must be orthogonal to the streamfunction")
+        grid = state.chi.grid
+        lap_w = laplacian_2d(w, grid.dx, grid.dy)
+        g = lap_w - bracket(lap_w, phi, vol) / pp * phi
         denom = bracket(w, g, vol)
         _check_denominator(denom,
                            float(np.sqrt(bracket(w, w, vol) * bracket(g, g, vol))),
@@ -526,23 +502,22 @@ def _entropy_rate(f, w, dw, periodic):
     return interior + float(f[0] @ w[0] - f[-1] @ w[-1])
 
 
-def entropy_rate_euler1d(fluxes, state: EulerState1D, w=None):
+def entropy_rate_euler1d(fluxes, state: EulerState1D):
     """Summation-by-parts entropy rate of a flux update, boundary terms
     included for bounded grids."""
     f = np.asarray(fluxes, dtype=np.float64)
-    if w is None:
-        w = entropy_variables_euler1d(state).w
+    w = entropy_variables_euler1d(state).w
     periodic = state.grid.periodic
     return _entropy_rate(f, w, _face_jumps(w, periodic), periodic)
 
 
 def correct_entropy_euler1d(fluxes, state: EulerState1D,
-                            target: EntropyRateTarget, G=None):
+                            target: EntropyRateTarget):
     """Transform interface fluxes so the discrete entropy rate matches
     boundary + R*(old - boundary).
 
     Boundary fluxes are held fixed (Dirichlet) or mirrored (periodic);
-    default G_{j+1/2} = (0, v_{j+1}-v_j, p_{j+1}-p_j).  The entropy-variable
+    G_{j+1/2} = (0, v_{j+1}-v_j, p_{j+1}-p_j).  The entropy-variable
     jumps are taken once and serve the old rate, the denominator and the
     achieved rate.
     """
@@ -562,14 +537,9 @@ def correct_entropy_euler1d(fluxes, state: EulerState1D,
                       "anti-diffusion; positivity is no longer guaranteed",
                       AntiDiffusiveTargetWarning, stacklevel=2)
 
-    if G is None:
-        dv = _face_jumps(state.velocity(), periodic)
-        dp = _face_jumps(state.pressure(), periodic)
-        g = np.stack([np.zeros_like(dv), dv, dp], axis=1)
-    else:
-        g = np.asarray(G, dtype=np.float64)
-        if g.shape != dw.shape:
-            raise ValueError("G must cover the corrected interfaces")
+    dv = _face_jumps(state.velocity(), periodic)
+    dp = _face_jumps(state.pressure(), periodic)
+    g = np.stack([np.zeros_like(dv), dv, dp], axis=1)
     denom = float(np.sum(g * dw))
     _check_denominator(denom, float(np.linalg.norm(g) * np.linalg.norm(dw)),
                        "entropy correction")

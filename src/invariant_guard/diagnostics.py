@@ -80,15 +80,21 @@ def invariant_report(state, t) -> InvariantReport:
             energy=0.5 * bracket(chi, state.psi_bar, vol),
         )
     if isinstance(state, EulerState1D):
+        # entropy is defined only for positive rho and p; otherwise its cell
+        # stays empty and the minima show why
         vols = state.grid.cell_volumes
-        ev = entropy_variables_euler1d(state)
+        min_rho = float(state.rho.min())
+        min_p = float(state.pressure().min())
+        entropy = None
+        if min_rho > 0.0 and min_p > 0.0:
+            entropy = float(np.sum(entropy_variables_euler1d(state).eta * vols))
         return InvariantReport(
             t=t,
             mass=float(np.sum(state.rho * vols)),
             tv=total_variation(state.rho, state.grid.periodic),
-            entropy_total=float(np.sum(ev.eta * vols)),
-            min_rho=float(state.rho.min()),
-            min_p=float(state.pressure().min()),
+            entropy_total=entropy,
+            min_rho=min_rho,
+            min_p=min_p,
         )
     raise TypeError(f"no invariant report for {type(state).__name__}")
 
@@ -122,28 +128,3 @@ def vorticity_correlation(candidate, reference):
         return 1.0 if np.allclose(c, r) else 0.0
     return float(np.sum(cc * rr) / denom)
 
-
-_METRIC_FNS = {
-    "normalized_mse": normalized_mse,
-    "mae": mae,
-    "vorticity_correlation": vorticity_correlation,
-}
-
-
-def error_metrics(times, candidate_snapshots, reference_snapshots, kind):
-    """Per-snapshot metric time series; grids must already match (coarse-grain
-    the reference first) and the snapshot times must line up."""
-    if kind not in _METRIC_FNS:
-        raise ValueError(f"unknown metric kind {kind!r}")
-    if len(candidate_snapshots) != len(reference_snapshots) \
-            or len(times) != len(candidate_snapshots):
-        raise ValueError("candidate and reference trajectories differ in length")
-    fn = _METRIC_FNS[kind]
-    out = np.empty(len(times))
-    for i, (c, r) in enumerate(zip(candidate_snapshots, reference_snapshots)):
-        c = np.asarray(c)
-        r = np.asarray(r)
-        if c.shape != r.shape:
-            raise ValueError("snapshot shapes differ; coarse-grain first")
-        out[i] = fn(c, r)
-    return out

@@ -21,7 +21,7 @@ from .core import (DgField, EulerState1D, FvField1D, FvField2D, SpectralField,
                    VorticityState2D, bracket, shift)
 from .diagnostics import invariant_report, InvariantReport
 from .dg import dg_coefficient_rate, dg_rhs, face_traces
-from .errors import InfeasibleTarget, PositivityViolation
+from .errors import InfeasibleTarget
 from .timeloop import cfl_dt, cfl_dt_2d
 
 
@@ -383,8 +383,7 @@ class Euler1D(_DriverBase):
     """Characteristic MUSCL gas dynamics with the positivity limiter and the
     entropy-rate corrector applied per stage, in that order."""
 
-    def __init__(self, ic: EulerState1D, entropy_ratio=None, positivity=True,
-                 boundary_primitive=None):
+    def __init__(self, ic: EulerState1D, entropy_ratio=None, positivity=True):
         self.grid = ic.grid
         self.ic = ic
         self.gamma = ic.gamma
@@ -395,13 +394,12 @@ class Euler1D(_DriverBase):
             self.boundary_primitive = None
             self.boundary_state = None
         else:
-            if boundary_primitive is None:
-                boundary_primitive = (
-                    (ic.rho[0], ic.velocity()[0], ic.pressure()[0]),
-                    (ic.rho[-1], ic.velocity()[-1], ic.pressure()[-1]))
-            self.boundary_primitive = boundary_primitive
+            # the Dirichlet states are the initial condition's end cells
+            self.boundary_primitive = (
+                (ic.rho[0], ic.velocity()[0], ic.pressure()[0]),
+                (ic.rho[-1], ic.velocity()[-1], ic.pressure()[-1]))
             self.boundary_state = tuple(
-                self._conserved_triple(*b) for b in boundary_primitive)
+                self._conserved_triple(*b) for b in self.boundary_primitive)
 
     def _conserved_triple(self, rho, v, p):
         return np.array([rho, rho * v, p / (self.gamma - 1.0) + 0.5 * rho * v**2])
@@ -436,16 +434,3 @@ class Euler1D(_DriverBase):
         state = self.state_of(y)
         traj.step_minima.append((t, float(state.rho.min()),
                                  float(state.pressure().min())))
-
-    def report(self, y, t):
-        state = self.state_of(y)
-        try:
-            return invariant_report(state, t)
-        except PositivityViolation:
-            from .diagnostics import total_variation
-            vols = self.grid.cell_volumes
-            return InvariantReport(
-                t=t, mass=float(np.sum(state.rho * vols)),
-                tv=total_variation(state.rho, self.grid.periodic),
-                min_rho=float(state.rho.min()),
-                min_p=float(state.pressure().min()))

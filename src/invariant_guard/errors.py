@@ -12,7 +12,8 @@ class ConfigurationError(InvariantGuardError):
 class DegenerateCorrection(InvariantGuardError):
     """The correction denominator vanished while a correction was required.
 
-    Callers may switch to a different weight function G or abort.
+    Each corrector's weight G is fixed, so this means the state leaves it no
+    direction to move in (a constant field, say); the run stops here.
     """
 
 

@@ -51,15 +51,16 @@ def evaluate_sines(params, x, length):
     return np.sin(2.0 * np.pi * np.outer(x, k) / length + phase) @ amp
 
 
-def ic_sum_of_sines(grid: UniformGrid1D, seed, family="advection"):
+def ic_sum_of_sines(grid: UniformGrid1D, seed, family="advection", gamma=1.4):
     """Random sum-of-sines data for the three 1D problem families.
 
     * ``advection``: returns an FvField1D drawn from the 1-6 mode, k in 1..4,
       A in [-1,1] distribution.
     * ``burgers-forcing``: returns a SumOfSinesForcing with 20 modes,
       A in [-0.5,0.5], omega in [-0.4,0.4], k in {3,4,5,6}.
-    * ``euler1d``: returns an EulerState1D with floors rho >= 0.75,
-      p >= 0.5 applied to single-mode sine draws.
+    * ``euler1d``: returns an EulerState1D of ratio of specific heats
+      ``gamma`` with floors rho >= 0.75, p >= 0.5 applied to single-mode
+      sine draws.
     """
     rng = np.random.default_rng(seed)
     x = grid.cell_centers()
@@ -83,14 +84,14 @@ def ic_sum_of_sines(grid: UniformGrid1D, seed, family="advection"):
         rho = np.maximum(EULER_IC_RHO_MIN, 1.0 + sine_draw())
         v = sine_draw()
         p = np.maximum(EULER_IC_P_MIN, 1.0 + sine_draw())
-        return EulerState1D.from_primitive(grid, rho, v, p, 1.4)
+        return EulerState1D.from_primitive(grid, rho, v, p, gamma)
     raise ConfigurationError(f"unknown sum-of-sines family {family!r}")
 
 
-def ic_sine(grid: UniformGrid1D, wavenumber=1):
-    """sin(2 pi k x / L) sampled at cell centers."""
+def ic_sine(grid: UniformGrid1D):
+    """sin(2 pi x / L) sampled at cell centers."""
     x = grid.cell_centers()
-    return FvField1D(grid, np.sin(2.0 * np.pi * wavenumber * x / grid.length))
+    return FvField1D(grid, np.sin(2.0 * np.pi * x / grid.length))
 
 
 def forcing_2d_kolmogorov(grid: UniformGrid2D, chi, k=4, drag=0.1):
@@ -112,14 +113,15 @@ def ic_sod(grid: UniformGrid1D, gamma=1.4):
     return EulerState1D.from_primitive(grid, rho, v, p, gamma)
 
 
-def ic_random_vorticity(grid: UniformGrid2D, seed, k_max=8):
+def ic_random_vorticity(grid: UniformGrid2D, seed):
     """Band-limited Gaussian random vorticity, zero mean, unit rms.
 
-    The spectrum is flat for integer wavenumber magnitudes 0 < |k| <= k_max
-    and zero beyond, a distributional stand-in for a filtered turbulent
-    field.  Mode coefficients are drawn on the fixed k-lattice (independent
-    of resolution), so coarse and fine grids sample the same field.
+    The spectrum is flat for integer wavenumber magnitudes 0 < |k| <= 8 and
+    zero beyond, a distributional stand-in for a filtered turbulent field.
+    Mode coefficients are drawn on the fixed k-lattice (independent of
+    resolution), so coarse and fine grids sample the same field.
     """
+    k_max = 8
     rng = np.random.default_rng(seed)
     x, y = grid.cell_centers()
     chi = np.zeros((grid.nx, grid.ny))

@@ -194,17 +194,17 @@ def face_velocities(psi_bar, grid: UniformGrid2D):
     return ux, uy
 
 
-def advective_fluxes_2d(chi: FvField2D, ux, uy, div_tol=1e-10):
+def advective_fluxes_2d(chi: FvField2D, ux, uy):
     """MC-limited upwinded vorticity fluxes u*chi at cell faces.
 
     The face velocities must be discretely divergence-free (they are when
-    produced by ``face_velocities``); violations beyond ``div_tol`` times the
+    produced by ``face_velocities``); violations beyond 1e-10 times the
     velocity scale raise.
     """
     g = chi.grid
     div = (ux - shift(ux, -1)) / g.dx + (uy - shift(uy, -1, 1)) / g.dy
     scale = max(np.abs(ux).max(), np.abs(uy).max(), 1e-300) / min(g.dx, g.dy)
-    if np.abs(div).max() > div_tol * max(scale, 1.0):
+    if np.abs(div).max() > 1e-10 * max(scale, 1.0):
         raise ValueError("face velocities are not discretely divergence-free")
     fx, fy = kernels.muscl_advective_fluxes_2d(chi.values, ux, uy)
     return BoundaryFluxes2D(fx, fy)

@@ -537,12 +537,12 @@ def check_increment_root_oracle(rng, fns, trials):
             inc = 0.1 * rng.normal(size=n)
             delta = -float(rng.uniform(0.0, 0.05))
             g = co._default_cell_G(u, grid.cell_volumes)
-            a, b, c = co.increment_quadratic_coefficients(inc, u, delta, g)
+            a, b, c = co.increment_quadratic_coefficients(inc, u, delta)
             if b * b - a * c < 0:
                 continue
             roots = np.roots([a, 2.0 * b, c])
             eps_oracle = roots[np.argmin(np.abs(roots))].real
-            out, _ = fns["correct_increment_mass_l2"](inc, u, delta, g)
+            out, _ = fns["correct_increment_mass_l2"](inc, u, delta)
             bar = inc - co.volume_mean(inc, grid.cell_volumes)
             eps = float((out - bar) @ g) / float(g @ g)
             assert abs(eps - eps_oracle) <= 1e-9 * max(abs(eps_oracle), 1e-12), \

@@ -149,7 +149,7 @@ def test_criterion_4_fig3_ftcs():
         inc = ftcs_increment(field, 1.0, dt)
         out, _ = co.correct_increment_mass_l2(inc, field, 0.0)
         gvec = co._default_cell_G(field, vols)
-        a, b, c = co.increment_quadratic_coefficients(inc, field, 0.0, gvec)
+        a, b, c = co.increment_quadratic_coefficients(inc, field, 0.0)
         roots = np.roots([a, 2.0 * b, c])
         oracle = roots[np.argmin(np.abs(roots))].real
         bar = inc - np.sum(inc * vols) / vols.sum()

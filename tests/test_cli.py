@@ -40,10 +40,11 @@ EQUATION_LINES = {
 
 
 def _config(tmp_path, problem, variant, plan="", run="", resolutions=16,
-            extra=""):
+            extra="", snapshots=2):
     cfg = tmp_path / "case.cfg"
     cfg.write_text(f"[problem]\n{problem}\n[plan]\n{plan}\nt_end = 0.01\n"
-                   f"snapshots = 2\n[run]\n{run}\nresolutions = {resolutions}\n"
+                   f"snapshots = {snapshots}\n[run]\n{run}\n"
+                   f"resolutions = {resolutions}\n"
                    "output = case\n[variant.plain]\ncorrector = none\n"
                    f"[variant.bad]\n{variant}\n{extra}")
     return cfg
@@ -138,6 +139,32 @@ REJECTED = {
         dict(problem="equation = dg_burgers\nic = sine\ndg_degree = 3",
              variant="corrector = dg_l2"),
         "[problem] dg_degree"),
+    # values that used to fail mid-run, after earlier variants wrote their
+    # CSVs, and misspelt booleans that used to read as false
+    "variant_cfl_above_1": (dict(problem=BURGERS,
+                                 variant="scheme = godunov\ncfl = 2"),
+                            "[variant.bad] cfl"),
+    "zero_snapshots": (dict(problem=BURGERS, variant="scheme = godunov",
+                            snapshots=0),
+                       "[plan] snapshots"),
+    "zero_length": (dict(problem=BURGERS + "\nlength = 0",
+                         variant="scheme = godunov"),
+                    "[problem] length"),
+    "gamma_1_on_euler1d": (
+        dict(problem="equation = euler1d\n" + EQUATION_LINES["euler1d"]
+             + "\ngamma = 1", variant="corrector = euler1d_entropy"),
+        "[problem] gamma"),
+    "negative_reference_resolution": (
+        dict(problem="equation = euler2d\nic = random_vorticity",
+             variant="corrector = energy", run="reference_resolution = -32"),
+        "[run] reference_resolution"),
+    "misspelt_positivity": (
+        dict(problem="equation = euler1d\n" + EQUATION_LINES["euler1d"],
+             variant="positivity = ture"),
+        "[variant.bad] positivity"),
+    "misspelt_expect_blowup": (dict(problem=BURGERS,
+                                    variant="expect_blowup = yse"),
+                               "[variant.bad] expect_blowup"),
 }
 
 
@@ -152,6 +179,15 @@ def test_rejected_config_exits_2_before_any_output(tmp_path, sections, field):
     root.mkdir()
     assert main(["--output-root", str(root), "run", str(cfg)]) == 2
     assert not any(root.iterdir())
+
+
+def test_random_euler_takes_the_config_gamma(tmp_path):
+    cfg = _config(tmp_path, "equation = euler1d\nic = random_euler\n"
+                  "gamma = 1.67", "corrector = euler1d_entropy")
+    ec = parse_config(cfg)
+    for variant in ec.variants:
+        driver = build_driver(ec, variant, 16)
+        assert driver.gamma == 1.67 and driver.ic.gamma == 1.67
 
 
 def test_unknown_bundled_config():
@@ -232,8 +268,8 @@ def test_verify_detects_injected_sign_flip(capsys, tmp_path):
     # a corrupted corrector (flipped correction sign) must fail the suite
     from invariant_guard import correctors as co
 
-    def broken_flux1d(fluxes, u, target, G=None):
-        out, report = co.correct_flux_l2_1d(fluxes, u, target, G)
+    def broken_flux1d(fluxes, u, target):
+        out, report = co.correct_flux_l2_1d(fluxes, u, target)
         return 2.0 * np.asarray(fluxes) - out, report   # reflected: wrong rate
     cfg = tmp_path / "verify.cfg"
     cfg.write_text("[verify]\nseed = 0\ntrials = 20\n")

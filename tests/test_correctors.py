@@ -40,8 +40,7 @@ def test_flux1d_hand_case():
     g = UniformGrid1D(3, 3.0)
     u = FvField1D(g, [0.0, 1.0, 0.0])
     f = np.array([1.0, 1.0, 1.0])
-    out, _ = co.correct_flux_l2_1d(f, u, co.L2RateTarget.fixed(-2.0),
-                                G=np.array([1.0, -1.0, 0.0]))
+    out, _ = co.correct_flux_l2_1d(f, u, co.L2RateTarget.fixed(-2.0))
     assert np.allclose(out, [0.0, 2.0, 1.0])
     assert co.flux_l2_rate_1d(out, u) == pytest.approx(-2.0, abs=1e-14)
 
@@ -108,8 +107,7 @@ def test_rhs_corrector_brackets_random():
     g = UniformGrid1D(8, 2.0)
     u = FvField1D(g, rng.normal(size=8))
     rhs = rng.normal(size=8)
-    lap = np.roll(u.values, -1) - 2 * u.values + np.roll(u.values, 1)
-    out, _ = co.correct_rhs_mass_l2(rhs, u, co.L2RateTarget.fixed(-0.7), G=lap)
+    out, _ = co.correct_rhs_mass_l2(rhs, u, co.L2RateTarget.fixed(-0.7))
     vols = g.cell_volumes
     assert abs(np.sum(out * vols)) <= 1e-13 * np.abs(out).max() * 8
     assert bracket(u.values, out, vols) == pytest.approx(-0.7, rel=1e-12)
@@ -137,14 +135,6 @@ def test_rhs_corrector_demeaning_branch():
                   g.cell_volumes)
     out, _ = co.correct_rhs_mass_l2(rhs, u, co.L2RateTarget.tracked(old))
     assert np.abs(out).max() <= 1e-14  # constant N demeans to zero exactly
-
-
-def test_rhs_corrector_mean_free_G_required():
-    g = UniformGrid1D(4, 1.0)
-    u = FvField1D(g, [1.0, 2.0, 0.5, -1.0])
-    with pytest.raises(ValueError):
-        co.correct_rhs_mass_l2(np.ones(4), u, co.L2RateTarget.fixed(-1.0),
-                               G=np.ones(4))
 
 
 def test_rhs_degenerate():
@@ -187,26 +177,15 @@ def test_increment_eps_matches_roots_oracle():
         inc = 0.1 * rng.normal(size=16)
         delta = -float(rng.uniform(0, 0.05))
         gvec = co._default_cell_G(u, g.cell_volumes)
-        a, b, c = co.increment_quadratic_coefficients(inc, u, delta, gvec)
+        a, b, c = co.increment_quadratic_coefficients(inc, u, delta)
         if b * b - a * c < 0:
             continue
         roots = np.roots([a, 2 * b, c])
         oracle = roots[np.argmin(np.abs(roots))].real
-        out, _ = co.correct_increment_mass_l2(inc, u, delta, gvec)
+        out, _ = co.correct_increment_mass_l2(inc, u, delta)
         bar = inc - volume_mean(inc, g.cell_volumes)
         eps = float((out - bar) @ gvec) / float(gvec @ gvec)
         assert eps == pytest.approx(oracle, rel=1e-9, abs=1e-13)
-
-
-def test_increment_coefficients_reject_weight_with_mean():
-    # the same G check as the corrector: no coefficients for a G it rejects
-    g = UniformGrid1D(8, 1.0)
-    u = FvField1D(g, np.random.default_rng(65).normal(size=8))
-    inc = 0.1 * np.random.default_rng(66).normal(size=8)
-    with pytest.raises(ValueError):
-        co.increment_quadratic_coefficients(inc, u, 0.0, G=np.ones(8))
-    with pytest.raises(ValueError):
-        co.correct_increment_mass_l2(inc, u, 0.0, G=np.ones(8))
 
 
 def test_increment_infeasible_carries_minimum():
@@ -264,8 +243,7 @@ def test_dg_p0_equals_fv_rhs_corrector():
 
     from invariant_guard.schemes import fv_rhs_1d
     field = FvField1D(g, u)
-    lap = np.roll(u, -1) - 2 * u + np.roll(u, 1)
-    out_fv, _ = co.correct_rhs_mass_l2(fv_rhs_1d(f, g), field, target, G=lap)
+    out_fv, _ = co.correct_rhs_mass_l2(fv_rhs_1d(f, g), field, target)
     assert np.allclose(rate_dg, out_fv, rtol=1e-12, atol=1e-13)
 
 
@@ -503,3 +481,104 @@ def test_correction_reports_what_it_did(case):
     for rec, old in zip(_as_tuple(report), _as_tuple(c["rate"](update))):
         assert rec.achieved_rate == rec.old_rate
         assert rec.old_rate == pytest.approx(old, rel=1e-10, abs=1e-12)
+
+
+# --- every corrector moves its update along its documented weight G ----------
+#
+# Each case returns (moved, G) pairs: what the corrector added to the update
+# it would return uncorrected, and the weight its docstring names, built here
+# from numpy primitives.
+
+def _lap_1d(v):
+    return np.roll(v, -1) - 2.0 * v + np.roll(v, 1)
+
+
+def _weights_flux1d(rng, boundary):
+    u = FvField1D(UniformGrid1D(10, 2.0, boundary), rng.normal(size=10))
+    if boundary == "periodic":
+        f = rng.normal(size=10)
+        out, _ = co.correct_flux_l2_1d(f, u, co.L2RateTarget.fixed(-0.5))
+        return [(out - f, np.roll(u.values, -1) - u.values)]
+    f = rng.normal(size=11)
+    out, _ = co.correct_flux_l2_1d(f, u, co.L2RateTarget.fixed(-0.5))
+    assert out[0] == f[0] and out[-1] == f[-1]
+    return [(out[1:-1] - f[1:-1], np.diff(u.values))]
+
+
+def _weights_flux2d(rng):
+    u = FvField2D(UniformGrid2D(6, 5, 2.0, 3.0), rng.normal(size=(6, 5)))
+    fl = BoundaryFluxes2D(rng.normal(size=(6, 5)), rng.normal(size=(6, 5)))
+    out, _ = co.correct_flux_l2_2d(fl, u, co.L2RateTarget.fixed(-0.5),
+                                   co.L2RateTarget.fixed(-0.3))
+    return [(out.fx - fl.fx, np.roll(u.values, -1, 0) - u.values),
+            (out.fy - fl.fy, np.roll(u.values, -1, 1) - u.values)]
+
+
+def _weights_rhs(rng):
+    u = FvField1D(UniformGrid1D(12, 2.0), rng.normal(size=12))
+    rhs = rng.normal(size=12)
+    out, _ = co.correct_rhs_mass_l2(rhs, u, co.L2RateTarget.fixed(-0.7))
+    lap = _lap_1d(u.values)
+    return [(out - (rhs - rhs.mean()), lap - lap.mean())]
+
+
+def _weights_increment(rng):
+    u = FvField1D(UniformGrid1D(12, 2.0), rng.normal(size=12))
+    inc = 0.1 * rng.normal(size=12)
+    out, report = co.correct_increment_mass_l2(inc, u, -1e-3)
+    assert report.achieved_rate != report.old_rate
+    lap = _lap_1d(u.values)
+    return [(out - (inc - inc.mean()), lap - lap.mean())]
+
+
+def _weights_spectral(rng):
+    u = SpectralField(3.0, rng.normal(size=7) + 1j * rng.normal(size=7))
+    rhs = rng.normal(size=7) + 1j * rng.normal(size=7)
+    out, _ = co.correct_spectral_mass_l2(rhs, u, co.L2RateTarget.fixed(-1.2))
+    rhs[0] = 0.0
+    return [(out - rhs, -np.arange(7) ** 2 * u.coeffs)]
+
+
+def _weights_euler2d(rng):
+    state, _ = _vorticity_state(92)
+    grid, vol = state.chi.grid, state.chi.grid.cell_volume
+    perp = lambda a: a - bracket(a, phi, vol) / bracket(phi, phi, vol) * phi
+    phi = state.psi_bar - state.psi_bar.mean()
+    w = perp(state.chi.values - state.chi.values.mean())
+    rhs = rng.normal(size=(8, 8))
+    out, _ = co.correct_euler2d_mass_energy_l2(rhs, state,
+                                               co.L2RateTarget.fixed(-0.4))
+    lap_w = (np.roll(w, -1, 0) - 2.0 * w + np.roll(w, 1, 0)) / grid.dx**2 \
+        + (np.roll(w, -1, 1) - 2.0 * w + np.roll(w, 1, 1)) / grid.dy**2
+    return [(out - perp(rhs - rhs.mean()), perp(lap_w))]
+
+
+def _weights_entropy(rng):
+    g = UniformGrid1D(16, 1.0, "dirichlet")
+    s = EulerState1D.from_primitive(g, rng.uniform(0.5, 2.0, 16),
+                                    rng.uniform(-1.0, 1.0, 16),
+                                    rng.uniform(0.5, 2.0, 16), 1.4)
+    f = euler1d_muscl_flux(s)
+    boundary = co.entropy_rate_euler1d(f, s) - 1.0
+    out, _ = co.correct_entropy_euler1d(f, s,
+                                        co.EntropyRateTarget(boundary, 2.0))
+    assert np.array_equal(out[[0, -1]], f[[0, -1]])
+    dv, dp = np.diff(s.velocity()), np.diff(s.pressure())
+    return [(out[1:-1] - f[1:-1], np.stack([np.zeros(15), dv, dp], axis=1))]
+
+
+@pytest.mark.parametrize("case", [
+    lambda rng: _weights_flux1d(rng, "periodic"),
+    lambda rng: _weights_flux1d(rng, "dirichlet"),
+    _weights_flux2d, _weights_rhs, _weights_increment, _weights_spectral,
+    _weights_euler2d, _weights_entropy],
+    ids=["flux1d_periodic", "flux1d_dirichlet", "flux2d", "rhs", "increment",
+         "spectral", "euler2d", "entropy"])
+def test_corrector_moves_update_along_its_weight(case):
+    for moved, weight in case(np.random.default_rng(93)):
+        m = np.asarray(moved, dtype=np.complex128).ravel()
+        g = np.asarray(weight, dtype=np.complex128).ravel()
+        m, g = np.concatenate([m.real, m.imag]), np.concatenate([g.real, g.imag])
+        assert np.linalg.norm(m) > 0.0
+        alpha = (m @ g) / (g @ g)
+        assert np.linalg.norm(m - alpha * g) <= 1e-10 * np.linalg.norm(m)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from invariant_guard import correctors as co
-from invariant_guard.core import (DgField, FvField1D, FvField2D, SpectralField,
-                                  UniformGrid1D, UniformGrid2D,
+from invariant_guard.core import (DgField, EulerState1D, FvField1D, FvField2D,
+                                  SpectralField, UniformGrid1D, UniformGrid2D,
                                   VorticityState2D)
-from invariant_guard.diagnostics import (error_metrics, invariant_report, mae,
+from invariant_guard.diagnostics import (InvariantReport, invariant_report, mae,
                                          normalized_mse, total_variation,
                                          vorticity_correlation)
 from invariant_guard.problems import ic_sod, ic_sine
@@ -35,6 +35,28 @@ def test_sod_entropy_total_matches_oracle():
     assert rep.entropy_total == pytest.approx(
         float(np.sum(ev.eta * g.cell_volumes)), rel=1e-14)
     assert rep.min_rho == pytest.approx(0.125) and rep.min_p == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("bad", ["rho", "p"])
+def test_nonpositive_euler_state_reports_all_but_entropy(bad):
+    # the driver's report of a state the run has driven to rho <= 0 or p <= 0
+    from invariant_guard.drivers import Euler1D
+    g = UniformGrid1D(8, 2.0, boundary="dirichlet")
+    rho = np.linspace(0.5, 1.2, 8)
+    p = np.linspace(0.3, 1.0, 8)
+    (rho if bad == "rho" else p)[3] = -0.25
+    s = EulerState1D.from_primitive(g, rho, np.full(8, 0.4), p, 1.4)
+    rep = Euler1D(ic_sod(g)).report(s.conserved().ravel(), 0.5)
+    assert rep.entropy_total is None
+    assert rep.mass == pytest.approx(float(np.sum(rho * g.cell_volumes)))
+    assert rep.tv == total_variation(s.rho, periodic=False)
+    assert rep.min_rho == float(s.rho.min())
+    assert rep.min_p == float(s.pressure().min())
+    assert (rep.min_rho if bad == "rho" else rep.min_p) < 0.0
+    cells = dict(zip(InvariantReport.CSV_HEADER.split(","),
+                     rep.csv_row().split(",")))
+    assert cells["entropy_total"] == ""
+    assert all(cells[k] for k in ("t", "mass", "tv", "min_rho", "min_p"))
 
 
 def test_dg_and_spectral_reports():
@@ -92,20 +114,6 @@ def test_correlation_affine_invariance():
     base = vorticity_correlation(a, b)
     assert vorticity_correlation(3.0 * a, 3.0 * b) == pytest.approx(base, rel=1e-12)
     assert vorticity_correlation(3.0 * a + 1.0, b) == pytest.approx(base, rel=1e-12)
-
-
-def test_error_metrics_series_and_mismatch():
-    times = [0.0, 0.5]
-    cand = [np.ones(4), np.zeros(4)]
-    ref = [np.ones(4), np.ones(4)]
-    out = error_metrics(times, cand, ref, "mae")
-    assert np.allclose(out, [0.0, 1.0])
-    with pytest.raises(ValueError):
-        error_metrics(times, cand, [np.ones(4)], "mae")
-    with pytest.raises(ValueError):
-        error_metrics(times, cand, [np.ones(4), np.ones(5)], "mae")
-    with pytest.raises(ValueError):
-        error_metrics(times, cand, ref, "l_infinity")
 
 
 def test_total_variation_wrap():
