@@ -201,17 +201,19 @@ def run_reference(ec: ExperimentConfig, out_dir):
     TrackedRateSource or None)."""
     ref_variant = VariantConfig(label="reference", scheme=ec.reference_scheme)
     driver = build_driver(ec, ref_variant, ec.reference_resolution)
-    plan = StepPlan(integrator=ec.integrator, cfl=ec.cfl, t_end=ec.t_end,
-                    n_snapshots=ec.snapshots, max_steps=ec.max_steps)
+    plan = variant_plan(ec, ref_variant)
     traj = run(plan, driver)
     if traj.error is not None:
         raise InvariantGuardError(f"reference run failed: {traj.error}")
 
     if isinstance(driver, ScalarFv1D):
+        # each snapshot's flux at the dt the run would step it with, which
+        # sets the Lax-Friedrichs dissipation
         rates = []
         for y in traj.snapshots:
             f = FvField1D(driver.grid, y)
-            rates.append(co.flux_l2_rate_1d(driver.fluxes(f, 1e-6), f))
+            dt = driver.stable_dt(y, plan.cfl, plan.dt_max)
+            rates.append(co.flux_l2_rate_1d(driver.fluxes(f, dt), f))
     else:
         series = [r.enstrophy if r.enstrophy is not None else r.l2
                   for r in traj.reports]
@@ -381,12 +383,16 @@ def cmd_sweep(config_path, output_root=None):
 
 
 def _exact_advection(ec, x, t):
-    """Exact translated solution sampled at cell centers."""
+    """Exact translated solution, ``[problem] ic_offset`` included, sampled
+    at cell centers."""
     from .problems import advection_sine_params, evaluate_sines
     shift = (x - ec.c * t) % ec.length
     if ec.ic == "sine":
-        return np.sin(2.0 * np.pi * shift / ec.length)
-    return evaluate_sines(advection_sine_params(ec.ic_seed), shift, ec.length)
+        exact = np.sin(2.0 * np.pi * shift / ec.length)
+    else:
+        exact = evaluate_sines(advection_sine_params(ec.ic_seed), shift,
+                               ec.length)
+    return exact + ec.ic_offset
 
 
 def main(argv=None):

@@ -257,6 +257,8 @@ def parse_config(path):
         errors.append("[plan] cfl must lie in (0, 1]")
     if ec.snapshots < 1:
         errors.append("[plan] snapshots must be at least 1")
+    if ec.max_steps < 1:
+        errors.append("[plan] max_steps must be at least 1")
     if ec.reference_resolution < 0:
         errors.append("[run] reference_resolution must be >= 0 (0: none)")
     if ec.reference_scheme not in _SCHEMES:

@@ -136,9 +136,6 @@ class FvField1D:
         if self.values.shape != (self.grid.n_cells,):
             raise ValueError("values must have one entry per cell")
 
-    def copy(self):
-        return FvField1D(self.grid, self.values.copy())
-
 
 @dataclass
 class FvField2D:
@@ -151,9 +148,6 @@ class FvField2D:
         self.values = _as_float_array(self.values)
         if self.values.shape != (self.grid.nx, self.grid.ny):
             raise ValueError("values must have shape (nx, ny)")
-
-    def copy(self):
-        return FvField2D(self.grid, self.values.copy())
 
 
 #: squared L2 norms of the Legendre basis on the reference cell, <psi_k|psi_k>
@@ -184,9 +178,6 @@ class DgField:
 
     def cell_means(self):
         return self.coeffs[:, 0].copy()
-
-    def copy(self):
-        return DgField(self.grid, self.coeffs.copy())
 
 
 @dataclass
@@ -223,29 +214,39 @@ class SpectralField:
         phase = np.exp(2j * np.pi * np.outer(x, m) / self.length)
         return self.coeffs[0].real + 2.0 * (phase @ self.coeffs[1:]).real
 
-    def copy(self):
-        return SpectralField(self.length, self.coeffs.copy())
-
 
 @dataclass
 class EulerState1D:
-    """Cell averages (rho, rho*v, E) of the 1D compressible Euler equations."""
+    """Cell averages u = (rho, rho*v, E) of the 1D compressible Euler
+    equations, one row per cell: shape (N, 3).
+
+    ``u`` is held without a copy, so a state built on a solver's flat stage
+    array ``y.reshape(N, 3)`` reads that array; ``rho``, ``mom`` and
+    ``energy`` are views of its columns.
+    """
 
     grid: UniformGrid1D
-    rho: np.ndarray
-    mom: np.ndarray
-    energy: np.ndarray
+    u: np.ndarray
     gamma: float = 1.4
 
     def __post_init__(self):
-        self.rho = _as_float_array(self.rho)
-        self.mom = _as_float_array(self.mom)
-        self.energy = _as_float_array(self.energy)
-        n = self.grid.n_cells
-        if not (self.rho.shape == self.mom.shape == self.energy.shape == (n,)):
-            raise ValueError("component arrays must have one entry per cell")
+        self.u = _as_float_array(self.u)
+        if self.u.shape != (self.grid.n_cells, 3):
+            raise ValueError("u must have shape (n_cells, 3)")
         if self.gamma <= 1.0:
             raise ValueError("gamma must exceed 1")
+
+    @property
+    def rho(self):
+        return self.u[:, 0]
+
+    @property
+    def mom(self):
+        return self.u[:, 1]
+
+    @property
+    def energy(self):
+        return self.u[:, 2]
 
     def velocity(self):
         return self.mom / self.rho
@@ -256,24 +257,13 @@ class EulerState1D:
     def sound_speed(self):
         return np.sqrt(self.gamma * self.pressure() / self.rho)
 
-    def conserved(self):
-        """Stack (rho, mom, E) as an (N, 3) array."""
-        return np.stack([self.rho, self.mom, self.energy], axis=1)
-
-    @classmethod
-    def from_conserved(cls, grid, u, gamma):
-        return cls(grid, u[:, 0], u[:, 1], u[:, 2], gamma)
-
     @classmethod
     def from_primitive(cls, grid, rho, v, p, gamma):
         rho = np.asarray(rho, dtype=np.float64)
         v = np.asarray(v, dtype=np.float64)
         p = np.asarray(p, dtype=np.float64)
-        return cls(grid, rho, rho * v, p / (gamma - 1.0) + 0.5 * rho * v**2, gamma)
-
-    def copy(self):
-        return EulerState1D(self.grid, self.rho.copy(), self.mom.copy(),
-                            self.energy.copy(), self.gamma)
+        u = np.stack([rho, rho * v, p / (gamma - 1.0) + 0.5 * rho * v**2], axis=1)
+        return cls(grid, u, gamma)
 
 
 @dataclass
@@ -291,9 +281,6 @@ class VorticityState2D:
         self.psi_bar = _as_float_array(self.psi_bar)
         if self.psi_bar.shape != self.chi.values.shape:
             raise ValueError("psi_bar must match the vorticity field shape")
-
-    def copy(self):
-        return VorticityState2D(self.chi.copy(), self.psi_bar.copy())
 
 
 # ---------------------------------------------------------------------------

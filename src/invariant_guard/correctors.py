@@ -552,37 +552,28 @@ def correct_entropy_euler1d(fluxes, state: EulerState1D,
     return out, Correction(old, new, _entropy_rate(out, w, dw, periodic))
 
 
-def estimate_boundary_entropy_flux(state: EulerState1D, boundary_primitive=None):
+def estimate_boundary_entropy_flux(state: EulerState1D, boundary_state=None):
     """Conservative psi(0) - psi(L) estimate for open domains.
 
-    Each end takes the minimum of the boundary-condition value and the
-    outermost-cell value of psi = rho*v*g(s); periodic grids return 0.
+    Each end takes the minimum of the boundary-state value and the
+    outermost-cell value of psi = rho*v*g(s); ``boundary_state`` is the
+    (left, right) pair of conserved triples the fluxes use and defaults to
+    the outermost cells.  Periodic grids return 0.
     """
     if state.grid.periodic:
         return 0.0
+    u = state.u
+    left, right = (u[0], u[-1]) if boundary_state is None else boundary_state
+    # rows: left cell, right cell, left boundary, right boundary; psi in the
+    # operation order of entropy_variables_euler1d
+    rho, mom, energy = np.stack([u[0], u[-1], left, right], axis=1)
     gamma = state.gamma
-
-    def psi_of(rho, v, p):
-        g = (p / rho**gamma) ** (1.0 / (gamma + 1.0))
-        return rho * v * g
-
-    # psi of the two outermost cells only, in the operation order of
-    # entropy_variables_euler1d, which psi_of does not share
-    rho, mom, energy = (x[[0, -1]] for x in (state.rho, state.mom, state.energy))
     p = (gamma - 1.0) * (energy - 0.5 * mom**2 / rho)
     if np.any(rho <= 0.0) or np.any(p <= 0.0):
         raise PositivityViolation("entropy flux needs positive rho and p")
     g = (p / rho**gamma) ** (1.0 / (gamma + 1.0))
-    psi_cells = (rho * g) * (mom / rho)
-    if boundary_primitive is None:
-        psi_left_bc, psi_right_bc = psi_cells[0], psi_cells[-1]
-    else:
-        (rho_l, v_l, p_l), (rho_r, v_r, p_r) = boundary_primitive
-        psi_left_bc = psi_of(rho_l, v_l, p_l)
-        psi_right_bc = psi_of(rho_r, v_r, p_r)
-    psi0 = min(psi_left_bc, float(psi_cells[0]))
-    psiL = min(psi_right_bc, float(psi_cells[-1]))
-    return psi0 - psiL
+    psi = (rho * g) * (mom / rho)
+    return float(min(psi[2], psi[0]) - min(psi[3], psi[1]))
 
 
 def limit_positivity_euler1d(fluxes, state: EulerState1D, dt, eps_pos=None,
@@ -602,7 +593,7 @@ def limit_positivity_euler1d(fluxes, state: EulerState1D, dt, eps_pos=None,
     if eps_pos is None:
         eps_pos = 1e-12 * max(float(state.rho.max()), float(state.pressure().max()))
 
-    u = state.conserved()
+    u = state.u
     periodic = state.grid.periodic
     gamma = state.gamma
     # cell left and cell right of each face; on a bounded grid face 0 has no

@@ -390,26 +390,16 @@ class Euler1D(_DriverBase):
         self.entropy_ratio = entropy_ratio
         self.positivity = positivity
         self.eps_pos = 1e-12 * max(float(ic.rho.max()), float(ic.pressure().max()))
-        if self.grid.periodic:
-            self.boundary_primitive = None
-            self.boundary_state = None
-        else:
-            # the Dirichlet states are the initial condition's end cells
-            self.boundary_primitive = (
-                (ic.rho[0], ic.velocity()[0], ic.pressure()[0]),
-                (ic.rho[-1], ic.velocity()[-1], ic.pressure()[-1]))
-            self.boundary_state = tuple(
-                self._conserved_triple(*b) for b in self.boundary_primitive)
-
-    def _conserved_triple(self, rho, v, p):
-        return np.array([rho, rho * v, p / (self.gamma - 1.0) + 0.5 * rho * v**2])
+        # the Dirichlet states are the initial condition's end cells
+        self.boundary_state = None if self.grid.periodic \
+            else (ic.u[0], ic.u[-1])
 
     def initial_array(self):
-        return self.ic.conserved().ravel().copy()
+        return self.ic.u.ravel().copy()
 
     def state_of(self, y):
-        return EulerState1D.from_conserved(
-            self.grid, y.reshape(self.grid.n_cells, 3), self.gamma)
+        return EulerState1D(self.grid, y.reshape(self.grid.n_cells, 3),
+                            self.gamma)
 
     def stable_dt(self, y, cfl, dt_max):
         state = self.state_of(y)
@@ -424,7 +414,7 @@ class Euler1D(_DriverBase):
                                             self.boundary_state)
         if self.entropy_ratio is not None:
             boundary = co.estimate_boundary_entropy_flux(
-                state, self.boundary_primitive)
+                state, self.boundary_state)
             target = co.EntropyRateTarget(boundary, self.entropy_ratio)
             f = self._corrected(t, "entropy", co.correct_entropy_euler1d, f,
                                 state, target)

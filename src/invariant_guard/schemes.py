@@ -218,10 +218,10 @@ def _extend_state(state: EulerState1D, boundary_state=None):
     """Conserved array with two ghost cells per side.
 
     Periodic grids wrap; Dirichlet grids hold the ghosts at the boundary
-    states ((left, right) EulerState-like triples of conserved values), which
-    default to the outermost cell values.
+    states, a (left, right) pair of conserved triples, which default to the
+    outermost cell values.
     """
-    u = state.conserved()
+    u = state.u
     if state.grid.periodic:
         return np.concatenate([u[-2:], u, u[:2]], axis=0)
     if boundary_state is None:

@@ -495,10 +495,10 @@ def check_positivity_limiter(rng, fns, trials):
             f_bad = f_good + 50.0 * rng.normal(size=f_good.shape)
             f_bad[-1] = f_bad[0]
             limited = fns["limit_positivity_euler1d"](f_bad, state, dt)
-            u = state.conserved()
+            u = state.u
             unew = u - dt / state.grid.cell_volumes[:, None] \
                 * (limited[1:] - limited[:-1])
-            new_state = EulerState1D.from_conserved(state.grid, unew, state.gamma)
+            new_state = EulerState1D(state.grid, unew, state.gamma)
             eps = 1e-12 * max(float(state.rho.max()),
                               float(state.pressure().max()))
             assert new_state.rho.min() >= eps and new_state.pressure().min() >= eps
@@ -589,9 +589,9 @@ def check_positivity_theta_monotone(rng, fns, trials):
                 if abs(denom[k, j]) > 1e-30 else 1.0
         for frac in (0.5, 0.25):
             blend = (frac * theta)[:, None] * f + (1 - frac * theta)[:, None] * f_lf
-            u = state.conserved()
+            u = state.u
             unew = u - dt / state.grid.cell_volumes[:, None] * (blend[1:] - blend[:-1])
-            st = EulerState1D.from_conserved(state.grid, unew, state.gamma)
+            st = EulerState1D(state.grid, unew, state.gamma)
             assert st.rho.min() > 0 and st.pressure().min() > 0
         checks += 1
     return checks
@@ -602,16 +602,16 @@ def check_entropy_variable_gradient(rng, fns, trials):
     for _ in range(max(trials // 2, 100)):
         state = _random_euler_state(rng, 4, periodic=True)
         ev = fns["entropy_variables_euler1d"](state)
-        u = state.conserved()
+        u = state.u
         h = 1e-7
         for comp in range(3):
             up, um = u.copy(), u.copy()
             up[:, comp] += h
             um[:, comp] -= h
             eta_p = fns["entropy_variables_euler1d"](
-                EulerState1D.from_conserved(state.grid, up, state.gamma)).eta
+                EulerState1D(state.grid, up, state.gamma)).eta
             eta_m = fns["entropy_variables_euler1d"](
-                EulerState1D.from_conserved(state.grid, um, state.gamma)).eta
+                EulerState1D(state.grid, um, state.gamma)).eta
             fd = (eta_p - eta_m) / (2.0 * h)
             rel = np.abs(fd - ev.w[:, comp]) / np.abs(ev.w).max()
             assert rel.max() < 1e-6, f"gradient check failed: {rel.max():.2e}"

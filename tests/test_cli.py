@@ -165,6 +165,9 @@ REJECTED = {
     "misspelt_expect_blowup": (dict(problem=BURGERS,
                                     variant="expect_blowup = yse"),
                                "[variant.bad] expect_blowup"),
+    "zero_max_steps": (dict(problem=BURGERS, plan="max_steps = 0",
+                            variant="scheme = godunov"),
+                       "[plan] max_steps"),
 }
 
 
@@ -245,6 +248,28 @@ output = ref_only
     assert not (out / "n32").exists()
 
 
+def test_lax_friedrichs_reference_rate_matches_its_l2_decay(tmp_path):
+    # the Lax-Friedrichs flux dissipates dx/(2 dt): its rate depends on the
+    # dt it is evaluated at, which must be the dt the reference steps with
+    cfg = tmp_path / "lf.cfg"
+    cfg.write_text("[problem]\nequation = burgers\nic = sine\n"
+                   "[plan]\nt_end = 0.2\nsnapshots = 5\n"
+                   "[run]\nresolutions = 16\nreference_resolution = 256\n"
+                   "reference_scheme = lax_friedrichs\noutput = lf\n"
+                   "[variant.plain]\nscheme = godunov\n")
+    assert cmd_run(cfg, output_root=tmp_path) == 0
+    ref = tmp_path / "lf" / "reference"
+
+    def column(name, index):
+        lines = (ref / name).read_text().splitlines()[1:]
+        return np.array([float(line.split(",")[index]) for line in lines])
+
+    t, rate, l2 = column("rates.csv", 0), column("rates.csv", 1), \
+        column("invariants.csv", 2)
+    ratio = np.median(rate / np.gradient(l2, t))
+    assert 0.9 <= ratio <= 1.1, ratio
+
+
 def test_reproducible_byte_identical_csvs(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     cmd_run(bundled_config("fig7_surrogate"), output_root=a)
@@ -307,6 +332,24 @@ seed = 0
         cells = line.split(",")
         rows[cells[1]] = cells[2:]
     assert rows["surrogate"] == rows["muscl"]
+
+
+def test_sweep_scores_against_the_offset_exact_solution(tmp_path):
+    # the linear schemes commute with a constant offset, so their errors
+    # against the offset exact solution are those without the offset
+    maes = []
+    for offset in (0.0, 0.5):
+        cfg = tmp_path / "offset.cfg"
+        cfg.write_text(f"[problem]\nequation = advection\nic = sine\n"
+                       f"ic_offset = {offset}\n[plan]\nt_end = 0.1\n"
+                       f"snapshots = 3\n[run]\nresolutions = 16\n"
+                       f"output = off{offset}\n")
+        assert cmd_sweep(cfg, output_root=tmp_path) == 0
+        lines = (tmp_path / f"off{offset}" / "sweep.csv").read_text()
+        rows = [line.split(",") for line in lines.splitlines()[1:]]
+        maes.append({r[1]: float(r[3]) for r in rows})
+    for scheme in ("centered", "upwind", "muscl"):
+        assert abs(maes[1][scheme] - maes[0][scheme]) <= 1e-9, scheme
 
 
 def test_sweep_rejects_non_advection(tmp_path):

@@ -5,6 +5,7 @@ from invariant_guard.core import (DgField, EulerState1D, FvField1D,
                                   SpectralField, UniformGrid1D, UniformGrid2D,
                                   bracket, coarse_grain, coarse_grain_2d,
                                   shift, volume_mean, FvField2D)
+from invariant_guard.errors import NonFiniteState
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 32])
@@ -151,6 +152,26 @@ def test_euler_state_roundtrip():
                                     np.full(4, 3.0), 1.4)
     assert np.allclose(s.pressure(), 3.0)
     assert np.allclose(s.velocity(), 0.5)
-    back = EulerState1D.from_conserved(g, s.conserved(), 1.4)
-    assert np.allclose(back.rho, s.rho)
-    assert np.allclose(back.energy, s.energy)
+    # one conserved row (rho, rho*v, E) per cell
+    assert s.u.shape == (4, 3)
+    assert np.array_equal(s.u, np.tile([2.0, 1.0, 3.0 / (1.4 - 1.0) + 0.25], (4, 1)))
+
+
+def test_euler_state_wraps_its_array_without_a_copy():
+    g = UniformGrid1D(4, 1.0)
+    y = np.tile([1.0, 0.5, 3.0], 4)
+    s = EulerState1D(g, y.reshape(4, 3), 1.4)
+    assert np.shares_memory(s.u, y)
+    for column, comp in enumerate((s.rho, s.mom, s.energy)):
+        assert np.shares_memory(comp, y)
+        assert np.array_equal(comp, y[column::3])
+
+
+@pytest.mark.parametrize("u,gamma,error", [
+    (np.ones((4, 2)), 1.4, ValueError),
+    (np.array([[1.0, 0.0, np.inf]] * 4), 1.4, NonFiniteState),
+    (np.tile([1.0, 0.0, 2.5], (4, 1)), 1.0, ValueError)],
+    ids=["n_by_2", "non_finite", "gamma_1"])
+def test_euler_state_rejects(u, gamma, error):
+    with pytest.raises(error):
+        EulerState1D(UniformGrid1D(4, 1.0), u, gamma)

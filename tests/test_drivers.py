@@ -57,6 +57,17 @@ def test_sod_entropy_variables_once_per_stage(monkeypatch):
     assert per_stage and max(per_stage) <= 1
 
 
+def test_euler_stage_state_is_the_stage_array():
+    # the stage state wraps y without a copy, and the Dirichlet boundary is
+    # the pair of conserved end cells of the initial condition
+    ic = ic_sod(UniformGrid1D(8, 1.0, boundary="dirichlet"))
+    driver = Euler1D(ic)
+    y = driver.initial_array()
+    assert np.shares_memory(driver.state_of(y).u, y)
+    left, right = driver.boundary_state
+    assert np.array_equal(left, ic.u[0]) and np.array_equal(right, ic.u[-1])
+
+
 def test_flux_rate_at_most_twice_per_stage(monkeypatch):
     driver = ScalarFv1D(ic_sine(UniformGrid1D(32, 1.0)), "burgers",
                         FluxScheme.CENTERED, target=co.L2RateTarget.fixed(-0.1))

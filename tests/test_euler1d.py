@@ -55,8 +55,8 @@ def test_mirror_symmetry_antisymmetric_mass_flux():
 
 def test_positivity_required():
     g = UniformGrid1D(4, 1.0)
-    s = EulerState1D(g, np.array([1.0, -0.5, 1.0, 1.0]), np.zeros(4),
-                     np.full(4, 2.5))
+    u = np.column_stack([[1.0, -0.5, 1.0, 1.0], np.zeros(4), np.full(4, 2.5)])
+    s = EulerState1D(g, u)
     with pytest.raises(PositivityViolation):
         euler1d_muscl_flux(s)
 
@@ -96,7 +96,7 @@ def test_entropy_variables_hand_case():
 
 def test_entropy_variables_positivity_guard():
     g = UniformGrid1D(4, 1.0)
-    s = EulerState1D(g, np.full(4, 1.0), np.full(4, 3.0), np.full(4, 1.0))
+    s = EulerState1D(g, np.tile([1.0, 3.0, 1.0], (4, 1)))
     with pytest.raises(PositivityViolation):
         co.entropy_variables_euler1d(s)  # p < 0
 
@@ -109,11 +109,11 @@ def test_entropy_rate_matches_eta_derivative():
     dudt = rng.normal(size=(8, 3))
     rate = np.sum(ev.w * dudt, axis=1)
     h = 1e-7
-    u = s.conserved()
+    u = s.u
     eta_p = co.entropy_variables_euler1d(
-        EulerState1D.from_conserved(s.grid, u + h * dudt, 1.4)).eta
+        EulerState1D(s.grid, u + h * dudt, 1.4)).eta
     eta_m = co.entropy_variables_euler1d(
-        EulerState1D.from_conserved(s.grid, u - h * dudt, 1.4)).eta
+        EulerState1D(s.grid, u - h * dudt, 1.4)).eta
     fd = (eta_p - eta_m) / (2 * h)
     assert np.allclose(rate, fd, rtol=1e-6, atol=1e-9)
 
@@ -187,9 +187,9 @@ def test_limiter_bisection_near_vacuum():
     f[-1] = f[0]
     eps = 1e-12
     out = co.limit_positivity_euler1d(f, s, dt, eps_pos=eps)
-    u = s.conserved()
+    u = s.u
     unew = u - dt / s.grid.cell_volumes[:, None] * (out[1:] - out[:-1])
-    st = EulerState1D.from_conserved(s.grid, unew, s.gamma)
+    st = EulerState1D(s.grid, unew, s.gamma)
     assert st.rho.min() >= eps and st.pressure().min() >= eps
 
     # recover theta at the tampered face and show theta + 1e-6 violates
@@ -282,9 +282,10 @@ def test_boundary_flux_zero_velocity():
 
 def test_boundary_flux_minimum_selection():
     s = uniform_state(n=4, rho=1.0, v=1.0, p=1.0, boundary="dirichlet")
-    # cell psi = rho*v*g(s) = 1 * 1 * 1 = 1; boundary state with slower flow
-    bp = ((1.0, 0.25, 1.0), (1.0, 1.0, 1.0))
-    est = co.estimate_boundary_entropy_flux(s, bp)
+    # cell psi = rho*v*g(s) = 1 * 1 * 1 = 1; boundary state with slower
+    # flow, as conserved (rho, rho*v, E) triples with p = 1
+    bs = ((1.0, 0.25, 2.5 + 0.5 * 0.25**2), (1.0, 1.0, 3.0))
+    est = co.estimate_boundary_entropy_flux(s, bs)
     # left: min(0.25, 1.0) = 0.25, right: min(1.0, 1.0) = 1.0
     assert est == pytest.approx(0.25 - 1.0, rel=1e-14)
 
@@ -297,3 +298,18 @@ def test_boundary_flux_reads_end_cells_as_entropy_variables_do():
     s.energy[-1] = 0.5 * s.mom[-1] ** 2 / s.rho[-1]     # p = 0 in the last cell
     with pytest.raises(PositivityViolation):
         co.estimate_boundary_entropy_flux(s)
+
+
+def test_boundary_flux_takes_the_conserved_pair_the_fluxes_take():
+    s = random_state(80, boundary="dirichlet")
+    default = co.estimate_boundary_entropy_flux(s)
+    assert co.estimate_boundary_entropy_flux(s, (s.u[0], s.u[-1])) == default
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_boundary_flux_rejects_a_nonpositive_boundary_state(side):
+    s = uniform_state(n=4, v=0.5, boundary="dirichlet")
+    bs = [s.u[0], s.u[-1]]
+    bs[side] = np.array([1.0, 1.0, 0.5])      # E = rho*v^2/2: p = 0
+    with pytest.raises(PositivityViolation):
+        co.estimate_boundary_entropy_flux(s, tuple(bs))
