@@ -27,7 +27,8 @@ from .core import (FvField1D, UniformGrid1D, UniformGrid2D, coarse_grain,
 from .diagnostics import InvariantReport, mae, normalized_mse, vorticity_correlation
 from .dg import burgers_centered_rule, dg_project
 from .drivers import (DgScalar1D, Euler1D, FtcsAdvection,
-                      NonconservativeBurgers1D, ScalarFv1D, Vorticity2D)
+                      InfeasibleTargetWarning, NonconservativeBurgers1D,
+                      ScalarFv1D, Vorticity2D)
 from .errors import ConfigurationError, InvariantGuardError
 from .problems import (ic_random_vorticity, ic_sine, ic_sod, ic_sum_of_sines)
 from .schemes import FluxScheme
@@ -52,24 +53,25 @@ def _fmt(x):
 
 
 def write_csv(path, header, rows):
+    """Write ``header`` and one line per row of numbers, each value as
+    ``%.17g``, which formats a float exactly as ``format(x, ".17g")``."""
+    rows = np.asarray(rows, dtype=np.float64)
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if not isinstance(v, str) else v
-                              for v in row) + "\n")
+        if rows.size:
+            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+            fh.writelines(line % tuple(row) for row in rows.tolist())
 
 
 def write_trajectory(path, traj, reorder=None):
     """Dump snapshots as t,c0,c1,...; ``reorder`` permutes each state vector
     into the documented column layout (2D fields: x index fastest)."""
-    n = traj.snapshots[0].size
-    header = "t," + ",".join(f"c{i}" for i in range(n))
-    rows = []
-    for t, snap in zip(traj.times, traj.snapshots):
-        flat = np.asarray(snap, dtype=np.float64).ravel()
-        if reorder is not None:
-            flat = reorder(flat)
-        rows.append([t] + list(flat))
+    snaps = [np.asarray(snap, dtype=np.float64).ravel()
+             for snap in traj.snapshots]
+    if reorder is not None:
+        snaps = [reorder(flat) for flat in snaps]
+    rows = np.column_stack((traj.times, snaps))
+    header = "t," + ",".join(f"c{i}" for i in range(rows.shape[1] - 1))
     write_csv(path, header, rows)
 
 
@@ -308,13 +310,17 @@ def cmd_run(config_path, output_root=None):
     return 0
 
 
-def _write_manifest(out_dir, config_path, status):
+def _write_manifest(out_dir, config_path, status, clamps=None):
+    """``status`` maps each run to ``ok`` or its error; ``clamps`` maps each
+    run that clamped infeasible per-step targets to how many it clamped."""
     sha = hashlib.sha256(Path(config_path).read_bytes()).hexdigest()
     lines = [f"config_sha256 = {sha}",
              f"package_version = {__version__}",
              f"numpy_version = {np.__version__}"]
     for key in sorted(status):
         lines.append(f"status.{key} = {status[key]}")
+    for key in sorted(clamps or {}):
+        lines.append(f"clamps.{key} = {clamps[key]}")
     (out_dir / "manifest").write_text("\n".join(lines) + "\n")
 
 
@@ -352,6 +358,7 @@ def cmd_sweep(config_path, output_root=None):
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
+    clamps = {}   # infeasible per-step targets clamped, per row
     for n in ec.resolutions:
         x = UniformGrid1D(n, ec.length).cell_centers()
         for label in SWEEP_VARIANTS:
@@ -362,7 +369,16 @@ def cmd_sweep(config_path, output_root=None):
             else:
                 variant = VariantConfig(label, scheme=label)
             driver = build_driver(ec, variant, n)
-            traj = run(variant_plan(ec, variant), driver)
+            with warnings.catch_warnings(record=True) as caught:
+                traj = run(variant_plan(ec, variant), driver)
+            # shown after the row, through the hook a caller may count with
+            for w in caught:
+                warnings.showwarning(w.message, w.category, w.filename,
+                                     w.lineno, w.file, w.line)
+            n_clamps = sum(issubclass(w.category, InfeasibleTargetWarning)
+                           for w in caught)
+            if n_clamps:
+                clamps[f"n{n}.{label}"] = n_clamps
             if traj.error is not None:
                 rows.append([str(n), label, "nan", "nan", "nan"])
                 continue
@@ -378,7 +394,7 @@ def cmd_sweep(config_path, output_root=None):
         fh.write("n,variant,normalized_mse,mae,l2_end_over_l2_0\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
-    _write_manifest(out_dir, config_path, {"sweep": "ok"})
+    _write_manifest(out_dir, config_path, {"sweep": "ok"}, clamps)
     return 0
 
 

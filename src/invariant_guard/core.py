@@ -19,7 +19,7 @@ DIRICHLET = "dirichlet"
 
 def _as_float_array(values):
     arr = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteState("field values must be finite")
     return arr
 
@@ -196,7 +196,7 @@ class SpectralField:
         arr = np.asarray(self.coeffs, dtype=np.complex128).copy()
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("coeffs must hold modes m = 0..N with N >= 1")
-        if not np.all(np.isfinite(arr.view(np.float64))):
+        if not np.isfinite(arr.view(np.float64)).all():
             raise NonFiniteState("coefficients must be finite")
         arr[0] = arr[0].real
         self.coeffs = arr

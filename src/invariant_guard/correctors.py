@@ -178,7 +178,7 @@ def _face_jumps(a, periodic):
     """a_{j+1} - a_j along axis 0 at the interfaces a flux correction moves:
     faces 1..N (the last wraps to cell 0) on a periodic grid, 1..N-1 on a
     bounded one."""
-    return (shift(a, 1) - a) if periodic else np.diff(a, axis=0)
+    return (shift(a, 1) - a) if periodic else a[1:] - a[:-1]
 
 
 def _flux_rate_1d(f, u, du):
@@ -209,8 +209,8 @@ def correct_flux_l2_1d(fluxes, u: FvField1D, target: L2RateTarget):
         return f, Correction(old, new, old)
 
     denom = float(du @ du)
-    _check_denominator(denom, np.linalg.norm(du) * np.linalg.norm(du),
-                       "flux correction")
+    norm = np.linalg.norm(du)
+    _check_denominator(denom, norm * norm, "flux correction")
     out = f.copy()
     if u.grid.periodic:
         out += (new - old) * du / denom
@@ -470,35 +470,42 @@ def correct_euler2d_mass_energy_l2(rhs, state: VorticityState2D,
 
 @dataclass
 class EntropyVariables1D:
-    """w = d(eta)/du per cell, plus eta, p*, and the entropy flux psi."""
+    """w = d(eta)/du per cell, plus eta, p*, the entropy flux psi, and the
+    velocity and pressure they were computed from."""
 
     w: np.ndarray        # (N, 3)
     eta: np.ndarray      # (N,)
     p_star: np.ndarray   # (N,)
     psi: np.ndarray      # (N,)
+    v: np.ndarray        # (N,)
+    p: np.ndarray        # (N,)
 
 
 def entropy_variables_euler1d(state: EulerState1D) -> EntropyVariables1D:
     """Entropy variables for eta = rho*g(s), g(s) = exp(s/(gamma+1))."""
     rho = state.rho
     p = state.pressure()
-    if np.any(rho <= 0.0) or np.any(p <= 0.0):
+    if (rho <= 0.0).any() or (p <= 0.0).any():
         raise PositivityViolation("entropy variables need positive rho and p")
     gamma = state.gamma
     g = (p / rho**gamma) ** (1.0 / (gamma + 1.0))
     eta = rho * g
     p_star = (gamma - 1.0) / (gamma + 1.0) * g
     scale = p_star / p
-    w = np.stack([scale * state.energy, -scale * state.mom, scale * rho], axis=1)
-    return EntropyVariables1D(w, eta, p_star, eta * state.velocity())
+    w = np.empty(state.u.shape)
+    np.multiply(scale, state.energy, out=w[:, 0])
+    np.multiply(-scale, state.mom, out=w[:, 1])
+    np.multiply(scale, rho, out=w[:, 2])
+    v = state.velocity()
+    return EntropyVariables1D(w, eta, p_star, eta * v, v, p)
 
 
 def _entropy_rate(f, w, dw, periodic):
     """Summation-by-parts entropy rate from the face jumps ``dw`` of ``w``."""
     if periodic:
         # distinct faces are 1..N: face k sits between cells k-1 and k (mod N)
-        return float(np.sum(f[1:] * dw))
-    interior = float(np.sum(f[1:-1] * dw))
+        return float((f[1:] * dw).sum())
+    interior = float((f[1:-1] * dw).sum())
     return interior + float(f[0] @ w[0] - f[-1] @ w[-1])
 
 
@@ -517,16 +524,18 @@ def correct_entropy_euler1d(fluxes, state: EulerState1D,
     boundary + R*(old - boundary).
 
     Boundary fluxes are held fixed (Dirichlet) or mirrored (periodic);
-    G_{j+1/2} = (0, v_{j+1}-v_j, p_{j+1}-p_j).  The entropy-variable
-    jumps are taken once and serve the old rate, the denominator and the
-    achieved rate.
+    G_{j+1/2} = (0, v_{j+1}-v_j, p_{j+1}-p_j), from the velocity and pressure
+    the entropy variables were computed from.  The entropy-variable jumps are
+    taken once and serve the old rate, the denominator and the achieved
+    rate.
     """
     f = np.asarray(fluxes, dtype=np.float64)
     n = state.grid.n_cells
     if f.shape != (n + 1, 3):
         raise ValueError("expected fluxes at the N+1 interfaces")
     periodic = state.grid.periodic
-    w = entropy_variables_euler1d(state).w
+    ev = entropy_variables_euler1d(state)
+    w = ev.w
     dw = _face_jumps(w, periodic)
     old = _entropy_rate(f, w, dw, periodic)
     new = target.resolve(old)
@@ -537,10 +546,10 @@ def correct_entropy_euler1d(fluxes, state: EulerState1D,
                       "anti-diffusion; positivity is no longer guaranteed",
                       AntiDiffusiveTargetWarning, stacklevel=2)
 
-    dv = _face_jumps(state.velocity(), periodic)
-    dp = _face_jumps(state.pressure(), periodic)
-    g = np.stack([np.zeros_like(dv), dv, dp], axis=1)
-    denom = float(np.sum(g * dw))
+    g = np.zeros_like(dw)
+    g[:, 1] = _face_jumps(ev.v, periodic)
+    g[:, 2] = _face_jumps(ev.p, periodic)
+    denom = float((g * dw).sum())
     _check_denominator(denom, float(np.linalg.norm(g) * np.linalg.norm(dw)),
                        "entropy correction")
     out = f.copy()
@@ -566,10 +575,10 @@ def estimate_boundary_entropy_flux(state: EulerState1D, boundary_state=None):
     left, right = (u[0], u[-1]) if boundary_state is None else boundary_state
     # rows: left cell, right cell, left boundary, right boundary; psi in the
     # operation order of entropy_variables_euler1d
-    rho, mom, energy = np.stack([u[0], u[-1], left, right], axis=1)
+    rho, mom, energy = np.array((u[0], u[-1], left, right)).T
     gamma = state.gamma
     p = (gamma - 1.0) * (energy - 0.5 * mom**2 / rho)
-    if np.any(rho <= 0.0) or np.any(p <= 0.0):
+    if (rho <= 0.0).any() or (p <= 0.0).any():
         raise PositivityViolation("entropy flux needs positive rho and p")
     g = (p / rho**gamma) ** (1.0 / (gamma + 1.0))
     psi = (rho * g) * (mom / rho)
@@ -593,26 +602,27 @@ def limit_positivity_euler1d(fluxes, state: EulerState1D, dt, eps_pos=None,
     if eps_pos is None:
         eps_pos = 1e-12 * max(float(state.rho.max()), float(state.pressure().max()))
 
-    u = state.u
     periodic = state.grid.periodic
     gamma = state.gamma
-    # cell left and cell right of each face; on a bounded grid face 0 has no
-    # left cell and face N no right cell, so their stand-ins go unchecked
-    u_l, u_r = _face_cells(u, periodic)
-    fu_l, fu_r = _face_cells(euler_physical_flux(u, gamma), periodic)
-    lam_l, lam_r = (lam[:, None] for lam in
-                    _face_cells(dt / state.grid.cell_volumes, periodic))
-    skip_l = np.zeros(n + 1, dtype=bool)
-    skip_r = np.zeros(n + 1, dtype=bool)
+    # component rows of the cells left ([:, 0]) and right ([:, 1]) of each
+    # face; on a bounded grid face 0 has no left cell and face N no right
+    # cell, so their stand-ins go unchecked
+    cells = _face_cells(state.u.T, periodic)
+    f_cells = euler_physical_flux(cells.T, gamma).T
+    # u_L - 2 lam_L (F - f(u_L)) is u_L + (-2 lam_L)(F - f(u_L)) bit for bit
+    lam2 = 2.0 * (dt / _face_cells(state.grid.cell_volumes, periodic))
+    np.negative(lam2[0], out=lam2[0])
+    skip = np.zeros((2, n + 1), dtype=bool)
     if not periodic:
-        skip_l[0] = skip_r[-1] = True
+        skip[0, 0] = skip[1, -1] = True
 
     def feasible(ft):
-        # right-moving half of the left cell: u_L - 2 lam_L (F - f(u_L))
-        okl = _positive_state(u_l - 2.0 * lam_l * (ft - fu_l), gamma, eps_pos)
-        # left half of the right cell: u_R + 2 lam_R (F - f(u_R))
-        okr = _positive_state(u_r + 2.0 * lam_r * (ft - fu_r), gamma, eps_pos)
-        return (okl | skip_l) & (okr | skip_r)
+        # right-moving half of the left cell, u_L - 2 lam_L (F - f(u_L)), and
+        # left half of the right cell, u_R + 2 lam_R (F - f(u_R))
+        ok = _positive_state(cells + lam2 * (ft.T[:, None] - f_cells),
+                             gamma, eps_pos)
+        ok |= skip
+        return ok.all(axis=0)
 
     # theta = 1 is f itself: the blend f + 0*f_lf differs from f only in the
     # sign of a zero while f_lf is finite, which no positivity test sees, so
@@ -645,14 +655,19 @@ def limit_positivity_euler1d(fluxes, state: EulerState1D, dt, eps_pos=None,
 
 
 def _face_cells(a, periodic):
-    """Rows of ``a`` for the cell left and the cell right of each of the N+1
-    faces; a bounded grid repeats its end cell where a face has no neighbour."""
-    if periodic:
-        return np.concatenate((a[-1:], a)), np.concatenate((a, a[:1]))
-    return np.concatenate((a[:1], a)), np.concatenate((a, a[-1:]))
+    """Values of ``a`` along its last axis for the cell left (``[..., 0, :]``)
+    and the cell right (``[..., 1, :]``) of each of the N+1 faces; a bounded
+    grid repeats its end cell where a face has no neighbour."""
+    out = np.empty(a.shape[:-1] + (2, a.shape[-1] + 1))
+    out[..., 0, 1:] = a
+    out[..., 1, :-1] = a
+    out[..., 0, 0] = a[..., -1] if periodic else a[..., 0]
+    out[..., 1, -1] = a[..., 0] if periodic else a[..., -1]
+    return out
 
 
 def _positive_state(u, gamma, eps):
-    rho = u[:, 0]
-    p = (gamma - 1.0) * (u[:, 2] - 0.5 * u[:, 1] ** 2 / np.where(rho > 0, rho, 1.0))
+    """rho >= eps and p >= eps for the component rows ``u[0..2]``."""
+    rho, m, e = u
+    p = (gamma - 1.0) * (e - 0.5 * m ** 2 / np.where(rho > 0, rho, 1.0))
     return (rho >= eps) & (p >= eps)

@@ -12,154 +12,200 @@ Layout: ``u_ext`` is transposed once into component rows, a (3, N+4) array
 whose rows rho, rho*v and E are contiguous.  Every face quantity is a row of
 N+1 values, and a quantity of the two cells or reconstructed states at a face
 is a (2, N+1) pair, left then right, so each formula runs once for both sides.
-The jump across face k is both the forward slope of its left cell and the
-backward slope of its right cell, and both slopes are taken in face k's
-characteristic variables.  So the jumps across faces k-1, k and k+1 are each
-projected once with face k's left eigenvectors (three projections where a
-per-cell slope needs four), and the six characteristic slopes of the face's
-two cells are limited in one call.  The result is bit for bit the per-cell
-formulation's: every elementwise operation keeps its operands and order.
+Rows that enter the same formula are stacked so one numpy call serves them
+all: (v, h) of a state, the three left eigenvectors, the three characteristic
+fields' slopes or wave strengths.  The jump across face k is both the forward
+slope of its left cell and the backward slope of its right cell, and both
+slopes are taken in face k's characteristic variables.  So the jumps across
+faces k-1, k and k+1 are each projected once with face k's left eigenvectors
+(three projections where a per-cell slope needs four), and the six
+characteristic slopes of the face's two cells are limited in one call.  The
+result is bit for bit the per-cell formulation's: every elementwise operation
+keeps its operands and rounding order (a product may swap its two factors,
+which rounds alike), and ``tests/test_kernels.py`` pins the output bytes.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .limiter import mc_limit
 
 
-def _physical_flux(rho, m, e, gamma):
-    """Physical flux rows (m, m*v + p, v*(E + p)) of conserved rows (rho, m, E)."""
-    v = m / rho
+def _physical_flux(m, e, v, gamma, out):
+    """Physical flux rows (m, m*v + p, v*(E + p)) of states with momentum
+    ``m``, energy ``e`` and velocity ``v``, written into ``out[0..2]``."""
     p = (gamma - 1.0) * (e - 0.5 * m * v)
-    return m, m * v + p, v * (e + p)
+    out[0] = m
+    # out[i, ...] is a view even where out[i] would be a scalar
+    np.add(m * v, p, out=out[1, ...])
+    np.multiply(v, e + p, out=out[2, ...])
+    return out
 
 
 def euler_physical_flux(u, gamma):
     """Physical flux (rho*v, rho*v^2+p, v*(E+p)) for conserved rows (..., 3)."""
     u = np.asarray(u, dtype=np.float64)
-    return np.stack(_physical_flux(u[..., 0], u[..., 1], u[..., 2], gamma), axis=-1)
+    flux = np.empty_like(u)   # in u's memory order
+    _physical_flux(u[..., 1], u[..., 2], u[..., 1] / u[..., 0], gamma,
+                   np.moveaxis(flux, -1, 0))
+    return flux
+
+
+def _eigen_rows(v, h, c, n):
+    """Right eigenvectors as (3, 3, n) rows: entry [r, f] takes field f's
+    coefficient into conserved component r.  Row 0 is ones, row 1 the
+    eigenvalues v - c, v, v + c, row 2 the energy entries h - v*c,
+    0.5 * v**2, h + v*c.  Entry [2, 1] holds only the 0.5: callers multiply
+    its product by v**2 afterwards, which rounds as s * 0.5 * v**2 does."""
+    e = np.empty((3, 3, n))
+    e[0] = 1.0
+    np.subtract(v, c, out=e[1, 0])
+    e[1, 1] = v
+    np.add(v, c, out=e[1, 2])
+    vc = v * c
+    np.subtract(h, vc, out=e[2, 0])
+    e[2, 1] = 0.5
+    np.add(h, vc, out=e[2, 2])
+    return e
 
 
 def characteristic_muscl_fluxes(u_ext, gamma):
     """MUSCL fluxes at the N+1 interfaces of an (N+4, 3) extended state."""
     q = np.ascontiguousarray(np.asarray(u_ext, dtype=np.float64).T)
     gamma = float(gamma)
-    n_faces = q.shape[1] - 3
+    gm1 = gamma - 1.0
+    n = q.shape[1] - 3    # faces
     uL, uR = q[:, 1:-2], q[:, 2:-1]   # cells left and right of each face
 
     # primitives of every extended cell; face k reads cells k+1 and k+2
     rho = q[0]
-    v = q[1] / rho
-    p = (gamma - 1.0) * (q[2] - 0.5 * rho * v**2)
-    h = (q[2] + p) / rho
+    vh_cell = np.empty((2, n + 3))
+    v = np.divide(q[1], rho, out=vh_cell[0])
+    p = gm1 * (q[2] - 0.5 * rho * v**2)
+    np.divide(q[2] + p, rho, out=vh_cell[1])
     sq = np.sqrt(rho)
-    sv, sh = sq * v, sq * h
 
-    # Roe average of the cell pair of each face
-    den = sq[1:-2] + sq[2:-1]
-    vh = (sv[1:-2] + sv[2:-1]) / den
-    hh = (sh[1:-2] + sh[2:-1]) / den
+    # Roe average (vh, hh) of the cell pair of each face
+    s = sq * vh_cell
+    vh, hh = (s[:, 1:-2] + s[:, 2:-1]) / (sq[1:-2] + sq[2:-1])
     vh2 = vh**2
-    c2 = (gamma - 1.0) * (hh - 0.5 * vh2)
+    c2 = gm1 * (hh - 0.5 * vh2)
     ok = c2 > 0.0
-    ch = np.sqrt(np.where(ok, c2, 1.0))
+    c2 = np.where(ok, c2, 1.0)   # faces with c^2 <= 0 fall back below
+    ch = np.sqrt(c2)
+    b1 = gm1 / c2
 
-    b1 = (gamma - 1.0) / np.where(ok, c2, 1.0)
-    b2 = 0.5 * b1 * vh2
     # left eigenvectors of face k's Roe Jacobian: lc[j] holds the coefficient
     # of conserved component j for the three characteristic fields, with the
-    # sign folded in (x - a*d and x + (-a)*d round alike)
-    vc, ic, bv = vh / ch, 1.0 / ch, b1 * vh
-    lc = np.empty((3, 3, 1, n_faces))
-    lc[0, 0] = 0.5 * (b2 + vc)
-    lc[0, 1] = 1.0 - b2
-    lc[0, 2] = 0.5 * (b2 - vc)
-    lc[1, 0] = -(0.5 * (bv + ic))
-    lc[1, 1] = bv
-    lc[1, 2] = -(0.5 * (bv - ic))
-    lc[2, 0] = 0.5 * b1
-    lc[2, 1] = -b1
-    lc[2, 2] = 0.5 * b1
+    # sign folded in (x - a*d and x + (-a)*d round alike):
+    #   lc[0] = 0.5 (b2 + v/c),       1 - b2,  0.5 (b2 - v/c)
+    #   lc[1] = -0.5 (b1 v + 1/c),    b1 v,    -0.5 (b1 v - 1/c)
+    #   lc[2] = 0.5 b1,               -b1,     0.5 b1
+    lc = np.empty((3, 3, n))
+    l0, l1, l2 = lc
+    half_b1 = np.multiply(0.5, b1, out=l2[0])
+    np.negative(b1, out=l2[1])
+    l2[2] = half_b1
+    b2 = half_b1 * vh2
+    vc, ic = vh / ch, 1.0 / ch
+    bv = np.multiply(b1, vh, out=l1[1])
+    np.add(b2, vc, out=l0[0])
+    np.subtract(1.0, b2, out=l0[1])
+    np.subtract(b2, vc, out=l0[2])
+    l0[::2] *= 0.5
+    np.add(bv, ic, out=l1[0])
+    np.subtract(bv, ic, out=l1[2])
+    l1[::2] *= 0.5
+    np.negative(l1[::2], out=l1[::2])
 
-    # jumps across faces k-1, k and k+1 (a window view, no copy), each
-    # projected once onto face k's characteristic fields
-    jump = q[:, 1:] - q[:, :-1]
-    d = sliding_window_view(jump, n_faces, axis=1)
-    w = lc[0] * d[0] + lc[1] * d[1] + lc[2] * d[2]
+    # jumps across faces k-1, k and k+1 (d[j, i] for window i), each
+    # projected once onto face k's characteristic fields: w[i, f]
+    d = np.empty((3, 3, 1, n))
+    for i in range(3):
+        np.subtract(q[:, i + 1:i + 1 + n], q[:, i:i + n], out=d[:, i, 0])
+    w = lc[0] * d[0]
+    tmp = lc[1] * d[1]
+    w += tmp
+    np.multiply(lc[2], d[2], out=tmp)
+    w += tmp
     # limited characteristic slopes of the left (0) and right (1) cell
-    back, fwd = w[:, :2], w[:, 1:]
-    sw = mc_limit(0.5 * (back + fwd), 2.0 * fwd, 2.0 * back)
+    w2 = 2.0 * w
+    sw = mc_limit(0.5 * (w[:2] + w[1:]), w2[1:], w2[:2])
 
-    vmc, vpc = vh - ch, vh + ch
-    slope = np.empty((3, 2, n_faces))
-    slope[0] = sw[0] + sw[1] + sw[2]
-    slope[1] = sw[0] * vmc + sw[1] * vh + sw[2] * vpc
-    slope[2] = sw[0] * (hh - vh * ch) + sw[1] * 0.5 * vh2 + sw[2] * (hh + vh * ch)
+    # conserved slopes: slope[s, r] = sum over fields f of sw[s, f] * e[r, f]
+    t = sw[:, None] * _eigen_rows(vh, hh, ch, n)
+    t[:, 2, 1] *= vh2
+    slope = t[:, :, 0] + t[:, :, 1]
+    slope += t[:, :, 2]
+    slope *= 0.5
     # reconstructed pair: left cell + slope/2, right cell - slope/2
-    face = np.empty((3, 2, n_faces))
-    face[:, 0] = uL + 0.5 * slope[:, 0]
-    face[:, 1] = uR - 0.5 * slope[:, 1]
+    face = np.empty((3, 2, n))
+    np.add(uL, slope[0], out=face[:, 0])
+    np.subtract(uR, slope[1], out=face[:, 1])
 
     rho_f = face[0]
-    p_pos = (gamma - 1.0) * (face[2] - 0.5 * face[1] ** 2
-                             / np.where(rho_f > 0, rho_f, 1.0))
-    good = ok & ((rho_f > 0.0) & (p_pos > 0.0)).all(axis=0)
-    bad = ~good
-    np.copyto(face[:, 0], uL, where=bad)
-    np.copyto(face[:, 1], uR, where=bad)
+    positive = rho_f > 0.0
+    p_pos = gm1 * (face[2] - 0.5 * face[1] ** 2
+                   / np.where(positive, rho_f, 1.0))
+    positive &= p_pos > 0.0
+    bad = ~(ok & positive.all(axis=0))
+    if bad.any():
+        np.copyto(face[:, 0], uL, where=bad)
+        np.copyto(face[:, 1], uR, where=bad)
 
     # Roe flux of the face pair
-    v_f = face[1] / rho_f
-    p_f = (gamma - 1.0) * (face[2] - 0.5 * rho_f * v_f**2)
-    h_f = (face[2] + p_f) / rho_f
+    vh_f = np.empty((2, 2, n))
+    v_f = np.divide(face[1], rho_f, out=vh_f[0])
+    p_f = gm1 * (face[2] - 0.5 * rho_f * v_f**2)
+    np.divide(face[2] + p_f, rho_f, out=vh_f[1])
     c_f = np.sqrt(gamma * p_f / rho_f)
     sq_f = np.sqrt(rho_f)
-    sv_f, sh_f = sq_f * v_f, sq_f * h_f
-
-    den = sq_f[0] + sq_f[1]
-    vm = (sv_f[0] + sv_f[1]) / den
-    hm = (sh_f[0] + sh_f[1]) / den
+    s_f = sq_f * vh_f
+    vm, hm = (s_f[:, 0] + s_f[:, 1]) / (sq_f[0] + sq_f[1])
     vm2 = vm**2
-    cm2 = (gamma - 1.0) * (hm - 0.5 * vm2)
+    cm2 = gm1 * (hm - 0.5 * vm2)
     roe_ok = cm2 > 0.0
-    cm = np.sqrt(np.where(roe_ok, cm2, 1.0))
+    cm2 = np.where(roe_ok, cm2, 1.0)   # these faces take Lax-Friedrichs
+    cm = np.sqrt(cm2)
 
+    # wave strengths a1, a2, a3 of the three fields
     dq = face[:, 1] - face[:, 0]
-    a2 = (gamma - 1.0) / np.where(roe_ok, cm2, 1.0) * (
-        dq[0] * (hm - vm2) + vm * dq[1] - dq[2])
-    a1 = 0.5 * (dq[0] - a2 - (dq[1] - vm * dq[0]) / cm)
-    a3 = dq[0] - a1 - a2
+    a = np.empty((3, n))
+    np.multiply(gm1 / cm2, dq[0] * (hm - vm2) + vm * dq[1] - dq[2], out=a[1])
+    np.multiply(0.5, dq[0] - a[1] - (dq[1] - vm * dq[0]) / cm, out=a[0])
+    np.subtract(dq[0] - a[0], a[1], out=a[2])
 
-    vmc, vpc = vm - cm, vm + cm
-    lam1 = np.abs(vmc)
-    lam2 = np.abs(vm)
-    lam3 = np.abs(vpc)
-    # Harten fix against expansion shocks in the acoustic fields
-    slow, fast = v_f - c_f, v_f + c_f
-    d1 = np.maximum(0.0, slow[1] - slow[0])
-    d3 = np.maximum(0.0, fast[1] - fast[0])
-    fix1 = lam1 < d1
-    fix3 = lam3 < d3
-    lam1 = np.where(fix1, 0.5 * (lam1**2 / np.where(fix1, d1, 1.0) + d1), lam1)
-    lam3 = np.where(fix3, 0.5 * (lam3**2 / np.where(fix3, d3, 1.0) + d3), lam3)
+    e = _eigen_rows(vm, hm, cm, n)
+    lam = np.abs(e[1])
+    # Harten fix against expansion shocks in the acoustic fields (rows 0
+    # and 2 of lam), where the pair's v - c or v + c spreads faster than lam
+    acoustic = np.empty((2, 2, n))
+    np.subtract(v_f, c_f, out=acoustic[0])
+    np.add(v_f, c_f, out=acoustic[1])
+    spread = np.maximum(0.0, acoustic[:, 1] - acoustic[:, 0])
+    lam13 = lam[::2]
+    fix = lam13 < spread
+    if fix.any():
+        d13 = spread[fix]
+        lam13[fix] = 0.5 * (lam13[fix] ** 2 / d13 + d13)
 
-    s1, s2, s3 = a1 * lam1, a2 * lam2, a3 * lam3
-    diss = (s1 + s2 + s3,
-            s1 * vmc + s2 * vm + s3 * vpc,
-            s1 * (hm - vm * cm) + s2 * 0.5 * vm2 + s3 * (hm + vm * cm))
-    phys = _physical_flux(face[0], face[1], face[2], gamma)
-    flux = np.empty((n_faces, 3))
-    for j in range(3):
-        flux[:, j] = 0.5 * (phys[j][0] + phys[j][1]) - 0.5 * diss[j]
+    # dissipation diss[r] = sum over fields f of a[f] * lam[f] * e[r, f]
+    t = (a * lam) * e
+    t[2, 1] *= vm2
+    diss = t[:, 0] + t[:, 1]
+    diss += t[:, 2]
+    phys = _physical_flux(face[1], face[2], v_f, gamma, np.empty((3, 2, n)))
+    rows = phys[:, 0] + phys[:, 1]
+    rows *= 0.5
+    diss *= 0.5
+    rows -= diss
 
     # local Lax-Friedrichs wherever the Roe average itself degenerated
     lf_bad = bad | ~roe_ok
-    if np.any(lf_bad):
+    if lf_bad.any():
         speed = np.abs(v) + np.sqrt(gamma * p / rho)
         alpha = np.maximum(speed[1:-2], speed[2:-1])
-        fl = _physical_flux(*uL, gamma)
-        fr = _physical_flux(*uR, gamma)
-        for j in range(3):
-            lf = 0.5 * (fl[j] + fr[j]) - 0.5 * alpha * (uR[j] - uL[j])
-            flux[lf_bad, j] = lf[lf_bad]
-    return flux
+        fc = _physical_flux(q[1, 1:-1], q[2, 1:-1], v[1:-1], gamma,
+                            np.empty((3, n + 1)))
+        lf = 0.5 * (fc[:, :-1] + fc[:, 1:]) - 0.5 * alpha * (uR - uL)
+        rows[:, lf_bad] = lf[:, lf_bad]
+    return rows.T.copy()

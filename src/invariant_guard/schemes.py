@@ -98,7 +98,7 @@ def fv_rhs_1d(fluxes, grid):
         return -(f - shift(f, -1)) / grid.cell_volumes
     if f.shape != (grid.n_cells + 1,):
         raise ValueError("bounded flux array must have N+1 entries")
-    return -np.diff(f) / grid.cell_volumes
+    return -(f[1:] - f[:-1]) / grid.cell_volumes
 
 
 def fv_rhs_2d(fluxes: BoundaryFluxes2D, grid: UniformGrid2D):
@@ -222,15 +222,15 @@ def _extend_state(state: EulerState1D, boundary_state=None):
     outermost cell values.
     """
     u = state.u
+    ext = np.empty((len(u) + 4, 3))
+    ext[2:-2] = u
     if state.grid.periodic:
-        return np.concatenate([u[-2:], u, u[:2]], axis=0)
-    if boundary_state is None:
-        left, right = u[0], u[-1]
+        ext[:2], ext[-2:] = u[-2:], u[:2]
+    elif boundary_state is None:
+        ext[:2], ext[-2:] = u[0], u[-1]
     else:
-        left, right = (np.asarray(b, dtype=np.float64) for b in boundary_state)
-    ghosts_l = np.broadcast_to(left, (2, 3))
-    ghosts_r = np.broadcast_to(right, (2, 3))
-    return np.concatenate([ghosts_l, u, ghosts_r], axis=0)
+        ext[:2], ext[-2:] = boundary_state
+    return ext
 
 
 def euler1d_muscl_flux(state: EulerState1D, boundary_state=None):
@@ -242,7 +242,7 @@ def euler1d_muscl_flux(state: EulerState1D, boundary_state=None):
     positive rho and p); degenerate reconstructed faces silently fall back
     to the first-order local Lax-Friedrichs flux.
     """
-    if np.any(state.rho <= 0.0) or np.any(state.pressure() <= 0.0):
+    if (state.rho <= 0.0).any() or (state.pressure() <= 0.0).any():
         raise PositivityViolation("non-positive density or pressure in state")
     u_ext = _extend_state(state, boundary_state)
     return kernels.characteristic_muscl_fluxes(u_ext, state.gamma)
@@ -250,14 +250,13 @@ def euler1d_muscl_flux(state: EulerState1D, boundary_state=None):
 
 def euler1d_lax_friedrichs_flux(state: EulerState1D, dt, boundary_state=None):
     """First-order Lax-Friedrichs fluxes with dissipation dx/(2 dt)."""
-    u_ext = _extend_state(state, boundary_state)
-    ul, ur = u_ext[1:-2], u_ext[2:-1]
+    u_ext = _extend_state(state, boundary_state)[1:-1]
+    f_ext = kernels.euler_physical_flux(u_ext, state.gamma)
     alpha = state.grid.dx_min / dt
-    return 0.5 * (kernels.euler_physical_flux(ul, state.gamma)
-                  + kernels.euler_physical_flux(ur, state.gamma)) \
-        - 0.5 * alpha * (ur - ul)
+    return 0.5 * (f_ext[:-1] + f_ext[1:]) - 0.5 * alpha * (u_ext[1:] - u_ext[:-1])
 
 
 def euler1d_rhs(fluxes, grid):
     """du/dt = -(F_{j+1/2} - F_{j-1/2})/dx, rows (N, 3), from (N+1, 3) fluxes."""
-    return -np.diff(fluxes, axis=0) / grid.cell_volumes[:, None]
+    f = np.asarray(fluxes, dtype=np.float64)
+    return -(f[1:] - f[:-1]) / grid.cell_volumes[:, None]

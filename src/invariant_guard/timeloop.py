@@ -145,7 +145,7 @@ def run(plan: StepPlan, problem) -> Trajectory:
         t += dt
         step += 1
 
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             traj.error = NumericalBlowup("non-finite state", step, t)
             return traj
         if hasattr(problem, "observe"):

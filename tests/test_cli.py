@@ -1,12 +1,16 @@
 import filecmp
+import warnings
+
 import numpy as np
 import pytest
 
 from invariant_guard.cli import (build_driver, bundled_config, cmd_run,
-                                 cmd_sweep, cmd_verify, main, variant_plan)
+                                 cmd_sweep, cmd_verify, main, variant_plan,
+                                 write_csv)
 from invariant_guard.config import (_CORRECTORS, _DISCRETE_CORRECTORS,
                                     VariantConfig, parse_config)
 from invariant_guard.correctors import TrackedRateSource
+from invariant_guard.drivers import InfeasibleTargetWarning
 from invariant_guard.errors import ConfigurationError
 from invariant_guard.timeloop import run
 
@@ -350,6 +354,39 @@ def test_sweep_scores_against_the_offset_exact_solution(tmp_path):
         maes.append({r[1]: float(r[3]) for r in rows})
     for scheme in ("centered", "upwind", "muscl"):
         assert abs(maes[1][scheme] - maes[0][scheme]) <= 1e-9, scheme
+
+
+def test_sweep_manifest_counts_the_clamps_it_shows(tmp_path, monkeypatch):
+    # every clamp warning is shown through warnings.showwarning, and the
+    # manifest counts them per row
+    shown = []
+    monkeypatch.setattr(warnings, "showwarning",
+                        lambda message, category, *args: shown.append(category))
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        assert cmd_sweep(bundled_config("sweep_advection"),
+                         output_root=tmp_path) == 0
+    lines = (tmp_path / "sweep_advection" / "manifest").read_text().splitlines()
+    clamps = {key: int(value) for key, _, value in
+              (line.partition(" = ") for line in lines)
+              if key.startswith("clamps.")}
+    assert clamps and all(key.endswith(".surrogate_clamp") for key in clamps)
+    n_shown = sum(issubclass(c, InfeasibleTargetWarning) for c in shown)
+    assert sum(clamps.values()) == n_shown > 0
+
+
+def test_write_csv_formats_like_the_per_value_formatter(tmp_path):
+    # %.17g and format(x, ".17g") take the same path, edge values included
+    rng = np.random.default_rng(0)
+    bits = rng.integers(0, 2**64, size=600, dtype=np.uint64).view(np.float64)
+    edge = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308,
+            1.8e308, -1.8e308, 1.0, 0.1, 1 / 3, 123456789012345678.0]
+    values = np.concatenate([bits, edge, np.zeros(2)]).reshape(-1, 4)
+    path = tmp_path / "values.csv"
+    write_csv(path, "a,b,c,d", values)
+    want = ["a,b,c,d"] + [",".join(format(float(v), ".17g") for v in row)
+                          for row in values]
+    assert path.read_text() == "\n".join(want) + "\n"
 
 
 def test_sweep_rejects_non_advection(tmp_path):

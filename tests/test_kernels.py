@@ -4,6 +4,8 @@ The loops below compute each face flux one cell at a time, the way the
 formulas are written, and are slow; the small grids keep them cheap.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -335,3 +337,83 @@ def test_euler_kernel_layout_and_input_untouched():
     # a column-major copy of the same values gives the same bytes
     assert characteristic_muscl_fluxes(np.asfortranarray(u_ext), 1.4).tobytes() \
         == f.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the Euler kernel's bytes, pinned
+# ---------------------------------------------------------------------------
+
+def pinned_state(kind, seed, n=48):
+    """Seeded periodic extended state of one kind: 'smooth' periodic bumps
+    (no branch fires), 'near_vacuum' cells spanning nine decades of rho and
+    p, a transonic 'harten' expansion, and fast cold cells whose
+    reconstruction 'fallback' goes non-positive.  Built from the generator's
+    uniforms with correctly rounded operations only, so the state's bytes
+    depend on no math library either."""
+    rng = np.random.default_rng(seed)
+    if kind == "smooth":
+        x = (np.arange(n) + 0.5) / n
+        s = (x[:, None] + rng.uniform(0.0, 1.0, 3)) % 1.0
+        rho, v, p = (4.0 * s * (1.0 - s) * [0.3, 1.0, 0.3] + [1.0, -0.5, 1.0]).T
+    elif kind == "near_vacuum":
+        rho = np.ldexp(rng.uniform(1.0, 2.0, n), -rng.integers(0, 30, n))
+        v = rng.uniform(-2.0, 2.0, n)
+        p = np.ldexp(rng.uniform(1.0, 2.0, n), -rng.integers(0, 30, n))
+    elif kind == "harten":
+        rho = rng.uniform(0.9, 1.1, n)
+        v = np.linspace(-2.5, 2.5, n) + rng.uniform(-0.05, 0.05, n)
+        p = rng.uniform(0.9, 1.1, n)
+    else:  # "fallback"
+        rho = rng.uniform(0.05, 2.0, n)
+        v = rng.uniform(-3.0, 3.0, n)
+        p = rng.uniform(1e-3, 1e-2, n)
+    u = np.stack([rho, rho * v, p / 0.4 + 0.5 * rho * v**2], axis=1)
+    return np.concatenate([u[-2:], u, u[:2]], axis=0)
+
+
+# SHA-256 of characteristic_muscl_fluxes(state, 1.4).tobytes().  The kernel
+# uses only correctly rounded operations (+ - * /, sqrt, abs, maximum,
+# where, squaring), so these bytes depend on no math library; a change that
+# reorders its arithmetic shows here.  A seed's case is keyed (kind, seed),
+# a BRANCH_CASES state (branch, None).
+KERNEL_DIGESTS = {
+    ("smooth", 0): "da011e68830afd3433970e1a25bed792802b2827b7c49a03465aca66eec8bcf5",
+    ("smooth", 1): "f63397818877c7da948be806e951fd5fc1ac74d3e40e428c41a39c5ba0b3db2e",
+    ("smooth", 2): "44773ebbebe775dd1f2a36c895ff62bf6c836d736133628b28ab44bd3cbca8b6",
+    ("near_vacuum", 0): "53c9b82a02181dffe6af09176aecbf1afc0686a1d838e4d28647ce7206d83c3a",
+    ("near_vacuum", 1): "8e5f32c595c7c7b5bb5834cddfdcd8f810a685c2e4a75ee8c87f23125326a3f8",
+    ("near_vacuum", 2): "02fb2ea6c774ae24434089f7db0dd6a8b0259c3a20aac51cdd8fe315a9f01294",
+    ("harten", 0): "bbc49650e5f201326c1a8459ad247da4763b1afaeef3598d243f6829ed6707f7",
+    ("harten", 1): "cd2e939266593786979041fc3c421a16c66cfe50d6340c44a67bd993f6204cd0",
+    ("harten", 2): "13c78cf4a0b10ac8196caa1a98e43a14696999dc721801094fb983e19b3dbf7f",
+    ("fallback", 0): "6ff8e3ab2d6e3a9b0fd6175240c07fc218966e8eecdf82d74f98861ebc138404",
+    ("fallback", 1): "83266e7765dd386d765e727d6d9bff90a0c27fd1db978bee1c31599313d2b647",
+    ("fallback", 2): "2f0a6997a04b54978d5d58e735b6d51de720d16c8154846dcbbd47e2c4077d77",
+    ("harten1", None): "c17b79368f2ed2f10e0252ec2fd577fd2375a91b5bccbf2e666c834074f124c5",
+    ("harten3", None): "2fb49930dadb8e2515359981db51d62042c001e550798eef150fef1fb804e637",
+    ("reconstruction", None): "a29f5e68c02eb162ad9d8e3fb6b5886c9beb46710e229c678f1ddff4e4c407a5",
+    ("roe_degenerate", None): "07e75e20fb97b7d79109a00fbe4c39fa4526a444837dcfc0fea19feaf21368b2",
+}
+
+# the branches each pinned kind must take somewhere, per the reference loop
+PINNED_BRANCHES = {"smooth": set(), "near_vacuum": {"reconstruction"},
+                   "harten": {"harten1", "harten3"},
+                   "fallback": {"reconstruction"}}
+
+
+@pytest.mark.parametrize("key", sorted(KERNEL_DIGESTS, key=str),
+                         ids=lambda key: f"{key[0]}-{key[1]}")
+def test_euler_kernel_bytes_are_pinned(key):
+    kind, seed = key
+    if seed is None:
+        u_ext = np.array(BRANCH_CASES[kind][1])
+    else:
+        u_ext = pinned_state(kind, seed)
+        fired = set()
+        ref_euler_fluxes(u_ext, 1.4, fired)
+        branches = {branch for _, branch in fired}
+        want = PINNED_BRANCHES[kind]
+        assert (branches & want) if want else not branches
+    f = characteristic_muscl_fluxes(u_ext, 1.4)
+    assert np.all(np.isfinite(f))
+    assert hashlib.sha256(f.tobytes()).hexdigest() == KERNEL_DIGESTS[key]
