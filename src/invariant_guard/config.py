@@ -1,14 +1,17 @@
 """Experiment configuration: flat key-value text with [section] headers.
 
-Parsed with configparser; the schema is documented in the README.  Variant
-sections ([variant.<label>]) inherit the [problem]/[plan] defaults and may
-override scheme, corrector, targets, horizons, and forcing per variant.
+Parsed with configparser, values literal.  Each field a config sets
+declares its section, range and the equations that read it (``_key``), as
+listed in the README.  A [variant.<label>] inherits the [problem] and
+[plan] defaults and may override some of them.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
+from pathlib import PurePath
 
 from .errors import ConfigurationError
 
@@ -44,6 +47,7 @@ _REFERENCED = ("advection", "burgers", "burgers_forced",
                "burgers_nonconservative", "euler2d")
 #: equations whose RK driver reads ``scheme`` (``schemes.numerical_flux_1d``)
 _FLUX_SCHEMED = ("advection", "burgers", "burgers_forced")
+_SCALAR_1D = _FLUX_SCHEMED + ("burgers_nonconservative",)
 
 
 def rate_spec(text):
@@ -66,82 +70,172 @@ def rate_spec(text):
     return kind, value
 
 
+def _rule(test, text):
+    """A value rule: raises ValueError unless ``test(value)``."""
+    def check(value):
+        if not test(value):
+            raise ValueError(f"must be {text}")
+    return check
+
+
+def _one_of(*values):
+    return _rule(lambda x: x in values, f"one of {values}")
+
+
+_AT_LEAST_0 = _rule(lambda x: x >= 0, ">= 0")
+_AT_LEAST_1 = _rule(lambda x: x >= 1, ">= 1")
+_CFL = _rule(lambda x: 0.0 < x <= 1.0, "in (0, 1]")
+_FORCING = _one_of("none", "kolmogorov")
+_RELATIVE = _rule(lambda p: not PurePath(p).is_absolute()
+                  and ".." not in PurePath(p).parts,
+                  "a relative path with no .. part")
+_VARIANT = "variant.<label>"
+
+
+def _key(section, default, rule=None, *equations):
+    """A field that ``[section]`` sets under its name less any ``<section>_``
+    prefix, read as its annotated type.  ``rule`` raises ValueError on a
+    value out of range; ``equations``, if any, are all that read the key."""
+    return field(default=default, metadata=dict(
+        section=section, rule=rule or (lambda value: None),
+        equations=equations))
+
+
 @dataclass
 class VariantConfig:
     label: str
-    scheme: str = "muscl"
-    corrector: str = "none"
-    target: str = "clamp"            # see rate_spec
-    step_correction: str = "none"    # see rate_spec
-    entropy_ratio: float = 1.0
-    positivity: bool = True
-    t_end: float = None              # per-variant horizon override
-    cfl: float = None
-    forcing: str = None              # per-variant forcing override
-    nu: float = None
-    expect_blowup: bool = False
+    scheme: str = _key(_VARIANT, "muscl", _one_of(*_SCHEMES))
+    corrector: str = _key(_VARIANT, "none")
+    target: str = _key(_VARIANT, "clamp", rate_spec)
+    step_correction: str = _key(_VARIANT, "none", rate_spec)
+    entropy_ratio: float = _key(_VARIANT, 1.0, _AT_LEAST_0, "euler1d")
+    positivity: bool = _key(_VARIANT, True, None, "euler1d")
+    # per-variant overrides of the [plan] and [problem] values
+    t_end: float = _key(_VARIANT, None, _AT_LEAST_0)
+    cfl: float = _key(_VARIANT, None, _CFL)
+    forcing: str = _key(_VARIANT, None, _FORCING, "euler2d")
+    nu: float = _key(_VARIANT, None, _AT_LEAST_0)
+    expect_blowup: bool = _key(_VARIANT, False)
 
 
 @dataclass
 class ExperimentConfig:
-    # problem
-    equation: str = "advection"
-    length: float = 1.0
-    c: float = 1.0
-    nu: float = 0.0
-    gamma: float = 1.4
-    boundary: str = "periodic"
-    ic: str = "sine"
-    ic_seed: int = 0
-    ic_offset: float = 0.0
-    dg_degree: int = 1
-    forcing: str = "none"
-    forcing_seed: int = 0
-    kolmogorov_k: int = 4
-    drag: float = 0.1
-    # plan
-    integrator: str = "ssprk3"
-    cfl: float = 0.3
-    t_end: float = 1.0
-    snapshots: int = 11
-    max_steps: int = 500000
-    # run layout
-    resolutions: tuple = (64,)
-    reference_resolution: int = 0    # 0: no reference run
-    reference_scheme: str = "muscl"
-    output: str = "out"
-    # surrogate
-    surrogate_base: str = "upwind"
-    surrogate_amplitude: float = 0.0
-    surrogate_seed: int = 0
-    # verify
-    verify_seed: int = 0
-    verify_trials: int = 200
+    equation: str = _key("problem", "advection", _one_of(*_CORRECTORS))
+    length: float = _key("problem", 1.0, _rule(lambda x: x > 0.0, "> 0"))
+    c: float = _key("problem", 1.0, None, "advection")
+    nu: float = _key("problem", 0.0, _AT_LEAST_0)
+    gamma: float = _key("problem", 1.4, _rule(lambda x: x > 1.0, "> 1"),
+                        "euler1d")
+    boundary: str = _key("problem", "periodic",
+                         _one_of("periodic", "dirichlet"))
+    ic: str = _key("problem", "sine")    # default: the first of _ICS
+    ic_seed: int = _key("problem", 0)
+    ic_offset: float = _key("problem", 0.0, None, *_SCALAR_1D, "dg_burgers")
+    dg_degree: int = _key("problem", 1, _one_of(0, 1, 2), "dg_burgers")
+    forcing: str = _key("problem", "none", _FORCING, "euler2d")
+    forcing_seed: int = _key("problem", 0)
+    kolmogorov_k: int = _key("problem", 4, _AT_LEAST_1, "euler2d")
+    drag: float = _key("problem", 0.1, _AT_LEAST_0, "euler2d")
+    integrator: str = _key("plan", "ssprk3", _one_of(*_INTEGRATORS))
+    cfl: float = _key("plan", 0.3, _CFL)
+    t_end: float = _key("plan", 1.0, _AT_LEAST_0)
+    snapshots: int = _key("plan", 11, _AT_LEAST_1)
+    max_steps: int = _key("plan", 500000, _AT_LEAST_1)
+    resolutions: tuple = _key("run", (64,), _rule(lambda ns: min(ns) >= 2,
+                                                  "at least 2 cells each"))
+    reference_resolution: int = _key("run", 0, _AT_LEAST_0)  # 0: none
+    reference_scheme: str = _key("run", "muscl", _one_of(*_SCHEMES))
+    output: str = _key("run", "out", _RELATIVE)
+    surrogate_base: str = _key("surrogate", "upwind", _one_of(*_SCHEMES[:-1]))
+    surrogate_amplitude: float = _key("surrogate", 0.0)
+    surrogate_seed: int = _key("surrogate", 0)
+    verify_seed: int = _key("verify", 0)
+    verify_trials: int = _key("verify", 200, _AT_LEAST_1)
     variants: list = field(default_factory=list)
 
 
-def _get(cfg, section, key, conv, default, errors):
-    if not cfg.has_option(section, key):
-        return default
-    raw = cfg.get(section, key)
-    try:
-        if conv is bool:  # ValueError outside configparser's BOOLEAN_STATES
-            return cfg.getboolean(section, key)
-        return conv(raw)
-    except ValueError:
-        errors.append(f"[{section}] {key} = {raw!r}: expected {conv.__name__}")
-        return default
+def _reader(convert, expected):
+    def read(raw):
+        try:
+            return convert(raw)
+        except (ValueError, KeyError):
+            raise ValueError(f"expected {expected}") from None
+    return read
 
 
-def _scheme_errors(ec):
-    """The rules of ``schemes.numerical_flux_1d`` for every run of a flux
-    scheme: each variant at the smallest resolution and the reference."""
+def _finite(raw):
+    if not math.isfinite(value := float(raw)):
+        raise ValueError(raw)
+    return value
+
+
+#: how the text of a field is read, by the field's (string) annotation
+_READERS = {
+    "str": str,
+    "int": _reader(int, "an integer"),
+    "float": _reader(_finite, "a finite number"),
+    "bool": _reader(lambda raw: configparser.ConfigParser.BOOLEAN_STATES[
+        raw.lower()], "true/false, yes/no, on/off or 1/0"),
+    "tuple": _reader(lambda raw: tuple(int(tok) for tok in raw.split(",")),
+                     "comma-separated integers"),
+}
+#: every section a config may hold -> its keys -> the field each one sets
+_KEYS = {section: {f.name.removeprefix(section + "_"): f
+                   for f in fields(ExperimentConfig) + fields(VariantConfig)
+                   if f.metadata.get("section") == section}
+         for section in ("problem", "plan", "run", "surrogate", "verify",
+                         _VARIANT)}
+
+
+def _cross_errors(ec):
+    """The rules across keys.  A value its own rule rejects left its field
+    at the default, so each field holds a value its own rule accepts."""
+    errors = []
+    correctors = (_DISCRETE_CORRECTORS if ec.integrator == "discrete"
+                  else _CORRECTORS).get(ec.equation)
+    if correctors is None:
+        errors.append("[plan] integrator = discrete runs the FTCS advection "
+                      "demo only")
+    if ec.ic not in _ICS[ec.equation]:
+        errors.append(f"[problem] ic = {ec.ic!r}: {ec.equation} accepts "
+                      f"{_ICS[ec.equation]}")
+    if ec.boundary == "dirichlet" and ec.equation != "euler1d":
+        errors.append(f"[problem] boundary = dirichlet: {ec.equation} is "
+                      "periodic-only; only euler1d has a bounded solver")
+    steps = ec.equation in _STEP_CORRECTED and ec.integrator != "discrete"
+    for v in ec.variants:
+        where = f"[variant.{v.label}]"
+        if correctors is not None and v.corrector not in correctors:
+            errors.append(f"{where} corrector = {v.corrector!r}: {ec.equation} "
+                          f"with {ec.integrator} accepts {correctors}")
+        for key in ("target", "step_correction"):
+            if getattr(v, key) == "tracked" and not ec.reference_resolution:
+                errors.append(f"{where} {key} = tracked needs a reference run; "
+                              "set [run] reference_resolution")
+        if v.target == "none" \
+                and v.corrector not in ("none", "euler1d_entropy"):
+            errors.append(f"{where} target = none: corrector {v.corrector!r} "
+                          "needs a target")
+        if v.step_correction != "none" and not steps:
+            errors.append(f"{where} step_correction applies only to "
+                          f"{_STEP_CORRECTED} under a Runge-Kutta integrator")
+    if ec.reference_resolution:
+        if ec.equation not in _REFERENCED:
+            errors.append(f"[run] reference_resolution: {ec.equation} has no "
+                          "reference run")
+        for n in ec.resolutions:
+            if ec.reference_resolution % n != 0:
+                errors.append(f"[run] reference_resolution "
+                              f"{ec.reference_resolution} not divisible by {n}")
+    if ec.equation not in _FLUX_SCHEMED or ec.integrator == "discrete":
+        return errors
+    # the rules of schemes.numerical_flux_1d for every run of a flux scheme:
+    # each variant at the smallest resolution, and the reference
     runs = [(f"[variant.{v.label}] scheme", v.scheme, "resolutions",
              min(ec.resolutions)) for v in ec.variants]
     if ec.reference_resolution:
         runs.append(("[run] reference_scheme", ec.reference_scheme,
                      "reference_resolution", ec.reference_resolution))
-    errors = []
     for where, scheme, key, n in runs:
         if scheme == "surrogate":
             where, scheme = "[surrogate] base", ec.surrogate_base
@@ -157,7 +251,10 @@ def _scheme_errors(ec):
 def parse_config(path):
     """Parse and validate an experiment config; raises ConfigurationError
     with per-field diagnostics on malformed input."""
-    cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # values are literal (no % interpolation), and no section is
+    # configparser's DEFAULT, whose keys it would copy into every section
+    cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                    interpolation=None, default_section="")
     try:
         with open(path) as fh:
             cfg.read_file(fh)
@@ -168,140 +265,42 @@ def parse_config(path):
 
     errors = []
     ec = ExperimentConfig()
-    g = lambda s, k, conv, d: _get(cfg, s, k, conv, d, errors)
-
-    ec.equation = g("problem", "equation", str, ec.equation)
-    ec.length = g("problem", "length", float, ec.length)
-    ec.c = g("problem", "c", float, ec.c)
-    ec.nu = g("problem", "nu", float, ec.nu)
-    ec.gamma = g("problem", "gamma", float, ec.gamma)
-    ec.boundary = g("problem", "boundary", str, ec.boundary)
-    ec.ic = g("problem", "ic", str, _ICS.get(ec.equation, (ec.ic,))[0])
-    ec.ic_seed = g("problem", "ic_seed", int, ec.ic_seed)
-    ec.ic_offset = g("problem", "ic_offset", float, ec.ic_offset)
-    ec.dg_degree = g("problem", "dg_degree", int, ec.dg_degree)
-    ec.forcing = g("problem", "forcing", str, ec.forcing)
-    ec.forcing_seed = g("problem", "forcing_seed", int, ec.forcing_seed)
-    ec.kolmogorov_k = g("problem", "kolmogorov_k", int, ec.kolmogorov_k)
-    ec.drag = g("problem", "drag", float, ec.drag)
-
-    ec.integrator = g("plan", "integrator", str, ec.integrator)
-    ec.cfl = g("plan", "cfl", float, ec.cfl)
-    ec.t_end = g("plan", "t_end", float, ec.t_end)
-    ec.snapshots = g("plan", "snapshots", int, ec.snapshots)
-    ec.max_steps = g("plan", "max_steps", int, ec.max_steps)
-
-    if cfg.has_option("run", "resolutions"):
-        try:
-            ec.resolutions = tuple(
-                int(tok) for tok in cfg.get("run", "resolutions").split(","))
-        except ValueError:
-            errors.append("[run] resolutions: expected comma-separated integers")
-    ec.reference_resolution = g("run", "reference_resolution", int,
-                                ec.reference_resolution)
-    ec.reference_scheme = g("run", "reference_scheme", str, ec.reference_scheme)
-    ec.output = g("run", "output", str, ec.output)
-
-    ec.surrogate_base = g("surrogate", "base", str, ec.surrogate_base)
-    ec.surrogate_amplitude = g("surrogate", "amplitude", float,
-                               ec.surrogate_amplitude)
-    ec.surrogate_seed = g("surrogate", "seed", int, ec.surrogate_seed)
-
-    ec.verify_seed = g("verify", "seed", int, ec.verify_seed)
-    ec.verify_trials = g("verify", "trials", int, ec.verify_trials)
-
+    equation = cfg.get("problem", "equation", fallback=ec.equation)
+    ec.ic = _ICS.get(equation, (ec.ic,))[0]
     for section in cfg.sections():
-        if not section.startswith("variant."):
+        into, keys = ec, _KEYS.get(section)
+        label = section.removeprefix("variant.")
+        if label != section:
+            into, keys = VariantConfig(label), _KEYS[_VARIANT]
+            ec.variants.append(into)
+            if label in ("", ".", "..") or {"/", "\\"} & set(label):
+                errors.append(f"[{section}]: a variant label must be a "
+                              "directory name: not empty, . or .., no / or \\")
+        elif keys is None:
+            errors.append(f"[{section}]: unknown section; sections are "
+                          + ", ".join(f"[{name}]" for name in _KEYS))
             continue
-        v = VariantConfig(label=section.split(".", 1)[1])
-        v.scheme = g(section, "scheme", str, v.scheme)
-        v.corrector = g(section, "corrector", str, v.corrector)
-        v.target = g(section, "target", str, v.target)
-        v.step_correction = g(section, "step_correction", str, v.step_correction)
-        v.entropy_ratio = g(section, "entropy_ratio", float, v.entropy_ratio)
-        v.positivity = g(section, "positivity", bool, v.positivity)
-        v.t_end = g(section, "t_end", float, v.t_end)
-        v.cfl = g(section, "cfl", float, v.cfl)
-        v.forcing = g(section, "forcing", str, v.forcing)
-        v.nu = g(section, "nu", float, v.nu)
-        v.expect_blowup = g(section, "expect_blowup", bool, v.expect_blowup)
-        ec.variants.append(v)
-
-    # validation: every run rule is checked here, before any output exists
-    correctors = (_DISCRETE_CORRECTORS if ec.integrator == "discrete"
-                  else _CORRECTORS).get(ec.equation)
-    if ec.equation not in _CORRECTORS:
-        errors.append(f"[problem] equation must be one of {tuple(_CORRECTORS)}")
-    if ec.integrator not in _INTEGRATORS:
-        errors.append(f"[plan] integrator must be one of {_INTEGRATORS}")
-    elif correctors is None and ec.equation in _CORRECTORS:
-        errors.append("[plan] integrator = discrete runs the FTCS advection "
-                      "demo only")
-    if ec.equation in _ICS and ec.ic not in _ICS[ec.equation]:
-        errors.append(f"[problem] ic = {ec.ic!r}: {ec.equation} accepts "
-                      f"{_ICS[ec.equation]}")
-    if ec.boundary not in ("periodic", "dirichlet"):
-        errors.append("[problem] boundary must be periodic or dirichlet")
-    elif ec.boundary == "dirichlet" and ec.equation != "euler1d":
-        errors.append(f"[problem] boundary = dirichlet: {ec.equation} is "
-                      "periodic-only; only euler1d has a bounded solver")
-    if not ec.length > 0.0:
-        errors.append("[problem] length must be > 0")
-    if ec.equation == "euler1d" and not ec.gamma > 1.0:
-        errors.append("[problem] gamma must exceed 1")
-    if ec.dg_degree not in (0, 1, 2):
-        errors.append("[problem] dg_degree must be 0, 1 or 2")
-    if min(ec.resolutions) < 2:
-        errors.append("[run] resolutions must be at least 2 cells")
-    if not 0.0 < ec.cfl <= 1.0:
-        errors.append("[plan] cfl must lie in (0, 1]")
-    if ec.snapshots < 1:
-        errors.append("[plan] snapshots must be at least 1")
-    if ec.max_steps < 1:
-        errors.append("[plan] max_steps must be at least 1")
-    if ec.reference_resolution < 0:
-        errors.append("[run] reference_resolution must be >= 0 (0: none)")
-    if ec.reference_scheme not in _SCHEMES:
-        errors.append(f"[run] reference_scheme must be one of {_SCHEMES}")
-    if ec.surrogate_base not in _SCHEMES[:-1]:
-        errors.append(f"[surrogate] base must be one of {_SCHEMES[:-1]}")
-    steps = ec.equation in _STEP_CORRECTED and ec.integrator != "discrete"
-    for v in ec.variants:
-        where = f"[variant.{v.label}]"
-        if v.scheme not in _SCHEMES:
-            errors.append(f"{where} scheme must be one of {_SCHEMES}")
-        if v.cfl is not None and not 0.0 < v.cfl <= 1.0:
-            errors.append(f"{where} cfl must lie in (0, 1]")
-        if correctors is not None and v.corrector not in correctors:
-            errors.append(f"{where} corrector = {v.corrector!r}: {ec.equation} "
-                          f"with {ec.integrator} accepts {correctors}")
-        kinds = {}
-        for key in ("target", "step_correction"):
-            try:
-                kinds[key] = rate_spec(getattr(v, key))[0]
-            except ValueError as err:
-                errors.append(f"{where} {key} = {getattr(v, key)!r}: {err}")
+        for key, raw in cfg.items(section):
+            f = keys.get(key)
+            if f is None:
+                errors.append(f"[{section}] {key}: unknown key; [{section}] "
+                              f"takes {', '.join(keys)}")
                 continue
-            if kinds[key] == "tracked" and not ec.reference_resolution:
-                errors.append(f"{where} {key} = tracked needs a reference run; "
-                              "set [run] reference_resolution")
-        if kinds.get("target") == "none" \
-                and v.corrector not in ("none", "euler1d_entropy"):
-            errors.append(f"{where} target = none: corrector {v.corrector!r} "
-                          "needs a target")
-        if kinds.get("step_correction", "none") != "none" and not steps:
-            errors.append(f"{where} step_correction applies only to "
-                          f"{_STEP_CORRECTED} under a Runge-Kutta integrator")
-    if ec.reference_resolution:
-        if ec.equation not in _REFERENCED:
-            errors.append(f"[run] reference_resolution: {ec.equation} has no "
-                          "reference run")
-        for n in ec.resolutions:
-            if n and ec.reference_resolution % n != 0:
-                errors.append(f"[run] reference_resolution "
-                              f"{ec.reference_resolution} not divisible by {n}")
-    if ec.equation in _FLUX_SCHEMED and ec.integrator != "discrete":
-        errors += _scheme_errors(ec)
+            only = f.metadata["equations"]
+            if only and equation not in only:
+                errors.append(f"[{section}] {key}: read on "
+                              f"{', '.join(only)} only, not on {equation}")
+                continue
+            try:
+                value = _READERS[f.type](raw)
+                f.metadata["rule"](value)
+            except ValueError as err:
+                errors.append(f"[{section}] {key} = {raw!r}: {err}")
+                continue
+            setattr(into, f.name, value)
+    # a rejected equation left the default, which the rules would misname
+    if equation == ec.equation:
+        errors += _cross_errors(ec)
     if errors:
         raise ConfigurationError(f"invalid config {path}:\n  "
                                  + "\n  ".join(dict.fromkeys(errors)))

@@ -1,5 +1,9 @@
+import configparser
+import dataclasses
 import filecmp
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +11,7 @@ import pytest
 from invariant_guard.cli import (build_driver, bundled_config, cmd_run,
                                  cmd_sweep, cmd_verify, main, variant_plan,
                                  write_csv)
-from invariant_guard.config import (_CORRECTORS, _DISCRETE_CORRECTORS,
+from invariant_guard.config import (_CORRECTORS, _DISCRETE_CORRECTORS, _KEYS,
                                     VariantConfig, parse_config)
 from invariant_guard.correctors import TrackedRateSource
 from invariant_guard.drivers import InfeasibleTargetWarning
@@ -44,12 +48,12 @@ EQUATION_LINES = {
 
 
 def _config(tmp_path, problem, variant, plan="", run="", resolutions=16,
-            extra="", snapshots=2):
+            extra="", snapshots=2, t_end=0.01, output="case"):
     cfg = tmp_path / "case.cfg"
-    cfg.write_text(f"[problem]\n{problem}\n[plan]\n{plan}\nt_end = 0.01\n"
+    cfg.write_text(f"[problem]\n{problem}\n[plan]\n{plan}\nt_end = {t_end}\n"
                    f"snapshots = {snapshots}\n[run]\n{run}\n"
                    f"resolutions = {resolutions}\n"
-                   "output = case\n[variant.plain]\ncorrector = none\n"
+                   f"output = {output}\n[variant.plain]\ncorrector = none\n"
                    f"[variant.bad]\n{variant}\n{extra}")
     return cfg
 
@@ -172,6 +176,101 @@ REJECTED = {
     "zero_max_steps": (dict(problem=BURGERS, plan="max_steps = 0",
                             variant="scheme = godunov"),
                        "[plan] max_steps"),
+    # keys and sections nothing reads, which used to be dropped silently
+    "misspelt_entropy_ratio": (
+        dict(problem="equation = euler1d\n" + EQUATION_LINES["euler1d"],
+             variant="corrector = euler1d_entropy\nentropy_ration = 0"),
+        "[variant.bad] entropy_ration"),
+    "misspelt_plan_t_end": (dict(problem=BURGERS, plan="tend = 5",
+                                 variant="scheme = godunov"),
+                            "[plan] tend"),
+    "unknown_section": (dict(problem=BURGERS, variant="scheme = godunov",
+                             extra="[bogus]\nt_end = 5\n"),
+                        "[bogus]"),
+    "default_section": (dict(problem=BURGERS, variant="scheme = godunov",
+                             extra="[DEFAULT]\nt_end = 5\n"),
+                        "[DEFAULT]"),
+    # keys that only some equations read
+    "kolmogorov_forcing_on_burgers": (
+        dict(problem=BURGERS + "\nforcing = kolmogorov",
+             variant="scheme = godunov"),
+        "[problem] forcing"),
+    "dg_degree_on_burgers": (dict(problem=BURGERS + "\ndg_degree = 2",
+                                  variant="scheme = godunov"),
+                             "[problem] dg_degree"),
+    "drag_on_burgers": (dict(problem=BURGERS + "\ndrag = 5.0",
+                             variant="scheme = godunov"),
+                        "[problem] drag"),
+    "kolmogorov_k_on_burgers": (dict(problem=BURGERS + "\nkolmogorov_k = 9",
+                                     variant="scheme = godunov"),
+                                "[problem] kolmogorov_k"),
+    "c_on_burgers": (dict(problem=BURGERS + "\nc = 2",
+                          variant="scheme = godunov"),
+                     "[problem] c"),
+    "gamma_on_burgers": (dict(problem=BURGERS + "\ngamma = 1.67",
+                              variant="scheme = godunov"),
+                         "[problem] gamma"),
+    "ic_offset_on_euler2d": (
+        dict(problem="equation = euler2d\nic_offset = 0.5",
+             variant="corrector = energy"),
+        "[problem] ic_offset"),
+    "entropy_ratio_on_burgers": (
+        dict(problem=BURGERS, variant="scheme = godunov\nentropy_ratio = 0"),
+        "[variant.bad] entropy_ratio"),
+    "positivity_on_burgers": (
+        dict(problem=BURGERS, variant="scheme = godunov\npositivity = false"),
+        "[variant.bad] positivity"),
+    "variant_forcing_on_burgers": (
+        dict(problem=BURGERS,
+             variant="scheme = godunov\nforcing = kolmogorov"),
+        "[variant.bad] forcing"),
+    # values out of range, which used to fail mid-run or run silently
+    # at another value
+    "negative_entropy_ratio": (
+        dict(problem="equation = euler1d\n" + EQUATION_LINES["euler1d"],
+             variant="corrector = euler1d_entropy\nentropy_ratio = -1"),
+        "[variant.bad] entropy_ratio"),
+    "negative_nu": (dict(problem=BURGERS + "\nnu = -0.5",
+                         variant="scheme = godunov"),
+                    "[problem] nu"),
+    "negative_variant_nu": (dict(problem=BURGERS,
+                                 variant="scheme = godunov\nnu = -0.5"),
+                            "[variant.bad] nu"),
+    "negative_t_end": (dict(problem=BURGERS, variant="scheme = godunov",
+                            t_end=-1),
+                       "[plan] t_end"),
+    "nan_variant_t_end": (dict(problem=BURGERS,
+                               variant="scheme = godunov\nt_end = nan"),
+                          "[variant.bad] t_end"),
+    "infinite_length": (dict(problem=BURGERS + "\nlength = inf",
+                             variant="scheme = godunov"),
+                        "[problem] length"),
+    "misspelt_kolmogorov_forcing": (
+        dict(problem="equation = euler2d\nforcing = kolmogrov",
+             variant="corrector = energy"),
+        "[problem] forcing"),
+    "zero_kolmogorov_k": (
+        dict(problem="equation = euler2d\nforcing = kolmogorov\n"
+             "kolmogorov_k = 0", variant="corrector = energy"),
+        "[problem] kolmogorov_k"),
+    "negative_drag": (
+        dict(problem="equation = euler2d\nforcing = kolmogorov\ndrag = -1",
+             variant="corrector = energy"),
+        "[problem] drag"),
+    "zero_verify_trials": (dict(problem=BURGERS, variant="scheme = godunov",
+                                extra="[verify]\ntrials = 0\n"),
+                           "[verify] trials"),
+    # paths that would write outside the output root
+    "variant_label_above_root": (
+        dict(problem=BURGERS, variant="scheme = godunov",
+             extra="[variant.../../../escaped]\nscheme = godunov\n"),
+        "[variant.../../../escaped]"),
+    "empty_variant_label": (dict(problem=BURGERS, variant="scheme = godunov",
+                                 extra="[variant.]\nscheme = godunov\n"),
+                            "[variant.]"),
+    "output_above_root": (dict(problem=BURGERS, variant="scheme = godunov",
+                               output="../escaped"),
+                          "[run] output"),
 }
 
 
@@ -184,8 +283,56 @@ def test_rejected_config_exits_2_before_any_output(tmp_path, sections, field):
     assert field in str(err.value)
     root = tmp_path / "out"
     root.mkdir()
-    assert main(["--output-root", str(root), "run", str(cfg)]) == 2
+    for command in ("run", "verify"):
+        assert main(["--output-root", str(root), command, str(cfg)]) == 2
+    assert not any(tmp_path.glob("**/*.csv"))
     assert not any(root.iterdir())
+
+
+def test_output_must_stay_inside_the_output_root(tmp_path):
+    # ../escaped is a REJECTED case
+    for output in ("/escaped", "case/../../escaped"):
+        with pytest.raises(ConfigurationError, match=r"\[run\] output"):
+            parse_config(_config(tmp_path, BURGERS, "scheme = godunov",
+                                 output=output))
+    assert parse_config(_config(tmp_path, BURGERS, "scheme = godunov",
+                                output="a/b")).output == "a/b"
+
+
+def test_percent_is_a_literal_character(tmp_path):
+    # configparser's default interpolation reads % as a reference
+    cfg = _config(tmp_path, BURGERS, "scheme = godunov", output="run%1")
+    root = tmp_path / "out"
+    assert main(["--output-root", str(root), "run", str(cfg)]) == 0
+    assert (root / "run%1" / "manifest").exists()
+
+
+@pytest.mark.parametrize("name", ALL_CONFIGS)
+def test_seeded_benchmark_configs_parse(tmp_path, name):
+    # the benchmark replaces every seed of the configs it runs
+    # (bench/harness.py seeded_config); nothing else may change
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read(bundled_config(name))
+    cp["problem"].update(ic_seed="7", forcing_seed="7")
+    seeds = dict(ic_seed=7, forcing_seed=7, verify_seed=7)
+    if cp.has_section("surrogate"):
+        cp["surrogate"]["seed"] = "7"
+        seeds["surrogate_seed"] = 7
+    cp["verify"] = {"seed": "7"}
+    path = tmp_path / f"{name}.cfg"
+    with open(path, "w") as fh:
+        cp.write(fh)
+    bundled = dataclasses.asdict(parse_config(bundled_config(name)))
+    assert dataclasses.asdict(parse_config(path)) == {**bundled, **seeds}
+
+
+def test_readme_documents_every_config_key():
+    # one row per key in the README's "Config format" table, and no other
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    text = text.split("## Config format", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `\[([^\]]+)\]` \| `(\w+)` \|", text, re.M)
+    assert sorted(rows) == sorted((section, key) for section, keys in
+                                  _KEYS.items() for key in keys)
 
 
 def test_random_euler_takes_the_config_gamma(tmp_path):
