@@ -23,6 +23,7 @@ update that is already invariant-legal.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -372,8 +373,8 @@ def correct_dg_l2(rhs, a: DgField, target: L2RateTarget):
         return n, Correction(old, new, old)
     n_diff = dg_diffusion_rhs(a)
     denom = dg_l2_rate(a, n_diff)
-    _check_denominator(denom,
-                       float(np.linalg.norm(a.coeffs) * np.linalg.norm(n_diff)),
+    c, d = a.coeffs.ravel(), n_diff.ravel()
+    _check_denominator(denom, math.sqrt(c @ c) * math.sqrt(d @ d),
                        "DG correction")
     out = n + (new - old) / denom * n_diff
     return out, Correction(old, new, dg_l2_rate(a, out))

@@ -3,9 +3,11 @@ diffusion, and projection helpers.  Periodic grids, degrees p in {0, 1, 2}.
 
 Coefficient right-hand sides follow the bracket-form normalization
 ``da_{jk}/dt = N_{jk} / (dx_j <psi_k|psi_k>)`` so that the weighted l2 rate
-is the plain sum ``sum_jk a_jk N_jk``.  The operators are fixed tables: the
-volume quadrature is built once per degree at import, and the
-interior-penalty form is applied face by face, so a call costs O(N).
+is the plain sum ``sum_jk a_jk N_jk``.  The operators are fixed tables built
+once per degree at import: one table gives the face traces and the volume
+quadrature values in one product, and the interior-penalty form is 1/dx
+times an integer block-tridiagonal table applied to neighbour differences,
+so a call costs O(N).
 """
 
 import numpy as np
@@ -45,14 +47,54 @@ def _volume_quadrature(p):
 _QUADRATURE = {p: _volume_quadrature(p) for p in (1, 2)}
 
 
+def _point_table(p):
+    """(p+1, 2+q) basis values at the right edge, the left edge and the q
+    volume quadrature nodes: ``coeffs @ table`` evaluates u at all of them."""
+    cols = [_EDGE_PLUS[: p + 1, None], _EDGE_MINUS[: p + 1, None]]
+    if p > 0:
+        cols.append(_QUADRATURE[p][1].T)
+    return np.concatenate(cols, axis=1)
+
+
+def _penalty_table(p):
+    """dx B in difference form, a (3(p+1), p+1) table acting on the row
+    ``[a_{j-1} - a_j, a_{j+1} - a_j, a_j]``.
+
+    Face j+1/2 couples its left cell j and right cell j+1 through the jump
+    [u] = u^- - u^+ and the average {u'}: the left cell enters [u] with
+    P_k(1) and the right one with -P_k(-1), and each enters dx {u'} with its
+    P_k' at that edge.  M- is the block by which cell j-1 acts on cell j,
+    M+ = M-^T the block of cell j+1 and M0 the cell's own block with the
+    volume stiffness.  Because B a = 0 for a constant field, M- + M0 + M+
+    has first row and column 0, so a constant field gives exactly 0 and a
+    near-constant one only its small deviations.  Every entry is an integer.
+    """
+    nk = p + 1
+    sides = ((_EDGE_PLUS[:nk], _DEDGE_PLUS[:nk]),
+             (-_EDGE_MINUS[:nk], _DEDGE_MINUS[:nk]))    # left, right of face
+
+    def block(x, y):    # side y's coefficients acting on side x's moments
+        (jx, gx), (jy, gy) = sides[x], sides[y]
+        return nk**2 * np.outer(jx, jy) - np.outer(gx, jy) - np.outer(jx, gy)
+
+    m_minus = block(1, 0).T
+    m_zero = np.diag(2.0 * _STIFFNESS_DIAG[:nk]) + block(0, 0) + block(1, 1)
+    return np.concatenate((m_minus, m_minus.T, m_minus + m_zero + m_minus.T))
+
+
+#: per degree, the point table of ``_point_table`` and dx B of
+#: ``_penalty_table``
+_POINTS = {p: _point_table(p) for p in (0, 1, 2)}
+_PENALTY = {p: _penalty_table(p) for p in (0, 1, 2)}
+
+
 def face_traces(a: DgField):
     """Solution just left (u^-) and just right (u^+) of each interface j+1/2.
 
     Index j wraps periodically, so both arrays have length N.
     """
-    um = a.coeffs @ _EDGE_PLUS[: a.degree + 1]
-    up = shift(a.coeffs, 1) @ _EDGE_MINUS[: a.degree + 1]
-    return um, up
+    edges = a.coeffs @ _POINTS[a.degree][:, :2]
+    return edges[:, 0], shift(edges[:, 1], 1)
 
 
 def dg_rhs(a: DgField, flux_fn, interface_rule):
@@ -66,16 +108,16 @@ def dg_rhs(a: DgField, flux_fn, interface_rule):
     if not a.grid.periodic:
         raise ConfigurationError("DG right-hand sides are periodic-only")
     p = a.degree
-    um, up = face_traces(a)
-    f_face = np.asarray(interface_rule(um, up), dtype=np.float64)
+    pts = a.coeffs @ _POINTS[p]     # u at right edge, left edge, nodes
+    f_face = np.asarray(interface_rule(pts[:, 0], shift(pts[:, 1], 1)),
+                        dtype=np.float64)
     fp = f_face[:, None]                # flux at j+1/2
     fm = shift(f_face, -1)[:, None]     # flux at j-1/2
 
     rhs = -fp * _EDGE_PLUS[: p + 1] + fm * _EDGE_MINUS[: p + 1]
     if p > 0:
-        w, vals, derivs = _QUADRATURE[p]
-        u_q = a.coeffs @ vals.T               # (N, q)
-        rhs += (flux_fn(u_q) * w) @ derivs
+        w, _, derivs = _QUADRATURE[p]
+        rhs += (flux_fn(pts[:, 2:]) * w) @ derivs
     return rhs
 
 
@@ -104,33 +146,27 @@ def dg_diffusion_rhs(a: DgField):
     """Bracket-form RHS -B a of a unit-coefficient diffusion term, where B is
     the symmetric interior-penalty form with penalty sigma = (p+1)^2/dx.
 
-    B is applied per face: face j+1/2 couples only cells j and j+1, through
-    the jump [u] = u^- - u^+ and the average {u'}.  B is positive
-    semi-definite with null space spanned by the constant field, so
-    ``sum_jk a_jk N_jk < 0`` for every non-constant field, and the k=0
-    moments telescope, so mass is conserved; at p=0 this is the standard
-    (u_{j+1} - 2 u_j + u_{j-1})/dx stencil.
+    B is block-tridiagonal and, on a uniform grid, 1/dx times a fixed
+    integer table (``_penalty_table``), so the call is one product of that
+    table with the neighbour differences a_{j-1} - a_j, a_{j+1} - a_j and
+    a_j.  Differences, not the plain stencil a_{j-1}, a_j, a_{j+1}, keep the
+    null space exact: a constant field gives exactly 0 rather than
+    round-off, and on a near-constant field the l2 rate ``sum a N`` stays
+    the tiny negative number it is, so ``correct_dg_l2`` can tell it is
+    degenerate.  B is positive semi-definite with null space spanned by the
+    constant field, so ``sum_jk a_jk N_jk < 0`` for every non-constant
+    field, and the k=0 moments telescope, so mass is conserved; at p=0 this
+    is the standard (u_{j+1} - 2 u_j + u_{j-1})/dx stencil.
     """
     if not a.grid.periodic:
         raise ConfigurationError("DG diffusion is periodic-only")
     dx = float(a.grid.cell_volumes[0])
     if not np.abs(a.grid.cell_volumes - dx).max() <= 1e-8 + 1e-5 * dx:
         raise ConfigurationError("DG diffusion assumes a uniform grid")
-    nk = a.degree + 1
-    sigma = nk**2 / dx
-    ep, em = _EDGE_PLUS[:nk], _EDGE_MINUS[:nk]
-    # half of u' at the edges in physical units, with the 2/dx mapping factor
-    hdp, hdm = _DEDGE_PLUS[:nk] / dx, _DEDGE_MINUS[:nk] / dx
-    nxt = shift(a.coeffs, 1)    # cell j+1, across face j+1/2
-    jump = (a.coeffs @ ep - nxt @ em)[:, None]
-    avg = (a.coeffs @ hdp + nxt @ hdm)[:, None]
-    s = sigma * jump - avg
-    # face j+1/2 acts on cell j through P_k(1), P_k'(1) and on cell j+1
-    # through P_k(-1), P_k'(-1)
-    left = s * ep - jump * hdp
-    right = -s * em - jump * hdm
-    vol = a.coeffs * ((2.0 / dx) * _STIFFNESS_DIAG[:nk])
-    return -(vol + left + shift(right, -1))
+    c = a.coeffs
+    padded = np.concatenate((c[-1:], c, c[:1]))
+    rows = np.concatenate((padded[:-2] - c, padded[2:] - c, c), axis=1)
+    return (rows @ _PENALTY[a.degree]) / -dx
 
 
 def dg_mass(a: DgField):
@@ -145,7 +181,7 @@ def dg_l2(a: DgField):
 
 def dg_l2_rate(a: DgField, rhs):
     """d/dt of ``dg_l2`` under a bracket-form RHS: the plain sum a*N."""
-    return float(np.sum(a.coeffs * rhs))
+    return float((a.coeffs * rhs).sum())
 
 
 def dg_project(grid: UniformGrid1D, p, fn):

@@ -5,7 +5,7 @@ from invariant_guard import correctors as co
 from invariant_guard.core import (DgField, EulerState1D, FvField1D, FvField2D,
                                   SpectralField, UniformGrid1D, UniformGrid2D,
                                   bracket, volume_mean)
-from invariant_guard.dg import dg_l2_rate
+from invariant_guard.dg import dg_diffusion_rhs, dg_l2_rate
 from invariant_guard.errors import DegenerateCorrection, InfeasibleTarget
 from invariant_guard.schemes import (BoundaryFluxes2D, euler1d_muscl_flux,
                                      ftcs_increment, poisson_solve)
@@ -226,6 +226,21 @@ def test_dg_corrector_constant_field_degenerate():
     a = DgField(g, coeffs)
     with pytest.raises(DegenerateCorrection):
         co.correct_dg_l2(np.ones((8, 2)), a, co.L2RateTarget.fixed(-1.0))
+
+
+def test_dg_corrector_near_constant_field_degenerate():
+    # a = 1 + 1e-15 noise: the penalty rate is a nonzero -1e-26 at a scale
+    # of 1e-11, a relative 1e-15; dividing by it would scale round-off, so
+    # the corrector must refuse it rather than test only for an exact zero
+    rng = np.random.default_rng(59)
+    coeffs = np.zeros((32, 2))
+    coeffs[:, 0] = 1.0
+    a = DgField(UniformGrid1D(32, 2.0),
+                coeffs + 1e-15 * rng.normal(size=coeffs.shape))
+    assert dg_l2_rate(a, dg_diffusion_rhs(a)) != 0.0
+    with pytest.raises(DegenerateCorrection):
+        co.correct_dg_l2(rng.normal(size=(32, 2)), a,
+                         co.L2RateTarget.fixed(-1.0))
 
 
 def test_dg_p0_equals_fv_rhs_corrector():

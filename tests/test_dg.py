@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,38 @@ from invariant_guard.schemes import fv_rhs_1d
 
 def advection_flux(c):
     return lambda u: c * u
+
+
+def broadcast_dg_rhs(a, flux_fn, interface_rule):
+    """Reference: the DG right-hand side with each trace and the quadrature
+    values taken by their own product, and np.roll for the neighbours."""
+    p = a.degree
+    ep = np.array([1.0, 1.0, 1.0])[: p + 1]     # P_k(1)
+    em = np.array([1.0, -1.0, 1.0])[: p + 1]    # P_k(-1)
+    um = a.coeffs @ ep
+    up = np.roll(a.coeffs, -1, axis=0) @ em
+    f_face = np.asarray(interface_rule(um, up), dtype=np.float64)
+    rhs = -f_face[:, None] * ep + np.roll(f_face, 1)[:, None] * em
+    if p > 0:
+        xi, w = np.polynomial.legendre.leggauss(p + 2)
+        vals = np.stack([np.ones_like(xi), xi, 1.5 * xi**2 - 0.5][: p + 1],
+                        axis=-1)
+        derivs = np.stack([np.zeros_like(xi), np.ones_like(xi), 3.0 * xi]
+                          [: p + 1], axis=-1)
+        rhs += (flux_fn(a.coeffs @ vals.T) * w) @ derivs
+    return rhs
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+@pytest.mark.parametrize("n", [2, 17])
+def test_rhs_matches_broadcast_form_bitwise(n, p):
+    # n = 2: the next cell of cell 1 wraps onto cell 0
+    rng = np.random.default_rng(10 * n + p)
+    a = DgField(UniformGrid1D(n, 1.3), rng.normal(size=(n, p + 1)))
+    for flux_fn, rule in ((lambda u: 0.5 * u * u, burgers_centered_rule),
+                          (advection_flux(-0.7), upwind_advection_rule(-0.7))):
+        assert np.array_equal(dg_rhs(a, flux_fn, rule),
+                              broadcast_dg_rhs(a, flux_fn, rule))
 
 
 def test_p0_reduces_to_fv_bitwise():
@@ -66,11 +99,14 @@ def test_unsupported_degree():
 
 
 def test_diffusion_constant_field_zero():
-    g = UniformGrid1D(8, 2.0)
-    for p in (0, 1, 2):
-        coeffs = np.zeros((8, p + 1))
+    # the null space is exact: neighbour differences of a constant field
+    # are 0 and the cell's own block has a zero first row
+    for n, p, length in itertools.product((2, 3, 8, 17), (0, 1, 2),
+                                          (0.3, 1.0, 2.0, 3.7)):
+        coeffs = np.zeros((n, p + 1))
         coeffs[:, 0] = -1.7
-        assert np.abs(dg_diffusion_rhs(DgField(g, coeffs))).max() <= 1e-13
+        nd = dg_diffusion_rhs(DgField(UniformGrid1D(n, length), coeffs))
+        assert np.all(nd == 0.0), (n, p, length)
 
 
 def test_diffusion_strictly_dissipative_and_conservative():
