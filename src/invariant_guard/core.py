@@ -3,6 +3,12 @@
 All field values are float64 throughout: the corrector post-conditions are
 machine-precision identities and need the headroom.  2D arrays are indexed
 ``[i, j]`` with ``i`` the x index; CSV dumps flatten with i fastest.
+
+Both grids are uniform: a 1D grid has N equal cells of width ``dx`` and a
+2D grid equal dx-by-dy cells, because every scheme here (the MUSCL and
+characteristic kernels, the FTCS increment, the non-conservative Burgers
+stencil, the viscous term, the Lax-Friedrichs dissipation and the DG
+operators) assumes equal cells.  So a cell volume is one scalar.
 """
 
 from __future__ import annotations
@@ -43,16 +49,12 @@ def shift(a, k, axis=0):
 
 @dataclass(frozen=True)
 class UniformGrid1D:
-    """1D grid of N cells covering [0, L].
-
-    ``cell_volumes`` defaults to the uniform L/N but may be any positive
-    per-cell widths summing to L (rel. tol 1e-12).
-    """
+    """1D grid of N equal cells of width dx = L/N covering [0, L]."""
 
     n_cells: int
     length: float
     boundary: str = PERIODIC
-    cell_volumes: np.ndarray = field(default=None, repr=False)
+    dx: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n_cells < 2:
@@ -61,29 +63,18 @@ class UniformGrid1D:
             raise ValueError("domain length must be positive")
         if self.boundary not in (PERIODIC, DIRICHLET):
             raise ConfigurationError(f"unknown boundary kind {self.boundary!r}")
-        if self.cell_volumes is None:
-            vols = np.full(self.n_cells, self.length / self.n_cells)
-        else:
-            vols = np.asarray(self.cell_volumes, dtype=np.float64)
-            if vols.shape != (self.n_cells,):
-                raise ValueError("cell_volumes must have one entry per cell")
-            if np.any(vols <= 0):
-                raise ValueError("cell volumes must be positive")
-            if abs(vols.sum() - self.length) > 1e-12 * self.length:
-                raise ValueError("cell volumes must sum to the domain length")
-        vols.flags.writeable = False
-        object.__setattr__(self, "cell_volumes", vols)
+        object.__setattr__(self, "dx", self.length / self.n_cells)
 
     @property
     def periodic(self):
         return self.boundary == PERIODIC
 
-    @property
-    def dx_min(self):
-        return float(self.cell_volumes.min())
+    def cell_edges(self):
+        """x_{j-1/2} for j = 0..N, the widths summed cell by cell."""
+        return np.concatenate(([0.0], np.cumsum(np.full(self.n_cells, self.dx))))
 
     def cell_centers(self):
-        edges = np.concatenate(([0.0], np.cumsum(self.cell_volumes)))
+        edges = self.cell_edges()
         return 0.5 * (edges[:-1] + edges[1:])
 
 
@@ -287,43 +278,34 @@ class VorticityState2D:
 # brackets
 # ---------------------------------------------------------------------------
 
-def bracket(a, b, volumes):
-    """Volume-weighted inner product <a|b> = sum_j a_j b_j |Omega_j|.
+def bracket(a, b, volume):
+    """Volume-weighted inner product <a|b> = sum_j a_j b_j |Omega|.
 
-    Works on flat or 2D arrays (2D volumes may be a scalar cell volume).
+    Works on flat or 2D arrays; ``volume`` is the grid's one cell volume.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"bracket arguments differ in shape: {a.shape} vs {b.shape}")
-    vol = np.asarray(volumes, dtype=np.float64)
-    if vol.ndim > 0 and vol.shape != a.shape:
-        raise ValueError("volumes must be scalar or match the field shape")
-    return float(np.sum(a * b * vol))
+    return float(np.sum(a * b * volume))
 
 
-def volume_mean(a, volumes):
+def volume_mean(a, volume):
     """Volume-weighted average <a> = <a|1>/<1|1>."""
     a = np.asarray(a, dtype=np.float64)
     ones = np.ones_like(a)
-    return bracket(a, ones, volumes) / bracket(ones, ones, volumes)
+    return bracket(a, ones, volume) / bracket(ones, ones, volume)
 
 
 def coarse_grain(fine: FvField1D, factor: int) -> FvField1D:
-    """Block-average a fine field onto a grid coarsened by ``factor``.
-
-    Volume-weighted, so the total mass is preserved exactly.
-    """
+    """Block-average a fine field onto a grid coarsened by ``factor``;
+    uniform cells, so plain means preserve mass."""
     if factor < 1 or fine.grid.n_cells % factor != 0:
         raise ValueError("fine grid size must be divisible by the factor")
     n_coarse = fine.grid.n_cells // factor
-    vols = fine.grid.cell_volumes.reshape(n_coarse, factor)
-    vals = fine.values.reshape(n_coarse, factor)
-    coarse_vols = vols.sum(axis=1)
-    coarse_vals = (vals * vols).sum(axis=1) / coarse_vols
-    grid = UniformGrid1D(n_coarse, fine.grid.length, fine.grid.boundary,
-                         cell_volumes=coarse_vols)
-    return FvField1D(grid, coarse_vals)
+    vals = fine.values.reshape(n_coarse, factor).mean(axis=1)
+    grid = UniformGrid1D(n_coarse, fine.grid.length, fine.grid.boundary)
+    return FvField1D(grid, vals)
 
 
 def coarse_grain_2d(fine: FvField2D, factor: int) -> FvField2D:

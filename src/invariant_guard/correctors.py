@@ -260,18 +260,18 @@ def correct_flux_l2_2d(fluxes, u: FvField2D, target_x: L2RateTarget,
 
 def _field_parts(u):
     if isinstance(u, FvField1D):
-        return u.values, u.grid.cell_volumes
+        return u.values, u.grid.dx
     if isinstance(u, FvField2D):
         return u.values, u.grid.cell_volume
     raise TypeError("expected an FvField1D or FvField2D")
 
 
-def _default_cell_G(u, volumes):
+def _default_cell_G(u, volume):
     if isinstance(u, FvField1D):
         g = laplacian_1d(u.values)
     else:
         g = laplacian_2d(u.values, u.grid.dx, u.grid.dy)
-    return g - volume_mean(g, volumes)
+    return g - volume_mean(g, volume)
 
 
 def correct_rhs_mass_l2(rhs, u, target: L2RateTarget):
@@ -280,38 +280,38 @@ def correct_rhs_mass_l2(rhs, u, target: L2RateTarget):
     Output satisfies <N> = 0 and <u|N> = resolved rate.  G is the demeaned
     discrete Laplacian of u.
     """
-    vals, volumes = _field_parts(u)
+    vals, volume = _field_parts(u)
     n = np.asarray(rhs, dtype=np.float64)
     if n.shape != vals.shape:
         raise ValueError("RHS shape must match the field")
 
-    big_u = vals - volume_mean(vals, volumes)
-    m = n - volume_mean(n, volumes)
-    old = bracket(big_u, m, volumes)
+    big_u = vals - volume_mean(vals, volume)
+    m = n - volume_mean(n, volume)
+    old = bracket(big_u, m, volume)
     new = target.resolve(old)
     if new == old:
         return m, Correction(old, new, old)
 
-    g = _default_cell_G(u, volumes)
-    denom = bracket(big_u, g, volumes)
+    g = _default_cell_G(u, volume)
+    denom = bracket(big_u, g, volume)
     _check_denominator(denom,
-                       float(np.sqrt(bracket(big_u, big_u, volumes)
-                                     * bracket(g, g, volumes))),
+                       float(np.sqrt(bracket(big_u, big_u, volume)
+                                     * bracket(g, g, volume))),
                        "RHS correction")
     out = m + (new - old) * g / denom
-    return out, Correction(old, new, bracket(big_u, out, volumes))
+    return out, Correction(old, new, bracket(big_u, out, volume))
 
 
 def _increment_terms(increment, u):
     """Demeaned increment, weight G, and (a, b, c0): the l2 change of the
     state plus ``bar + eps*G`` is (a eps^2 + 2 b eps + c0) / 2."""
-    vals, volumes = _field_parts(u)
+    vals, volume = _field_parts(u)
     inc = np.asarray(increment, dtype=np.float64)
-    bar = inc - volume_mean(inc, volumes)
-    g = _default_cell_G(u, volumes)
-    a = bracket(g, g, volumes)
-    b = bracket(vals + bar, g, volumes)
-    c0 = 2.0 * bracket(vals, bar, volumes) + bracket(bar, bar, volumes)
+    bar = inc - volume_mean(inc, volume)
+    g = _default_cell_G(u, volume)
+    a = bracket(g, g, volume)
+    b = bracket(vals + bar, g, volume)
+    c0 = 2.0 * bracket(vals, bar, volume) + bracket(bar, bar, volume)
     return bar, g, (a, b, c0)
 
 
@@ -352,8 +352,8 @@ def correct_increment_mass_l2(increment, u, delta_l2):
         big = -(b + np.sign(b) * root) / a   # larger-magnitude root
         eps = c / (a * big)                  # smaller-magnitude (plus-sign) root
     out = bar + eps * g
-    vals, volumes = _field_parts(u)
-    achieved = bracket(vals, out, volumes) + 0.5 * bracket(out, out, volumes)
+    vals, volume = _field_parts(u)
+    achieved = bracket(vals, out, volume) + 0.5 * bracket(out, out, volume)
     return out, Correction(old, delta_l2, achieved)
 
 
@@ -610,9 +610,10 @@ def limit_positivity_euler1d(fluxes, state: EulerState1D, dt, eps_pos=None,
     # cell, so their stand-ins go unchecked
     cells = _face_cells(state.u.T, periodic)
     f_cells = euler_physical_flux(cells.T, gamma).T
-    # u_L - 2 lam_L (F - f(u_L)) is u_L + (-2 lam_L)(F - f(u_L)) bit for bit
-    lam2 = 2.0 * (dt / _face_cells(state.grid.cell_volumes, periodic))
-    np.negative(lam2[0], out=lam2[0])
+    # equal cells, so lam = dt/dx on both sides of every face; u_L - 2 lam
+    # (F - f(u_L)) is u_L + (-2 lam)(F - f(u_L)) bit for bit
+    lam = 2.0 * (dt / state.grid.dx)
+    lam2 = np.array([[-lam], [lam]])
     skip = np.zeros((2, n + 1), dtype=bool)
     if not periodic:
         skip[0, 0] = skip[1, -1] = True

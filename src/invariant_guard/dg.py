@@ -2,7 +2,7 @@
 diffusion, and projection helpers.  Periodic grids, degrees p in {0, 1, 2}.
 
 Coefficient right-hand sides follow the bracket-form normalization
-``da_{jk}/dt = N_{jk} / (dx_j <psi_k|psi_k>)`` so that the weighted l2 rate
+``da_{jk}/dt = N_{jk} / (dx <psi_k|psi_k>)`` so that the weighted l2 rate
 is the plain sum ``sum_jk a_jk N_jk``.  The operators are fixed tables built
 once per degree at import: one table gives the face traces and the volume
 quadrature values in one product, and the interior-penalty form is 1/dx
@@ -123,7 +123,7 @@ def dg_rhs(a: DgField, flux_fn, interface_rule):
 
 def dg_coefficient_rate(a: DgField, rhs):
     """Convert a bracket-form RHS into da/dt."""
-    return rhs / (a.grid.cell_volumes[:, None] * a.basis_norms)
+    return rhs / (a.grid.dx * a.basis_norms)
 
 
 def upwind_advection_rule(c):
@@ -146,37 +146,32 @@ def dg_diffusion_rhs(a: DgField):
     """Bracket-form RHS -B a of a unit-coefficient diffusion term, where B is
     the symmetric interior-penalty form with penalty sigma = (p+1)^2/dx.
 
-    B is block-tridiagonal and, on a uniform grid, 1/dx times a fixed
-    integer table (``_penalty_table``), so the call is one product of that
-    table with the neighbour differences a_{j-1} - a_j, a_{j+1} - a_j and
-    a_j.  Differences, not the plain stencil a_{j-1}, a_j, a_{j+1}, keep the
-    null space exact: a constant field gives exactly 0 rather than
-    round-off, and on a near-constant field the l2 rate ``sum a N`` stays
-    the tiny negative number it is, so ``correct_dg_l2`` can tell it is
-    degenerate.  B is positive semi-definite with null space spanned by the
+    B is block-tridiagonal and 1/dx times a fixed integer table
+    (``_penalty_table``), so the call is one product of that table with the
+    neighbour differences a_{j-1} - a_j, a_{j+1} - a_j and a_j.
+    Differences, not the plain stencil a_{j-1}, a_j, a_{j+1}, keep the null
+    space exact: a constant field gives exactly 0 rather than round-off,
+    and on a near-constant field the l2 rate ``sum a N`` stays the tiny
+    negative number it is, so ``correct_dg_l2`` can tell it is degenerate.  B is positive semi-definite with null space spanned by the
     constant field, so ``sum_jk a_jk N_jk < 0`` for every non-constant
     field, and the k=0 moments telescope, so mass is conserved; at p=0 this
     is the standard (u_{j+1} - 2 u_j + u_{j-1})/dx stencil.
     """
     if not a.grid.periodic:
         raise ConfigurationError("DG diffusion is periodic-only")
-    dx = float(a.grid.cell_volumes[0])
-    if not np.abs(a.grid.cell_volumes - dx).max() <= 1e-8 + 1e-5 * dx:
-        raise ConfigurationError("DG diffusion assumes a uniform grid")
     c = a.coeffs
     padded = np.concatenate((c[-1:], c, c[:1]))
     rows = np.concatenate((padded[:-2] - c, padded[2:] - c, c), axis=1)
-    return (rows @ _PENALTY[a.degree]) / -dx
+    return (rows @ _PENALTY[a.degree]) / -a.grid.dx
 
 
 def dg_mass(a: DgField):
-    return float(np.sum(a.coeffs[:, 0] * a.grid.cell_volumes))
+    return float(np.sum(a.coeffs[:, 0] * a.grid.dx))
 
 
 def dg_l2(a: DgField):
-    """Weighted discrete l2 functional (1/2) sum_jk a^2 <psi_k|psi_k> dx_j."""
-    return 0.5 * float(np.sum(a.coeffs**2 * a.basis_norms
-                              * a.grid.cell_volumes[:, None]))
+    """Weighted discrete l2 functional (1/2) sum_jk a^2 <psi_k|psi_k> dx."""
+    return 0.5 * float(np.sum(a.coeffs**2 * a.basis_norms * a.grid.dx))
 
 
 def dg_l2_rate(a: DgField, rhs):
@@ -190,8 +185,7 @@ def dg_project(grid: UniformGrid1D, p, fn):
         raise ConfigurationError("only degrees p in {0, 1, 2} are supported")
     xi, w = np.polynomial.legendre.leggauss(6)
     centers = grid.cell_centers()
-    half = 0.5 * grid.cell_volumes
-    x = centers[:, None] + half[:, None] * xi[None, :]
+    x = centers[:, None] + (0.5 * grid.dx) * xi[None, :]
     vals = _legendre_vals(xi, p)
     coeffs = (fn(x) * w) @ vals * (0.5 * (2.0 * np.arange(p + 1) + 1.0))
     return DgField(grid, coeffs)

@@ -48,11 +48,11 @@ def total_variation(values, periodic=True):
 def invariant_report(state, t) -> InvariantReport:
     """Compute the functionals appropriate to the state kind."""
     if isinstance(state, FvField1D):
-        vols = state.grid.cell_volumes
+        dx = state.grid.dx
         return InvariantReport(
             t=t,
-            mass=float(np.sum(state.values * vols)),
-            l2=0.5 * bracket(state.values, state.values, vols),
+            mass=float(np.sum(state.values * dx)),
+            l2=0.5 * bracket(state.values, state.values, dx),
             tv=total_variation(state.values, state.grid.periodic),
         )
     if isinstance(state, DgField):
@@ -82,15 +82,15 @@ def invariant_report(state, t) -> InvariantReport:
     if isinstance(state, EulerState1D):
         # entropy is defined only for positive rho and p; otherwise its cell
         # stays empty and the minima show why
-        vols = state.grid.cell_volumes
+        dx = state.grid.dx
         min_rho = float(state.rho.min())
         min_p = float(state.pressure().min())
         entropy = None
         if min_rho > 0.0 and min_p > 0.0:
-            entropy = float(np.sum(entropy_variables_euler1d(state).eta * vols))
+            entropy = float(np.sum(entropy_variables_euler1d(state).eta * dx))
         return InvariantReport(
             t=t,
-            mass=float(np.sum(state.rho * vols)),
+            mass=float(np.sum(state.rho * dx)),
             tv=total_variation(state.rho, state.grid.periodic),
             entropy_total=entropy,
             min_rho=min_rho,

@@ -47,8 +47,8 @@ def _correct_step_increment(driver, field, inc, t, dt, spec):
     margin, with a warning, so the run stays alive.
     """
     if spec == "clamp":
-        vals, volumes = co._field_parts(field)
-        actual = bracket(vals, inc, volumes) + 0.5 * bracket(inc, inc, volumes)
+        vals, volume = co._field_parts(field)
+        actual = bracket(vals, inc, volume) + 0.5 * bracket(inc, inc, volume)
         delta = min(actual, 0.0)
     elif isinstance(spec, co.TrackedRateSource):
         delta = min(spec.rate_at(t + 0.5 * dt), 0.0) * dt
@@ -135,17 +135,17 @@ class ScalarFv1D(_DriverBase):
             else float(np.abs(y).max())
         if self.nu > 0.0:
             # explicit diffusion stability floor
-            dx = self.grid.dx_min
+            dx = self.grid.dx
             visc_dt = 0.5 * dx * dx / self.nu
             return min(cfl_dt(speed, dx, cfl, dt_max), cfl * visc_dt)
-        return cfl_dt(speed, self.grid.dx_min, cfl, dt_max)
+        return cfl_dt(speed, self.grid.dx, cfl, dt_max)
 
     def fluxes(self, field, dt):
         if callable(self.scheme):
             return self.scheme(field, dt)
         lf_ratio = None
         if self.scheme is schemes.FluxScheme.LAX_FRIEDRICHS:
-            lf_ratio = self.grid.dx_min / (2.0 * dt)
+            lf_ratio = self.grid.dx / (2.0 * dt)
         return schemes.numerical_flux_1d(self.scheme, field, self.equation,
                                          c=self.c, lf_ratio=lf_ratio)
 
@@ -157,8 +157,7 @@ class ScalarFv1D(_DriverBase):
                                 resolve_l2_target(self.target, t))
         out = schemes.fv_rhs_1d(f, self.grid)
         if self.nu > 0.0:
-            dx = self.grid.cell_volumes
-            out = out + self.nu * co.laplacian_1d(y) / dx**2
+            out = out + self.nu * co.laplacian_1d(y) / self.grid.dx**2
         if self.forcing is not None:
             out = out + self.forcing(self._x, t, self.grid.length)
         return out
@@ -189,10 +188,10 @@ class NonconservativeBurgers1D(_DriverBase):
         return FvField1D(self.grid, y)
 
     def stable_dt(self, y, cfl, dt_max):
-        return cfl_dt(float(np.abs(y).max()), self.grid.dx_min, cfl, dt_max)
+        return cfl_dt(float(np.abs(y).max()), self.grid.dx, cfl, dt_max)
 
     def rhs(self, y, t, dt):
-        dx = self.grid.cell_volumes
+        dx = self.grid.dx
         backward = (y - shift(y, -1)) / dx
         forward = (shift(y, 1) - y) / dx
         out = -y * np.where(y >= 0.0, backward, forward)
@@ -225,7 +224,7 @@ class FtcsAdvection(_DriverBase):
         return FvField1D(self.grid, y)
 
     def stable_dt(self, y, cfl, dt_max):
-        return cfl_dt(abs(self.c), self.grid.dx_min, cfl, dt_max)
+        return cfl_dt(abs(self.c), self.grid.dx, cfl, dt_max)
 
     def increment(self, y, t, dt):
         field = self.state_of(y)
@@ -260,7 +259,7 @@ class DgScalar1D(_DriverBase):
         a = self.state_of(y)
         um, up = face_traces(a)
         speed = max(float(np.abs(um).max()), float(np.abs(up).max()), 1e-300)
-        return cfl_dt(speed, self.grid.dx_min / (2 * self.degree + 1), cfl, dt_max)
+        return cfl_dt(speed, self.grid.dx / (2 * self.degree + 1), cfl, dt_max)
 
     def rhs(self, y, t, dt):
         a = self.state_of(y)
@@ -404,7 +403,7 @@ class Euler1D(_DriverBase):
     def stable_dt(self, y, cfl, dt_max):
         state = self.state_of(y)
         speed = float((np.abs(state.velocity()) + state.sound_speed()).max())
-        return cfl_dt(speed, self.grid.dx_min, cfl, dt_max)
+        return cfl_dt(speed, self.grid.dx, cfl, dt_max)
 
     def rhs(self, y, t, dt):
         state = self.state_of(y)

@@ -86,7 +86,7 @@ def numerical_flux_1d(scheme, u: FvField1D, equation, c=None, lf_ratio=None):
 
 
 def fv_rhs_1d(fluxes, grid):
-    """N_j = -(f_{j+1/2} - f_{j-1/2})/dx_j.
+    """N_j = -(f_{j+1/2} - f_{j-1/2})/dx.
 
     Periodic grids take N fluxes (f[j] at j+1/2, wrapping); bounded grids
     take N+1 fluxes including both domain boundaries.
@@ -95,10 +95,10 @@ def fv_rhs_1d(fluxes, grid):
     if grid.periodic:
         if f.shape != (grid.n_cells,):
             raise ValueError("periodic flux array must have one entry per cell")
-        return -(f - shift(f, -1)) / grid.cell_volumes
+        return -(f - shift(f, -1)) / grid.dx
     if f.shape != (grid.n_cells + 1,):
         raise ValueError("bounded flux array must have N+1 entries")
-    return -(f[1:] - f[:-1]) / grid.cell_volumes
+    return -(f[1:] - f[:-1]) / grid.dx
 
 
 def fv_rhs_2d(fluxes: BoundaryFluxes2D, grid: UniformGrid2D):
@@ -113,9 +113,8 @@ def ftcs_increment(u: FvField1D, c, dt):
     """Forward-time centered-space increment -(c dt / 2 dx)(u_{j+1} - u_{j-1})."""
     if not u.grid.periodic:
         raise ConfigurationError("the FTCS demo update is periodic-only")
-    dx = u.grid.cell_volumes
     vals = u.values
-    return -(c * dt) / (2.0 * dx) * (shift(vals, 1) - shift(vals, -1))
+    return -(c * dt) / (2.0 * u.grid.dx) * (shift(vals, 1) - shift(vals, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +251,11 @@ def euler1d_lax_friedrichs_flux(state: EulerState1D, dt, boundary_state=None):
     """First-order Lax-Friedrichs fluxes with dissipation dx/(2 dt)."""
     u_ext = _extend_state(state, boundary_state)[1:-1]
     f_ext = kernels.euler_physical_flux(u_ext, state.gamma)
-    alpha = state.grid.dx_min / dt
+    alpha = state.grid.dx / dt
     return 0.5 * (f_ext[:-1] + f_ext[1:]) - 0.5 * alpha * (u_ext[1:] - u_ext[:-1])
 
 
 def euler1d_rhs(fluxes, grid):
     """du/dt = -(F_{j+1/2} - F_{j-1/2})/dx, rows (N, 3), from (N+1, 3) fluxes."""
     f = np.asarray(fluxes, dtype=np.float64)
-    return -(f[1:] - f[:-1]) / grid.cell_volumes[:, None]
+    return -(f[1:] - f[:-1]) / grid.dx

@@ -37,7 +37,7 @@ class SurrogateFluxRule:
             k = np.arange(1, 5)
             amps = rng.uniform(-1.0, 1.0, size=k.size)
             phases = rng.uniform(0.0, 2.0 * np.pi, size=k.size)
-            x_face = np.cumsum(grid.cell_volumes)  # x_{j+1/2}, j = 0..N-1
+            x_face = grid.cell_edges()[1:]  # x_{j+1/2}, j = 0..N-1
             g = np.sin(2.0 * np.pi * np.outer(x_face, k) / grid.length
                        + phases) @ amps
             self._cache[key] = g / np.abs(g).max()
@@ -45,7 +45,7 @@ class SurrogateFluxRule:
 
     def __call__(self, u: FvField1D, dt):
         f = numerical_flux_1d(self.base, u, self.equation, c=self.c,
-                              lf_ratio=u.grid.dx_min / (2.0 * dt))
+                              lf_ratio=u.grid.dx / (2.0 * dt))
         if self.amplitude == 0.0:
             return f
         return f * (1.0 + self.amplitude * self.perturbation(u.grid))

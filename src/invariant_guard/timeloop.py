@@ -35,11 +35,11 @@ class StepPlan:
             self.dt_max = 0.1 * self.t_end if self.t_end > 0 else 1.0
 
 
-def cfl_dt(max_speed, dx_min, cfl, dt_max):
-    """dt = cfl * dx_min / max_speed, capped by dt_max for degenerate speeds."""
+def cfl_dt(max_speed, dx, cfl, dt_max):
+    """dt = cfl * dx / max_speed, capped by dt_max for degenerate speeds."""
     if max_speed <= 1e-300:
         return dt_max
-    return min(cfl * dx_min / max_speed, dt_max)
+    return min(cfl * dx / max_speed, dt_max)
 
 
 def cfl_dt_2d(max_ux, max_uy, dx, dy, cfl, dt_max):

@@ -124,7 +124,7 @@ def check_flux1d_mass(rng, fns, trials):
             except DegenerateCorrection:
                 continue
             rhs = fv_rhs_1d(out, grid)
-            mass_rate = float(np.sum(rhs * grid.cell_volumes))
+            mass_rate = float(np.sum(rhs * grid.dx))
             assert abs(mass_rate) <= MASS_ATOL_SCALE * max(
                 float(np.abs(out).max()), 1e-30) * n, "telescoping broken"
             checks += 1
@@ -189,13 +189,13 @@ def check_rhs_identities(rng, fns, trials):
                 out, _ = fns["correct_rhs_mass_l2"](rhs, u, target)
             except DegenerateCorrection:
                 continue
-            vols = grid.cell_volumes
-            mass = float(np.sum(out * vols))
-            assert abs(mass) <= MASS_ATOL_SCALE * float(np.sum(np.abs(out) * vols) + 1e-30)
-            big_u = u.values - co.volume_mean(u.values, vols)
-            m = rhs - co.volume_mean(rhs, vols)
-            old = bracket(big_u, m, vols)
-            _rate_close(bracket(u.values, out, vols), target.resolve(old), old)
+            dx = grid.dx
+            mass = float(np.sum(out * dx))
+            assert abs(mass) <= MASS_ATOL_SCALE * float(np.sum(np.abs(out) * dx) + 1e-30)
+            big_u = u.values - co.volume_mean(u.values, dx)
+            m = rhs - co.volume_mean(rhs, dx)
+            old = bracket(big_u, m, dx)
+            _rate_close(bracket(u.values, out, dx), target.resolve(old), old)
             checks += 1
     return checks
 
@@ -206,10 +206,10 @@ def check_rhs_noop(rng, fns, trials):
         for _ in range(trials):
             grid = _random_grid_1d(rng, n)
             u = FvField1D(grid, rng.normal(size=n))
-            vols = grid.cell_volumes
+            dx = grid.dx
             rhs = rng.normal(size=n)
-            rhs -= co.volume_mean(rhs, vols)          # mean-free input
-            if bracket(u.values, rhs, vols) > 0:
+            rhs -= co.volume_mean(rhs, dx)          # mean-free input
+            if bracket(u.values, rhs, dx) > 0:
                 rhs = -rhs
             out, _ = fns["correct_rhs_mass_l2"](rhs, u,
                                                 co.L2RateTarget.clamp())
@@ -227,18 +227,18 @@ def check_increment_identities(rng, fns, trials):
             grid = _random_grid_1d(rng, n)
             u = FvField1D(grid, rng.normal(size=n))
             inc = 0.1 * rng.normal(size=n)
-            vols = grid.cell_volumes
+            dx = grid.dx
             delta = -float(rng.uniform(0.0, 0.05))
             try:
                 out, _ = fns["correct_increment_mass_l2"](inc, u, delta)
             except (InfeasibleTarget, DegenerateCorrection):
                 continue
-            l2_old = 0.5 * bracket(u.values, u.values, vols)
+            l2_old = 0.5 * bracket(u.values, u.values, dx)
             unew = u.values + out
-            l2_new = 0.5 * bracket(unew, unew, vols)
+            l2_new = 0.5 * bracket(unew, unew, dx)
             _rate_close(l2_new - l2_old, delta, l2_old)
-            mean = float(np.sum(out * vols))
-            assert abs(mean) <= MASS_ATOL_SCALE * float(np.sum(np.abs(out) * vols) + 1e-30)
+            mean = float(np.sum(out * dx))
+            assert abs(mean) <= MASS_ATOL_SCALE * float(np.sum(np.abs(out) * dx) + 1e-30)
             checks += 1
     return checks
 
@@ -249,10 +249,10 @@ def check_increment_noop(rng, fns, trials):
         for _ in range(trials):
             grid = _random_grid_1d(rng, n)
             u = FvField1D(grid, rng.normal(size=n))
-            vols = grid.cell_volumes
+            dx = grid.dx
             inc = 0.1 * rng.normal(size=n)
-            inc -= co.volume_mean(inc, vols)
-            exact = bracket(u.values, inc, vols) + 0.5 * bracket(inc, inc, vols)
+            inc -= co.volume_mean(inc, dx)
+            exact = bracket(u.values, inc, dx) + 0.5 * bracket(inc, inc, dx)
             out, _ = fns["correct_increment_mass_l2"](inc, u, exact)
             _assert_noop(out, inc, "increment fixed point")
             checks += 1
@@ -485,7 +485,7 @@ def check_positivity_limiter(rng, fns, trials):
     for n in (8, 32):
         for _ in range(max(1, trials // 10)):
             state = _random_euler_state(rng, n, periodic=True)
-            dt = 0.2 * state.grid.dx_min / float(
+            dt = 0.2 * state.grid.dx / float(
                 (np.abs(state.velocity()) + state.sound_speed()).max())
             from .schemes import euler1d_muscl_flux
             f_good = euler1d_muscl_flux(state)
@@ -496,8 +496,7 @@ def check_positivity_limiter(rng, fns, trials):
             f_bad[-1] = f_bad[0]
             limited = fns["limit_positivity_euler1d"](f_bad, state, dt)
             u = state.u
-            unew = u - dt / state.grid.cell_volumes[:, None] \
-                * (limited[1:] - limited[:-1])
+            unew = u - dt / state.grid.dx * (limited[1:] - limited[:-1])
             new_state = EulerState1D(state.grid, unew, state.gamma)
             eps = 1e-12 * max(float(state.rho.max()),
                               float(state.pressure().max()))
@@ -536,14 +535,14 @@ def check_increment_root_oracle(rng, fns, trials):
             u = FvField1D(grid, rng.normal(size=n))
             inc = 0.1 * rng.normal(size=n)
             delta = -float(rng.uniform(0.0, 0.05))
-            g = co._default_cell_G(u, grid.cell_volumes)
+            g = co._default_cell_G(u, grid.dx)
             a, b, c = co.increment_quadratic_coefficients(inc, u, delta)
             if b * b - a * c < 0:
                 continue
             roots = np.roots([a, 2.0 * b, c])
             eps_oracle = roots[np.argmin(np.abs(roots))].real
             out, _ = fns["correct_increment_mass_l2"](inc, u, delta)
-            bar = inc - co.volume_mean(inc, grid.cell_volumes)
+            bar = inc - co.volume_mean(inc, grid.dx)
             eps = float((out - bar) @ g) / float(g @ g)
             assert abs(eps - eps_oracle) <= 1e-9 * max(abs(eps_oracle), 1e-12), \
                 f"eps {eps} vs oracle {eps_oracle}"
@@ -575,7 +574,7 @@ def check_positivity_theta_monotone(rng, fns, trials):
     checks = 0
     for _ in range(max(1, trials // 10)):
         state = _random_euler_state(rng, 16, periodic=True)
-        dt = 0.2 * state.grid.dx_min / float(
+        dt = 0.2 * state.grid.dx / float(
             (np.abs(state.velocity()) + state.sound_speed()).max())
         from .schemes import euler1d_muscl_flux, euler1d_lax_friedrichs_flux
         f = euler1d_muscl_flux(state) + 20.0 * rng.normal(size=(17, 3))
@@ -592,7 +591,7 @@ def check_positivity_theta_monotone(rng, fns, trials):
         for frac in (0.5, 0.25):
             blend = (frac * theta)[:, None] * f + (1 - frac * theta)[:, None] * f_lf
             u = state.u
-            unew = u - dt / state.grid.cell_volumes[:, None] * (blend[1:] - blend[:-1])
+            unew = u - dt / state.grid.dx * (blend[1:] - blend[:-1])
             st = EulerState1D(state.grid, unew, state.gamma)
             assert st.rho.min() > 0 and st.pressure().min() > 0
         checks += 1

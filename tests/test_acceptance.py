@@ -126,8 +126,8 @@ def test_criterion_3_fig1_burgers():
 def test_criterion_4_fig3_ftcs():
     g = UniformGrid1D(64, 1.0)
     ic = ic_sine(g)
-    vols = g.cell_volumes
-    dt = 0.5 * g.dx_min  # CFL 0.5, c = 1
+    vols = g.dx
+    dt = 0.5 * g.dx  # CFL 0.5, c = 1
 
     # uncorrected: strictly increasing l2 every step
     y = ic.values.copy()
@@ -152,7 +152,7 @@ def test_criterion_4_fig3_ftcs():
         a, b, c = co.increment_quadratic_coefficients(inc, field, 0.0)
         roots = np.roots([a, 2.0 * b, c])
         oracle = roots[np.argmin(np.abs(roots))].real
-        bar = inc - np.sum(inc * vols) / vols.sum()
+        bar = inc - np.sum(inc * vols) / (vols * g.n_cells)
         eps = float((out - bar) @ gvec) / float(gvec @ gvec)
         max_eps_dev = max(max_eps_dev, abs(eps - oracle) / max(abs(oracle), 1e-30))
         before = l2(y)

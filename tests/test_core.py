@@ -78,9 +78,9 @@ def test_coarse_grain_preserves_mass():
     rng = np.random.default_rng(5)
     g = UniformGrid1D(24, 3.0)
     f = FvField1D(g, rng.normal(size=24))
-    mass = np.sum(f.values * g.cell_volumes)
+    mass = np.sum(f.values * g.dx)
     out = coarse_grain(f, 4)
-    assert np.sum(out.values * out.grid.cell_volumes) == pytest.approx(
+    assert np.sum(out.values * out.grid.dx) == pytest.approx(
         mass, rel=1e-14, abs=1e-15)
 
 
@@ -110,17 +110,10 @@ def test_coarse_grain_2d_mass():
 
 def test_grid_volume_invariant():
     g = UniformGrid1D(10, 2.5)
-    assert g.cell_volumes.sum() == pytest.approx(2.5, rel=1e-12)
-    with pytest.raises(ValueError):
-        UniformGrid1D(4, 1.0, cell_volumes=np.array([0.1, 0.1, 0.1, 0.1]))
+    assert g.dx == 0.25
+    assert g.cell_edges()[-1] == pytest.approx(2.5, rel=1e-12)
     with pytest.raises(ValueError):
         UniformGrid1D(1, 1.0)
-
-
-def test_nonuniform_volumes_accepted():
-    vols = np.array([0.1, 0.2, 0.3, 0.4])
-    g = UniformGrid1D(4, 1.0, cell_volumes=vols)
-    assert g.dx_min == pytest.approx(0.1)
 
 
 def test_fields_reject_non_finite():

@@ -108,7 +108,7 @@ def test_rhs_corrector_brackets_random():
     u = FvField1D(g, rng.normal(size=8))
     rhs = rng.normal(size=8)
     out, _ = co.correct_rhs_mass_l2(rhs, u, co.L2RateTarget.fixed(-0.7))
-    vols = g.cell_volumes
+    vols = g.dx
     assert abs(np.sum(out * vols)) <= 1e-13 * np.abs(out).max() * 8
     assert bracket(u.values, out, vols) == pytest.approx(-0.7, rel=1e-12)
 
@@ -117,7 +117,7 @@ def test_rhs_corrector_fixed_point():
     rng = np.random.default_rng(53)
     g = UniformGrid1D(8, 1.0)
     u = FvField1D(g, rng.normal(size=8))
-    vols = g.cell_volumes
+    vols = g.dx
     rhs = rng.normal(size=8)
     rhs -= volume_mean(rhs, vols)
     rate = bracket(u.values, rhs, vols)
@@ -130,9 +130,9 @@ def test_rhs_corrector_demeaning_branch():
     g = UniformGrid1D(4, 1.0)
     u = FvField1D(g, [1.0, 2.0, 0.5, -1.0])
     rhs = np.full(4, 3.0)
-    m = rhs - volume_mean(rhs, g.cell_volumes)
-    old = bracket(u.values - volume_mean(u.values, g.cell_volumes), m,
-                  g.cell_volumes)
+    m = rhs - volume_mean(rhs, g.dx)
+    old = bracket(u.values - volume_mean(u.values, g.dx), m,
+                  g.dx)
     out, _ = co.correct_rhs_mass_l2(rhs, u, co.L2RateTarget.tracked(old))
     assert np.abs(out).max() <= 1e-14  # constant N demeans to zero exactly
 
@@ -159,9 +159,9 @@ def test_increment_ftcs_keeps_l2():
     g = UniformGrid1D(64, 1.0)
     x = g.cell_centers()
     u = FvField1D(g, np.sin(2 * np.pi * x))
-    inc = ftcs_increment(u, 1.0, 0.5 * g.dx_min)
+    inc = ftcs_increment(u, 1.0, 0.5 * g.dx)
     out, _ = co.correct_increment_mass_l2(inc, u, 0.0)
-    vols = g.cell_volumes
+    vols = g.dx
     l2_old = 0.5 * bracket(u.values, u.values, vols)
     unew = u.values + out
     l2_new = 0.5 * bracket(unew, unew, vols)
@@ -176,14 +176,14 @@ def test_increment_eps_matches_roots_oracle():
         u = FvField1D(g, rng.normal(size=16))
         inc = 0.1 * rng.normal(size=16)
         delta = -float(rng.uniform(0, 0.05))
-        gvec = co._default_cell_G(u, g.cell_volumes)
+        gvec = co._default_cell_G(u, g.dx)
         a, b, c = co.increment_quadratic_coefficients(inc, u, delta)
         if b * b - a * c < 0:
             continue
         roots = np.roots([a, 2 * b, c])
         oracle = roots[np.argmin(np.abs(roots))].real
         out, _ = co.correct_increment_mass_l2(inc, u, delta)
-        bar = inc - volume_mean(inc, g.cell_volumes)
+        bar = inc - volume_mean(inc, g.dx)
         eps = float((out - bar) @ gvec) / float(gvec @ gvec)
         assert eps == pytest.approx(oracle, rel=1e-9, abs=1e-13)
 
@@ -254,7 +254,7 @@ def test_dg_p0_equals_fv_rhs_corrector():
     n_dg = -(np.outer(f, [1.0]) - np.outer(np.roll(f, 1), [1.0]))
     target = co.L2RateTarget.fixed(-0.9)
     out_dg, _ = co.correct_dg_l2(n_dg, a, target)
-    rate_dg = out_dg[:, 0] / g.cell_volumes
+    rate_dg = out_dg[:, 0] / g.dx
 
     from invariant_guard.schemes import fv_rhs_1d
     field = FvField1D(g, u)
@@ -290,6 +290,20 @@ def test_spectral_diffusion_weight_rate():
     rate = 2.0 * u.length * float(
         np.sum(u.coeffs.real * out.real + u.coeffs.imag * out.imag))
     assert rate == pytest.approx(-1.2, rel=1e-12)
+
+
+def test_spectral_corrector_near_constant_field_degenerate():
+    # u~_0 = 1, u~_m = 1e-15 noise: the denominator -2L sum m^2 |u~_m|^2 is
+    # a nonzero -5e-27 at a scale of 1e-12, a relative 4e-15; dividing by it
+    # would blow the weight up 1e13-fold, so the corrector must refuse it
+    # rather than test only for an exact zero
+    rng = np.random.default_rng(2)
+    coeffs = 1e-15 * (rng.normal(size=17) + 1j * rng.normal(size=17))
+    coeffs[0] = 1.0
+    u = SpectralField(1.0, coeffs)
+    rhs = rng.normal(size=17) + 1j * rng.normal(size=17)
+    with pytest.raises(DegenerateCorrection):
+        co.correct_spectral_mass_l2(rhs, u, co.L2RateTarget.fixed(-1.0))
 
 
 # --- 2D Euler corrector ----------------------------------------------------------------
@@ -386,7 +400,7 @@ def _case_flux2d(rng):
 
 def _case_rhs(rng):
     u = FvField1D(UniformGrid1D(12, 2.0), rng.normal(size=12))
-    vols = u.grid.cell_volumes
+    vols = u.grid.dx
     rate = lambda n: bracket(u.values, n - volume_mean(n, vols), vols)
     rhs = rng.normal(size=12)
     return dict(correct=lambda n, tg: co.correct_rhs_mass_l2(n, u, tg),
@@ -398,7 +412,7 @@ def _case_rhs(rng):
 
 def _case_increment(rng):
     u = FvField1D(UniformGrid1D(12, 2.0), rng.normal(size=12))
-    vols = u.grid.cell_volumes
+    vols = u.grid.dx
     l2 = lambda v: 0.5 * bracket(v, v, vols)
     rate = lambda d: l2(u.values + d - volume_mean(d, vols)) - l2(u.values)
     inc = 0.1 * rng.normal(size=12)

@@ -88,7 +88,7 @@ def test_mass_rate_telescopes():
     a = DgField(g, rng.normal(size=(12, 3)))
     n = dg_rhs(a, lambda u: 0.5 * u * u, burgers_centered_rule)
     rate = dg_coefficient_rate(a, n)
-    mass_rate = np.sum(rate[:, 0] * g.cell_volumes)
+    mass_rate = np.sum(rate[:, 0] * g.dx)
     assert abs(mass_rate) <= 1e-13 * np.abs(n).max() * 12
 
 
@@ -119,27 +119,12 @@ def test_diffusion_strictly_dissipative_and_conservative():
         assert abs(np.sum(nd[:, 0])) <= 1e-12 * np.abs(nd).max() * 16
 
 
-def test_diffusion_rejects_a_non_uniform_grid():
-    # the penalty form assumes one dx: widths are compared with allclose's
-    # rule, |dx_j - dx_0| <= 1e-8 + 1e-5 dx_0
-    for eps, uniform in ((1e-7, True), (3e-6, False)):
-        vols = np.full(8, 0.125)
-        vols[1] += eps
-        vols[2] -= eps
-        a = DgField(UniformGrid1D(8, 1.0, cell_volumes=vols), np.ones((8, 2)))
-        if uniform:
-            dg_diffusion_rhs(a)
-        else:
-            with pytest.raises(ConfigurationError):
-                dg_diffusion_rhs(a)
-
-
 def test_diffusion_p0_matches_fv_stencil():
     rng = np.random.default_rng(43)
     g = UniformGrid1D(10, 5.0)
     u = rng.normal(size=10)
     nd = dg_diffusion_rhs(DgField(g, u[:, None].copy()))
-    dx = g.cell_volumes[0]
+    dx = g.dx
     stencil = (np.roll(u, -1) - 2 * u + np.roll(u, 1)) / dx
     assert np.allclose(nd[:, 0], stencil, rtol=1e-12, atol=1e-14)
 
@@ -183,7 +168,7 @@ def test_diffusion_matches_dense_penalty_form(n, p):
     for _ in range(3):
         g = UniformGrid1D(n, rng.uniform(0.1, 10.0))
         a = DgField(g, rng.normal(size=(n, p + 1)))
-        B = dense_sip_matrix(n, g.cell_volumes[0], p)
+        B = dense_sip_matrix(n, g.dx, p)
         ref = -(B @ a.coeffs.ravel()).reshape(a.coeffs.shape)
         np.testing.assert_allclose(dg_diffusion_rhs(a), ref, rtol=1e-13,
                                    atol=1e-13 * np.abs(ref).max())
@@ -231,7 +216,7 @@ def test_projection_reproduces_polynomials():
     x = g.cell_centers()
     assert np.allclose(a.coeffs[:, 0], 0.5 + 0.25 * x, rtol=1e-13)
     # linear function: slope coefficient = 0.25 * dx/2, quadratic term 0
-    assert np.allclose(a.coeffs[:, 1], 0.25 * g.cell_volumes / 2.0, rtol=1e-12)
+    assert np.allclose(a.coeffs[:, 1], 0.25 * g.dx / 2.0, rtol=1e-12)
     assert np.abs(a.coeffs[:, 2]).max() <= 1e-14
 
 

@@ -121,7 +121,7 @@ def test_entropy_rate_matches_eta_derivative():
 # --- positivity limiter ---------------------------------------------------------------
 
 def _stable_dt(s, cfl=0.3):
-    return cfl * s.grid.dx_min / float((np.abs(s.velocity()) + s.sound_speed()).max())
+    return cfl * s.grid.dx / float((np.abs(s.velocity()) + s.sound_speed()).max())
 
 
 def _safe_case():
@@ -157,7 +157,7 @@ def test_limiter_checks_only_cells_a_face_touches(boundary):
     # flux stays; on a periodic grid it is the cell across the seam.
     s = uniform_state(n=8, boundary=boundary)
     dt = _stable_dt(s)
-    lam = dt / s.grid.cell_volumes[0]
+    lam = dt / s.grid.dx
     for face, sign in ((0, 1.0), (-1, -1.0)):
         f = euler1d_muscl_flux(s).copy()
         f[face, 0] += sign * 0.75 / lam
@@ -188,7 +188,7 @@ def test_limiter_bisection_near_vacuum():
     eps = 1e-12
     out = co.limit_positivity_euler1d(f, s, dt, eps_pos=eps)
     u = s.u
-    unew = u - dt / s.grid.cell_volumes[:, None] * (out[1:] - out[:-1])
+    unew = u - dt / s.grid.dx * (out[1:] - out[:-1])
     st = EulerState1D(s.grid, unew, s.gamma)
     assert st.rho.min() >= eps and st.pressure().min() >= eps
 
@@ -200,8 +200,8 @@ def test_limiter_bisection_near_vacuum():
     face = (theta + 1e-6) * f[3] + (1 - theta - 1e-6) * f_lf[3]
 
     def half_states(face_flux):
-        lam_l = dt / s.grid.cell_volumes[2]
-        lam_r = dt / s.grid.cell_volumes[3]
+        lam_l = dt / s.grid.dx
+        lam_r = dt / s.grid.dx
         hl = u[2] - 2 * lam_l * (face_flux - euler_physical_flux(u[2], s.gamma))
         hr = u[3] + 2 * lam_r * (face_flux - euler_physical_flux(u[3], s.gamma))
         return hl, hr
@@ -267,6 +267,21 @@ def test_entropy_antidiffusive_warns():
     target = co.EntropyRateTarget(old - 1.0, 0.0)  # below the current rate
     with pytest.warns(co.AntiDiffusiveTargetWarning):
         co.correct_entropy_euler1d(f, s, target)
+
+
+@pytest.mark.filterwarnings("ignore::invariant_guard.correctors."
+                            "AntiDiffusiveTargetWarning")
+@pytest.mark.parametrize("ratio", [0.0, 2.0])
+@pytest.mark.parametrize("n", [4, 8, 32, 128])
+def test_corrected_periodic_flux_conserves(n, ratio):
+    # on a periodic grid face 0 and face N are one face, so the corrected
+    # fluxes must still telescope: sum_j rhs_j dx = F_0 - F_N = 0
+    for seed in range(5):
+        s = random_state(900 + seed, n=n)
+        out, _ = co.correct_entropy_euler1d(euler1d_muscl_flux(s), s,
+                                            co.EntropyRateTarget(0.0, ratio))
+        total = (euler1d_rhs(out, s.grid) * s.grid.dx).sum(axis=0)
+        assert (np.abs(total) <= 1e-13 * np.abs(out).max(axis=0)).all()
 
 
 # --- boundary entropy flux estimate ----------------------------------------------------------

@@ -76,7 +76,7 @@ def test_kolmogorov_forcing_structure():
 def test_sod_setup():
     g = UniformGrid1D(64, 1.0, boundary="dirichlet")
     s = ic_sod(g)
-    mass = float(np.sum(s.rho * g.cell_volumes))
+    mass = float(np.sum(s.rho * g.dx))
     assert mass == pytest.approx(0.5 * 1.0 + 0.5 * 0.125, rel=1e-14)
     assert s.pressure().min() == pytest.approx(0.1, rel=1e-14)
     assert s.rho[0] == 1.0 and s.rho[-1] == 0.125

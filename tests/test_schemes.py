@@ -92,7 +92,7 @@ def test_muscl_is_tvd_within_cfl():
         center, width = rng.uniform(0.2, 0.8), rng.uniform(0.05, 0.3)
         u = field(np.tanh((x - center) / width) - np.tanh((x - center - 0.4) / width),
                   length=1.0)
-        dt = 0.3 * u.grid.dx_min / max(1.0, np.abs(u.values).max())
+        dt = 0.3 * u.grid.dx / max(1.0, np.abs(u.values).max())
         for eq, kwargs in (("advection", dict(c=1.0)), ("burgers", dict())):
             f = numerical_flux_1d(FluxScheme.MUSCL_MC, u, eq, **kwargs)
             unew = u.values + dt * fv_rhs_1d(f, u.grid)
@@ -111,7 +111,7 @@ def test_fv_rhs_telescoping_periodic():
     g = UniformGrid1D(16, 2.0)
     f = rng.normal(size=16)
     rhs = fv_rhs_1d(f, g)
-    assert abs(np.sum(rhs * g.cell_volumes)) <= 1e-14 * np.abs(f).max() * 16
+    assert abs(np.sum(rhs * g.dx)) <= 1e-14 * np.abs(f).max() * 16
 
 
 def test_fv_rhs_hand_case():

@@ -81,6 +81,30 @@ def test_discrete_step_and_ftcs_chain():
     assert np.abs(l2 / l2[0] - 1.0).max() <= 1e-12
 
 
+def test_forward_euler_step_corrector_holds_l2():
+    # per stage the flux corrector pins dl2/dt = 0, but a forward-Euler step
+    # still adds dt^2 |N|^2 / 2 to l2; the step corrector removes exactly that
+    ic = ic_sine(UniformGrid1D(64, 1.0))
+    plan = StepPlan(integrator="forward_euler", cfl=0.3, t_end=1.0,
+                    n_snapshots=11)
+    growth = {}
+    for step_delta_l2 in (0.0, None):
+        drv = ScalarFv1D(ic, "burgers", FluxScheme.CENTERED,
+                         target=co.L2RateTarget.fixed(0.0),
+                         step_delta_l2=step_delta_l2)
+        tr = run(plan, drv)
+        assert tr.error is None
+        l2 = np.array([r.l2 for r in tr.reports])
+        growth[step_delta_l2] = l2 / l2[0] - 1.0
+        if step_delta_l2 is not None:
+            kinds = [r.kind for r in tr.stage_records]
+            # one stage, so one flux correction, per step
+            assert kinds.count("l2") == kinds.count("step_delta_l2") > 0
+            assert len(kinds) == 2 * kinds.count("l2")
+    assert np.abs(growth[0.0]).max() <= 1e-12
+    assert growth[None][-1] > 10.0
+
+
 def test_zero_duration_run():
     g = UniformGrid1D(8, 1.0)
     drv = ScalarFv1D(ic_sine(g), "advection", FluxScheme.UPWIND, c=1.0)
