@@ -14,7 +14,6 @@ import argparse
 import hashlib
 import os
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +26,7 @@ from .core import (FvField1D, UniformGrid1D, UniformGrid2D, coarse_grain,
 from .diagnostics import InvariantReport, mae, normalized_mse, vorticity_correlation
 from .dg import burgers_centered_rule, dg_project
 from .drivers import (DgScalar1D, Euler1D, FtcsAdvection,
-                      InfeasibleTargetWarning, NonconservativeBurgers1D,
-                      ScalarFv1D, Vorticity2D)
+                      NonconservativeBurgers1D, ScalarFv1D, Vorticity2D)
 from .errors import ConfigurationError, InvariantGuardError
 from .problems import (ic_random_vorticity, ic_sine, ic_sod, ic_sum_of_sines)
 from .schemes import FluxScheme
@@ -106,17 +104,14 @@ def _flux_scheme(name, ec: ExperimentConfig, equation):
     return FluxScheme(name)
 
 
-def _driver_spec(text, tracked_source, step=False):
-    """The driver argument for a ``target`` or (``step=True``) a per-step
-    ``step_correction`` value: None, an L2RateTarget for a target, "clamp"
-    or a float for a step change, or the reference's TrackedRateSource."""
+def _driver_spec(text, tracked_source):
+    """The driver argument for a ``target`` or ``step_correction`` value:
+    None, an L2RateTarget, or the reference's TrackedRateSource."""
     kind, value = rate_spec(text)
     if kind == "none":
         return None
     if kind == "tracked":
         return tracked_source
-    if step:
-        return kind if kind == "clamp" else value
     return co.L2RateTarget.clamp() if kind == "clamp" \
         else co.L2RateTarget.fixed(value)
 
@@ -143,13 +138,10 @@ def build_driver(ec: ExperimentConfig, variant: VariantConfig, n,
     this function only builds."""
     equation = ec.equation
     corrected = variant.corrector != "none"
-    if equation == "advection" and ec.integrator == "discrete":
-        # the FTCS demo: the increment corrector reads its target per step
-        delta = _driver_spec(variant.target, tracked_source, step=True) \
-            if corrected else None
-        return FtcsAdvection(_scalar_ic(ec, n), c=ec.c, delta_l2=delta)
     target = _driver_spec(variant.target, tracked_source) if corrected else None
-    step = _driver_spec(variant.step_correction, tracked_source, step=True)
+    if equation == "advection" and ec.integrator == "discrete":
+        return FtcsAdvection(_scalar_ic(ec, n), c=ec.c, target=target)
+    step = _driver_spec(variant.step_correction, tracked_source)
     nu = variant.nu if variant.nu is not None else ec.nu
     if equation == "burgers_nonconservative":
         return NonconservativeBurgers1D(_scalar_ic(ec, n), target=target)
@@ -168,7 +160,7 @@ def build_driver(ec: ExperimentConfig, variant: VariantConfig, n,
             forcing = ic_sum_of_sines(ic.grid, ec.forcing_seed, "burgers-forcing")
         return ScalarFv1D(
             ic, base_eq, _flux_scheme(variant.scheme, ec, base_eq), c=ec.c,
-            target=target, nu=nu, forcing=forcing, step_delta_l2=step)
+            target=target, nu=nu, forcing=forcing, step_target=step)
     if equation == "euler2d":
         grid = UniformGrid2D(n, n, ec.length, ec.length)
         ic = ic_random_vorticity(grid, ec.ic_seed)
@@ -176,7 +168,7 @@ def build_driver(ec: ExperimentConfig, variant: VariantConfig, n,
         return Vorticity2D(
             ic, corrector=variant.corrector, target=target, nu=nu,
             forcing=forcing_name == "kolmogorov", forcing_k=ec.kolmogorov_k,
-            drag=ec.drag, step_delta_l2=step)
+            drag=ec.drag, step_target=step)
     # euler1d
     grid = UniformGrid1D(n, ec.length, ec.boundary)
     ic = ic_sod(grid, ec.gamma) if ec.ic == "sod" \
@@ -277,20 +269,19 @@ def cmd_run(config_path, output_root=None):
         status["reference"] = "ok"
 
     failures = 0
+    counts = {}
     for n in ec.resolutions:
-        ref_coarse = None
-        if ref_traj is not None and ec.reference_resolution % n == 0:
-            ref_coarse = _coarsen_reference(ec, ref_traj, n)
+        ref_coarse = None if ref_traj is None \
+            else _coarsen_reference(ec, ref_traj, n)
         for variant in ec.variants:
             driver = build_driver(ec, variant, n, tracked)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", co.AntiDiffusiveTargetWarning)
-                traj = run(variant_plan(ec, variant), driver)
+            traj = run(variant_plan(ec, variant), driver)
             run_dir = out_dir / f"n{n}" / variant.label
             run_dir.mkdir(parents=True, exist_ok=True)
             write_trajectory(run_dir / "trajectory.csv", traj, _csv_reorder(ec, n))
             write_invariants(run_dir / "invariants.csv", traj)
             key = f"n{n}.{variant.label}"
+            _count_records(counts, key, traj)
             if traj.error is None:
                 status[key] = "ok"
             else:
@@ -299,28 +290,42 @@ def cmd_run(config_path, output_root=None):
                 if not variant.expect_blowup:
                     failures += 1
                     print(f"error: {key}: {traj.error}", file=sys.stderr)
-            if ref_coarse is not None and traj.error is None \
-                    and len(traj.snapshots) == len(ref_coarse) \
-                    and ec.equation != "euler1d":
+            # snapshots at the reference's times: a variant may end earlier
+            if ref_coarse is not None and traj.times == ref_traj.times:
                 write_metrics(run_dir / "metrics.csv", traj.times,
                               traj.snapshots, ref_coarse)
-    _write_manifest(out_dir, config_path, status)
+    _write_manifest(out_dir, config_path, status, counts)
     if failures:
         return 2
     return 0
 
 
-def _write_manifest(out_dir, config_path, status, clamps=None):
-    """``status`` maps each run to ``ok`` or its error; ``clamps`` maps each
-    run that clamped infeasible per-step targets to how many it clamped."""
+def _count_records(counts, key, traj):
+    """Add run ``key``'s nonzero counts of correction records to ``counts``:
+    ``clamps.<key>``, infeasible per-step targets clamped, and
+    ``anti_diffusive.<key>``, entropy targets below the old rate.  Each is
+    also warned of, but the counts do not depend on warning filters."""
+    records = traj.stage_records
+    for name, n in (
+            ("clamps", sum(r.kind == "step_delta_l2_clamped" for r in records)),
+            ("anti_diffusive", sum(r.kind == "entropy"
+                                   and r.target_rate < r.old_rate
+                                   for r in records))):
+        if n:
+            counts[f"{name}.{key}"] = n
+
+
+def _write_manifest(out_dir, config_path, status, counts):
+    """``status`` maps each run to ``ok`` or its error; ``counts`` maps
+    ``<name>.<run>`` keys to the record counts of ``_count_records``."""
     sha = hashlib.sha256(Path(config_path).read_bytes()).hexdigest()
     lines = [f"config_sha256 = {sha}",
              f"package_version = {__version__}",
              f"numpy_version = {np.__version__}"]
     for key in sorted(status):
         lines.append(f"status.{key} = {status[key]}")
-    for key in sorted(clamps or {}):
-        lines.append(f"clamps.{key} = {clamps[key]}")
+    for key in sorted(counts):
+        lines.append(f"{key} = {counts[key]}")
     (out_dir / "manifest").write_text("\n".join(lines) + "\n")
 
 
@@ -358,7 +363,7 @@ def cmd_sweep(config_path, output_root=None):
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    clamps = {}   # infeasible per-step targets clamped, per row
+    counts = {}
     for n in ec.resolutions:
         x = UniformGrid1D(n, ec.length).cell_centers()
         for label in SWEEP_VARIANTS:
@@ -369,16 +374,8 @@ def cmd_sweep(config_path, output_root=None):
             else:
                 variant = VariantConfig(label, scheme=label)
             driver = build_driver(ec, variant, n)
-            with warnings.catch_warnings(record=True) as caught:
-                traj = run(variant_plan(ec, variant), driver)
-            # shown after the row, through the hook a caller may count with
-            for w in caught:
-                warnings.showwarning(w.message, w.category, w.filename,
-                                     w.lineno, w.file, w.line)
-            n_clamps = sum(issubclass(w.category, InfeasibleTargetWarning)
-                           for w in caught)
-            if n_clamps:
-                clamps[f"n{n}.{label}"] = n_clamps
+            traj = run(variant_plan(ec, variant), driver)
+            _count_records(counts, f"n{n}.{label}", traj)
             if traj.error is not None:
                 rows.append([str(n), label, "nan", "nan", "nan"])
                 continue
@@ -394,7 +391,7 @@ def cmd_sweep(config_path, output_root=None):
         fh.write("n,variant,normalized_mse,mae,l2_end_over_l2_0\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
-    _write_manifest(out_dir, config_path, {"sweep": "ok"}, clamps)
+    _write_manifest(out_dir, config_path, {"sweep": "ok"}, counts)
     return 0
 
 

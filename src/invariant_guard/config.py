@@ -66,7 +66,7 @@ def rate_spec(text):
     except ValueError:
         raise ValueError("fixed needs a numeric value, e.g. fixed:0") from None
     if not value <= 0.0:
-        raise ValueError("a fixed rate or step change must be <= 0")
+        raise ValueError("a fixed rate must be <= 0")
     return kind, value
 
 

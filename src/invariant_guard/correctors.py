@@ -85,6 +85,10 @@ class L2RateTarget:
     def tracked(cls, rate):
         return cls(TRACKED, float(rate))
 
+    def at(self, t):
+        """The target in force at time ``t``: a static target is itself."""
+        return self
+
     def resolve(self, old_rate):
         if self.mode == CLAMP:
             return min(old_rate, 0.0)
@@ -114,7 +118,8 @@ class TrackedRateSource:
     def rate_at(self, t):
         return min(float(np.interp(t, self.times, self.rates)), 0.0)
 
-    def target_at(self, t):
+    def at(self, t):
+        """The tracked L2RateTarget in force at time ``t``."""
         return L2RateTarget.tracked(self.rate_at(t))
 
 

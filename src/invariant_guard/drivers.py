@@ -25,35 +25,28 @@ from .errors import InfeasibleTarget
 from .timeloop import cfl_dt, cfl_dt_2d
 
 
-def resolve_l2_target(spec, t):
-    """A target spec is either a static L2RateTarget or a TrackedRateSource."""
-    if isinstance(spec, co.TrackedRateSource):
-        return spec.target_at(t)
-    return spec
-
-
 class InfeasibleTargetWarning(RuntimeWarning):
     """The requested per-step l2 change sits below the quadratic's minimum;
     the run continues at the best achievable dissipation."""
 
 
-def _correct_step_increment(driver, field, inc, t, dt, spec):
+def _correct_step_increment(driver, field, inc, t, dt, target):
     """Correct a full-step increment ``inc`` (shaped like ``field``'s values)
     so the discrete l2 change is exact; returns the corrected increment.
 
-    ``spec`` is "clamp" (change = min(actual, 0)), a number (per-step
-    change), or a TrackedRateSource (change = rate(t + dt/2) * dt).  An
-    infeasible change is clamped to the quadratic's vertex plus a 1e-12
-    margin, with a warning, so the run stays alive.
+    ``target`` is an L2RateTarget or a TrackedRateSource, read at the step's
+    midpoint: clamp sets the change to min(actual, 0), any other mode to
+    rate * dt.  An infeasible change is clamped to the quadratic's vertex
+    plus a 1e-12 margin, recorded with kind ``step_delta_l2_clamped`` and
+    warned of, so the run stays alive.
     """
-    if spec == "clamp":
+    target = target.at(t + 0.5 * dt)
+    if target.mode == co.CLAMP:
         vals, volume = co._field_parts(field)
         actual = bracket(vals, inc, volume) + 0.5 * bracket(inc, inc, volume)
         delta = min(actual, 0.0)
-    elif isinstance(spec, co.TrackedRateSource):
-        delta = min(spec.rate_at(t + 0.5 * dt), 0.0) * dt
     else:
-        delta = float(spec)
+        delta = target.rate * dt
     try:
         return driver._corrected(t, "step_delta_l2",
                                  co.correct_increment_mass_l2, inc, field, delta)
@@ -63,20 +56,18 @@ def _correct_step_increment(driver, field, inc, t, dt, spec):
             f"per-step delta_l2 infeasible at t={t:.6g}; clamped to the "
             f"achievable minimum {delta:.3e}", InfeasibleTargetWarning,
             stacklevel=3)
-        return driver._corrected(t, "step_delta_l2",
+        return driver._corrected(t, "step_delta_l2_clamped",
                                  co.correct_increment_mass_l2, inc, field, delta)
 
 
-def _apply_step_increment_correction(driver, field, y_old, y_new, t, dt, spec):
-    """``_correct_step_increment`` over the full RK step y_old -> y_new."""
-    shape = field.values.shape
-    inc = _correct_step_increment(driver, field, (y_new - y_old).reshape(shape),
-                                  t, dt, spec)
-    return (y_old.reshape(shape) + inc).reshape(y_old.shape)
-
-
 class _DriverBase:
+    """Shared hooks.  ``target`` is the per-stage l2 target and
+    ``step_target`` the per-step one, each an L2RateTarget, a
+    TrackedRateSource or None (no correction)."""
+
     stage_records = None   # set by timeloop.run; None outside a run
+    target = None
+    step_target = None
 
     def _corrected(self, t, kind, corrector, *args):
         """Call ``corrector(*args)``, record its report stamped with ``t`` and
@@ -89,6 +80,28 @@ class _DriverBase:
                 rec.t, rec.kind = t, k
                 self.stage_records.append(rec)
         return update
+
+    def _stage_corrected(self, t, kind, corrector, update, state):
+        """``update`` moved to ``self.target`` at stage time ``t``, or as it
+        is when there is no target."""
+        if self.target is None:
+            return update
+        return self._corrected(t, kind, corrector, update, state,
+                               self.target.at(t))
+
+    def post_step(self, y_old, y_new, t, dt):
+        """Correct the full step y_old -> y_new to ``self.step_target``."""
+        if self.step_target is None:
+            return y_new
+        field = self.field_of(y_old)
+        shape = field.values.shape
+        inc = _correct_step_increment(self, field, (y_new - y_old).reshape(shape),
+                                      t, dt, self.step_target)
+        return (y_old.reshape(shape) + inc).reshape(y_old.shape)
+
+    def field_of(self, y):
+        """The field whose l2 the step corrector sets."""
+        return self.state_of(y)
 
     def report(self, y, t) -> InvariantReport:
         return invariant_report(self.state_of(y), t)
@@ -105,14 +118,13 @@ class ScalarFv1D(_DriverBase):
     """Flux-form scalar transport: advection or Burgers, optional diffusion
     and forcing (never corrected), and an optional flux-l2 corrector.
 
-    ``step_delta_l2`` chains the discrete-increment corrector over each full
-    RK step ("clamp", a fixed per-step change, or a TrackedRateSource); it
-    removes the time-integrator's own l2 residual on top of the per-stage
-    flux correction.
+    ``step_target`` chains the discrete-increment corrector over each full
+    RK step; it removes the time-integrator's own l2 residual on top of the
+    per-stage flux correction.
     """
 
     def __init__(self, ic: FvField1D, equation, scheme, c=1.0,
-                 target=None, nu=0.0, forcing=None, step_delta_l2=None):
+                 target=None, nu=0.0, forcing=None, step_target=None):
         self.grid = ic.grid
         self.ic = ic
         self.equation = equation
@@ -121,7 +133,7 @@ class ScalarFv1D(_DriverBase):
         self.target = target
         self.nu = nu
         self.forcing = forcing
-        self.step_delta_l2 = step_delta_l2
+        self.step_target = step_target
         self._x = self.grid.cell_centers()
 
     def initial_array(self):
@@ -151,22 +163,14 @@ class ScalarFv1D(_DriverBase):
 
     def rhs(self, y, t, dt):
         field = self.state_of(y)
-        f = self.fluxes(field, dt)
-        if self.target is not None:
-            f = self._corrected(t, "l2", co.correct_flux_l2_1d, f, field,
-                                resolve_l2_target(self.target, t))
+        f = self._stage_corrected(t, "l2", co.correct_flux_l2_1d,
+                                  self.fluxes(field, dt), field)
         out = schemes.fv_rhs_1d(f, self.grid)
         if self.nu > 0.0:
             out = out + self.nu * co.laplacian_1d(y) / self.grid.dx**2
         if self.forcing is not None:
             out = out + self.forcing(self._x, t, self.grid.length)
         return out
-
-    def post_step(self, y_old, y_new, t, dt):
-        if self.step_delta_l2 is None:
-            return y_new
-        return _apply_step_increment_correction(
-            self, self.state_of(y_old), y_old, y_new, t, dt, self.step_delta_l2)
 
 
 class NonconservativeBurgers1D(_DriverBase):
@@ -195,11 +199,8 @@ class NonconservativeBurgers1D(_DriverBase):
         backward = (y - shift(y, -1)) / dx
         forward = (shift(y, 1) - y) / dx
         out = -y * np.where(y >= 0.0, backward, forward)
-        if self.target is not None:
-            out = self._corrected(t, "l2", co.correct_rhs_mass_l2, out,
-                                  self.state_of(y),
-                                  resolve_l2_target(self.target, t))
-        return out
+        return self._stage_corrected(t, "l2", co.correct_rhs_mass_l2, out,
+                                     self.state_of(y))
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +208,15 @@ class NonconservativeBurgers1D(_DriverBase):
 # ---------------------------------------------------------------------------
 
 class FtcsAdvection(_DriverBase):
-    """Forward-time centered-space advection, optionally corrected to a
-    per-step l2 change: ``delta_l2`` is a step spec as for
-    ``ScalarFv1D.step_delta_l2``."""
+    """Forward-time centered-space advection whose increment, with a
+    ``target``, is corrected to a per-step l2 change as
+    ``ScalarFv1D.step_target`` corrects a full RK step."""
 
-    def __init__(self, ic: FvField1D, c=1.0, delta_l2=None):
+    def __init__(self, ic: FvField1D, c=1.0, target=None):
         self.grid = ic.grid
         self.ic = ic
         self.c = c
-        self.delta_l2 = delta_l2
+        self.target = target
 
     def initial_array(self):
         return self.ic.values.copy()
@@ -229,9 +230,9 @@ class FtcsAdvection(_DriverBase):
     def increment(self, y, t, dt):
         field = self.state_of(y)
         inc = schemes.ftcs_increment(field, self.c, dt)
-        if self.delta_l2 is None:
+        if self.target is None:
             return inc
-        return _correct_step_increment(self, field, inc, t, dt, self.delta_l2)
+        return _correct_step_increment(self, field, inc, t, dt, self.target)
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +264,8 @@ class DgScalar1D(_DriverBase):
 
     def rhs(self, y, t, dt):
         a = self.state_of(y)
-        n = dg_rhs(a, self.flux_fn, self.interface_rule)
-        if self.target is not None:
-            n = self._corrected(t, "l2", co.correct_dg_l2, n, a,
-                                resolve_l2_target(self.target, t))
+        n = self._stage_corrected(t, "l2", co.correct_dg_l2,
+                                  dg_rhs(a, self.flux_fn, self.interface_rule), a)
         return dg_coefficient_rate(a, n).ravel()
 
 
@@ -292,11 +291,8 @@ class SpectralAdvection(_DriverBase):
 
     def rhs(self, y, t, dt):
         u = self.state_of(y)
-        n = schemes.spectral_rhs_advection(u, self.c)
-        if self.target is not None:
-            n = self._corrected(t, "l2", co.correct_spectral_mass_l2, n, u,
-                                resolve_l2_target(self.target, t))
-        return n
+        return self._stage_corrected(t, "l2", co.correct_spectral_mass_l2,
+                                     schemes.spectral_rhs_advection(u, self.c), u)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +305,7 @@ class Vorticity2D(_DriverBase):
 
     def __init__(self, ic: FvField2D, corrector="none", target=None,
                  nu=0.0, forcing=False, forcing_k=4, drag=0.1,
-                 step_delta_l2=None):
+                 step_target=None):
         if corrector not in ("none", "flux_l2", "energy"):
             raise ValueError(f"unknown 2D corrector {corrector!r}")
         self.grid = ic.grid
@@ -320,13 +316,16 @@ class Vorticity2D(_DriverBase):
         self.forcing = forcing
         self.forcing_k = forcing_k
         self.drag = drag
-        self.step_delta_l2 = step_delta_l2
+        self.step_target = step_target
 
     def initial_array(self):
         return self.ic.values.ravel().copy()
 
+    def field_of(self, y):
+        return FvField2D(self.grid, y.reshape(self.grid.nx, self.grid.ny))
+
     def state_of(self, y):
-        chi = FvField2D(self.grid, y.reshape(self.grid.nx, self.grid.ny))
+        chi = self.field_of(y)
         return VorticityState2D(chi, schemes.poisson_solve(chi))
 
     def stable_dt(self, y, cfl, dt_max):
@@ -343,20 +342,15 @@ class Vorticity2D(_DriverBase):
         fluxes = schemes.advective_fluxes_2d(chi, ux, uy)
 
         if self.corrector == "flux_l2":
-            # each direction carries half of a prescribed rate; clamp acts
-            # on each direction's own rate
-            target = resolve_l2_target(self.target, t)
-            if target.mode != co.CLAMP:
-                target = co.L2RateTarget(target.mode, 0.5 * target.rate)
-            fluxes = self._corrected(t, ("l2_x", "l2_y"), co.correct_flux_l2_2d,
-                                     fluxes, chi, target, target)
+            fluxes = self._stage_corrected(t, ("l2_x", "l2_y"),
+                                           _correct_flux_l2_halves, fluxes, chi)
 
         out = schemes.fv_rhs_2d(fluxes, g)
 
         if self.corrector == "energy":
-            out = self._corrected(t, "enstrophy",
-                                  co.correct_euler2d_mass_energy_l2, out, state,
-                                  resolve_l2_target(self.target, t))
+            out = self._stage_corrected(t, "enstrophy",
+                                        co.correct_euler2d_mass_energy_l2, out,
+                                        state)
 
         if self.nu > 0.0:
             out = out + self.nu * co.laplacian_2d(chi.values, g.dx, g.dy)
@@ -366,12 +360,13 @@ class Vorticity2D(_DriverBase):
                                               self.drag)
         return out.ravel()
 
-    def post_step(self, y_old, y_new, t, dt):
-        if self.step_delta_l2 is None:
-            return y_new
-        chi = FvField2D(self.grid, y_old.reshape(self.grid.nx, self.grid.ny))
-        return _apply_step_increment_correction(
-            self, chi, y_old, y_new, t, dt, self.step_delta_l2)
+
+def _correct_flux_l2_halves(fluxes, chi, target):
+    """``correct_flux_l2_2d`` with each direction carrying half of a
+    prescribed rate; clamp acts on each direction's own rate."""
+    if target.mode != co.CLAMP:
+        target = co.L2RateTarget(target.mode, 0.5 * target.rate)
+    return co.correct_flux_l2_2d(fluxes, chi, target, target)
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ def test_criterion_3_fig1_burgers():
     plan1 = StepPlan(t_end=1.0, cfl=0.3, n_snapshots=101)
     tr0 = run(plan1, ScalarFv1D(ic, "burgers", FluxScheme.CENTERED,
                                 target=co.L2RateTarget.fixed(0.0),
-                                step_delta_l2=0.0))
+                                step_target=co.L2RateTarget.fixed(0.0)))
     l2_0 = np.array([r.l2 for r in tr0.reports])
     drift = float(np.abs(l2_0 / l2_0[0] - 1.0).max())
 
@@ -103,7 +103,7 @@ def test_criterion_3_fig1_burgers():
                  for y in tr_ref.snapshots]
     src = co.TrackedRateSource(tr_ref.times, ref_rates)
     tr_t = run(plan1, ScalarFv1D(ic, "burgers", FluxScheme.CENTERED,
-                                 target=src, step_delta_l2=src))
+                                 target=src, step_target=src))
     l2_ref = np.array([r.l2 for r in tr_ref.reports])
     l2_t = np.array([r.l2 for r in tr_t.reports])
     err0 = float(np.abs(l2_0 - l2_ref).mean())
@@ -191,7 +191,7 @@ def test_criterion_5_fig4_euler2d():
 
     tr_z = run(plan, Vorticity2D(ic, corrector="flux_l2",
                                  target=co.L2RateTarget.fixed(0.0),
-                                 step_delta_l2=0.0))
+                                 step_target=co.L2RateTarget.fixed(0.0)))
     ens_z = np.array([r.enstrophy for r in tr_z.reports])
     z_drift = float(np.abs(ens_z / ens_z[0] - 1.0).max())
 
@@ -319,7 +319,7 @@ def test_criterion_8_surrogate():
 
     tr_c = run(plan, ScalarFv1D(ic, "advection", hostile, c=1.0,
                                 target=co.L2RateTarget.clamp(),
-                                step_delta_l2="clamp"))
+                                step_target=co.L2RateTarget.clamp()))
     l2_c = np.array([r.l2 for r in tr_c.reports])
     stabilized = l2_c[-1] <= l2_c[0]
 

@@ -13,7 +13,8 @@ from invariant_guard.cli import (build_driver, bundled_config, cmd_run,
                                  write_csv)
 from invariant_guard.config import (_CORRECTORS, _DISCRETE_CORRECTORS, _KEYS,
                                     VariantConfig, parse_config)
-from invariant_guard.correctors import TrackedRateSource
+from invariant_guard.correctors import (AntiDiffusiveTargetWarning,
+                                        TrackedRateSource)
 from invariant_guard.drivers import InfeasibleTargetWarning
 from invariant_guard.errors import ConfigurationError
 from invariant_guard.timeloop import run
@@ -522,6 +523,40 @@ def test_sweep_manifest_counts_the_clamps_it_shows(tmp_path, monkeypatch):
     assert sum(clamps.values()) == n_shown > 0
 
 
+def test_sweep_manifest_does_not_depend_on_warning_filters(tmp_path):
+    # the clamps are counted from the correction records, so the manifest is
+    # the same whether the warnings are shown or ignored
+    manifests = []
+    for action in ("ignore", "always"):
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter(action)
+            assert cmd_sweep(bundled_config("sweep_advection"),
+                             output_root=tmp_path / action) == 0
+        manifests.append(
+            (tmp_path / action / "sweep_advection" / "manifest").read_bytes())
+    assert manifests[0] == manifests[1]
+    lines = manifests[0].decode().splitlines()
+    assert "clamps.n64.surrogate_clamp = 27" in lines
+    assert "clamps.n128.surrogate_clamp = 100" in lines
+
+
+def test_run_manifest_counts_anti_diffusive_entropy_targets(tmp_path):
+    # R = 0 asks for less entropy production than the scheme makes; the
+    # manifest counts each such stage, as many as the warnings raised
+    cfg = _config(tmp_path, "equation = euler1d\nic = sod\nboundary = dirichlet",
+                  "corrector = euler1d_entropy\nentropy_ratio = 0",
+                  resolutions=64, t_end=0.02)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cmd_run(cfg, output_root=tmp_path) == 0
+    n_warned = sum(issubclass(w.category, AntiDiffusiveTargetWarning)
+                   for w in caught)
+    lines = (tmp_path / "case" / "manifest").read_text().splitlines()
+    assert f"anti_diffusive.n64.bad = {n_warned}" in lines
+    assert n_warned > 0
+    assert not any(line.startswith("anti_diffusive.n64.plain") for line in lines)
+
+
 def test_write_csv_formats_like_the_per_value_formatter(tmp_path):
     # %.17g and format(x, ".17g") take the same path, edge values included
     rng = np.random.default_rng(0)
@@ -594,6 +629,23 @@ def test_fig1_config_reproduces_three_variants(tmp_path):
                     .read_text().splitlines()[1:]])
     l2_tr = l2_series("l2_tracked")
     assert np.abs(l2_tr - ref).mean() < np.abs(l2_zero - ref).mean()
+
+
+def test_metrics_only_for_snapshots_at_the_reference_times(tmp_path):
+    # a variant that ends early has as many snapshots as the reference, but
+    # at other times, so it is not scored against it
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("[problem]\nequation = burgers\nic = sine\n"
+                   "[plan]\nt_end = 0.4\nsnapshots = 5\n"
+                   "[run]\nresolutions = 64\nreference_resolution = 256\n"
+                   "output = short\n"
+                   "[variant.full]\nscheme = godunov\n"
+                   "[variant.short]\nscheme = godunov\nt_end = 0.1\n")
+    assert cmd_run(cfg, output_root=tmp_path) == 0
+    out = tmp_path / "short" / "n64"
+    assert (out / "full" / "metrics.csv").exists()
+    assert (out / "short" / "trajectory.csv").exists()
+    assert not (out / "short" / "metrics.csv").exists()
 
 
 def test_fig4_correlation_config_writes_metrics(tmp_path):

@@ -8,7 +8,7 @@ from invariant_guard.core import (DgField, EulerState1D, FvField1D, FvField2D,
 from invariant_guard.dg import dg_diffusion_rhs, dg_l2_rate
 from invariant_guard.errors import DegenerateCorrection, InfeasibleTarget
 from invariant_guard.schemes import (BoundaryFluxes2D, euler1d_muscl_flux,
-                                     ftcs_increment, poisson_solve)
+                                     ftcs_increment, fv_rhs_1d, poisson_solve)
 from invariant_guard.core import VorticityState2D
 
 
@@ -74,6 +74,20 @@ def test_flux1d_bounded_domain():
     out, _ = co.correct_flux_l2_1d(f, u, co.L2RateTarget.fixed(-0.5))
     assert out[0] == f[0] and out[-1] == f[-1]
     assert co.flux_l2_rate_1d(out, u) == pytest.approx(-0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 8, 32, 128])
+def test_bounded_flux_l2_rate_is_the_cell_form_rate(n):
+    # summation by parts, boundary terms included: the face-form rate equals
+    # sum_j u_j rhs_j dx to rounding in its own terms
+    rng = np.random.default_rng(60 + n)
+    for _ in range(20):
+        u = FvField1D(UniformGrid1D(n, 1.0, "dirichlet"), rng.normal(size=n))
+        f = rng.normal(size=n + 1)
+        cell_form = float(u.values @ fv_rhs_1d(f, u.grid)) * u.grid.dx
+        terms = np.abs(f[1:-1] * np.diff(u.values)).sum() \
+            + abs(f[0] * u.values[0]) + abs(f[-1] * u.values[-1])
+        assert abs(co.flux_l2_rate_1d(f, u) - cell_form) <= 1e-13 * terms
 
 
 def test_flux2d_hand_and_split_target():
@@ -256,7 +270,6 @@ def test_dg_p0_equals_fv_rhs_corrector():
     out_dg, _ = co.correct_dg_l2(n_dg, a, target)
     rate_dg = out_dg[:, 0] / g.dx
 
-    from invariant_guard.schemes import fv_rhs_1d
     field = FvField1D(g, u)
     out_fv, _ = co.correct_rhs_mass_l2(fv_rhs_1d(f, g), field, target)
     assert np.allclose(rate_dg, out_fv, rtol=1e-12, atol=1e-13)

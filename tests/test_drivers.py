@@ -87,7 +87,7 @@ def test_ftcs_tracked_step_changes_l2_by_rate_times_dt():
     # the FTCS increment corrector reads a step spec, as step_correction does
     src = co.TrackedRateSource([0.0, 1.0], [-0.1, -0.3])
     driver = FtcsAdvection(ic_sine(UniformGrid1D(64, 1.0)), c=1.0,
-                           delta_l2=src)
+                           target=src)
     y, dt = driver.initial_array(), 0.005
     for t in (0.0, 0.4):
         y_new = y + driver.increment(y, t, dt)
@@ -103,7 +103,7 @@ def _stage_path_drivers():
     dg_ic = dg_project(g, 2, lambda x: np.sin(2.0 * np.pi * x))
     return {
         "centered": ScalarFv1D(ic_sine(g), "burgers", FluxScheme.CENTERED,
-                               target=fixed, step_delta_l2="clamp"),
+                               target=fixed, step_target=co.L2RateTarget.clamp()),
         "godunov": ScalarFv1D(ic_sine(g), "burgers", FluxScheme.GODUNOV,
                               nu=1e-3),
         "muscl": ScalarFv1D(ic_sine(g), "advection", FluxScheme.MUSCL_MC,
@@ -113,12 +113,12 @@ def _stage_path_drivers():
             SurrogateFluxRule(FluxScheme.UPWIND, "advection", 1.5, 0),
             target=co.L2RateTarget.clamp()),
         "nonconservative": NonconservativeBurgers1D(ic_sine(g), target=fixed),
-        "ftcs": FtcsAdvection(ic_sine(g), delta_l2="clamp"),
+        "ftcs": FtcsAdvection(ic_sine(g), target=co.L2RateTarget.clamp()),
         "dg_diffusion": DgScalar1D(dg_ic, lambda u: 0.5 * u * u,
                                    burgers_centered_rule, target=fixed),
         "vorticity": Vorticity2D(
             ic_random_vorticity(UniformGrid2D(16, 16, 1.0, 1.0), 42),
-            corrector="flux_l2", target=fixed, nu=1e-3, step_delta_l2="clamp"),
+            corrector="flux_l2", target=fixed, nu=1e-3, step_target=co.L2RateTarget.clamp()),
         "periodic_euler": Euler1D(ic_sum_of_sines(g, 3, "euler1d"),
                                   entropy_ratio=0.5),
     }

@@ -118,6 +118,21 @@ def test_entropy_rate_matches_eta_derivative():
     assert np.allclose(rate, fd, rtol=1e-6, atol=1e-9)
 
 
+@pytest.mark.parametrize("n", [4, 8, 32, 128])
+def test_dirichlet_entropy_rate_is_the_cell_form_rate(n):
+    # summation by parts, boundary terms included: the face-form rate equals
+    # sum_j w_j . rhs_j dx to rounding in its own terms
+    rng = np.random.default_rng(80 + n)
+    for seed in range(20):
+        s = random_state(1000 * n + seed, n=n, boundary="dirichlet")
+        f = rng.normal(size=(n + 1, 3))
+        w = co.entropy_variables_euler1d(s).w
+        cell_form = float((w * euler1d_rhs(f, s.grid)).sum()) * s.grid.dx
+        terms = np.abs(f[1:-1] * np.diff(w, axis=0)).sum() \
+            + np.abs(f[0] * w[0]).sum() + np.abs(f[-1] * w[-1]).sum()
+        assert abs(co.entropy_rate_euler1d(f, s) - cell_form) <= 1e-13 * terms
+
+
 # --- positivity limiter ---------------------------------------------------------------
 
 def _stable_dt(s, cfl=0.3):
@@ -211,6 +226,18 @@ def test_limiter_bisection_near_vacuum():
 
     hl, hr = half_states(face)
     assert not (positive(hl) and positive(hr))
+
+
+def test_limiter_default_eps_admits_a_near_vacuum_half_state():
+    # face 4's flux leaves cell 3 a right-moving half-state with
+    # rho = p = 1e-8: admissible at the default eps_pos, 1e-12 of the scale
+    s = uniform_state(n=8)
+    dt = 0.01
+    u = s.u[3]
+    half = np.array([1e-8, 0.0, 1e-8 / (s.gamma - 1.0)])
+    f = np.tile(euler_physical_flux(u, s.gamma), (9, 1))
+    f[4] += (u - half) / (2.0 * dt / s.grid.dx)
+    assert co.limit_positivity_euler1d(f, s, dt) is f
 
 
 def test_limiter_cfl_violation():

@@ -44,7 +44,7 @@ def test_energy_corrector_per_stage_and_integrated(ic32):
 def test_enstrophy_zero_with_step_chain(ic32):
     tr = run(StepPlan(t_end=0.5, cfl=0.3, n_snapshots=6),
              Vorticity2D(ic32, corrector="flux_l2",
-                         target=co.L2RateTarget.fixed(0.0), step_delta_l2=0.0))
+                         target=co.L2RateTarget.fixed(0.0), step_target=co.L2RateTarget.fixed(0.0)))
     enstrophy = np.array([r.enstrophy for r in tr.reports])
     assert np.abs(enstrophy / enstrophy[0] - 1.0).max() <= 1e-12
     masses = np.array([r.mass for r in tr.reports])

@@ -125,7 +125,7 @@ OUTPUT_DIGESTS = {
     "fig5_dg_burgers/n32/dg_l2_zero/trajectory.csv":
         "2f5d9a45fad7987d0a18ae33d6bb546dd7aa53589f9dd17ac371035908c81360",
     "fig6_sod/manifest":
-        "e9d32e1022e2e537fb9a1fed647903b9c501946da652f433efc204d1a17443a7",
+        "282d0be9a78d49692bba32117c7c4be4abc6173dd64a83bcba9d8488daaf61d0",
     "fig6_sod/n256/r0/invariants.csv":
         "8214bbfe01130f8ce460d7b4a9f0854c6a21c2d5ecc824683cb1429260ff2811",
     "fig6_sod/n256/r0/trajectory.csv":
@@ -185,8 +185,7 @@ def _sha256(data):
 def test_bundled_outputs_are_pinned(name, tmp_path):
     _require_recorded_platform()
     if name == "sweep_advection":
-        # the manifest counts the clamp warnings the sweep catches, and
-        # pytest.warns lets every one through whatever the caller's filters
+        # the sweep warns of each clamp it records
         with pytest.warns(InfeasibleTargetWarning):
             assert cmd_sweep(bundled_config(name), output_root=tmp_path) == 0
     else:

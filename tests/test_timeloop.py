@@ -76,7 +76,7 @@ def test_discrete_step_and_ftcs_chain():
     assert np.array_equal(out, u.values)
 
     plan = StepPlan(integrator="discrete", t_end=0.5, cfl=0.5, n_snapshots=6)
-    tr = run(plan, FtcsAdvection(u, c=1.0, delta_l2=0.0))
+    tr = run(plan, FtcsAdvection(u, c=1.0, target=co.L2RateTarget.fixed(0.0)))
     l2 = np.array([r.l2 for r in tr.reports])
     assert np.abs(l2 / l2[0] - 1.0).max() <= 1e-12
 
@@ -88,20 +88,20 @@ def test_forward_euler_step_corrector_holds_l2():
     plan = StepPlan(integrator="forward_euler", cfl=0.3, t_end=1.0,
                     n_snapshots=11)
     growth = {}
-    for step_delta_l2 in (0.0, None):
+    for step_target in (co.L2RateTarget.fixed(0.0), None):
         drv = ScalarFv1D(ic, "burgers", FluxScheme.CENTERED,
                          target=co.L2RateTarget.fixed(0.0),
-                         step_delta_l2=step_delta_l2)
+                         step_target=step_target)
         tr = run(plan, drv)
         assert tr.error is None
         l2 = np.array([r.l2 for r in tr.reports])
-        growth[step_delta_l2] = l2 / l2[0] - 1.0
-        if step_delta_l2 is not None:
+        growth[step_target] = l2 / l2[0] - 1.0
+        if step_target is not None:
             kinds = [r.kind for r in tr.stage_records]
             # one stage, so one flux correction, per step
             assert kinds.count("l2") == kinds.count("step_delta_l2") > 0
             assert len(kinds) == 2 * kinds.count("l2")
-    assert np.abs(growth[0.0]).max() <= 1e-12
+    assert np.abs(growth[co.L2RateTarget.fixed(0.0)]).max() <= 1e-12
     assert growth[None][-1] > 10.0
 
 
