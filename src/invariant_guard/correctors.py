@@ -34,8 +34,8 @@ from .core import (DgField, EulerState1D, FvField1D, FvField2D, SpectralField,
 from .dg import dg_diffusion_rhs, dg_l2_rate
 from .errors import (CflViolation, DegenerateCorrection, InfeasibleTarget,
                      PositivityViolation)
-from .schemes import BoundaryFluxes2D, euler1d_lax_friedrichs_flux
-from .kernels import euler_physical_flux
+from .schemes import BoundaryFluxes2D, _extend_state
+from .kernels import euler_physical_flux, local_lax_friedrichs_fluxes
 
 #: relative threshold below which a correction denominator counts as zero
 DEGENERACY_RTOL = 1e-13
@@ -577,11 +577,9 @@ def estimate_boundary_entropy_flux(state: EulerState1D, boundary_state=None):
     """
     if state.grid.periodic:
         return 0.0
-    u = state.u
-    left, right = (u[0], u[-1]) if boundary_state is None else boundary_state
     # rows: left cell, right cell, left boundary, right boundary; psi in the
     # operation order of entropy_variables_euler1d
-    rho, mom, energy = np.array((u[0], u[-1], left, right)).T
+    rho, mom, energy = _extend_state(state, boundary_state)[[2, -3, 1, -2]].T
     gamma = state.gamma
     p = (gamma - 1.0) * (energy - 0.5 * mom**2 / rho)
     if (rho <= 0.0).any() or (p <= 0.0).any():
@@ -593,13 +591,17 @@ def estimate_boundary_entropy_flux(state: EulerState1D, boundary_state=None):
 
 def limit_positivity_euler1d(fluxes, state: EulerState1D, dt, eps_pos=None,
                              boundary_state=None):
-    """Blend each interface flux toward first-order Lax-Friedrichs until a
-    forward-Euler step keeps rho and p at or above ``eps_pos``.
+    """Blend each interface flux toward the MUSCL kernel's first-order local
+    Lax-Friedrichs fallback until a forward-Euler step keeps rho and p at or
+    above ``eps_pos``.
 
     Positivity of the full update is enforced through the two half-cell
     states each interface controls, so the per-interface theta decouple;
-    bisection finds the largest feasible theta.  Raises ``CflViolation``
-    when even theta = 0 fails.
+    bisection finds the largest feasible theta.  theta = 0 is feasible
+    whenever dt/dx * max(|v| + c) <= 1/2 over the cells the face reads, as
+    its half-states are then convex combinations of admissible states (Zhang
+    & Shu 2010); SSPRK3 takes dt from the step start, so a later stage can
+    exceed that bound.  Raises ``CflViolation`` when even theta = 0 fails.
     """
     f = np.asarray(fluxes, dtype=np.float64)
     n = state.grid.n_cells
@@ -608,26 +610,31 @@ def limit_positivity_euler1d(fluxes, state: EulerState1D, dt, eps_pos=None,
     if eps_pos is None:
         eps_pos = 1e-12 * max(float(state.rho.max()), float(state.pressure().max()))
 
-    periodic = state.grid.periodic
     gamma = state.gamma
-    # component rows of the cells left ([:, 0]) and right ([:, 1]) of each
-    # face; on a bounded grid face 0 has no left cell and face N no right
-    # cell, so their stand-ins go unchecked
-    cells = _face_cells(state.u.T, periodic)
-    f_cells = euler_physical_flux(cells.T, gamma).T
+    # component rows of the N+2 cells the faces read and their fluxes, and
+    # both as C-contiguous pairs of the cells left ([:, 0]) and right ([:, 1])
+    q = np.ascontiguousarray(_extend_state(state, boundary_state)[1:-1].T)
+    fq = euler_physical_flux(q.T, gamma).T
+    cells, f_cells = np.empty((2, 3, 2, n + 1))
+    cells[:, 0], cells[:, 1] = q[:, :-1], q[:, 1:]
+    f_cells[:, 0], f_cells[:, 1] = fq[:, :-1], fq[:, 1:]
     # equal cells, so lam = dt/dx on both sides of every face; u_L - 2 lam
     # (F - f(u_L)) is u_L + (-2 lam)(F - f(u_L)) bit for bit
     lam = 2.0 * (dt / state.grid.dx)
     lam2 = np.array([[-lam], [lam]])
+    # on a bounded grid the ghosts left of face 0 and right of face N lie
+    # outside the domain and go unchecked
     skip = np.zeros((2, n + 1), dtype=bool)
-    if not periodic:
+    if not state.grid.periodic:
         skip[0, 0] = skip[1, -1] = True
 
     def feasible(ft):
-        # right-moving half of the left cell, u_L - 2 lam_L (F - f(u_L)), and
-        # left half of the right cell, u_R + 2 lam_R (F - f(u_R))
-        ok = _positive_state(cells + lam2 * (ft.T[:, None] - f_cells),
-                             gamma, eps_pos)
+        # rho, p >= eps_pos in the right-moving half of the left cell,
+        # u_L - 2 lam_L (F - f(u_L)), and the left half of the right cell,
+        # u_R + 2 lam_R (F - f(u_R))
+        rho, m, e = cells + lam2 * (ft.T[:, None] - f_cells)
+        p = (gamma - 1.0) * (e - 0.5 * m ** 2 / np.where(rho > 0, rho, 1.0))
+        ok = (rho >= eps_pos) & (p >= eps_pos)
         ok |= skip
         return ok.all(axis=0)
 
@@ -637,7 +644,7 @@ def limit_positivity_euler1d(fluxes, state: EulerState1D, dt, eps_pos=None,
     ok_full = feasible(f)
     if ok_full.all():
         return f
-    f_lf = euler1d_lax_friedrichs_flux(state, dt, boundary_state)
+    f_lf = local_lax_friedrichs_fluxes(q, gamma).T
 
     def blend(theta):
         return theta[:, None] * f + (1.0 - theta[:, None]) * f_lf
@@ -646,35 +653,14 @@ def limit_positivity_euler1d(fluxes, state: EulerState1D, dt, eps_pos=None,
         raise CflViolation("first-order Lax-Friedrichs violates positivity; "
                            "reduce dt")
 
-    lo = np.zeros(n + 1)
+    # faces feasible at theta = 1 start and stay at lo = hi = 1
+    lo = ok_full.astype(np.float64)
     hi = np.ones(n + 1)
-    lo[ok_full] = 1.0
     for _ in range(40):  # 2^-40 < 1e-10 interval width
         mid = 0.5 * (lo + hi)
         ok = feasible(blend(mid))
         lo = np.where(ok, mid, lo)
         hi = np.where(ok, hi, mid)
-    theta = lo
-    theta[ok_full] = 1.0
-    out = blend(theta)
+    out = blend(lo)
     out[ok_full] = f[ok_full]
     return out
-
-
-def _face_cells(a, periodic):
-    """Values of ``a`` along its last axis for the cell left (``[..., 0, :]``)
-    and the cell right (``[..., 1, :]``) of each of the N+1 faces; a bounded
-    grid repeats its end cell where a face has no neighbour."""
-    out = np.empty(a.shape[:-1] + (2, a.shape[-1] + 1))
-    out[..., 0, 1:] = a
-    out[..., 1, :-1] = a
-    out[..., 0, 0] = a[..., -1] if periodic else a[..., 0]
-    out[..., 1, -1] = a[..., 0] if periodic else a[..., -1]
-    return out
-
-
-def _positive_state(u, gamma, eps):
-    """rho >= eps and p >= eps for the component rows ``u[0..2]``."""
-    rho, m, e = u
-    p = (gamma - 1.0) * (e - 0.5 * m ** 2 / np.where(rho > 0, rho, 1.0))
-    return (rho >= eps) & (p >= eps)

@@ -6,7 +6,8 @@ array where face k sits between extended cells k+1 and k+2.  Reconstruction
 happens in local characteristic variables of the Roe-averaged Jacobian; the
 face flux is the Roe flux of the reconstructed pair, with Harten's entropy fix
 on the acoustic fields.  Interfaces whose reconstructed density or pressure is
-non-positive fall back to the first-order local Lax-Friedrichs flux.
+non-positive fall back to the first-order local Lax-Friedrichs flux of
+``local_lax_friedrichs_fluxes``, which the positivity limiter blends toward.
 
 Layout: ``u_ext`` is transposed once into component rows, a (3, N+4) array
 whose rows rho, rho*v and E are contiguous.  Every face quantity is a row of
@@ -66,6 +67,20 @@ def _eigen_rows(v, h, c, n):
     e[2, 1] = 0.5
     np.add(h, vc, out=e[2, 2])
     return e
+
+
+def local_lax_friedrichs_fluxes(q, gamma):
+    """First-order fluxes (3, M-1) between the columns of component rows
+    ``q`` (3, M).  Face k's dissipation alpha is the larger |v| + c of
+    columns k and k+1, so the flux keeps rho and p positive while
+    dt/dx * alpha <= 1/2 (Perthame & Shu 1996; Zhang & Shu 2010)."""
+    rho = q[0]
+    v = q[1] / rho
+    p = (gamma - 1.0) * (q[2] - 0.5 * rho * v**2)
+    speed = np.abs(v) + np.sqrt(gamma * p / rho)
+    alpha = np.maximum(speed[:-1], speed[1:])
+    fc = _physical_flux(q[1], q[2], v, gamma, np.empty(q.shape))
+    return 0.5 * (fc[:, :-1] + fc[:, 1:]) - 0.5 * alpha * (q[:, 1:] - q[:, :-1])
 
 
 def characteristic_muscl_fluxes(u_ext, gamma):
@@ -202,10 +217,6 @@ def characteristic_muscl_fluxes(u_ext, gamma):
     # local Lax-Friedrichs wherever the Roe average itself degenerated
     lf_bad = bad | ~roe_ok
     if lf_bad.any():
-        speed = np.abs(v) + np.sqrt(gamma * p / rho)
-        alpha = np.maximum(speed[1:-2], speed[2:-1])
-        fc = _physical_flux(q[1, 1:-1], q[2, 1:-1], v[1:-1], gamma,
-                            np.empty((3, n + 1)))
-        lf = 0.5 * (fc[:, :-1] + fc[:, 1:]) - 0.5 * alpha * (uR - uL)
+        lf = local_lax_friedrichs_fluxes(q[:, 1:-1], gamma)
         rows[:, lf_bad] = lf[:, lf_bad]
     return rows.T.copy()

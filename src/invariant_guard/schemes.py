@@ -247,14 +247,6 @@ def euler1d_muscl_flux(state: EulerState1D, boundary_state=None):
     return kernels.characteristic_muscl_fluxes(u_ext, state.gamma)
 
 
-def euler1d_lax_friedrichs_flux(state: EulerState1D, dt, boundary_state=None):
-    """First-order Lax-Friedrichs fluxes with dissipation dx/(2 dt)."""
-    u_ext = _extend_state(state, boundary_state)[1:-1]
-    f_ext = kernels.euler_physical_flux(u_ext, state.gamma)
-    alpha = state.grid.dx / dt
-    return 0.5 * (f_ext[:-1] + f_ext[1:]) - 0.5 * alpha * (u_ext[1:] - u_ext[:-1])
-
-
 def euler1d_rhs(fluxes, grid):
     """du/dt = -(F_{j+1/2} - F_{j-1/2})/dx, rows (N, 3), from (N+1, 3) fluxes."""
     f = np.asarray(fluxes, dtype=np.float64)

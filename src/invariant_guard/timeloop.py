@@ -121,6 +121,9 @@ def run(plan: StepPlan, problem) -> Trajectory:
 
     step = 0
     while t < plan.t_end - 1e-12 * plan.t_end:
+        if step >= plan.max_steps:
+            traj.error = NumericalBlowup("step budget exhausted", step, t)
+            return traj
         if plan.dt_override is not None:
             dt = plan.dt_override
         else:
@@ -153,7 +156,4 @@ def run(plan: StepPlan, problem) -> Trajectory:
         while next_snap < len(snap_times) and t >= snap_times[next_snap] - 1e-12:
             record(y, snap_times[next_snap])
             next_snap += 1
-        if step >= plan.max_steps:
-            traj.error = NumericalBlowup("step budget exhausted", step, t)
-            return traj
     return traj

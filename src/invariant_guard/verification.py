@@ -21,9 +21,10 @@ from . import correctors as co
 from .core import (DgField, EulerState1D, FvField1D, FvField2D, SpectralField,
                    UniformGrid1D, UniformGrid2D, VorticityState2D, bracket)
 from .dg import dg_l2_rate
-from .errors import DegenerateCorrection, InfeasibleTarget
-from .kernels import euler_physical_flux
-from .schemes import BoundaryFluxes2D, poisson_solve
+from .errors import DegenerateCorrection, InfeasibleTarget, InvariantGuardError
+from .kernels import local_lax_friedrichs_fluxes
+from .schemes import (BoundaryFluxes2D, _extend_state, euler1d_muscl_flux,
+                      poisson_solve)
 
 SIZES_1D = (4, 8, 32, 128)
 SIZES_2D = (4, 8, 16, 32)
@@ -480,27 +481,33 @@ def check_entropy_ratio_one_noop(rng, fns, trials):
     return checks
 
 
+def _cfl_dt(state, cfl):
+    return cfl * state.grid.dx / float(
+        (np.abs(state.velocity()) + state.sound_speed()).max())
+
+
+def _assert_limited_step_positive(fns, f, state, dt):
+    """A forward-Euler step with the limited fluxes keeps rho, p >= eps."""
+    limited = fns["limit_positivity_euler1d"](f, state, dt)
+    unew = state.u - dt / state.grid.dx * (limited[1:] - limited[:-1])
+    new_state = EulerState1D(state.grid, unew, state.gamma)
+    eps = 1e-12 * max(float(state.rho.max()), float(state.pressure().max()))
+    assert new_state.rho.min() >= eps and new_state.pressure().min() >= eps
+
+
 def check_positivity_limiter(rng, fns, trials):
     checks = 0
     for n in (8, 32):
         for _ in range(max(1, trials // 10)):
             state = _random_euler_state(rng, n, periodic=True)
-            dt = 0.2 * state.grid.dx / float(
-                (np.abs(state.velocity()) + state.sound_speed()).max())
-            from .schemes import euler1d_muscl_flux
+            dt = _cfl_dt(state, 0.2)
             f_good = euler1d_muscl_flux(state)
             out = fns["limit_positivity_euler1d"](f_good, state, dt)
             assert np.array_equal(out, f_good), "safe fluxes must pass through"
             # a violently wrong flux must still produce a positive step
             f_bad = f_good + 50.0 * rng.normal(size=f_good.shape)
             f_bad[-1] = f_bad[0]
-            limited = fns["limit_positivity_euler1d"](f_bad, state, dt)
-            u = state.u
-            unew = u - dt / state.grid.dx * (limited[1:] - limited[:-1])
-            new_state = EulerState1D(state.grid, unew, state.gamma)
-            eps = 1e-12 * max(float(state.rho.max()),
-                              float(state.pressure().max()))
-            assert new_state.rho.min() >= eps and new_state.pressure().min() >= eps
+            _assert_limited_step_positive(fns, f_bad, state, dt)
             checks += 1
     return checks
 
@@ -574,13 +581,13 @@ def check_positivity_theta_monotone(rng, fns, trials):
     checks = 0
     for _ in range(max(1, trials // 10)):
         state = _random_euler_state(rng, 16, periodic=True)
-        dt = 0.2 * state.grid.dx / float(
-            (np.abs(state.velocity()) + state.sound_speed()).max())
-        from .schemes import euler1d_muscl_flux, euler1d_lax_friedrichs_flux
+        dt = _cfl_dt(state, 0.2)
         f = euler1d_muscl_flux(state) + 20.0 * rng.normal(size=(17, 3))
         f[-1] = f[0]
         limited = fns["limit_positivity_euler1d"](f, state, dt)
-        f_lf = euler1d_lax_friedrichs_flux(state, dt)
+        # the limiter's theta = 0 flux
+        f_lf = local_lax_friedrichs_fluxes(_extend_state(state)[1:-1].T,
+                                           state.gamma).T
         # recover the per-face theta, then check a smaller blend still works
         denom = f - f_lf
         theta = np.zeros(17)
@@ -596,6 +603,21 @@ def check_positivity_theta_monotone(rng, fns, trials):
             assert st.rho.min() > 0 and st.pressure().min() > 0
         checks += 1
     return checks
+
+
+def check_positivity_theta_zero_feasible(rng, fns, trials):
+    """theta = 0 stays feasible near vacuum while dt/dx * max(|v| + c) <= 1/2."""
+    for k in range(trials):
+        grid = UniformGrid1D(16, 1.0, ("periodic", "dirichlet")[k % 2])
+        rho, p = 10.0 ** rng.uniform(-6.0, 0.0, size=(2, 16))
+        state = EulerState1D.from_primitive(
+            grid, rho, rng.uniform(-3.0, 3.0, size=16), p, 1.4)
+        dt = _cfl_dt(state, rng.uniform(0.1, 0.5))
+        f = euler1d_muscl_flux(state) + 50.0 * rng.normal(size=(17, 3))
+        if grid.periodic:
+            f[-1] = f[0]
+        _assert_limited_step_positive(fns, f, state, dt)
+    return trials
 
 
 def check_entropy_variable_gradient(rng, fns, trials):
@@ -646,11 +668,13 @@ PROPERTIES = [
     ("euler1d positivity limiter", check_positivity_limiter),
     ("euler1d positivity theta monotone", check_positivity_theta_monotone),
     ("euler1d entropy variable gradient", check_entropy_variable_gradient),
+    ("euler1d positivity theta = 0 feasible", check_positivity_theta_zero_feasible),
 ]
 
 
 def run_property_suite(seed=0, trials=200, fns=None):
-    """Run every property; returns a list of PropertyResult."""
+    """Run every property; returns a list of PropertyResult.  A failed
+    assertion or a package error the property does not expect fails it."""
     fns = dict(default_correctors(), **(fns or {}))
     results = []
     for index, (name, fn) in enumerate(PROPERTIES):
@@ -658,6 +682,6 @@ def run_property_suite(seed=0, trials=200, fns=None):
         try:
             checks = fn(rng, fns, trials)
             results.append(PropertyResult(name, True, checks))
-        except AssertionError as err:
+        except (AssertionError, InvariantGuardError) as err:
             results.append(PropertyResult(name, False, 0, str(err)))
     return results

@@ -5,9 +5,12 @@ from invariant_guard import correctors as co
 from invariant_guard.core import EulerState1D, UniformGrid1D
 from invariant_guard.errors import (CflViolation, DegenerateCorrection,
                                     PositivityViolation)
-from invariant_guard.kernels import euler_physical_flux
-from invariant_guard.schemes import (euler1d_lax_friedrichs_flux,
-                                     euler1d_muscl_flux, euler1d_rhs)
+from invariant_guard.drivers import Euler1D
+from invariant_guard.kernels import (euler_physical_flux,
+                                     local_lax_friedrichs_fluxes)
+from invariant_guard.schemes import (_extend_state, euler1d_muscl_flux,
+                                     euler1d_rhs)
+from invariant_guard.timeloop import StepPlan, run
 
 
 def uniform_state(n=8, rho=1.0, v=0.0, p=1.0, gamma=1.4, boundary="periodic"):
@@ -63,8 +66,6 @@ def test_positivity_required():
 
 def test_second_order_on_smooth_density_wave():
     # advected density bump with uniform v and p: exact solution translates
-    from invariant_guard.drivers import Euler1D
-    from invariant_guard.timeloop import StepPlan, run
     errs = {}
     for n in (32, 64, 128):
         g = UniformGrid1D(n, 1.0)
@@ -139,6 +140,12 @@ def _stable_dt(s, cfl=0.3):
     return cfl * s.grid.dx / float((np.abs(s.velocity()) + s.sound_speed()).max())
 
 
+def _lf_fallback(s):
+    # the limiter's theta = 0 flux: the kernel's local Lax-Friedrichs fluxes
+    # over the N+2 cells of the ghost-extended state
+    return local_lax_friedrichs_fluxes(_extend_state(s)[1:-1].T, s.gamma).T
+
+
 def _safe_case():
     # smooth, well-separated-from-vacuum state: the MUSCL fluxes are safe
     g = UniformGrid1D(16, 1.0)
@@ -159,7 +166,7 @@ def test_limiter_builds_no_fallback_flux_for_safe_fluxes(monkeypatch):
     def unexpected(*args, **kwargs):
         raise AssertionError("Lax-Friedrichs flux built although theta = 1 is safe")
 
-    monkeypatch.setattr(co, "euler1d_lax_friedrichs_flux", unexpected)
+    monkeypatch.setattr(co, "local_lax_friedrichs_fluxes", unexpected)
     s, f, dt = _safe_case()
     assert co.limit_positivity_euler1d(f, s, dt) is f
 
@@ -185,8 +192,7 @@ def test_limiter_checks_only_cells_a_face_touches(boundary):
 
 def test_limiter_theta_zero_endpoint():
     s = random_state(75)
-    dt = _stable_dt(s)
-    f_lf = euler1d_lax_friedrichs_flux(s, dt)
+    f_lf = _lf_fallback(s)
     # blend with theta = 0 reproduces the Lax-Friedrichs flux exactly
     blended = 0.0 * f_lf + 1.0 * f_lf
     assert np.array_equal(blended, f_lf)
@@ -208,7 +214,7 @@ def test_limiter_bisection_near_vacuum():
     assert st.rho.min() >= eps and st.pressure().min() >= eps
 
     # recover theta at the tampered face and show theta + 1e-6 violates
-    f_lf = euler1d_lax_friedrichs_flux(s, dt)
+    f_lf = _lf_fallback(s)
     j = int(np.argmax(np.abs(f[3] - f_lf[3])))
     theta = (out[3, j] - f_lf[3, j]) / (f[3, j] - f_lf[3, j])
     assert theta < 1.0
@@ -241,14 +247,37 @@ def test_limiter_default_eps_admits_a_near_vacuum_half_state():
 
 
 def test_limiter_cfl_violation():
-    # strong pressure jumps with dt far beyond the CFL bound: the LF
-    # dissipation vanishes (alpha = dx/dt -> 0) and even theta = 0 fails
+    # strong pressure jumps with dt far beyond the CFL bound: dt/dx *
+    # max(|v| + c) >> 1/2, so the theta = 0 half-states are no longer convex
+    # combinations of admissible states and even theta = 0 fails
     g = UniformGrid1D(4, 1.0)
     p = np.array([1.0, 1e-3, 1.0, 1e-3])
     s = EulerState1D.from_primitive(g, np.ones(4), np.zeros(4), p, 1.4)
     f = euler1d_muscl_flux(s)
     with pytest.raises(CflViolation):
         co.limit_positivity_euler1d(f, s, dt=1e3, eps_pos=1e-10)
+
+
+def _double_rarefaction(v):
+    # the 1-2-3 problem (Einfeldt et al. 1991; Toro's test 2): two
+    # rarefactions leave a near-vacuum between them
+    g = UniformGrid1D(256, 1.0, "dirichlet")
+    x = g.cell_centers()
+    return EulerState1D.from_primitive(g, np.ones(256), np.where(x < 0.5, -v, v),
+                                       np.full(256, 0.4), 1.4)
+
+
+@pytest.mark.parametrize("v, entropy_ratio, t_end",
+                         [(2.0, None, 0.15), (3.1, 1.0, 0.1)])
+def test_limiter_holds_the_near_vacuum_double_rarefaction(v, entropy_ratio,
+                                                          t_end):
+    traj = run(StepPlan(t_end=t_end, cfl=0.3, n_snapshots=2),
+               Euler1D(_double_rarefaction(v), entropy_ratio=entropy_ratio))
+    assert traj.error is None
+    assert traj.times[-1] == t_end
+    minima = np.array(traj.step_minima)
+    assert minima[-1, 0] == pytest.approx(t_end, rel=1e-12)
+    assert (minima[:, 1:] > 0.0).all()
 
 
 # --- entropy correction ------------------------------------------------------------------

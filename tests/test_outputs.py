@@ -165,7 +165,7 @@ OUTPUT_DIGESTS = {
 }
 
 VERIFY_DIGEST = (
-    "411c8ec04865a2fbdc573aab7921caee09fad11c5a95196e8e5dba650a0e0533")
+    "b9c39a3590e8a3dd89e988eed1fe0609db276d0d97fda84f36181fdf3b44f29f")
 
 CONFIGS = sorted({key.split("/")[0] for key in OUTPUT_DIGESTS})
 

@@ -112,6 +112,20 @@ def test_zero_duration_run():
     assert len(tr.snapshots) == 1 and tr.times == [0.0]
 
 
+@pytest.mark.parametrize("max_steps, complete", [(10, True), (9, False)])
+def test_step_budget_counts_only_unfinished_runs(max_steps, complete):
+    # the run reaches t_end in exactly 10 steps
+    g = UniformGrid1D(16, 1.0)
+    drv = ScalarFv1D(ic_sine(g), "advection", FluxScheme.UPWIND, c=1.0)
+    tr = run(StepPlan(t_end=0.1, cfl=0.5, n_snapshots=3, max_steps=max_steps),
+             drv)
+    assert (tr.error is None) == complete
+    if not complete:
+        assert isinstance(tr.error, NumericalBlowup)
+        assert "step budget" in str(tr.error)
+    assert len(tr.times) == (3 if complete else 2)
+
+
 def test_advection_one_period_translation_identity():
     coeffs = np.zeros(5, dtype=complex)
     coeffs[1] = 0.5 + 0.1j

@@ -49,6 +49,10 @@ MUTANTS = [
     ("SSPRK3: second stage at t + dt/2", "timeloop.py",
      "    u2 = 0.75 * y + 0.25 * (u1 + dt * rhs(u1, t + dt, dt))",
      "    u2 = 0.75 * y + 0.25 * (u1 + dt * rhs(u1, t + 0.5 * dt, dt))"),
+    ("Lax-Friedrichs fallback: alpha the smaller speed of the face",
+     "kernels/euler1d.py",
+     "    alpha = np.maximum(speed[:-1], speed[1:])",
+     "    alpha = np.minimum(speed[:-1], speed[1:])"),
 ]
 
 
