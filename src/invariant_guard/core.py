@@ -198,13 +198,6 @@ class SpectralField:
     def n_modes(self):
         return self.coeffs.size - 1
 
-    def evaluate(self, x):
-        """Reconstruct the real-valued solution at points x."""
-        x = np.asarray(x, dtype=np.float64)
-        m = np.arange(1, self.n_modes + 1)
-        phase = np.exp(2j * np.pi * np.outer(x, m) / self.length)
-        return self.coeffs[0].real + 2.0 * (phase @ self.coeffs[1:]).real
-
 
 @dataclass
 class EulerState1D:

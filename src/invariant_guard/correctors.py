@@ -34,8 +34,9 @@ from .core import (DgField, EulerState1D, FvField1D, FvField2D, SpectralField,
 from .dg import dg_diffusion_rhs, dg_l2_rate
 from .errors import (CflViolation, DegenerateCorrection, InfeasibleTarget,
                      PositivityViolation)
-from .schemes import BoundaryFluxes2D, _extend_state
-from .kernels import euler_physical_flux, local_lax_friedrichs_fluxes
+from .schemes import BoundaryFluxes2D, ghost_rows
+from .kernels import local_lax_friedrichs_fluxes
+from .kernels.euler1d import _physical_flux
 
 #: relative threshold below which a correction denominator counts as zero
 DEGENERACY_RTOL = 1e-13
@@ -109,11 +110,6 @@ class TrackedRateSource:
             raise ValueError("times and rates must be equal-length 1D arrays")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("tracked-rate times must be strictly increasing")
-
-    @classmethod
-    def from_csv(cls, path):
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return cls(data[:, 0], data[:, 1])
 
     def rate_at(self, t):
         return min(float(np.interp(t, self.times, self.rates)), 0.0)
@@ -487,10 +483,12 @@ class EntropyVariables1D:
     p: np.ndarray        # (N,)
 
 
-def entropy_variables_euler1d(state: EulerState1D) -> EntropyVariables1D:
-    """Entropy variables for eta = rho*g(s), g(s) = exp(s/(gamma+1))."""
+def entropy_variables_euler1d(state: EulerState1D, p=None) -> EntropyVariables1D:
+    """Entropy variables for eta = rho*g(s), g(s) = exp(s/(gamma+1)), from
+    the state's pressure ``p`` (computed when not given)."""
     rho = state.rho
-    p = state.pressure()
+    if p is None:
+        p = state.pressure()
     if (rho <= 0.0).any() or (p <= 0.0).any():
         raise PositivityViolation("entropy variables need positive rho and p")
     gamma = state.gamma
@@ -525,22 +523,23 @@ def entropy_rate_euler1d(fluxes, state: EulerState1D):
 
 
 def correct_entropy_euler1d(fluxes, state: EulerState1D,
-                            target: EntropyRateTarget):
+                            target: EntropyRateTarget, ev=None):
     """Transform interface fluxes so the discrete entropy rate matches
     boundary + R*(old - boundary).
 
     Boundary fluxes are held fixed (Dirichlet) or mirrored (periodic);
     G_{j+1/2} = (0, v_{j+1}-v_j, p_{j+1}-p_j), from the velocity and pressure
-    the entropy variables were computed from.  The entropy-variable jumps are
-    taken once and serve the old rate, the denominator and the achieved
-    rate.
+    the entropy variables ``ev`` were computed from (computed from the state
+    when not given).  The entropy-variable jumps are taken once and serve
+    the old rate, the denominator and the achieved rate.
     """
     f = np.asarray(fluxes, dtype=np.float64)
     n = state.grid.n_cells
     if f.shape != (n + 1, 3):
         raise ValueError("expected fluxes at the N+1 interfaces")
     periodic = state.grid.periodic
-    ev = entropy_variables_euler1d(state)
+    if ev is None:
+        ev = entropy_variables_euler1d(state)
     w = ev.w
     dw = _face_jumps(w, periodic)
     old = _entropy_rate(f, w, dw, periodic)
@@ -567,30 +566,42 @@ def correct_entropy_euler1d(fluxes, state: EulerState1D,
     return out, Correction(old, new, _entropy_rate(out, w, dw, periodic))
 
 
-def estimate_boundary_entropy_flux(state: EulerState1D, boundary_state=None):
-    """Conservative psi(0) - psi(L) estimate for open domains.
-
-    Each end takes the minimum of the boundary-state value and the
-    outermost-cell value of psi = rho*v*g(s); ``boundary_state`` is the
-    (left, right) pair of conserved triples the fluxes use and defaults to
-    the outermost cells.  Periodic grids return 0.
-    """
-    if state.grid.periodic:
-        return 0.0
-    # rows: left cell, right cell, left boundary, right boundary; psi in the
-    # operation order of entropy_variables_euler1d
-    rho, mom, energy = _extend_state(state, boundary_state)[[2, -3, 1, -2]].T
-    gamma = state.gamma
+def entropy_flux_pair(pair, gamma):
+    """psi = rho*v*g(s) of a (left, right) pair of conserved triples, in the
+    operation order of ``entropy_variables_euler1d``."""
+    rho, mom, energy = np.array(pair, dtype=np.float64).T
     p = (gamma - 1.0) * (energy - 0.5 * mom**2 / rho)
     if (rho <= 0.0).any() or (p <= 0.0).any():
         raise PositivityViolation("entropy flux needs positive rho and p")
     g = (p / rho**gamma) ** (1.0 / (gamma + 1.0))
-    psi = (rho * g) * (mom / rho)
-    return float(min(psi[2], psi[0]) - min(psi[3], psi[1]))
+    return (rho * g) * (mom / rho)
+
+
+def estimate_boundary_entropy_flux(state: EulerState1D, boundary_state=None,
+                                   ev=None, boundary_psi=None):
+    """Conservative psi(0) - psi(L) estimate for open domains.
+
+    Each end takes the minimum of the boundary-state value and the
+    outermost-cell value of psi = rho*v*g(s).  The boundary states are the
+    (left, right) pair of conserved triples the fluxes use, ``boundary_state``,
+    which defaults to the outermost cells.  A caller that holds the state's
+    entropy variables ``ev`` or the pair's psi (``entropy_flux_pair``)
+    passes them in.  Periodic grids return 0.
+    """
+    if state.grid.periodic:
+        return 0.0
+    if ev is None:
+        ev = entropy_variables_euler1d(state)
+    if boundary_psi is None:
+        if boundary_state is None:
+            boundary_state = (state.u[0], state.u[-1])
+        boundary_psi = entropy_flux_pair(boundary_state, state.gamma)
+    return float(min(boundary_psi[0], ev.psi[0])
+                 - min(boundary_psi[1], ev.psi[-1]))
 
 
 def limit_positivity_euler1d(fluxes, state: EulerState1D, dt, eps_pos=None,
-                             boundary_state=None):
+                             boundary_state=None, rows=None):
     """Blend each interface flux toward the MUSCL kernel's first-order local
     Lax-Friedrichs fallback until a forward-Euler step keeps rho and p at or
     above ``eps_pos``.
@@ -602,6 +613,8 @@ def limit_positivity_euler1d(fluxes, state: EulerState1D, dt, eps_pos=None,
     its half-states are then convex combinations of admissible states (Zhang
     & Shu 2010); SSPRK3 takes dt from the step start, so a later stage can
     exceed that bound.  Raises ``CflViolation`` when even theta = 0 fails.
+    A caller that holds the state's ``schemes.ghost_rows`` passes them in
+    as ``rows``, which then stand for ``boundary_state``.
     """
     f = np.asarray(fluxes, dtype=np.float64)
     n = state.grid.n_cells
@@ -613,8 +626,10 @@ def limit_positivity_euler1d(fluxes, state: EulerState1D, dt, eps_pos=None,
     gamma = state.gamma
     # component rows of the N+2 cells the faces read and their fluxes, and
     # both as C-contiguous pairs of the cells left ([:, 0]) and right ([:, 1])
-    q = np.ascontiguousarray(_extend_state(state, boundary_state)[1:-1].T)
-    fq = euler_physical_flux(q.T, gamma).T
+    if rows is None:
+        rows = ghost_rows(state, boundary_state)
+    q = rows[:, 1:-1]
+    fq = _physical_flux(q[1], q[2], q[1] / q[0], gamma, np.empty(q.shape))
     cells, f_cells = np.empty((2, 3, 2, n + 1))
     cells[:, 0], cells[:, 1] = q[:, :-1], q[:, 1:]
     f_cells[:, 0], f_cells[:, 1] = fq[:, :-1], fq[:, 1:]

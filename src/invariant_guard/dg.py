@@ -126,13 +126,6 @@ def dg_coefficient_rate(a: DgField, rhs):
     return rhs / (a.grid.dx * a.basis_norms)
 
 
-def upwind_advection_rule(c):
-    """Interface rule for f(u) = c*u: take the upwind trace."""
-    def rule(um, up):
-        return c * (um if c >= 0 else up)
-    return rule
-
-
 def burgers_centered_rule(um, up):
     """The demo-only centered Burgers interface flux (u^- + u^+)^2 / 8.
 

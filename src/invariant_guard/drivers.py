@@ -12,6 +12,7 @@ after the fact; drivers never measure a rate themselves.
 from __future__ import annotations
 
 import warnings
+from functools import cached_property
 
 import numpy as np
 
@@ -375,7 +376,11 @@ def _correct_flux_l2_halves(fluxes, chi, target):
 
 class Euler1D(_DriverBase):
     """Characteristic MUSCL gas dynamics with the positivity limiter and the
-    entropy-rate corrector applied per stage, in that order."""
+    entropy-rate corrector applied per stage, in that order.
+
+    A stage computes the state's pressure, its ghost rows and, under the
+    entropy corrector, its entropy variables once, and hands each to every
+    function that reads it."""
 
     def __init__(self, ic: EulerState1D, entropy_ratio=None, positivity=True):
         self.grid = ic.grid
@@ -400,18 +405,29 @@ class Euler1D(_DriverBase):
         speed = float((np.abs(state.velocity()) + state.sound_speed()).max())
         return cfl_dt(speed, self.grid.dx, cfl, dt_max)
 
+    @cached_property
+    def boundary_psi(self):
+        """psi of the Dirichlet pair (None on periodic grids), computed by the
+        first stage that reads it, so a non-positive pair ends the run with
+        a ``PositivityViolation``."""
+        return None if self.boundary_state is None \
+            else co.entropy_flux_pair(self.boundary_state, self.gamma)
+
     def rhs(self, y, t, dt):
         state = self.state_of(y)
-        f = schemes.euler1d_muscl_flux(state, self.boundary_state)
+        p = state.pressure()
+        rows = schemes.ghost_rows(state, self.boundary_state)
+        f = schemes.euler1d_muscl_flux(state, p=p, rows=rows)
         if self.positivity:
             f = co.limit_positivity_euler1d(f, state, dt, self.eps_pos,
-                                            self.boundary_state)
+                                            rows=rows)
         if self.entropy_ratio is not None:
+            ev = co.entropy_variables_euler1d(state, p)
             boundary = co.estimate_boundary_entropy_flux(
-                state, self.boundary_state)
+                state, ev=ev, boundary_psi=self.boundary_psi)
             target = co.EntropyRateTarget(boundary, self.entropy_ratio)
             f = self._corrected(t, "entropy", co.correct_entropy_euler1d, f,
-                                state, target)
+                                state, target, ev)
         return schemes.euler1d_rhs(f, self.grid).ravel()
 
     def observe(self, y, t, traj):

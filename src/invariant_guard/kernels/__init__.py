@@ -6,8 +6,7 @@ characteristic MUSCL flux with its local Lax-Friedrichs fallback.
 from .limiter import mc_limited_slopes
 from .scalar1d import godunov_burgers_flux, muscl_fluxes_advection, muscl_fluxes_burgers
 from .scalar2d import muscl_advective_fluxes_2d
-from .euler1d import (characteristic_muscl_fluxes, euler_physical_flux,
-                      local_lax_friedrichs_fluxes)
+from .euler1d import characteristic_muscl_fluxes, local_lax_friedrichs_fluxes
 
 __all__ = [
     "mc_limited_slopes",
@@ -16,6 +15,5 @@ __all__ = [
     "muscl_fluxes_burgers",
     "muscl_advective_fluxes_2d",
     "characteristic_muscl_fluxes",
-    "euler_physical_flux",
     "local_lax_friedrichs_fluxes",
 ]

@@ -1,18 +1,19 @@
 """Characteristic-variable MUSCL flux kernel for the 1D Euler equations.
 
-Input is the ghost-extended conserved array ``u_ext`` of shape (N+4, 3) with
-two ghost cells per side; output is the C-contiguous (N+1, 3) interface flux
-array where face k sits between extended cells k+1 and k+2.  Reconstruction
-happens in local characteristic variables of the Roe-averaged Jacobian; the
-face flux is the Roe flux of the reconstructed pair, with Harten's entropy fix
-on the acoustic fields.  Interfaces whose reconstructed density or pressure is
+Input is the ghost-extended state as component rows ``q`` of shape (3, N+4),
+rho, rho*v and E with two ghost cells per side (``schemes.ghost_rows``);
+output is the C-contiguous (N+1, 3) interface flux array where face k sits
+between extended cells k+1 and k+2.  Reconstruction happens in local
+characteristic variables of the Roe-averaged Jacobian; the face flux is the
+Roe flux of the reconstructed pair, with Harten's entropy fix on the acoustic
+fields.  Interfaces whose reconstructed density or pressure is
 non-positive fall back to the first-order local Lax-Friedrichs flux of
 ``local_lax_friedrichs_fluxes``, which the positivity limiter blends toward.
 
-Layout: ``u_ext`` is transposed once into component rows, a (3, N+4) array
-whose rows rho, rho*v and E are contiguous.  Every face quantity is a row of
-N+1 values, and a quantity of the two cells or reconstructed states at a face
-is a (2, N+1) pair, left then right, so each formula runs once for both sides.
+Layout: the rows of ``q`` are read as they are, without a copy.  Every face
+quantity is a row of N+1 values, and a quantity of the two cells or
+reconstructed states at a face is a (2, N+1) pair, left then right, so each
+formula runs once for both sides.
 Rows that enter the same formula are stacked so one numpy call serves them
 all: (v, h) of a state, the three left eigenvectors, the three characteristic
 fields' slopes or wave strengths.  The jump across face k is both the forward
@@ -40,15 +41,6 @@ def _physical_flux(m, e, v, gamma, out):
     np.add(m * v, p, out=out[1, ...])
     np.multiply(v, e + p, out=out[2, ...])
     return out
-
-
-def euler_physical_flux(u, gamma):
-    """Physical flux (rho*v, rho*v^2+p, v*(E+p)) for conserved rows (..., 3)."""
-    u = np.asarray(u, dtype=np.float64)
-    flux = np.empty_like(u)   # in u's memory order
-    _physical_flux(u[..., 1], u[..., 2], u[..., 1] / u[..., 0], gamma,
-                   np.moveaxis(flux, -1, 0))
-    return flux
 
 
 def _eigen_rows(v, h, c, n):
@@ -83,9 +75,10 @@ def local_lax_friedrichs_fluxes(q, gamma):
     return 0.5 * (fc[:, :-1] + fc[:, 1:]) - 0.5 * alpha * (q[:, 1:] - q[:, :-1])
 
 
-def characteristic_muscl_fluxes(u_ext, gamma):
-    """MUSCL fluxes at the N+1 interfaces of an (N+4, 3) extended state."""
-    q = np.ascontiguousarray(np.asarray(u_ext, dtype=np.float64).T)
+def characteristic_muscl_fluxes(q, gamma):
+    """MUSCL fluxes at the N+1 interfaces of the (3, N+4) component rows
+    ``q`` of an extended state."""
+    q = np.asarray(q, dtype=np.float64)
     gamma = float(gamma)
     gm1 = gamma - 1.0
     n = q.shape[1] - 3    # faces

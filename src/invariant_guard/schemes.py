@@ -161,20 +161,6 @@ def poisson_solve(chi: FvField2D):
     return psi - psi.mean()
 
 
-def apply_fe_laplacian(psi_bar, grid: UniformGrid2D):
-    """Apply the (negative) Q1 Laplacian stencil used by ``poisson_solve``."""
-    lam = _fe_laplacian_symbol(grid.nx, grid.ny, grid.dx, grid.dy)
-    hat = np.fft.fft2(psi_bar)
-    hat[0, 0] = 0.0
-    return np.fft.ifft2(hat * lam).real
-
-
-def fe_mode_eigenvalue(grid: UniformGrid2D, kx, ky):
-    """Stencil eigenvalue of the (kx, ky) Fourier mode (for oracle tests)."""
-    lam = _fe_laplacian_symbol(grid.nx, grid.ny, grid.dx, grid.dy)
-    return float(lam[kx % grid.nx, ky % grid.ny])
-
-
 # ---------------------------------------------------------------------------
 # vorticity transport
 # ---------------------------------------------------------------------------
@@ -213,38 +199,46 @@ def advective_fluxes_2d(chi: FvField2D, ux, uy):
 # 1D Euler fluxes
 # ---------------------------------------------------------------------------
 
-def _extend_state(state: EulerState1D, boundary_state=None):
-    """Conserved array with two ghost cells per side.
+def ghost_rows(state: EulerState1D, boundary_state=None):
+    """Component rows (3, N+4) of the conserved state with two ghost cells
+    per side, C-contiguous: row 0 is rho, row 1 rho*v, row 2 E.
 
     Periodic grids wrap; Dirichlet grids hold the ghosts at the boundary
     states, a (left, right) pair of conserved triples, which default to the
     outermost cell values.
     """
     u = state.u
-    ext = np.empty((len(u) + 4, 3))
-    ext[2:-2] = u
+    q = np.empty((3, len(u) + 4))
+    q[:, 2:-2] = u.T
     if state.grid.periodic:
-        ext[:2], ext[-2:] = u[-2:], u[:2]
-    elif boundary_state is None:
-        ext[:2], ext[-2:] = u[0], u[-1]
+        q[:, :2], q[:, -2:] = u[-2:].T, u[:2].T
     else:
-        ext[:2], ext[-2:] = boundary_state
-    return ext
+        left, right = (u[0], u[-1]) if boundary_state is None \
+            else boundary_state
+        q[:, 0] = q[:, 1] = left
+        q[:, -2] = q[:, -1] = right
+    return q
 
 
-def euler1d_muscl_flux(state: EulerState1D, boundary_state=None):
+def euler1d_muscl_flux(state: EulerState1D, boundary_state=None, p=None,
+                       rows=None):
     """Characteristic-MUSCL interface fluxes F_{j+1/2}, shape (N+1, 3).
 
     Face 0 and face N are the domain boundaries; on periodic grids they are
     equal by construction.  Raises ``PositivityViolation`` when the cell
     states themselves are non-positive (the eigendecomposition needs
     positive rho and p); degenerate reconstructed faces silently fall back
-    to the first-order local Lax-Friedrichs flux.
+    to the first-order local Lax-Friedrichs flux.  A caller that already
+    holds the state's pressure ``p`` or its ``ghost_rows`` passes them in
+    (``rows`` then stands for ``boundary_state``).
     """
-    if (state.rho <= 0.0).any() or (state.pressure() <= 0.0).any():
+    if p is None:
+        p = state.pressure()
+    if (state.rho <= 0.0).any() or (p <= 0.0).any():
         raise PositivityViolation("non-positive density or pressure in state")
-    u_ext = _extend_state(state, boundary_state)
-    return kernels.characteristic_muscl_fluxes(u_ext, state.gamma)
+    if rows is None:
+        rows = ghost_rows(state, boundary_state)
+    return kernels.characteristic_muscl_fluxes(rows, state.gamma)
 
 
 def euler1d_rhs(fluxes, grid):

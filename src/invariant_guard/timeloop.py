@@ -80,9 +80,6 @@ class Trajectory:
     step_minima: list = field(default_factory=list)
     error: Exception = None
 
-    def snapshot_array(self):
-        return np.asarray(self.snapshots)
-
 
 def run(plan: StepPlan, problem) -> Trajectory:
     """Advance a problem driver to t_end, emitting snapshots at the cadence

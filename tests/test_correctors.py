@@ -25,7 +25,8 @@ def test_rate_target_modes():
 def test_tracked_rate_source(tmp_path):
     path = tmp_path / "rates.csv"
     path.write_text("t,rate\n0.0,-1.0\n1.0,1.0\n2.0,-3.0\n")
-    src = co.TrackedRateSource.from_csv(path)
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    src = co.TrackedRateSource(data[:, 0], data[:, 1])
     assert src.rate_at(0.0) == -1.0
     assert src.rate_at(0.25) == -0.5
     assert src.rate_at(1.0) == 0.0          # clamped to <= 0

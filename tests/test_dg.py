@@ -7,14 +7,18 @@ import pytest
 from invariant_guard.core import DgField, FvField1D, UniformGrid1D
 from invariant_guard.dg import (burgers_centered_rule, dg_coefficient_rate,
                                 dg_diffusion_rhs, dg_l2, dg_l2_rate, dg_mass,
-                                dg_project, dg_rhs, face_traces,
-                                upwind_advection_rule)
+                                dg_project, dg_rhs, face_traces)
 from invariant_guard.errors import ConfigurationError
 from invariant_guard.schemes import fv_rhs_1d
 
 
 def advection_flux(c):
     return lambda u: c * u
+
+
+def upwind_advection_rule(c):
+    """Interface rule for f(u) = c*u: take the upwind trace."""
+    return lambda um, up: c * (um if c >= 0 else up)
 
 
 def broadcast_dg_rhs(a, flux_fn, interface_rule):

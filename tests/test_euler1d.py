@@ -6,11 +6,17 @@ from invariant_guard.core import EulerState1D, UniformGrid1D
 from invariant_guard.errors import (CflViolation, DegenerateCorrection,
                                     PositivityViolation)
 from invariant_guard.drivers import Euler1D
-from invariant_guard.kernels import (euler_physical_flux,
-                                     local_lax_friedrichs_fluxes)
-from invariant_guard.schemes import (_extend_state, euler1d_muscl_flux,
-                                     euler1d_rhs)
+from invariant_guard.kernels import local_lax_friedrichs_fluxes
+from invariant_guard.schemes import euler1d_muscl_flux, euler1d_rhs, ghost_rows
 from invariant_guard.timeloop import StepPlan, run
+
+
+def euler_physical_flux(u, gamma):
+    """Physical flux (rho*v, rho*v^2 + p, v*(E + p)) of conserved rows (..., 3)."""
+    rho, m, e = np.moveaxis(np.asarray(u, dtype=np.float64), -1, 0)
+    v = m / rho
+    p = (gamma - 1.0) * (e - 0.5 * m * v)
+    return np.stack([m, m * v + p, v * (e + p)], axis=-1)
 
 
 def uniform_state(n=8, rho=1.0, v=0.0, p=1.0, gamma=1.4, boundary="periodic"):
@@ -143,7 +149,7 @@ def _stable_dt(s, cfl=0.3):
 def _lf_fallback(s):
     # the limiter's theta = 0 flux: the kernel's local Lax-Friedrichs fluxes
     # over the N+2 cells of the ghost-extended state
-    return local_lax_friedrichs_fluxes(_extend_state(s)[1:-1].T, s.gamma).T
+    return local_lax_friedrichs_fluxes(ghost_rows(s)[:, 1:-1], s.gamma).T
 
 
 def _safe_case():

@@ -57,7 +57,7 @@ def test_forcing_and_viscosity_break_invariants_but_run(ic32):
                          nu=1e-3, forcing=True))
     assert tr.error is None
     # forcing injects energy: the corrector guards only the inviscid terms
-    assert np.all(np.isfinite(tr.snapshot_array()))
+    assert np.all(np.isfinite(np.asarray(tr.snapshots)))
 
 
 def test_stage_records_carry_rates(ic32):

@@ -229,6 +229,12 @@ def ref_euler_fluxes(u_ext, gamma, fired=None):
 # agreement
 # ---------------------------------------------------------------------------
 
+def rows_of(u_ext):
+    """The kernel's input: the (3, N+4) component rows of an (N+4, 3)
+    extended state, C-contiguous as ``schemes.ghost_rows`` builds them."""
+    return np.ascontiguousarray(u_ext.T)
+
+
 def random_euler_ext(rng, n):
     rho = rng.uniform(0.3, 2.5, n)
     v = rng.uniform(-1.5, 1.5, n)
@@ -264,7 +270,7 @@ def test_euler_matches_reference(n):
     rng = np.random.default_rng(n)
     for _ in range(5):
         u_ext = random_euler_ext(rng, n)
-        fa = characteristic_muscl_fluxes(u_ext, 1.4)
+        fa = characteristic_muscl_fluxes(rows_of(u_ext), 1.4)
         fb = ref_euler_fluxes(u_ext, 1.4)
         assert np.allclose(fa, fb, rtol=1e-13, atol=1e-13)
 
@@ -274,7 +280,7 @@ def test_euler_kernel_near_vacuum_falls_back():
     rng = np.random.default_rng(1)
     u_ext = random_euler_ext(rng, 8)
     u_ext[3] = [1e-6, 0.0, 1e-6 / 0.4]  # nearly vacuum cell
-    fa = characteristic_muscl_fluxes(u_ext, 1.4)
+    fa = characteristic_muscl_fluxes(rows_of(u_ext), 1.4)
     fb = ref_euler_fluxes(u_ext, 1.4)
     assert np.all(np.isfinite(fa)) and np.all(np.isfinite(fb))
     assert np.allclose(fa, fb, rtol=1e-12, atol=1e-12)
@@ -323,20 +329,20 @@ def test_euler_kernel_branch_matches_reference(branch):
     fired = set()
     fb = ref_euler_fluxes(u_ext, 1.4, fired)
     assert (face, branch) in fired
-    fa = characteristic_muscl_fluxes(u_ext, 1.4)
+    fa = characteristic_muscl_fluxes(rows_of(u_ext), 1.4)
     assert np.all(np.isfinite(fa))
     assert np.allclose(fa, fb, rtol=1e-13, atol=1e-13)
 
 
 def test_euler_kernel_layout_and_input_untouched():
     u_ext = random_euler_ext(np.random.default_rng(3), 16)
-    before = u_ext.copy()
-    f = characteristic_muscl_fluxes(u_ext, 1.4)
+    q = rows_of(u_ext)
+    before = q.copy()
+    f = characteristic_muscl_fluxes(q, 1.4)
     assert f.shape == (17, 3) and f.dtype == np.float64 and f.flags.c_contiguous
-    assert np.array_equal(u_ext, before)
-    # a column-major copy of the same values gives the same bytes
-    assert characteristic_muscl_fluxes(np.asfortranarray(u_ext), 1.4).tobytes() \
-        == f.tobytes()
+    assert np.array_equal(q, before)
+    # a strided view of the same values gives the same bytes
+    assert characteristic_muscl_fluxes(u_ext.T, 1.4).tobytes() == f.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +377,7 @@ def pinned_state(kind, seed, n=48):
     return np.concatenate([u[-2:], u, u[:2]], axis=0)
 
 
-# SHA-256 of characteristic_muscl_fluxes(state, 1.4).tobytes().  The kernel
+# SHA-256 of characteristic_muscl_fluxes(rows_of(state), 1.4).tobytes().  The kernel
 # uses only correctly rounded operations (+ - * /, sqrt, abs, maximum,
 # where, squaring), so these bytes depend on no math library; a change that
 # reorders its arithmetic shows here.  A seed's case is keyed (kind, seed),
@@ -414,6 +420,6 @@ def test_euler_kernel_bytes_are_pinned(key):
         branches = {branch for _, branch in fired}
         want = PINNED_BRANCHES[kind]
         assert (branches & want) if want else not branches
-    f = characteristic_muscl_fluxes(u_ext, 1.4)
+    f = characteristic_muscl_fluxes(rows_of(u_ext), 1.4)
     assert np.all(np.isfinite(f))
     assert hashlib.sha256(f.tobytes()).hexdigest() == KERNEL_DIGESTS[key]

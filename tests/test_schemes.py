@@ -6,8 +6,7 @@ from invariant_guard.core import (FvField1D, FvField2D, UniformGrid1D,
                                   UniformGrid2D, bracket)
 from invariant_guard.errors import ConfigurationError
 from invariant_guard.schemes import (BoundaryFluxes2D, FluxScheme,
-                                     advective_fluxes_2d, apply_fe_laplacian,
-                                     face_velocities, fe_mode_eigenvalue,
+                                     advective_fluxes_2d, face_velocities,
                                      ftcs_increment, fv_rhs_1d, fv_rhs_2d,
                                      numerical_flux_1d, poisson_solve,
                                      spectral_rhs_advection)
@@ -184,6 +183,22 @@ def test_poisson_zero_and_gauge():
     rng = np.random.default_rng(28)
     psi = poisson_solve(FvField2D(g, rng.normal(size=(16, 16))))
     assert abs(psi.mean()) <= 1e-13
+
+
+def _fe_symbol(grid):
+    return schemes._fe_laplacian_symbol(grid.nx, grid.ny, grid.dx, grid.dy)
+
+
+def apply_fe_laplacian(psi_bar, grid):
+    """The (negative) Q1 Laplacian stencil ``poisson_solve`` inverts."""
+    hat = np.fft.fft2(psi_bar)
+    hat[0, 0] = 0.0
+    return np.fft.ifft2(hat * _fe_symbol(grid)).real
+
+
+def fe_mode_eigenvalue(grid, kx, ky):
+    """Stencil eigenvalue of the (kx, ky) Fourier mode."""
+    return float(_fe_symbol(grid)[kx % grid.nx, ky % grid.ny])
 
 
 def test_poisson_eigenfunction():

@@ -145,7 +145,7 @@ def test_determinism_same_seed_same_trajectory():
     for _ in range(2):
         ic = ic_sum_of_sines(g, seed=9, family="advection")
         tr = run(plan, ScalarFv1D(ic, "advection", FluxScheme.MUSCL_MC, c=1.0))
-        runs.append(tr.snapshot_array())
+        runs.append(np.asarray(tr.snapshots))
     assert np.array_equal(runs[0], runs[1])
 
 

@@ -49,6 +49,13 @@ MUTANTS = [
     ("SSPRK3: second stage at t + dt/2", "timeloop.py",
      "    u2 = 0.75 * y + 0.25 * (u1 + dt * rhs(u1, t + dt, dt))",
      "    u2 = 0.75 * y + 0.25 * (u1 + dt * rhs(u1, t + 0.5 * dt, dt))"),
+    ("boundary estimate: cached psi of the Dirichlet pair swapped",
+     "drivers.py",
+     "            else co.entropy_flux_pair(self.boundary_state, self.gamma)",
+     "            else co.entropy_flux_pair(self.boundary_state, self.gamma)[::-1]"),
+    ("boundary estimate: max, not min, at the left end", "correctors.py",
+     "    return float(min(boundary_psi[0], ev.psi[0])",
+     "    return float(max(boundary_psi[0], ev.psi[0])"),
     ("Lax-Friedrichs fallback: alpha the smaller speed of the face",
      "kernels/euler1d.py",
      "    alpha = np.maximum(speed[:-1], speed[1:])",
