@@ -483,7 +483,8 @@ class EntropyVariables1D:
     p: np.ndarray        # (N,)
 
 
-def entropy_variables_euler1d(state: EulerState1D, p=None) -> EntropyVariables1D:
+def entropy_variables_euler1d(state: EulerState1D,
+                              p=None) -> EntropyVariables1D:
     """Entropy variables for eta = rho*g(s), g(s) = exp(s/(gamma+1)), from
     the state's pressure ``p`` (computed when not given)."""
     rho = state.rho

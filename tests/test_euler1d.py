@@ -12,7 +12,8 @@ from invariant_guard.timeloop import StepPlan, run
 
 
 def euler_physical_flux(u, gamma):
-    """Physical flux (rho*v, rho*v^2 + p, v*(E + p)) of conserved rows (..., 3)."""
+    """Physical flux (rho*v, rho*v^2 + p, v*(E + p)) of conserved rows
+    (..., 3)."""
     rho, m, e = np.moveaxis(np.asarray(u, dtype=np.float64), -1, 0)
     v = m / rho
     p = (gamma - 1.0) * (e - 0.5 * m * v)

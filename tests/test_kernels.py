@@ -377,11 +377,11 @@ def pinned_state(kind, seed, n=48):
     return np.concatenate([u[-2:], u, u[:2]], axis=0)
 
 
-# SHA-256 of characteristic_muscl_fluxes(rows_of(state), 1.4).tobytes().  The kernel
-# uses only correctly rounded operations (+ - * /, sqrt, abs, maximum,
-# where, squaring), so these bytes depend on no math library; a change that
-# reorders its arithmetic shows here.  A seed's case is keyed (kind, seed),
-# a BRANCH_CASES state (branch, None).
+# SHA-256 of characteristic_muscl_fluxes(rows_of(state), 1.4).tobytes().
+# The kernel uses only correctly rounded operations (+ - * /, sqrt, abs,
+# maximum, where, squaring), so these bytes depend on no math library; a
+# change that reorders its arithmetic shows here.  A seed's case is keyed
+# (kind, seed), a BRANCH_CASES state (branch, None).
 KERNEL_DIGESTS = {
     ("smooth", 0): "da011e68830afd3433970e1a25bed792802b2827b7c49a03465aca66eec8bcf5",
     ("smooth", 1): "f63397818877c7da948be806e951fd5fc1ac74d3e40e428c41a39c5ba0b3db2e",
