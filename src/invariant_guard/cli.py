@@ -205,7 +205,7 @@ def run_reference(ec: ExperimentConfig, out_dir):
         # sets the Lax-Friedrichs dissipation
         rates = []
         for y in traj.snapshots:
-            f = FvField1D(driver.grid, y)
+            f = driver.state_of(y)
             dt = driver.stable_dt(y, plan.cfl, plan.dt_max)
             rates.append(co.flux_l2_rate_1d(driver.fluxes(f, dt), f))
     else:

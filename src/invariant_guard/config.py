@@ -45,7 +45,7 @@ _STEP_CORRECTED = ("advection", "burgers", "burgers_forced", "euler2d")
 #: equations with a reference run (rate curve and coarse-grained snapshots)
 _REFERENCED = ("advection", "burgers", "burgers_forced",
                "burgers_nonconservative", "euler2d")
-#: equations whose RK driver reads ``scheme`` (``schemes.numerical_flux_1d``)
+#: equations whose RK driver reads ``scheme`` (``schemes.flux_rule_1d``)
 _FLUX_SCHEMED = ("advection", "burgers", "burgers_forced")
 _SCALAR_1D = _FLUX_SCHEMED + ("burgers_nonconservative",)
 
@@ -229,8 +229,9 @@ def _cross_errors(ec):
                               f"{ec.reference_resolution} not divisible by {n}")
     if ec.equation not in _FLUX_SCHEMED or ec.integrator == "discrete":
         return errors
-    # the rules of schemes.numerical_flux_1d for every run of a flux scheme:
-    # each variant at the smallest resolution, and the reference
+    # the rules of schemes.flux_rule_1d (ScalarFv1D binds it at build time)
+    # for every run of a flux scheme: each variant at the smallest
+    # resolution, and the reference
     runs = [(f"[variant.{v.label}] scheme", v.scheme, "resolutions",
              min(ec.resolutions)) for v in ec.variants]
     if ec.reference_resolution:

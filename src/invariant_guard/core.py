@@ -30,6 +30,19 @@ def _as_float_array(values):
     return arr
 
 
+def _unchecked(cls, **fields):
+    """A ``cls`` holding ``fields`` as given, without the checks of its
+    ``__post_init__``.
+
+    Drivers wrap the states a time loop hands them this way: ``timeloop``
+    has checked every one of them for finiteness already, and their shapes
+    are the driver's own.  Public construction keeps checking outside input.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def shift(a, k, axis=0):
     """Periodic neighbour ``a[(i + k) mod n]`` along ``axis`` (0 or 1).
 

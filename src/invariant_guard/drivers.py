@@ -19,7 +19,7 @@ import numpy as np
 from . import correctors as co
 from . import schemes
 from .core import (DgField, EulerState1D, FvField1D, FvField2D, SpectralField,
-                   VorticityState2D, bracket, shift)
+                   VorticityState2D, _unchecked, bracket, shift)
 from .diagnostics import invariant_report, InvariantReport
 from .dg import dg_coefficient_rate, dg_rhs, face_traces
 from .errors import InfeasibleTarget
@@ -122,6 +122,11 @@ class ScalarFv1D(_DriverBase):
     ``step_target`` chains the discrete-increment corrector over each full
     RK step; it removes the time-integrator's own l2 residual on top of the
     per-stage flux correction.
+
+    ``scheme`` is a ``FluxScheme`` or an object whose ``rule(grid)`` gives
+    a flux rule, such as ``surrogate.SurrogateFluxRule``.  The rule is
+    bound and checked here, so an unsupported combination raises
+    ``ConfigurationError`` before any stage runs.
     """
 
     def __init__(self, ic: FvField1D, equation, scheme, c=1.0,
@@ -129,19 +134,20 @@ class ScalarFv1D(_DriverBase):
         self.grid = ic.grid
         self.ic = ic
         self.equation = equation
-        self.scheme = scheme
         self.c = c
         self.target = target
         self.nu = nu
         self.forcing = forcing
         self.step_target = step_target
         self._x = self.grid.cell_centers()
+        self._rule = scheme.rule(self.grid) if hasattr(scheme, "rule") \
+            else schemes.flux_rule_1d(scheme, self.grid, equation, c)
 
     def initial_array(self):
         return self.ic.values.copy()
 
     def state_of(self, y):
-        return FvField1D(self.grid, y)
+        return _unchecked(FvField1D, grid=self.grid, values=y)
 
     def stable_dt(self, y, cfl, dt_max):
         speed = abs(self.c) if self.equation == "advection" \
@@ -154,13 +160,7 @@ class ScalarFv1D(_DriverBase):
         return cfl_dt(speed, self.grid.dx, cfl, dt_max)
 
     def fluxes(self, field, dt):
-        if callable(self.scheme):
-            return self.scheme(field, dt)
-        lf_ratio = None
-        if self.scheme is schemes.FluxScheme.LAX_FRIEDRICHS:
-            lf_ratio = self.grid.dx / (2.0 * dt)
-        return schemes.numerical_flux_1d(self.scheme, field, self.equation,
-                                         c=self.c, lf_ratio=lf_ratio)
+        return self._rule(field.values, self.grid.dx / (2.0 * dt))
 
     def rhs(self, y, t, dt):
         field = self.state_of(y)
@@ -190,7 +190,7 @@ class NonconservativeBurgers1D(_DriverBase):
         return self.ic.values.copy()
 
     def state_of(self, y):
-        return FvField1D(self.grid, y)
+        return _unchecked(FvField1D, grid=self.grid, values=y)
 
     def stable_dt(self, y, cfl, dt_max):
         return cfl_dt(float(np.abs(y).max()), self.grid.dx, cfl, dt_max)
@@ -223,7 +223,7 @@ class FtcsAdvection(_DriverBase):
         return self.ic.values.copy()
 
     def state_of(self, y):
-        return FvField1D(self.grid, y)
+        return _unchecked(FvField1D, grid=self.grid, values=y)
 
     def stable_dt(self, y, cfl, dt_max):
         return cfl_dt(abs(self.c), self.grid.dx, cfl, dt_max)
@@ -255,7 +255,8 @@ class DgScalar1D(_DriverBase):
         return self.ic.coeffs.ravel().copy()
 
     def state_of(self, y):
-        return DgField(self.grid, y.reshape(self.grid.n_cells, self.degree + 1))
+        return _unchecked(DgField, grid=self.grid,
+                          coeffs=y.reshape(self.grid.n_cells, self.degree + 1))
 
     def stable_dt(self, y, cfl, dt_max):
         a = self.state_of(y)
@@ -323,11 +324,13 @@ class Vorticity2D(_DriverBase):
         return self.ic.values.ravel().copy()
 
     def field_of(self, y):
-        return FvField2D(self.grid, y.reshape(self.grid.nx, self.grid.ny))
+        return _unchecked(FvField2D, grid=self.grid,
+                          values=y.reshape(self.grid.nx, self.grid.ny))
 
     def state_of(self, y):
         chi = self.field_of(y)
-        return VorticityState2D(chi, schemes.poisson_solve(chi))
+        return _unchecked(VorticityState2D, chi=chi,
+                          psi_bar=schemes.poisson_solve(chi))
 
     def stable_dt(self, y, cfl, dt_max):
         state = self.state_of(y)
@@ -397,8 +400,8 @@ class Euler1D(_DriverBase):
         return self.ic.u.ravel().copy()
 
     def state_of(self, y):
-        return EulerState1D(self.grid, y.reshape(self.grid.n_cells, 3),
-                            self.gamma)
+        return _unchecked(EulerState1D, grid=self.grid,
+                          u=y.reshape(self.grid.n_cells, 3), gamma=self.gamma)
 
     def stable_dt(self, y, cfl, dt_max):
         state = self.state_of(y)

@@ -29,8 +29,8 @@ class InfeasibleTarget(InvariantGuardError):
 
 
 class NonFiniteState(InvariantGuardError, ValueError):
-    """A field was built from values holding NaN or Inf, as an RK stage of a
-    run that is blowing up does."""
+    """A field was built from values holding NaN or Inf, or an intermediate
+    Runge-Kutta stage state of a run that is blowing up holds them."""
 
 
 class PositivityViolation(InvariantGuardError):

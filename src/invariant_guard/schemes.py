@@ -38,51 +38,72 @@ def _burgers_flux(u):
     return 0.5 * u * u
 
 
-def numerical_flux_1d(scheme, u: FvField1D, equation, c=None, lf_ratio=None):
-    """Interface fluxes f_{j+1/2} for j = 0..N-1 (periodic wraparound).
+def flux_rule_1d(scheme, grid, equation, c=None):
+    """The interface-flux formula of ``scheme`` for ``equation`` on ``grid``,
+    checked once: a function ``rule(vals, lf_ratio)`` of the cell values
+    that returns f_{j+1/2} for j = 0..N-1 (periodic wraparound).
 
-    ``equation`` is "advection" (speed ``c``) or "burgers".  Lax-Friedrichs
-    takes the dissipation ratio dx/(2 dt) of the active timestep via
-    ``lf_ratio``.
+    ``equation`` is "advection" (speed ``c``) or "burgers".  Only
+    Lax-Friedrichs reads ``lf_ratio``, the dissipation ratio dx/(2 dt) of
+    the active timestep.  Drivers bind a rule once; ``numerical_flux_1d``
+    binds one per call.
     """
-    if not u.grid.periodic:
+    if not grid.periodic:
         raise ConfigurationError("scalar interface fluxes are periodic-only")
     if equation not in ("advection", "burgers"):
         raise ConfigurationError(f"unknown equation {equation!r}")
     advection = equation == "advection"
     if advection and c is None:
         raise ConfigurationError("advection needs a wave speed c")
-    vals = u.values
     if scheme is FluxScheme.MUSCL_MC:
-        if u.grid.n_cells < 4:
+        if grid.n_cells < 4:
             raise ConfigurationError("MUSCL needs at least 4 cells")
-        return kernels.muscl_fluxes_advection(vals, c) if advection \
-            else kernels.muscl_fluxes_burgers(vals)
-    if scheme is FluxScheme.LAX_FRIEDRICHS and lf_ratio is None:
-        raise ConfigurationError("Lax-Friedrichs needs lf_ratio = dx/(2 dt)")
-    up = shift(vals, 1)
+        if advection:
+            return lambda vals, lf_ratio: kernels.muscl_fluxes_advection(vals, c)
+        return lambda vals, lf_ratio: kernels.muscl_fluxes_burgers(vals)
 
     if advection:
         if scheme in (FluxScheme.UPWIND, FluxScheme.GODUNOV):
             # the monotone flux of a linear f(u)=c*u is plain upwinding
-            return c * (vals if c >= 0 else up)
+            if c >= 0:
+                return lambda vals, lf_ratio: c * vals
+            return lambda vals, lf_ratio: c * shift(vals, 1)
         if scheme is FluxScheme.CENTERED:
-            return 0.5 * c * (vals + up)
+            return lambda vals, lf_ratio: 0.5 * c * (vals + shift(vals, 1))
         if scheme is FluxScheme.LAX_FRIEDRICHS:
-            return 0.5 * c * (vals + up) - lf_ratio * (up - vals)
+            def lax_friedrichs(vals, lf_ratio):
+                up = shift(vals, 1)
+                return 0.5 * c * (vals + up) - lf_ratio * (up - vals)
+            return lax_friedrichs
     else:
         if scheme is FluxScheme.UPWIND:
             raise ConfigurationError("upwinding is sign-ambiguous for burgers; "
                                      "use godunov")
         if scheme is FluxScheme.CENTERED:
             # the l2-increasing demo flux (u_j^2 + u_{j+1}^2)/4
-            return 0.25 * (vals * vals + up * up)
+            def centered(vals, lf_ratio):
+                up = shift(vals, 1)
+                return 0.25 * (vals * vals + up * up)
+            return centered
         if scheme is FluxScheme.GODUNOV:
-            return kernels.godunov_burgers_flux(vals, up)
+            return lambda vals, lf_ratio: \
+                kernels.godunov_burgers_flux(vals, shift(vals, 1))
         if scheme is FluxScheme.LAX_FRIEDRICHS:
-            return 0.5 * (_burgers_flux(vals) + _burgers_flux(up)) \
-                - lf_ratio * (up - vals)
+            def lax_friedrichs(vals, lf_ratio):
+                up = shift(vals, 1)
+                return 0.5 * (_burgers_flux(vals) + _burgers_flux(up)) \
+                    - lf_ratio * (up - vals)
+            return lax_friedrichs
     raise ConfigurationError(f"unsupported scheme {scheme} for {equation}")
+
+
+def numerical_flux_1d(scheme, u: FvField1D, equation, c=None, lf_ratio=None):
+    """Interface fluxes f_{j+1/2} of ``u`` for j = 0..N-1: the rule of
+    ``flux_rule_1d``, checked on every call."""
+    rule = flux_rule_1d(scheme, u.grid, equation, c)
+    if scheme is FluxScheme.LAX_FRIEDRICHS and lf_ratio is None:
+        raise ConfigurationError("Lax-Friedrichs needs lf_ratio = dx/(2 dt)")
+    return rule(u.values, lf_ratio)
 
 
 def fv_rhs_1d(fluxes, grid):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import FvField1D
-from .schemes import FluxScheme, numerical_flux_1d
+from .schemes import FluxScheme, flux_rule_1d, numerical_flux_1d
 
 
 @dataclass
@@ -20,7 +20,9 @@ class SurrogateFluxRule:
     """f_{j+1/2} -> f_{j+1/2} * (1 + amplitude * g(x_{j+1/2})).
 
     ``g`` is a seeded sum of the first four Fourier modes, normalized to
-    unit max amplitude.  Use as the ``scheme`` callable of a scalar driver.
+    unit max amplitude.  Use as the ``scheme`` of a scalar driver, which
+    binds ``rule(grid)`` once.  Calling the object, ``surrogate(u, dt)``,
+    checks the base scheme on every call, as ``numerical_flux_1d`` does.
     """
 
     base: FluxScheme
@@ -31,8 +33,13 @@ class SurrogateFluxRule:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def perturbation(self, grid):
-        key = (grid.n_cells, grid.length)
+        return self._bound(grid)[1]
+
+    def _bound(self, grid):
+        """(base rule, g) on ``grid``, built and checked on first use."""
+        key = (grid.n_cells, grid.length, grid.boundary)
         if key not in self._cache:
+            rule = flux_rule_1d(self.base, grid, self.equation, self.c)
             rng = np.random.default_rng(self.seed)
             k = np.arange(1, 5)
             amps = rng.uniform(-1.0, 1.0, size=k.size)
@@ -40,8 +47,17 @@ class SurrogateFluxRule:
             x_face = grid.cell_edges()[1:]  # x_{j+1/2}, j = 0..N-1
             g = np.sin(2.0 * np.pi * np.outer(x_face, k) / grid.length
                        + phases) @ amps
-            self._cache[key] = g / np.abs(g).max()
+            self._cache[key] = rule, g / np.abs(g).max()
         return self._cache[key]
+
+    def rule(self, grid):
+        """The perturbed flux ``rule(vals, lf_ratio)`` on ``grid``, as
+        ``schemes.flux_rule_1d`` binds one."""
+        base, g = self._bound(grid)
+        if self.amplitude == 0.0:
+            return base
+        scale = 1.0 + self.amplitude * g
+        return lambda vals, lf_ratio: base(vals, lf_ratio) * scale
 
     def __call__(self, u: FvField1D, dt):
         f = numerical_flux_1d(self.base, u, self.equation, c=self.c,

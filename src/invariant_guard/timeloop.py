@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, InvariantGuardError, NumericalBlowup
+from .errors import (ConfigurationError, InvariantGuardError, NonFiniteState,
+                     NumericalBlowup)
 
 SSPRK3 = "ssprk3"
 FORWARD_EULER = "forward_euler"
@@ -50,10 +51,22 @@ def cfl_dt_2d(max_ux, max_uy, dx, dy, cfl, dt_max):
     return min(cfl / denom, dt_max)
 
 
+def _check_stage(u):
+    if not np.isfinite(u).all():
+        raise NonFiniteState("Runge-Kutta stage state must be finite")
+
+
 def ssprk3_step(y, t, dt, rhs):
-    """Shu-Osher 3rd-order SSP step; rhs(y, t, dt) is called once per stage."""
+    """Shu-Osher 3rd-order SSP step; rhs(y, t, dt) is called once per stage.
+
+    The intermediate stage states are checked here, once each, and a
+    non-finite one raises ``NonFiniteState`` before ``rhs`` sees it; ``y``
+    and the result are the caller's to check, as ``run`` does every step.
+    """
     u1 = y + dt * rhs(y, t, dt)
+    _check_stage(u1)
     u2 = 0.75 * y + 0.25 * (u1 + dt * rhs(u1, t + dt, dt))
+    _check_stage(u2)
     return y / 3.0 + 2.0 / 3.0 * (u2 + dt * rhs(u2, t + 0.5 * dt, dt))
 
 
@@ -86,11 +99,15 @@ def run(plan: StepPlan, problem) -> Trajectory:
     times k * t_end / (n_snapshots - 1).
 
     The driver supplies ``initial_array()``, ``stable_dt(y, cfl, dt_max)``,
-    one of ``rhs(y, t, dt)`` / ``increment(y, t, dt)``, and optional
-    ``observe(y, t)`` / ``report(y, t)`` hooks.  Blowups and other
-    ``InvariantGuardError``s surface as a trajectory with ``error`` set and
-    the partial record intact; ``ConfigurationError`` and every other
-    exception propagate.
+    one of ``rhs(y, t, dt)`` / ``increment(y, t, dt)``, ``snapshot(y)``,
+    ``report(y, t)`` and optional ``post_step(y_old, y_new, t, dt)`` /
+    ``observe(y, t, traj)`` hooks, each looked up once.  Every state a hook
+    is handed is finite: the initial array comes from a checked initial
+    condition, each step's result is checked here and each intermediate
+    stage state by the stepper, so drivers need not check again.  Blowups
+    and other ``InvariantGuardError``s surface as a trajectory with
+    ``error`` set and the partial record intact; ``ConfigurationError`` and
+    every other exception propagate.
     """
     traj = Trajectory()
     problem.stage_records = traj.stage_records
@@ -115,6 +132,8 @@ def run(plan: StepPlan, problem) -> Trajectory:
     stepper = discrete_step if plan.integrator == DISCRETE else (
         forward_euler_step if plan.integrator == FORWARD_EULER else ssprk3_step)
     advance = problem.increment if plan.integrator == DISCRETE else problem.rhs
+    post_step = getattr(problem, "post_step", None)
+    observe = getattr(problem, "observe", None)
 
     step = 0
     while t < plan.t_end - 1e-12 * plan.t_end:
@@ -134,8 +153,8 @@ def run(plan: StepPlan, problem) -> Trajectory:
 
         try:
             y_new = stepper(y, t, dt, advance)
-            if hasattr(problem, "post_step"):
-                y_new = problem.post_step(y, y_new, t, dt)
+            if post_step is not None:
+                y_new = post_step(y, y_new, t, dt)
             y = y_new
         except ConfigurationError:
             raise
@@ -148,8 +167,8 @@ def run(plan: StepPlan, problem) -> Trajectory:
         if not np.isfinite(y).all():
             traj.error = NumericalBlowup("non-finite state", step, t)
             return traj
-        if hasattr(problem, "observe"):
-            problem.observe(y, t, traj)
+        if observe is not None:
+            observe(y, t, traj)
         while next_snap < len(snap_times) and t >= snap_times[next_snap] - 1e-12:
             record(y, snap_times[next_snap])
             next_snap += 1

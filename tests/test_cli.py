@@ -107,7 +107,7 @@ REJECTED = {
         dict(problem="equation = dg_burgers\nic = sine",
              run="reference_resolution = 32", variant="corrector = dg_l2"),
         "[run] reference_resolution"),
-    # the scheme rules of schemes.numerical_flux_1d
+    # the scheme rules of schemes.flux_rule_1d
     "upwind_on_burgers": (dict(problem=BURGERS, variant="scheme = upwind"),
                           "[variant.bad] scheme"),
     "upwind_surrogate_base_on_burgers_forced": (

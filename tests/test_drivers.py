@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from invariant_guard import correctors as co
-from invariant_guard import schemes
+from invariant_guard import core, schemes, timeloop
 from invariant_guard.core import EulerState1D, UniformGrid1D, UniformGrid2D
 from invariant_guard.dg import burgers_centered_rule, dg_project
 from invariant_guard.drivers import (DgScalar1D, Euler1D, FtcsAdvection,
                                      NonconservativeBurgers1D, ScalarFv1D,
                                      Vorticity2D)
+from invariant_guard.errors import ConfigurationError
 from invariant_guard.problems import (ic_random_vorticity, ic_sine, ic_sod,
                                       ic_sum_of_sines)
 from invariant_guard.schemes import FluxScheme
@@ -248,3 +249,98 @@ def test_stage_path_makes_no_roll(monkeypatch, name):
                    driver)
     assert traj.error is None and traj.times == [0.0, 1e-3]
     assert name == "godunov" or traj.stage_records
+
+
+@pytest.mark.parametrize("name", list(_stage_path_drivers()))
+def test_run_checks_each_state_once(monkeypatch, name):
+    # in a run no state goes through a checking field constructor: the
+    # stepper checks the two intermediate stage states of each SSPRK3 step
+    # and the loop each step's result
+    driver = _stage_path_drivers()[name]
+    constructed, stage_checks = [], []
+    monkeypatch.setattr(core, "_as_float_array", constructed.append)
+    check = timeloop._check_stage
+    monkeypatch.setattr(timeloop, "_check_stage",
+                        lambda u: stage_checks.append(u) or check(u))
+    integrator = "discrete" if name == "ftcs" else "ssprk3"
+    advance = "increment" if name == "ftcs" else "rhs"
+    calls = []
+    inner = getattr(driver, advance)
+    setattr(driver, advance, lambda y, t, dt: calls.append(t) or inner(y, t, dt))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", co.AntiDiffusiveTargetWarning)
+        traj = run(StepPlan(integrator, t_end=3e-3, n_snapshots=2, dt_max=1e-3),
+                   driver)
+    assert traj.error is None and calls
+    assert constructed == []
+    assert len(stage_checks) == (0 if name == "ftcs" else 2 * len(calls) // 3)
+
+
+#: every (scheme, equation, c) a scalar flux driver accepts; advection with
+#: both signs of c, burgers without one
+_FLUX_CASES = [(scheme, equation, c)
+               for scheme in FluxScheme
+               for equation, speeds in (("advection", (1.3, -0.7)),
+                                        ("burgers", (None,)))
+               for c in speeds
+               if (scheme, equation) != (FluxScheme.UPWIND, "burgers")]
+
+
+def _flux_case_id(case):
+    scheme, equation, c = case
+    sign = "" if c is None else ("+c" if c > 0 else "-c")
+    return f"{scheme.value}-{equation}{sign}"
+
+
+@pytest.mark.parametrize("dt", [1e-2, 3.7e-3])
+@pytest.mark.parametrize("case", _FLUX_CASES, ids=_flux_case_id)
+def test_bound_flux_rule_equals_numerical_flux(case, dt):
+    # the driver binds each rule once; numerical_flux_1d checks and binds
+    # on every call; both give the same bytes
+    scheme, equation, c = case
+    u = ic_sum_of_sines(UniformGrid1D(24, 1.0), 5, "advection")
+    driver = ScalarFv1D(u, equation, scheme, c=c)
+    lf_ratio = u.grid.dx / (2.0 * dt)
+    expected = schemes.numerical_flux_1d(scheme, u, equation, c=c,
+                                         lf_ratio=lf_ratio)
+    assert driver.fluxes(u, dt).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dt", [1e-2, 3.7e-3])
+@pytest.mark.parametrize("base, equation, c, amplitude", [
+    (FluxScheme.UPWIND, "advection", 1.0, 1.5),
+    (FluxScheme.UPWIND, "advection", -0.7, 0.3),
+    (FluxScheme.LAX_FRIEDRICHS, "burgers", None, 0.3),
+    (FluxScheme.MUSCL_MC, "advection", 1.0, 0.0),
+])
+def test_bound_surrogate_rule_equals_checked_call(base, equation, c,
+                                                  amplitude, dt):
+    u = ic_sum_of_sines(UniformGrid1D(24, 1.0), 5, "advection")
+    rule = SurrogateFluxRule(base, equation, amplitude, 4, c=c)
+    driver = ScalarFv1D(u, equation, rule, c=c)
+    expected = schemes.numerical_flux_1d(
+        base, u, equation, c=c, lf_ratio=u.grid.dx / (2.0 * dt))
+    if amplitude:
+        expected = expected * (1.0 + amplitude * rule.perturbation(u.grid))
+    assert driver.fluxes(u, dt).tobytes() == expected.tobytes()
+    assert rule(u, dt).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n, boundary, equation, scheme, c", [
+    (16, "dirichlet", "advection", FluxScheme.CENTERED, 1.0),
+    (16, "periodic", "heat", FluxScheme.CENTERED, 1.0),
+    (16, "periodic", "advection", FluxScheme.CENTERED, None),
+    (3, "periodic", "advection", FluxScheme.MUSCL_MC, 1.0),
+    (3, "periodic", "burgers", FluxScheme.MUSCL_MC, None),
+    (16, "periodic", "burgers", FluxScheme.UPWIND, None),
+    (16, "periodic", "burgers",
+     SurrogateFluxRule(FluxScheme.UPWIND, "burgers", 0.3, 0), None),
+    (3, "periodic", "advection",
+     SurrogateFluxRule(FluxScheme.MUSCL_MC, "advection", 0.3, 0), 1.0),
+    (16, "periodic", "advection", "centered", 1.0),
+])
+def test_rejected_flux_rule_raises_at_construction(n, boundary, equation,
+                                                   scheme, c):
+    with pytest.raises(ConfigurationError):
+        ScalarFv1D(ic_sine(UniformGrid1D(n, 1.0, boundary)), equation,
+                   scheme, c=c)

@@ -3,11 +3,12 @@ import pytest
 
 from invariant_guard import correctors as co
 from invariant_guard.core import (FvField1D, SpectralField, UniformGrid1D)
-from invariant_guard.drivers import (FtcsAdvection, ScalarFv1D,
-                                     SpectralAdvection)
+from invariant_guard.dg import burgers_centered_rule, dg_project
+from invariant_guard.drivers import (DgScalar1D, Euler1D, FtcsAdvection,
+                                     ScalarFv1D, SpectralAdvection)
 from invariant_guard.errors import (ConfigurationError, DegenerateCorrection,
                                     NonFiniteState, NumericalBlowup)
-from invariant_guard.problems import ic_sine
+from invariant_guard.problems import ic_sine, ic_sum_of_sines
 from invariant_guard.schemes import FluxScheme
 from invariant_guard.timeloop import (StepPlan, cfl_dt, cfl_dt_2d,
                                       discrete_step, run, ssprk3_step)
@@ -164,26 +165,43 @@ def test_blowup_keeps_partial_trajectory():
     assert len(tr.snapshots) >= 1  # the initial snapshot survives
 
 
-def test_non_finite_stage_is_recorded():
-    # an overflowing stage makes the next stage's field constructor reject
-    # the state; the run must record that as a blow-up, not raise
+def _small_driver(kind):
     g = UniformGrid1D(16, 1.0)
+    if kind == "ScalarFv1D":
+        return ScalarFv1D(ic_sine(g), "advection", FluxScheme.UPWIND, c=1.0)
+    if kind == "DgScalar1D":
+        return DgScalar1D(dg_project(g, 1, lambda x: np.sin(2.0 * np.pi * x)),
+                          lambda u: 0.5 * u * u, burgers_centered_rule)
+    return Euler1D(ic_sum_of_sines(g, 3, "euler1d"))
 
-    class OverflowsOnce(ScalarFv1D):
-        calls = 0
 
-        def rhs(self, y, t, dt):
-            self.calls += 1
-            if self.calls == 1:
-                return np.full_like(y, np.inf)
-            return super().rhs(y, t, dt)
+@pytest.mark.parametrize("stage", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["ScalarFv1D", "DgScalar1D", "Euler1D"])
+def test_non_finite_stage_is_recorded(kind, stage):
+    # stage ``stage`` of step 2 overflows.  After stage 1 or 2 the stepper
+    # rejects the stage state before the next stage runs; after stage 3 the
+    # loop rejects the step's result.  Either way the run records the error
+    # and does not raise.
+    drv = _small_driver(kind)
+    rhs, times = drv.rhs, []
 
-    drv = OverflowsOnce(ic_sine(g), "advection", FluxScheme.UPWIND, c=1.0)
+    def overflowing(y, t, dt):
+        times.append(t)
+        if len(times) == 3 + stage:
+            return np.full_like(y, np.inf)
+        return rhs(y, t, dt)
+    drv.rhs = overflowing
+    dt = 1e-3
     with np.errstate(invalid="ignore"):
-        tr = run(StepPlan(t_end=1.0, n_snapshots=2, dt_override=0.1), drv)
-    assert isinstance(tr.error, NonFiniteState)
-    assert isinstance(tr.error, ValueError)
-    assert drv.calls == 2
+        tr = run(StepPlan(t_end=1.0, n_snapshots=2, dt_override=dt), drv)
+    assert len(times) == 3 + stage          # no stage ran after the overflow
+    assert dt <= times[-1] <= 2 * dt        # on step 2
+    if stage < 3:
+        assert isinstance(tr.error, NonFiniteState)
+        assert isinstance(tr.error, ValueError)
+    else:
+        assert isinstance(tr.error, NumericalBlowup)
+        assert tr.error.step == 2
     assert len(tr.snapshots) == 1
 
 

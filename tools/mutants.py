@@ -49,6 +49,9 @@ MUTANTS = [
     ("SSPRK3: second stage at t + dt/2", "timeloop.py",
      "    u2 = 0.75 * y + 0.25 * (u1 + dt * rhs(u1, t + dt, dt))",
      "    u2 = 0.75 * y + 0.25 * (u1 + dt * rhs(u1, t + 0.5 * dt, dt))"),
+    ("SSPRK3: stage states not checked for finiteness", "timeloop.py",
+     "    if not np.isfinite(u).all():",
+     "    if False:"),
     ("boundary estimate: cached psi of the Dirichlet pair swapped",
      "drivers.py",
      "            else co.entropy_flux_pair(self.boundary_state, self.gamma)",
