@@ -102,9 +102,10 @@ def run(plan: StepPlan, problem) -> Trajectory:
     one of ``rhs(y, t, dt)`` / ``increment(y, t, dt)``, ``snapshot(y)``,
     ``report(y, t)`` and optional ``post_step(y_old, y_new, t, dt)`` /
     ``observe(y, t, traj)`` hooks, each looked up once.  Every state a hook
-    is handed is finite: the initial array comes from a checked initial
-    condition, each step's result is checked here and each intermediate
-    stage state by the stepper, so drivers need not check again.  Blowups
+    is handed is finite except ``post_step``'s ``y_new``: the initial array
+    comes from a checked initial condition, each intermediate stage state
+    is checked by the stepper and each step's result here, after
+    ``post_step``, so drivers need not check again.  Blowups
     and other ``InvariantGuardError``s surface as a trajectory with
     ``error`` set and the partial record intact; ``ConfigurationError`` and
     every other exception propagate.
