@@ -288,19 +288,25 @@ def bracket(a, b, volume):
     """Volume-weighted inner product <a|b> = sum_j a_j b_j |Omega|.
 
     Works on flat or 2D arrays; ``volume`` is the grid's one cell volume.
+    ``np.add.reduce`` over all axes is the sum ``np.sum`` takes, without its
+    dispatch.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"bracket arguments differ in shape: {a.shape} vs {b.shape}")
-    return float(np.sum(a * b * volume))
+    return float(np.add.reduce(a * b * volume, axis=None))
 
 
 def volume_mean(a, volume):
-    """Volume-weighted average <a> = <a|1>/<1|1>."""
+    """Volume-weighted average <a> = <a|1>/<1|1>.
+
+    a * 1.0 is a exactly, so <a|1> is the sum of a * |Omega| and <1|1> that
+    of |Omega| in every cell: the brackets' bits with no array of ones.
+    """
     a = np.asarray(a, dtype=np.float64)
-    ones = np.ones_like(a)
-    return bracket(a, ones, volume) / bracket(ones, ones, volume)
+    return float(np.add.reduce(a * volume, axis=None)) \
+        / float(np.add.reduce(np.full(a.shape, volume), axis=None))
 
 
 def coarse_grain(fine: FvField1D, factor: int) -> FvField1D:

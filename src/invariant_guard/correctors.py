@@ -31,7 +31,9 @@ import numpy as np
 
 from .core import (DgField, EulerState1D, FvField1D, FvField2D, SpectralField,
                    VorticityState2D, bracket, shift, volume_mean)
-from .dg import dg_diffusion_rhs, dg_l2_rate
+from .dg import coeffs_l2_rate, dg_diffusion, periodic_pad
+# not called here any more; bench/spans.py still wraps this module's names
+from .dg import dg_diffusion_rhs, dg_l2_rate  # noqa: F401
 from .errors import (CflViolation, DegenerateCorrection, InfeasibleTarget,
                      PositivityViolation)
 from .schemes import BoundaryFluxes2D, ghost_rows
@@ -362,23 +364,36 @@ def correct_increment_mass_l2(increment, u, delta_l2):
 # DG and spectral correctors
 # ---------------------------------------------------------------------------
 
+def dg_l2_corrector(diffusion):
+    """The formula ``correct(rhs, padded, target)`` of ``correct_dg_l2`` for
+    one grid and degree: ``padded`` is ``dg.periodic_pad`` of the
+    coefficients and ``diffusion`` the grid's bound interior-penalty formula
+    (``dg.dg_diffusion``).  A driver binds it once."""
+    def correct(n, padded, target):
+        c = padded[1:-1]
+        old = coeffs_l2_rate(c, n)
+        new = target.resolve(old)
+        if new == old:
+            return n, Correction(old, new, old)
+        n_diff = diffusion(padded)
+        denom = coeffs_l2_rate(c, n_diff)
+        cf, d = c.ravel(), n_diff.ravel()
+        _check_denominator(denom, math.sqrt(cf @ cf) * math.sqrt(d @ d),
+                           "DG correction")
+        out = n + (new - old) / denom * n_diff
+        return out, Correction(old, new, coeffs_l2_rate(c, out))
+    return correct
+
+
 def correct_dg_l2(rhs, a: DgField, target: L2RateTarget):
     """Add interior-penalty diffusion with coefficient nu chosen so the
-    weighted-bracket l2 rate equals the target; mass is untouched."""
+    weighted-bracket l2 rate equals the target; mass is untouched.  Checks
+    and binds ``dg_l2_corrector`` on every call."""
     n = np.asarray(rhs, dtype=np.float64)
     if n.shape != a.coeffs.shape:
         raise ValueError("RHS shape must match the coefficient matrix")
-    old = dg_l2_rate(a, n)
-    new = target.resolve(old)
-    if new == old:
-        return n, Correction(old, new, old)
-    n_diff = dg_diffusion_rhs(a)
-    denom = dg_l2_rate(a, n_diff)
-    c, d = a.coeffs.ravel(), n_diff.ravel()
-    _check_denominator(denom, math.sqrt(c @ c) * math.sqrt(d @ d),
-                       "DG correction")
-    out = n + (new - old) / denom * n_diff
-    return out, Correction(old, new, dg_l2_rate(a, out))
+    correct = dg_l2_corrector(dg_diffusion(a.grid, a.degree))
+    return correct(n, periodic_pad(a.coeffs), target)
 
 
 def spectral_pair_dot(a, b):

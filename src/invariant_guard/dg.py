@@ -8,11 +8,18 @@ once per degree at import: one table gives the face traces and the volume
 quadrature values in one product, and the interior-penalty form is 1/dx
 times an integer block-tridiagonal table applied to neighbour differences,
 so a call costs O(N).
+
+``dg_operator`` checks a grid and degree once and binds their tables into
+the stage formulas.  Each formula reads the coefficients padded with one
+periodic ghost row per side (``periodic_pad``), so u^+ at face j+1/2 and
+the neighbour differences are slices of one (N+2, p+1) array.
+``dg_rhs``, ``dg_diffusion_rhs`` and ``face_traces`` are the checked
+library entry points: they check and bind on every call.
 """
 
 import numpy as np
 
-from .core import DgField, LEGENDRE_NORMS, UniformGrid1D, shift
+from .core import DgField, LEGENDRE_NORMS, UniformGrid1D
 from .errors import ConfigurationError
 
 #: P_k at the right/left cell edge and P_k' at the edges, k = 0..2
@@ -88,37 +95,84 @@ _POINTS = {p: _point_table(p) for p in (0, 1, 2)}
 _PENALTY = {p: _penalty_table(p) for p in (0, 1, 2)}
 
 
+def periodic_pad(c):
+    """Coefficients ``c`` (N, p+1) with a periodic ghost row on each side:
+    row i+1 is cell i, row 0 is cell N-1 and row N+1 is cell 0."""
+    return np.concatenate((c[-1:], c, c[:1]))
+
+
+def _check_supported(grid: UniformGrid1D, degree):
+    if not grid.periodic:
+        raise ConfigurationError("DG operators are periodic-only")
+    if not 0 <= degree <= 2:
+        raise ConfigurationError("only degrees p in {0, 1, 2} are supported")
+
+
+def coeffs_l2_rate(c, rhs):
+    """The plain sum c*N: d/dt of ``dg_l2`` for coefficients ``c``."""
+    return float((c * rhs).sum())
+
+
+def dg_diffusion(grid: UniformGrid1D, degree):
+    """The formula ``diffusion(padded)`` of ``dg_diffusion_rhs`` for one
+    grid and degree, reading ``periodic_pad`` of the coefficients."""
+    _check_supported(grid, degree)
+    table, neg_dx = _PENALTY[degree], -grid.dx
+
+    def diffusion(padded):
+        c = padded[1:-1]
+        rows = np.concatenate((padded[:-2] - c, padded[2:] - c, c), axis=1)
+        return (rows @ table) / neg_dx
+    return diffusion
+
+
+def dg_operator(grid: UniformGrid1D, degree, flux_fn, interface_rule):
+    """The stage formulas of one periodic grid and degree, checked and bound
+    once: ``(rhs, diffusion, divisor)``.  ``rhs(padded)`` is the formula of
+    ``dg_rhs`` and ``diffusion(padded)`` that of ``dg_diffusion_rhs``, both
+    reading ``periodic_pad`` of the coefficients; ``rhs / divisor`` is
+    da/dt, the divisor dx <psi_k|psi_k> of ``dg_coefficient_rate``."""
+    diffusion = dg_diffusion(grid, degree)
+    points = _POINTS[degree]
+    edge_plus, edge_minus = _EDGE_PLUS[: degree + 1], _EDGE_MINUS[: degree + 1]
+    if degree > 0:
+        w, _, derivs = _QUADRATURE[degree]
+
+    def rhs(padded):
+        pts = padded @ points   # row j+1: cell j's u at its edges and nodes
+        f_face = np.asarray(interface_rule(pts[1:-1, 0], pts[2:, 1]),
+                            dtype=np.float64)
+        fp = f_face[:, None]                                         # j+1/2
+        fm = np.concatenate((f_face[-1:], f_face[:-1]))[:, None]     # j-1/2
+        out = -fp * edge_plus + fm * edge_minus
+        if degree > 0:
+            out += (flux_fn(pts[1:-1, 2:]) * w) @ derivs
+        return out
+    return rhs, diffusion, grid.dx * LEGENDRE_NORMS[: degree + 1]
+
+
 def face_traces(a: DgField):
     """Solution just left (u^-) and just right (u^+) of each interface j+1/2.
 
     Index j wraps periodically, so both arrays have length N.
     """
-    edges = a.coeffs @ _POINTS[a.degree][:, :2]
-    return edges[:, 0], shift(edges[:, 1], 1)
+    p = a.degree
+    _check_supported(a.grid, p)
+    edges = periodic_pad(a.coeffs) @ _POINTS[p][:, :2]
+    return edges[1:-1, 0], edges[2:, 1]
 
 
 def dg_rhs(a: DgField, flux_fn, interface_rule):
     """Bracket-form coefficient RHS N_{jk} for du/dt + d f(u)/dx = 0.
 
     ``flux_fn`` is the pointwise flux f(u); ``interface_rule(u_minus,
-    u_plus)`` reconstructs the interface flux from the two traces.  The
-    volume integral uses Gauss-Legendre quadrature exact for the polynomial
-    degree of f(u) at p <= 2.
+    u_plus)`` reconstructs the interface flux from the two traces at the N
+    faces j+1/2.  The volume integral uses Gauss-Legendre quadrature exact
+    for the polynomial degree of f(u) at p <= 2.  Checks and binds
+    ``dg_operator`` on every call; a driver binds it once.
     """
-    if not a.grid.periodic:
-        raise ConfigurationError("DG right-hand sides are periodic-only")
-    p = a.degree
-    pts = a.coeffs @ _POINTS[p]     # u at right edge, left edge, nodes
-    f_face = np.asarray(interface_rule(pts[:, 0], shift(pts[:, 1], 1)),
-                        dtype=np.float64)
-    fp = f_face[:, None]                # flux at j+1/2
-    fm = shift(f_face, -1)[:, None]     # flux at j-1/2
-
-    rhs = -fp * _EDGE_PLUS[: p + 1] + fm * _EDGE_MINUS[: p + 1]
-    if p > 0:
-        w, _, derivs = _QUADRATURE[p]
-        rhs += (flux_fn(pts[:, 2:]) * w) @ derivs
-    return rhs
+    rhs, _, _ = dg_operator(a.grid, a.degree, flux_fn, interface_rule)
+    return rhs(periodic_pad(a.coeffs))
 
 
 def dg_coefficient_rate(a: DgField, rhs):
@@ -142,20 +196,19 @@ def dg_diffusion_rhs(a: DgField):
     B is block-tridiagonal and 1/dx times a fixed integer table
     (``_penalty_table``), so the call is one product of that table with the
     neighbour differences a_{j-1} - a_j, a_{j+1} - a_j and a_j.
+
     Differences, not the plain stencil a_{j-1}, a_j, a_{j+1}, keep the null
-    space exact: a constant field gives exactly 0 rather than round-off,
-    and on a near-constant field the l2 rate ``sum a N`` stays the tiny
-    negative number it is, so ``correct_dg_l2`` can tell it is degenerate.  B is positive semi-definite with null space spanned by the
-    constant field, so ``sum_jk a_jk N_jk < 0`` for every non-constant
-    field, and the k=0 moments telescope, so mass is conserved; at p=0 this
-    is the standard (u_{j+1} - 2 u_j + u_{j-1})/dx stencil.
+    space exact.  A constant field gives exactly 0 rather than round-off.
+    On a near-constant field the l2 rate ``sum a N`` stays the tiny negative
+    number it is, so ``correct_dg_l2`` can tell it is degenerate.
+
+    B is positive semi-definite with null space spanned by the constant
+    field, so ``sum_jk a_jk N_jk < 0`` for every non-constant field.  The
+    k=0 moments telescope, so mass is conserved.  At p=0 this is the
+    standard (u_{j+1} - 2 u_j + u_{j-1})/dx stencil.  Checks and binds
+    ``dg_diffusion`` on every call.
     """
-    if not a.grid.periodic:
-        raise ConfigurationError("DG diffusion is periodic-only")
-    c = a.coeffs
-    padded = np.concatenate((c[-1:], c, c[:1]))
-    rows = np.concatenate((padded[:-2] - c, padded[2:] - c, c), axis=1)
-    return (rows @ _PENALTY[a.degree]) / -a.grid.dx
+    return dg_diffusion(a.grid, a.degree)(periodic_pad(a.coeffs))
 
 
 def dg_mass(a: DgField):
@@ -169,7 +222,7 @@ def dg_l2(a: DgField):
 
 def dg_l2_rate(a: DgField, rhs):
     """d/dt of ``dg_l2`` under a bracket-form RHS: the plain sum a*N."""
-    return float((a.coeffs * rhs).sum())
+    return coeffs_l2_rate(a.coeffs, rhs)
 
 
 def dg_project(grid: UniformGrid1D, p, fn):

@@ -66,6 +66,21 @@ def test_volume_mean_is_bracket_ratio():
         bracket(a, ones, vol) / bracket(ones, ones, vol), rel=1e-15)
 
 
+@pytest.mark.parametrize("shape", [(7,), (64,), (513,), (16, 16), (31, 3)])
+@pytest.mark.parametrize("scale", [1.0, 0.37])
+def test_bracket_and_volume_mean_keep_the_sum_forms_bits(shape, scale):
+    # the reductions take no shortcut that moves a bit: bracket is
+    # np.sum(a * b * vol) and volume_mean the ratio of the two brackets
+    # with an array of ones
+    rng = np.random.default_rng(sum(shape))
+    a, b = rng.normal(size=shape), rng.normal(size=shape)
+    ones = np.ones(shape)
+    for vol in (scale / shape[0], scale * 1.3, rng.uniform(0.5, 1.5, shape)):
+        assert bracket(a, b, vol) == float(np.sum(a * b * vol))
+        assert volume_mean(a, vol) == float(np.sum(a * ones * vol)) \
+            / float(np.sum(ones * ones * vol))
+
+
 def test_coarse_grain_examples():
     g = UniformGrid1D(4, 4.0)
     out = coarse_grain(FvField1D(g, [1.0, 1.0, 1.0, 1.0]), 2)

@@ -4,10 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from invariant_guard import correctors as co
 from invariant_guard.core import DgField, FvField1D, UniformGrid1D
 from invariant_guard.dg import (burgers_centered_rule, dg_coefficient_rate,
                                 dg_diffusion_rhs, dg_l2, dg_l2_rate, dg_mass,
-                                dg_project, dg_rhs, face_traces)
+                                dg_operator, dg_project, dg_rhs, face_traces,
+                                periodic_pad)
+from invariant_guard.drivers import DgScalar1D
 from invariant_guard.errors import ConfigurationError
 from invariant_guard.schemes import fv_rhs_1d
 
@@ -51,6 +54,57 @@ def test_rhs_matches_broadcast_form_bitwise(n, p):
                           (advection_flux(-0.7), upwind_advection_rule(-0.7))):
         assert np.array_equal(dg_rhs(a, flux_fn, rule),
                               broadcast_dg_rhs(a, flux_fn, rule))
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+@pytest.mark.parametrize("n", [2, 3, 17])
+def test_bound_operator_equals_library_entries_bitwise(n, p):
+    rng = np.random.default_rng(100 * n + p)
+    a = DgField(UniformGrid1D(n, 0.9), rng.normal(size=(n, p + 1)))
+    padded = periodic_pad(a.coeffs)
+    assert padded.shape == (n + 2, p + 1)
+    for flux_fn, rule in ((lambda u: 0.5 * u * u, burgers_centered_rule),
+                          (advection_flux(-0.7), upwind_advection_rule(-0.7))):
+        rhs, diffusion, divisor = dg_operator(a.grid, p, flux_fn, rule)
+        n_rhs = rhs(padded)
+        assert n_rhs.tobytes() == dg_rhs(a, flux_fn, rule).tobytes()
+        assert n_rhs.tobytes() == broadcast_dg_rhs(a, flux_fn, rule).tobytes()
+        assert diffusion(padded).tobytes() == dg_diffusion_rhs(a).tobytes()
+        assert (n_rhs / divisor).tobytes() \
+            == dg_coefficient_rate(a, n_rhs).tobytes()
+        correct = co.dg_l2_corrector(diffusion)
+        for target in (co.L2RateTarget.fixed(0.0),
+                       co.L2RateTarget.fixed(-0.2)):
+            out, rep = correct(n_rhs, padded, target)
+            ref, ref_rep = co.correct_dg_l2(n_rhs, a, target)
+            assert out.tobytes() == ref.tobytes()
+            assert (rep.old_rate, rep.target_rate, rep.achieved_rate) \
+                == (ref_rep.old_rate, ref_rep.target_rate,
+                    ref_rep.achieved_rate)
+            assert rep.target_rate == target.rate
+        # the diffusion dissipates, so a clamp target keeps its rate: the
+        # no-op path hands back the input itself
+        n_diff = diffusion(padded)
+        out, rep = correct(n_diff, padded, co.L2RateTarget.clamp())
+        assert out is n_diff and rep.achieved_rate == rep.old_rate < 0.0
+        assert co.correct_dg_l2(n_diff, a, co.L2RateTarget.clamp())[0] \
+            is n_diff
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_driver_stage_is_the_library_chain_bitwise(p):
+    g = UniformGrid1D(17, 1.0)
+    a = dg_project(g, p, lambda x: np.sin(2.0 * np.pi * x) + 0.3)
+    flux_fn = lambda u: 0.5 * u * u     # noqa: E731
+    for target in (None, co.L2RateTarget.fixed(0.0),
+                   co.L2RateTarget.fixed(-0.2)):
+        driver = DgScalar1D(a, flux_fn, burgers_centered_rule, target=target)
+        n = dg_rhs(a, flux_fn, burgers_centered_rule)
+        if target is not None:
+            n, _ = co.correct_dg_l2(n, a, target)
+        y = driver.initial_array()
+        assert driver.rhs(y, 0.0, 1e-3).tobytes() \
+            == dg_coefficient_rate(a, n).ravel().tobytes()
 
 
 def test_p0_reduces_to_fv_bitwise():

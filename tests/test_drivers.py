@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from invariant_guard import correctors as co
-from invariant_guard import core, schemes, timeloop
-from invariant_guard.core import EulerState1D, UniformGrid1D, UniformGrid2D
+from invariant_guard import core, drivers, schemes, timeloop
+from invariant_guard.core import (DgField, EulerState1D, UniformGrid1D,
+                                  UniformGrid2D)
 from invariant_guard.dg import burgers_centered_rule, dg_project
 from invariant_guard.drivers import (DgScalar1D, Euler1D, FtcsAdvection,
                                      NonconservativeBurgers1D, ScalarFv1D,
@@ -190,6 +191,58 @@ def test_flux_rate_at_most_twice_per_stage(monkeypatch):
         assert rec.kind == "l2" and 0.0 <= rec.t <= 0.1
         assert rec.target_rate == -0.1
         assert np.isclose(rec.achieved_rate, -0.1, rtol=1e-12)
+
+
+def test_dg_stage_pads_once_and_reads_no_field(monkeypatch):
+    # the operator and the corrector read one padded array per stage; the
+    # degree, the basis norms and the quadrature were bound at construction
+    driver = DgScalar1D(
+        dg_project(UniformGrid1D(16, 1.0), 2, lambda x: np.sin(2.0 * np.pi * x)),
+        lambda u: 0.5 * u * u, burgers_centered_rule,
+        target=co.L2RateTarget.fixed(-0.1))
+    reads = Counter()
+    for name in ("degree", "basis_norms"):
+        def read(self, fget=getattr(DgField, name).fget, name=name):
+            reads[name] += 1
+            return fget(self)
+        monkeypatch.setattr(DgField, name, property(read))
+    handed = {"rhs": [], "correct": []}
+
+    def recording(fn, key, at):     # keeps the argument at position ``at``
+        def recorded(*args):
+            handed[key].append(args[at])
+            return fn(*args)
+        return recorded
+    driver._rhs = recording(driver._rhs, "rhs", 0)
+    driver._correct = recording(driver._correct, "correct", 1)
+    stage_reads, rhs = [], driver.rhs
+
+    def rhs_reading(y, t, dt):
+        before = reads.copy()
+        out = rhs(y, t, dt)
+        stage_reads.append(reads - before)
+        return out
+    driver.rhs = rhs_reading
+    _, _, per_stage = _calls_per_stage(
+        monkeypatch, driver, StepPlan(t_end=0.02, cfl=0.3, n_snapshots=2),
+        (drivers, "periodic_pad"), (np.polynomial.legendre, "leggauss"))
+    assert len(per_stage) > 3
+    for calls in per_stage:
+        assert calls["periodic_pad"] == 1 and calls["leggauss"] == 0
+    assert all(not r for r in stage_reads)
+    assert len(handed["rhs"]) == len(handed["correct"]) == len(per_stage)
+    for padded, seen in zip(handed["rhs"], handed["correct"]):
+        assert seen is padded and padded.shape == (18, 3)
+
+
+@pytest.mark.parametrize("ic", [
+    dg_project(UniformGrid1D(8, 1.0, "dirichlet"), 1, np.sin),
+    core._unchecked(DgField, grid=UniformGrid1D(8, 1.0),
+                    coeffs=np.zeros((8, 4))),
+], ids=["bounded", "degree3"])
+def test_dg_driver_rejects_unsupported_grid_at_construction(ic):
+    with pytest.raises(ConfigurationError):
+        DgScalar1D(ic, lambda u: 0.5 * u * u, burgers_centered_rule)
 
 
 def test_ftcs_tracked_step_changes_l2_by_rate_times_dt():

@@ -59,6 +59,12 @@ MUTANTS = [
     ("boundary estimate: max, not min, at the left end", "correctors.py",
      "    return float(min(boundary_psi[0], ev.psi[0])",
      "    return float(max(boundary_psi[0], ev.psi[0])"),
+    ("DG: padded ghost rows swapped", "dg.py",
+     "    return np.concatenate((c[-1:], c, c[:1]))",
+     "    return np.concatenate((c[:1], c, c[-1:]))"),
+    ("DG: u+ trace taken from the face's own cell", "dg.py",
+     "        f_face = np.asarray(interface_rule(pts[1:-1, 0], pts[2:, 1]),",
+     "        f_face = np.asarray(interface_rule(pts[1:-1, 0], pts[1:-1, 1]),"),
     ("Lax-Friedrichs fallback: alpha the smaller speed of the face",
      "kernels/euler1d.py",
      "    alpha = np.maximum(speed[:-1], speed[1:])",
