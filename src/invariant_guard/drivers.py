@@ -19,7 +19,7 @@ import numpy as np
 from . import correctors as co
 from . import schemes
 from .core import (DgField, EulerState1D, FvField1D, FvField2D, SpectralField,
-                   VorticityState2D, _unchecked, bracket, shift)
+                   VorticityState2D, _unchecked, bracket)
 from .diagnostics import invariant_report, InvariantReport
 from .dg import dg_operator, face_traces, periodic_pad
 # dg_rhs is no longer called here; bench/spans.py still wraps this module's
@@ -127,9 +127,11 @@ class ScalarFv1D(_DriverBase):
     per-stage flux correction.
 
     ``scheme`` is a ``FluxScheme`` or an object whose ``rule(grid)`` gives
-    a flux rule, such as ``surrogate.SurrogateFluxRule``.  The rule is
-    bound and checked here, so an unsupported combination raises
-    ``ConfigurationError`` before any stage runs.
+    a flux rule, such as ``surrogate.SurrogateFluxRule``.  The rule and the
+    flux divergence (``schemes.flux_divergence_1d``) are bound and checked
+    here, so an unsupported combination raises ``ConfigurationError``
+    before any stage runs.  An uncorrected stage hands the stage array to
+    the rule as it is and builds no field.
     """
 
     def __init__(self, ic: FvField1D, equation, scheme, c=1.0,
@@ -145,6 +147,7 @@ class ScalarFv1D(_DriverBase):
         self._x = self.grid.cell_centers()
         self._rule = scheme.rule(self.grid) if hasattr(scheme, "rule") \
             else schemes.flux_rule_1d(scheme, self.grid, equation, c)
+        self._divergence = schemes.flux_divergence_1d(self.grid)
 
     def initial_array(self):
         return self.ic.values.copy()
@@ -166,10 +169,11 @@ class ScalarFv1D(_DriverBase):
         return self._rule(field.values, self.grid.dx / (2.0 * dt))
 
     def rhs(self, y, t, dt):
-        field = self.state_of(y)
-        f = self._stage_corrected(t, "l2", co.correct_flux_l2_1d,
-                                  self.fluxes(field, dt), field)
-        out = schemes.fv_rhs_1d(f, self.grid)
+        f = self._rule(y, self.grid.dx / (2.0 * dt))
+        if self.target is not None:
+            f = self._corrected(t, "l2", co.correct_flux_l2_1d, f,
+                                self.state_of(y), self.target.at(t))
+        out = self._divergence(f)
         if self.nu > 0.0:
             out = out + self.nu * co.laplacian_1d(y) / self.grid.dx**2
         if self.forcing is not None:
@@ -199,10 +203,13 @@ class NonconservativeBurgers1D(_DriverBase):
         return cfl_dt(float(np.abs(y).max()), self.grid.dx, cfl, dt_max)
 
     def rhs(self, y, t, dt):
-        dx = self.grid.dx
-        backward = (y - shift(y, -1)) / dx
-        forward = (shift(y, 1) - y) / dx
-        out = -y * np.where(y >= 0.0, backward, forward)
+        # d[k] = (u_k - u_{k-1})/dx for k = 0..N, wrapping: cell j reads
+        # its backward difference d[j] and its forward difference d[j+1]
+        d = np.empty(len(y) + 1)
+        np.subtract(y[1:], y[:-1], out=d[1:-1])
+        d[0] = d[-1] = y[0] - y[-1]
+        d /= self.grid.dx
+        out = -y * np.where(y >= 0.0, d[:-1], d[1:])
         return self._stage_corrected(t, "l2", co.correct_rhs_mass_l2, out,
                                      self.state_of(y))
 

@@ -38,6 +38,15 @@ def _burgers_flux(u):
     return 0.5 * u * u
 
 
+def _wrapped(a):
+    """``a`` followed by a_0: on a periodic grid ``w[:-1]`` is a_j and
+    ``w[1:]`` is a_{j+1}, read from slices."""
+    w = np.empty(len(a) + 1)
+    w[:-1] = a
+    w[-1] = a[0]
+    return w
+
+
 def flux_rule_1d(scheme, grid, equation, c=None):
     """The interface-flux formula of ``scheme`` for ``equation`` on ``grid``,
     checked once: a function ``rule(vals, lf_ratio)`` of the cell values
@@ -69,30 +78,46 @@ def flux_rule_1d(scheme, grid, equation, c=None):
                 return lambda vals, lf_ratio: c * vals
             return lambda vals, lf_ratio: c * shift(vals, 1)
         if scheme is FluxScheme.CENTERED:
-            return lambda vals, lf_ratio: 0.5 * c * (vals + shift(vals, 1))
+            def centered(vals, lf_ratio):
+                w = _wrapped(vals)
+                out = w[:-1] + w[1:]
+                out *= 0.5 * c
+                return out
+            return centered
         if scheme is FluxScheme.LAX_FRIEDRICHS:
             def lax_friedrichs(vals, lf_ratio):
-                up = shift(vals, 1)
-                return 0.5 * c * (vals + up) - lf_ratio * (up - vals)
+                w = _wrapped(vals)
+                out = w[:-1] + w[1:]
+                out *= 0.5 * c
+                out -= lf_ratio * (w[1:] - w[:-1])
+                return out
             return lax_friedrichs
     else:
         if scheme is FluxScheme.UPWIND:
             raise ConfigurationError("upwinding is sign-ambiguous for burgers; "
                                      "use godunov")
         if scheme is FluxScheme.CENTERED:
-            # the l2-increasing demo flux (u_j^2 + u_{j+1}^2)/4
+            # the l2-increasing demo flux (u_j^2 + u_{j+1}^2)/4, squaring
+            # each cell once into a wrapped array
             def centered(vals, lf_ratio):
-                up = shift(vals, 1)
-                return 0.25 * (vals * vals + up * up)
+                sq = np.empty(len(vals) + 1)
+                np.multiply(vals, vals, out=sq[:-1])
+                sq[-1] = sq[0]
+                out = sq[:-1] + sq[1:]
+                out *= 0.25
+                return out
             return centered
         if scheme is FluxScheme.GODUNOV:
             return lambda vals, lf_ratio: \
                 kernels.godunov_burgers_flux(vals, shift(vals, 1))
         if scheme is FluxScheme.LAX_FRIEDRICHS:
             def lax_friedrichs(vals, lf_ratio):
-                up = shift(vals, 1)
-                return 0.5 * (_burgers_flux(vals) + _burgers_flux(up)) \
-                    - lf_ratio * (up - vals)
+                w = _wrapped(vals)
+                fw = _burgers_flux(w)
+                out = fw[:-1] + fw[1:]
+                out *= 0.5
+                out -= lf_ratio * (w[1:] - w[:-1])
+                return out
             return lax_friedrichs
     raise ConfigurationError(f"unsupported scheme {scheme} for {equation}")
 
@@ -106,20 +131,37 @@ def numerical_flux_1d(scheme, u: FvField1D, equation, c=None, lf_ratio=None):
     return rule(u.values, lf_ratio)
 
 
-def fv_rhs_1d(fluxes, grid):
-    """N_j = -(f_{j+1/2} - f_{j-1/2})/dx.
+def flux_divergence_1d(grid):
+    """N_j = -(f_{j+1/2} - f_{j-1/2})/dx on ``grid``: a function of a float64
+    flux array, bound once.  Drivers bind it; ``fv_rhs_1d`` checks its input
+    and binds one per call.
 
     Periodic grids take N fluxes (f[j] at j+1/2, wrapping); bounded grids
     take N+1 fluxes including both domain boundaries.
     """
+    dx = grid.dx
+    if not grid.periodic:
+        return lambda f: -(f[1:] - f[:-1]) / dx
+
+    def periodic(f):
+        out = np.empty(len(f))
+        np.subtract(f[1:], f[:-1], out=out[1:])
+        out[0] = f[0] - f[-1]
+        np.negative(out, out=out)
+        out /= dx
+        return out
+    return periodic
+
+
+def fv_rhs_1d(fluxes, grid):
+    """The flux divergence of ``flux_divergence_1d``, checked on every call."""
     f = np.asarray(fluxes, dtype=np.float64)
     if grid.periodic:
         if f.shape != (grid.n_cells,):
             raise ValueError("periodic flux array must have one entry per cell")
-        return -(f - shift(f, -1)) / grid.dx
-    if f.shape != (grid.n_cells + 1,):
+    elif f.shape != (grid.n_cells + 1,):
         raise ValueError("bounded flux array must have N+1 entries")
-    return -(f[1:] - f[:-1]) / grid.dx
+    return flux_divergence_1d(grid)(f)
 
 
 def fv_rhs_2d(fluxes: BoundaryFluxes2D, grid: UniformGrid2D):

@@ -22,10 +22,11 @@ from invariant_guard.surrogate import SurrogateFluxRule
 from invariant_guard.timeloop import StepPlan, run
 
 
-def _calls_per_stage(monkeypatch, driver, plan, *targets):
+def _calls_per_stage(monkeypatch, driver, plan, *targets, corrected=True):
     """Run ``driver`` with each ``(owner, name)`` of ``targets`` counted
     under ``name``; the trajectory, the run's total counts and one Counter
-    of the calls within each rhs call."""
+    of the calls within each rhs call.  A ``corrected`` driver records one
+    correction per stage, any other none."""
     total = Counter()
 
     def counting(name, fn):
@@ -47,7 +48,7 @@ def _calls_per_stage(monkeypatch, driver, plan, *targets):
     driver.rhs = rhs_counted
     traj = run(plan, driver)
     assert traj.error is None
-    assert len(traj.stage_records) == len(per_stage)   # one record per stage
+    assert len(traj.stage_records) == (len(per_stage) if corrected else 0)
     return traj, total, per_stage
 
 
@@ -191,6 +192,44 @@ def test_flux_rate_at_most_twice_per_stage(monkeypatch):
         assert rec.kind == "l2" and 0.0 <= rec.t <= 0.1
         assert rec.target_rate == -0.1
         assert np.isclose(rec.achieved_rate, -0.1, rtol=1e-12)
+
+
+@pytest.mark.parametrize("target", [None, co.L2RateTarget.fixed(0.0)],
+                         ids=["uncorrected", "fixed0"])
+def test_scalar_stage_builds_a_field_only_to_correct(monkeypatch, target):
+    # an uncorrected stage hands y to the bound rule and divergence: no
+    # field, no checked fv_rhs_1d and no shift; a corrected one builds one
+    # field for co.correct_flux_l2_1d, looked up on the module, so the
+    # correctors.correct span of bench/spans.py sees it
+    driver = ScalarFv1D(ic_sine(UniformGrid1D(64, 1.0)), "burgers",
+                        FluxScheme.CENTERED, target=target)
+    _, _, per_stage = _calls_per_stage(
+        monkeypatch, driver, StepPlan(t_end=0.02, cfl=0.3, n_snapshots=2),
+        (drivers, "_unchecked"), (core.FvField1D, "__init__"),
+        (schemes, "fv_rhs_1d"), (core, "shift"), (schemes, "shift"),
+        (co, "correct_flux_l2_1d"), corrected=target is not None)
+    assert len(per_stage) > 3
+    corrected = int(target is not None)
+    for calls in per_stage:
+        assert calls["_unchecked"] == calls["correct_flux_l2_1d"] == corrected
+        assert calls["__init__"] == calls["fv_rhs_1d"] == 0
+        if not corrected:
+            assert calls["shift"] == 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_nonconservative_stage_equals_two_difference_formula(seed):
+    # one array of face differences serves both sides: forward_j is
+    # backward_{j+1} bit for bit, zeros of either sign included
+    rng = np.random.default_rng(seed)
+    y = np.where(rng.random(16) < 0.5, rng.choice([0.0, -0.0, 1.5], 16),
+                 rng.normal(size=16))
+    driver = NonconservativeBurgers1D(ic_sine(UniformGrid1D(16, 0.7)))
+    dx = driver.grid.dx
+    backward = (y - core.shift(y, -1)) / dx
+    forward = (core.shift(y, 1) - y) / dx
+    expected = -y * np.where(y >= 0.0, backward, forward)
+    assert driver.rhs(y, 0.0, 1e-3).tobytes() == expected.tobytes()
 
 
 def test_dg_stage_pads_once_and_reads_no_field(monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 
 from invariant_guard import schemes
 from invariant_guard.core import (FvField1D, FvField2D, UniformGrid1D,
-                                  UniformGrid2D, bracket)
+                                  UniformGrid2D, bracket, shift)
 from invariant_guard.errors import ConfigurationError
 from invariant_guard.schemes import (BoundaryFluxes2D, FluxScheme,
                                      advective_fluxes_2d, face_velocities,
@@ -117,6 +117,65 @@ def test_fv_rhs_hand_case():
     g = UniformGrid1D(2, 2.0, boundary="dirichlet")
     rhs = fv_rhs_1d(np.array([0.0, 1.0, 0.0]), g)
     assert np.allclose(rhs, [-1.0, 1.0])
+
+
+@pytest.mark.parametrize("boundary, shape", [
+    ("periodic", (5,)), ("periodic", (4, 1)),
+    ("dirichlet", (4,)), ("dirichlet", (6,))])
+def test_fv_rhs_rejects_wrong_flux_shape(boundary, shape):
+    with pytest.raises(ValueError):
+        fv_rhs_1d(np.zeros(shape), UniformGrid1D(4, 1.0, boundary))
+
+
+# --- bound periodic forms against the shift formulas they replaced ----------
+
+def _signed_zero_data(n, seed):
+    """Random values, about half drawn from a pool whose sums, differences
+    and squares give +0.0 and -0.0."""
+    rng = np.random.default_rng(seed)
+    pool = np.array([0.0, -0.0, 1.5, -1.5, 0.3])
+    return np.where(rng.random(n) < 0.5, rng.choice(pool, n),
+                    rng.normal(size=n))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n", [2, 4, 5, 64])
+@pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+def test_flux_divergence_equals_shift_formula_bitwise(boundary, n, seed):
+    g = UniformGrid1D(n, 0.7, boundary)
+    f = _signed_zero_data(n if g.periodic else n + 1, seed)
+    expected = -(f - shift(f, -1)) / g.dx if g.periodic \
+        else -(f[1:] - f[:-1]) / g.dx
+    assert schemes.flux_divergence_1d(g)(f).tobytes() == expected.tobytes()
+    assert fv_rhs_1d(f, g).tobytes() == expected.tobytes()
+
+
+#: the periodic rules that sum a neighbour, as they read u_{j+1} = up from
+#: core.shift
+_SHIFT_RULES = {
+    (FluxScheme.CENTERED, "advection"):
+        lambda u, up, c, r: 0.5 * c * (u + up),
+    (FluxScheme.CENTERED, "burgers"):
+        lambda u, up, c, r: 0.25 * (u * u + up * up),
+    (FluxScheme.LAX_FRIEDRICHS, "advection"):
+        lambda u, up, c, r: 0.5 * c * (u + up) - r * (up - u),
+    (FluxScheme.LAX_FRIEDRICHS, "burgers"):
+        lambda u, up, c, r: 0.5 * (0.5 * u * u + 0.5 * up * up) - r * (up - u),
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n", [2, 4, 5, 64])
+@pytest.mark.parametrize("scheme, equation", list(_SHIFT_RULES),
+                         ids=lambda key: getattr(key, "value", key))
+def test_neighbour_rules_equal_shift_formulas_bitwise(scheme, equation, n,
+                                                      seed):
+    g = UniformGrid1D(n, 0.7)
+    u = _signed_zero_data(n, seed)
+    for c in ((1.3, -0.7) if equation == "advection" else (None,)):
+        rule = schemes.flux_rule_1d(scheme, g, equation, c)
+        expected = _SHIFT_RULES[scheme, equation](u, shift(u, 1), c, 0.37)
+        assert rule(u, 0.37).tobytes() == expected.tobytes()
 
 
 def test_fv_rhs_2d_patterns():

@@ -65,6 +65,14 @@ MUTANTS = [
     ("DG: u+ trace taken from the face's own cell", "dg.py",
      "        f_face = np.asarray(interface_rule(pts[1:-1, 0], pts[2:, 1]),",
      "        f_face = np.asarray(interface_rule(pts[1:-1, 0], pts[1:-1, 1]),"),
+    ("periodic flux divergence: wrap element reads f[1], not f[-1]",
+     "schemes.py",
+     "        out[0] = f[0] - f[-1]",
+     "        out[0] = f[0] - f[1]"),
+    ("centered Burgers flux: wrap face reads sq[-2], not sq[0]",
+     "schemes.py",
+     "                sq[-1] = sq[0]",
+     "                sq[-1] = sq[-2]"),
     ("Lax-Friedrichs fallback: alpha the smaller speed of the face",
      "kernels/euler1d.py",
      "    alpha = np.maximum(speed[:-1], speed[1:])",
