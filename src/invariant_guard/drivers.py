@@ -166,13 +166,19 @@ class ScalarFv1D(_DriverBase):
         return cfl_dt(speed, self.grid.dx, cfl, dt_max)
 
     def fluxes(self, field, dt):
-        return self._rule(field.values, self.grid.dx / (2.0 * dt))
+        return self._face_fluxes(field.values, dt)
+
+    def _face_fluxes(self, vals, dt):
+        """The bound rule on cell values ``vals``, with the Lax-Friedrichs
+        ratio dx/(2 dt)."""
+        return self._rule(vals, self.grid.dx / (2.0 * dt))
 
     def rhs(self, y, t, dt):
-        f = self._rule(y, self.grid.dx / (2.0 * dt))
+        f = self._face_fluxes(y, dt)
         if self.target is not None:
-            f = self._corrected(t, "l2", co.correct_flux_l2_1d, f,
-                                self.state_of(y), self.target.at(t))
+            # only a stage with a target wraps y in a field
+            f = self._stage_corrected(t, "l2", co.correct_flux_l2_1d, f,
+                                      self.state_of(y))
         out = self._divergence(f)
         if self.nu > 0.0:
             out = out + self.nu * co.laplacian_1d(y) / self.grid.dx**2

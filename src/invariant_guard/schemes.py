@@ -38,15 +38,6 @@ def _burgers_flux(u):
     return 0.5 * u * u
 
 
-def _wrapped(a):
-    """``a`` followed by a_0: on a periodic grid ``w[:-1]`` is a_j and
-    ``w[1:]`` is a_{j+1}, read from slices."""
-    w = np.empty(len(a) + 1)
-    w[:-1] = a
-    w[-1] = a[0]
-    return w
-
-
 def flux_rule_1d(scheme, grid, equation, c=None):
     """The interface-flux formula of ``scheme`` for ``equation`` on ``grid``,
     checked once: a function ``rule(vals, lf_ratio)`` of the cell values
@@ -78,19 +69,11 @@ def flux_rule_1d(scheme, grid, equation, c=None):
                 return lambda vals, lf_ratio: c * vals
             return lambda vals, lf_ratio: c * shift(vals, 1)
         if scheme is FluxScheme.CENTERED:
-            def centered(vals, lf_ratio):
-                w = _wrapped(vals)
-                out = w[:-1] + w[1:]
-                out *= 0.5 * c
-                return out
-            return centered
+            return lambda vals, lf_ratio: 0.5 * c * (vals + shift(vals, 1))
         if scheme is FluxScheme.LAX_FRIEDRICHS:
             def lax_friedrichs(vals, lf_ratio):
-                w = _wrapped(vals)
-                out = w[:-1] + w[1:]
-                out *= 0.5 * c
-                out -= lf_ratio * (w[1:] - w[:-1])
-                return out
+                up = shift(vals, 1)
+                return 0.5 * c * (vals + up) - lf_ratio * (up - vals)
             return lax_friedrichs
     else:
         if scheme is FluxScheme.UPWIND:
@@ -112,12 +95,9 @@ def flux_rule_1d(scheme, grid, equation, c=None):
                 kernels.godunov_burgers_flux(vals, shift(vals, 1))
         if scheme is FluxScheme.LAX_FRIEDRICHS:
             def lax_friedrichs(vals, lf_ratio):
-                w = _wrapped(vals)
-                fw = _burgers_flux(w)
-                out = fw[:-1] + fw[1:]
-                out *= 0.5
-                out -= lf_ratio * (w[1:] - w[:-1])
-                return out
+                up = shift(vals, 1)
+                return 0.5 * (_burgers_flux(vals) + _burgers_flux(up)) \
+                    - lf_ratio * (up - vals)
             return lax_friedrichs
     raise ConfigurationError(f"unsupported scheme {scheme} for {equation}")
 
