@@ -14,7 +14,11 @@ the output):
 G is fixed by the solution representation: the face jump of u for fluxes,
 the demeaned discrete Laplacian of u for a cell RHS or increment, -m^2 u~_m
 for spectral modes, the streamfunction-orthogonal Laplacian of W for 2D
-Euler, and (0, dv, dp) at the faces for the Euler entropy fluxes.
+Euler, and (0, dv, dp) at the faces for the Euler entropy fluxes.  Every
+corrector but the discrete-increment one (a quadratic root) makes its move
+in one place, ``_line_search``: it adds (new - old) * G / denom, denom being
+the rate of G, raises ``DegenerateCorrection`` when |denom| is round-off at
+its scale, and re-measures the achieved rate on the output.
 
 When the input already satisfies the target the output equals the input
 and the achieved rate is the old one, so correction never perturbs an
@@ -147,20 +151,28 @@ class Correction:
     """What one corrector call did: the rate of the incoming update, the
     resolved target and the rate measured on the returned update (per-step
     l2 changes for the increment corrector).  Drivers stamp ``kind`` and
-    the stage time ``t`` when they record it."""
+    the stage time ``t`` when they record it; the 2D Euler corrector adds
+    its energy bracket <psi_bar|P'> and that bracket's scale."""
 
     old_rate: float
     target_rate: float
     achieved_rate: float
-    extra: dict = None
     kind: str = None
     t: float = None
+    energy_bracket: float = None
+    energy_scale: float = None
 
 
-def _check_denominator(denom, scale, what):
+def _line_search(update, part, g, old, new, denom, scale, what, rate):
+    """Add (new - old) * g / denom to ``update[part]`` of a copy and report
+    the ``rate`` measured on it; raise ``DegenerateCorrection`` naming the
+    corrector ``what`` when |denom| <= DEGENERACY_RTOL * scale."""
     if abs(denom) <= DEGENERACY_RTOL * max(scale, 1e-300):
         raise DegenerateCorrection(
-            f"{what} denominator {denom:.3e} is zero at scale {scale:.3e}")
+            f"{what}: denominator {denom:.3e} is zero at scale {scale:.3e}")
+    out = update.copy()
+    out[part] += (new - old) * g / denom
+    return out, Correction(old, new, rate(out))
 
 
 def laplacian_1d(values):
@@ -212,15 +224,10 @@ def correct_flux_l2_1d(fluxes, u: FvField1D, target: L2RateTarget):
     if new == old:
         return f, Correction(old, new, old)
 
-    denom = float(du @ du)
-    norm = np.linalg.norm(du)
-    _check_denominator(denom, norm * norm, "flux correction")
-    out = f.copy()
-    if u.grid.periodic:
-        out += (new - old) * du / denom
-    else:
-        out[1:-1] += (new - old) * du / denom
-    return out, Correction(old, new, _flux_rate_1d(out, u, du))
+    denom = float(du @ du)  # G = du: the denominator is its own scale
+    return _line_search(f, slice(None) if u.grid.periodic else slice(1, -1),
+                        du, old, new, denom, denom, "correct_flux_l2_1d",
+                        lambda out: _flux_rate_1d(out, u, du))
 
 
 def flux_l2_rates_2d(fluxes, u: FvField2D):
@@ -238,11 +245,10 @@ def _correct_direction(f, u, axis, h, old, target):
     if new == old:
         return f, Correction(old, new, old)
     du = shift(u.values, 1, axis) - u.values
-    denom = float(h * np.sum(du * du))
-    _check_denominator(denom, h * np.linalg.norm(du) * np.linalg.norm(du),
-                       "xy"[axis] + "-flux correction")
-    out = f + (new - old) * du / denom
-    return out, Correction(old, new, float(h * np.sum(out * du)))
+    denom = float(h * np.sum(du * du))  # G = du: its own scale
+    return _line_search(f, slice(None), du, old, new, denom, denom,
+                        "correct_flux_l2_2d " + "xy"[axis],
+                        lambda out: float(h * np.sum(out * du)))
 
 
 def correct_flux_l2_2d(fluxes, u: FvField2D, target_x: L2RateTarget,
@@ -296,13 +302,10 @@ def correct_rhs_mass_l2(rhs, u, target: L2RateTarget):
         return m, Correction(old, new, old)
 
     g = _default_cell_G(u, volume)
-    denom = bracket(big_u, g, volume)
-    _check_denominator(denom,
-                       float(np.sqrt(bracket(big_u, big_u, volume)
-                                     * bracket(g, g, volume))),
-                       "RHS correction")
-    out = m + (new - old) * g / denom
-    return out, Correction(old, new, bracket(big_u, out, volume))
+    scale = float(np.sqrt(bracket(big_u, big_u, volume) * bracket(g, g, volume)))
+    return _line_search(m, slice(None), g, old, new, bracket(big_u, g, volume),
+                        scale, "correct_rhs_mass_l2",
+                        lambda out: bracket(big_u, out, volume))
 
 
 def _increment_terms(increment, u):
@@ -376,12 +379,12 @@ def dg_l2_corrector(diffusion):
         if new == old:
             return n, Correction(old, new, old)
         n_diff = diffusion(padded)
-        denom = coeffs_l2_rate(c, n_diff)
         cf, d = c.ravel(), n_diff.ravel()
-        _check_denominator(denom, math.sqrt(cf @ cf) * math.sqrt(d @ d),
-                           "DG correction")
-        out = n + (new - old) / denom * n_diff
-        return out, Correction(old, new, coeffs_l2_rate(c, out))
+        return _line_search(n, slice(None), n_diff, old, new,
+                            coeffs_l2_rate(c, n_diff),
+                            math.sqrt(cf @ cf) * math.sqrt(d @ d),
+                            "correct_dg_l2",
+                            lambda out: coeffs_l2_rate(c, out))
     return correct
 
 
@@ -425,13 +428,10 @@ def correct_spectral_mass_l2(rhs, u: SpectralField, target: L2RateTarget):
 
     m = np.arange(u.n_modes + 1)
     g = -(m**2) * u.coeffs
-    denom = 2.0 * u.length * spectral_pair_dot(u.coeffs, g)
-    _check_denominator(denom,
-                       2.0 * u.length * float(np.linalg.norm(u.coeffs)
-                                              * np.linalg.norm(g)),
-                       "spectral correction")
-    out = n + (new - old) * g / denom
-    return out, Correction(old, new, spectral_l2_rate(u, out))
+    scale = 2.0 * u.length * float(np.linalg.norm(u.coeffs) * np.linalg.norm(g))
+    return _line_search(n, slice(None), g, old, new, spectral_l2_rate(u, g),
+                        scale, "correct_spectral_mass_l2",
+                        lambda out: spectral_l2_rate(u, out))
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +445,8 @@ def correct_euler2d_mass_energy_l2(rhs, state: VorticityState2D,
     The output P' satisfies <P'> = 0, <psi_bar|P'> = 0 and <W|P'> = target,
     where W is the streamfunction-orthogonal part of the vorticity.  G is the
     streamfunction-orthogonal part of the discrete Laplacian of W.  The
-    report's ``extra`` holds ``energy_bracket`` <psi_bar|P'> and its scale
-    ``energy_scale`` = sqrt(<psi_bar|psi_bar> <P'|P'>).
+    report's ``energy_bracket`` is <psi_bar|P'> and its ``energy_scale``
+    sqrt(<psi_bar|psi_bar> <P'|P'>).
     """
     chi = state.chi.values
     vol = state.chi.grid.cell_volume
@@ -457,7 +457,8 @@ def correct_euler2d_mass_energy_l2(rhs, state: VorticityState2D,
     phi = state.psi_bar - volume_mean(state.psi_bar, vol)
     pp = bracket(phi, phi, vol)
     if pp <= DEGENERACY_RTOL * max(float(np.abs(phi).max()), 1e-300) ** 2:
-        raise DegenerateCorrection("constant streamfunction: no energy direction")
+        raise DegenerateCorrection("correct_euler2d_mass_energy_l2: constant "
+                                   "streamfunction, no energy direction")
 
     big_u = chi - volume_mean(chi, vol)
     m = n - volume_mean(n, vol)
@@ -465,20 +466,20 @@ def correct_euler2d_mass_energy_l2(rhs, state: VorticityState2D,
     p = m - bracket(m, phi, vol) / pp * phi
     old = bracket(w, p, vol)
     new = target.resolve(old)
-    psi = state.psi_bar
+    report = Correction(old, new, old)
     if new != old:
-        grid = state.chi.grid
-        lap_w = laplacian_2d(w, grid.dx, grid.dy)
+        lap_w = laplacian_2d(w, state.chi.grid.dx, state.chi.grid.dy)
         g = lap_w - bracket(lap_w, phi, vol) / pp * phi
-        denom = bracket(w, g, vol)
-        _check_denominator(denom,
-                           float(np.sqrt(bracket(w, w, vol) * bracket(g, g, vol))),
-                           "2D Euler correction")
-        p = p + (new - old) * g / denom
-    extra = {"energy_bracket": bracket(psi, p, vol),
-             "energy_scale": float(np.sqrt(bracket(psi, psi, vol)
-                                           * bracket(p, p, vol)))}
-    return p, Correction(old, new, bracket(w, p, vol), extra)
+        scale = float(np.sqrt(bracket(w, w, vol) * bracket(g, g, vol)))
+        p, report = _line_search(p, slice(None), g, old, new,
+                                 bracket(w, g, vol), scale,
+                                 "correct_euler2d_mass_energy_l2",
+                                 lambda out: bracket(w, out, vol))
+    psi = state.psi_bar
+    report.energy_bracket = bracket(psi, p, vol)
+    report.energy_scale = float(np.sqrt(bracket(psi, psi, vol)
+                                        * bracket(p, p, vol)))
+    return p, report
 
 
 # ---------------------------------------------------------------------------
@@ -570,16 +571,14 @@ def correct_entropy_euler1d(fluxes, state: EulerState1D,
     g = np.zeros_like(dw)
     g[:, 1] = _face_jumps(ev.v, periodic)
     g[:, 2] = _face_jumps(ev.p, periodic)
-    denom = float((g * dw).sum())
-    _check_denominator(denom, float(np.linalg.norm(g) * np.linalg.norm(dw)),
-                       "entropy correction")
-    out = f.copy()
+    out, report = _line_search(
+        f, slice(1, None) if periodic else slice(1, -1), g, old, new,
+        float((g * dw).sum()), float(np.linalg.norm(g) * np.linalg.norm(dw)),
+        "correct_entropy_euler1d",
+        lambda out: _entropy_rate(out, w, dw, periodic))
     if periodic:
-        out[1:] += (new - old) * g / denom
-        out[0] = out[-1]
-    else:
-        out[1:-1] += (new - old) * g / denom
-    return out, Correction(old, new, _entropy_rate(out, w, dw, periodic))
+        out[0] = out[-1]  # face 0 is face N; the rate reads 1..N
+    return out, report
 
 
 def entropy_flux_pair(pair, gamma):

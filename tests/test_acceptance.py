@@ -179,8 +179,8 @@ def test_criterion_5_fig4_euler2d():
     # invariant check: forcing disabled
     tr_e = run(plan, Vorticity2D(ic, corrector="energy",
                                  target=co.L2RateTarget.clamp()))
-    stage_ok = all(abs(s.extra["energy_bracket"])
-                   <= 1e-12 * max(s.extra["energy_scale"], 1e-30)
+    stage_ok = all(abs(s.energy_bracket)
+                   <= 1e-12 * max(s.energy_scale, 1e-30)
                    for s in tr_e.stage_records)
     energy = np.array([r.energy for r in tr_e.reports])
     e_drift = float(np.abs(energy / energy[0] - 1.0).max())

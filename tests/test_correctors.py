@@ -67,6 +67,18 @@ def test_flux1d_degenerate_denominator():
         co.correct_flux_l2_1d(f, u, co.L2RateTarget.fixed(-1.0))
 
 
+def test_flux1d_reports_the_measured_rate_not_the_target():
+    # fluxes 1e8 times the target: the output's rate sums terms near 1e8 and
+    # misses -0.5 by round-off (1.8e-7 here), and the record must carry the
+    # rate measured on the output rather than vouch for the target
+    rng = np.random.default_rng(92)
+    u = FvField1D(UniformGrid1D(16, 1.0), rng.normal(size=16))
+    out, rec = co.correct_flux_l2_1d(1e8 * rng.normal(size=16), u,
+                                     co.L2RateTarget.fixed(-0.5))
+    assert rec.achieved_rate == co.flux_l2_rate_1d(out, u)
+    assert rec.achieved_rate != rec.target_rate
+
+
 def test_flux1d_bounded_domain():
     rng = np.random.default_rng(50)
     g = UniformGrid1D(8, 1.0, boundary="dirichlet")
@@ -152,14 +164,6 @@ def test_rhs_corrector_demeaning_branch():
     assert np.abs(out).max() <= 1e-14  # constant N demeans to zero exactly
 
 
-def test_rhs_degenerate():
-    g = UniformGrid1D(4, 1.0)
-    u = FvField1D(g, np.full(4, 1.5))  # U = 0: <U|G> = 0 for every G
-    with pytest.raises(DegenerateCorrection):
-        co.correct_rhs_mass_l2(np.array([1.0, -1.0, 1.0, -1.0]), u,
-                               co.L2RateTarget.fixed(-1.0))
-
-
 # --- discrete increment ------------------------------------------------------------
 
 def test_increment_identity_cases():
@@ -234,30 +238,6 @@ def test_dg_corrector_noop_and_exactness():
     assert np.sum(out[:, 0]) == pytest.approx(np.sum(rhs[:, 0]), abs=1e-12)
 
 
-def test_dg_corrector_constant_field_degenerate():
-    g = UniformGrid1D(8, 1.0)
-    coeffs = np.zeros((8, 2))
-    coeffs[:, 0] = 1.0
-    a = DgField(g, coeffs)
-    with pytest.raises(DegenerateCorrection):
-        co.correct_dg_l2(np.ones((8, 2)), a, co.L2RateTarget.fixed(-1.0))
-
-
-def test_dg_corrector_near_constant_field_degenerate():
-    # a = 1 + 1e-15 noise: the penalty rate is a nonzero -1e-26 at a scale
-    # of 1e-11, a relative 1e-15; dividing by it would scale round-off, so
-    # the corrector must refuse it rather than test only for an exact zero
-    rng = np.random.default_rng(59)
-    coeffs = np.zeros((32, 2))
-    coeffs[:, 0] = 1.0
-    a = DgField(UniformGrid1D(32, 2.0),
-                coeffs + 1e-15 * rng.normal(size=coeffs.shape))
-    assert dg_l2_rate(a, dg_diffusion_rhs(a)) != 0.0
-    with pytest.raises(DegenerateCorrection):
-        co.correct_dg_l2(rng.normal(size=(32, 2)), a,
-                         co.L2RateTarget.fixed(-1.0))
-
-
 def test_dg_p0_equals_fv_rhs_corrector():
     # at p = 0 the added diffusion reproduces the FV corrector with a
     # Laplacian weight, after converting bracket-form RHS to du/dt
@@ -306,20 +286,6 @@ def test_spectral_diffusion_weight_rate():
     assert rate == pytest.approx(-1.2, rel=1e-12)
 
 
-def test_spectral_corrector_near_constant_field_degenerate():
-    # u~_0 = 1, u~_m = 1e-15 noise: the denominator -2L sum m^2 |u~_m|^2 is
-    # a nonzero -5e-27 at a scale of 1e-12, a relative 4e-15; dividing by it
-    # would blow the weight up 1e13-fold, so the corrector must refuse it
-    # rather than test only for an exact zero
-    rng = np.random.default_rng(2)
-    coeffs = 1e-15 * (rng.normal(size=17) + 1j * rng.normal(size=17))
-    coeffs[0] = 1.0
-    u = SpectralField(1.0, coeffs)
-    rhs = rng.normal(size=17) + 1j * rng.normal(size=17)
-    with pytest.raises(DegenerateCorrection):
-        co.correct_spectral_mass_l2(rhs, u, co.L2RateTarget.fixed(-1.0))
-
-
 # --- 2D Euler corrector ----------------------------------------------------------------
 
 def _vorticity_state(seed, n=8):
@@ -362,13 +328,103 @@ def test_euler2d_invariance_under_gauge_shift():
     assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
-def test_euler2d_constant_streamfunction_degenerate():
-    g = UniformGrid2D(4, 4, 1.0, 1.0)
-    chi = FvField2D(g, np.zeros((4, 4)))
-    state = VorticityState2D(chi, np.zeros((4, 4)))
-    with pytest.raises(DegenerateCorrection):
-        co.correct_euler2d_mass_energy_l2(np.ones((4, 4)), state,
+# --- a weight with no direction is refused -----------------------------------
+#
+# Each case returns a call whose state leaves G no direction, or one only
+# round-off deep: the corrector must raise DegenerateCorrection naming itself
+# rather than divide by a zero denominator or scale up round-off.
+
+def _degenerate_flux1d():
+    u = FvField1D(UniformGrid1D(4, 1.0), np.full(4, 2.0))  # du = 0
+    f = np.array([1.0, 0.0, 1.0, 0.0])
+    return lambda: co.correct_flux_l2_1d(f, u, co.L2RateTarget.fixed(-1.0))
+
+
+def _degenerate_flux2d():
+    # u constant along y: the y jumps vanish, the x ones do not
+    g = UniformGrid2D(6, 4, 2.0, 1.0)
+    u = FvField2D(g, np.repeat(np.arange(6.0)[:, None] ** 2, 4, axis=1))
+    fl = BoundaryFluxes2D(np.ones((6, 4)), np.ones((6, 4)))
+    return lambda: co.correct_flux_l2_2d(fl, u, co.L2RateTarget.fixed(-0.5),
+                                         co.L2RateTarget.fixed(-0.3))
+
+
+def _degenerate_rhs():
+    u = FvField1D(UniformGrid1D(4, 1.0), np.full(4, 1.5))  # U = 0
+    return lambda: co.correct_rhs_mass_l2(np.array([1.0, -1.0, 1.0, -1.0]), u,
                                           co.L2RateTarget.fixed(-1.0))
+
+
+def _degenerate_dg_constant():
+    coeffs = np.zeros((8, 2))
+    coeffs[:, 0] = 1.0
+    a = DgField(UniformGrid1D(8, 1.0), coeffs)
+    return lambda: co.correct_dg_l2(np.ones((8, 2)), a,
+                                    co.L2RateTarget.fixed(-1.0))
+
+
+def _degenerate_dg_near_constant():
+    # a = 1 + 1e-15 noise: the penalty rate is a nonzero -1e-26 at a scale
+    # of 1e-11, a relative 1e-15; dividing by it would scale round-off, so
+    # the corrector must refuse it rather than test only for an exact zero
+    rng = np.random.default_rng(59)
+    coeffs = np.zeros((32, 2))
+    coeffs[:, 0] = 1.0
+    a = DgField(UniformGrid1D(32, 2.0),
+                coeffs + 1e-15 * rng.normal(size=coeffs.shape))
+    assert dg_l2_rate(a, dg_diffusion_rhs(a)) != 0.0
+    rhs = rng.normal(size=(32, 2))
+    return lambda: co.correct_dg_l2(rhs, a, co.L2RateTarget.fixed(-1.0))
+
+
+def _degenerate_spectral_near_constant():
+    # u~_0 = 1, u~_m = 1e-15 noise: the denominator -2L sum m^2 |u~_m|^2 is
+    # a nonzero -5e-27 at a scale of 1e-12, a relative 4e-15; dividing by it
+    # would blow the weight up 1e13-fold
+    rng = np.random.default_rng(2)
+    coeffs = 1e-15 * (rng.normal(size=17) + 1j * rng.normal(size=17))
+    coeffs[0] = 1.0
+    u = SpectralField(1.0, coeffs)
+    rhs = rng.normal(size=17) + 1j * rng.normal(size=17)
+    return lambda: co.correct_spectral_mass_l2(rhs, u,
+                                               co.L2RateTarget.fixed(-1.0))
+
+
+def _degenerate_euler2d_constant_psi():
+    g = UniformGrid2D(4, 4, 1.0, 1.0)
+    state = VorticityState2D(FvField2D(g, np.zeros((4, 4))), np.zeros((4, 4)))
+    return lambda: co.correct_euler2d_mass_energy_l2(
+        np.ones((4, 4)), state, co.L2RateTarget.fixed(-1.0))
+
+
+def _degenerate_entropy_uniform_v_p():
+    # a contact at rest: rho jumps, so dw does not vanish, but v and p are
+    # uniform, so G = (0, dv, dp) = 0; the target lies above the old rate
+    g = UniformGrid1D(8, 1.0)
+    s = EulerState1D.from_primitive(g, np.where(np.arange(8) < 4, 1.0, 0.5),
+                                    np.full(8, 0.3), np.full(8, 1.0), 1.4)
+    f = euler1d_muscl_flux(s)
+    above = co.entropy_rate_euler1d(f, s) + 1.0
+    return lambda: co.correct_entropy_euler1d(f, s,
+                                              co.EntropyRateTarget(above, 0.0))
+
+
+DEGENERATE = [
+    ("correct_flux_l2_1d", _degenerate_flux1d),
+    ("correct_flux_l2_2d y", _degenerate_flux2d),
+    ("correct_rhs_mass_l2", _degenerate_rhs),
+    ("correct_dg_l2", _degenerate_dg_constant),
+    ("correct_dg_l2", _degenerate_dg_near_constant),
+    ("correct_spectral_mass_l2", _degenerate_spectral_near_constant),
+    ("correct_euler2d_mass_energy_l2", _degenerate_euler2d_constant_psi),
+    ("correct_entropy_euler1d", _degenerate_entropy_uniform_v_p)]
+
+
+@pytest.mark.parametrize("name, case", DEGENERATE, ids=[
+    case.__name__[len("_degenerate_"):] for _, case in DEGENERATE])
+def test_degenerate_weight_is_refused(name, case):
+    with pytest.raises(DegenerateCorrection, match=name):
+        case()()
 
 
 # --- every corrector reports what it did ------------------------------------

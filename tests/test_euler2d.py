@@ -32,8 +32,8 @@ def test_energy_corrector_per_stage_and_integrated(ic32):
     tr = run(StepPlan(t_end=0.5, cfl=0.3, n_snapshots=6),
              Vorticity2D(ic32, corrector="energy", target=co.L2RateTarget.clamp()))
     for rec in tr.stage_records:
-        assert abs(rec.extra["energy_bracket"]) <= \
-            1e-12 * max(rec.extra["energy_scale"], 1e-30)
+        assert abs(rec.energy_bracket) <= \
+            1e-12 * max(rec.energy_scale, 1e-30)
         assert rec.achieved_rate <= 1e-12 * max(abs(rec.old_rate), 1.0)
     # integrated drift is the RK3 residual; at this coarse 32^2 grid it sits
     # near 1e-6 (the acceptance-level 1e-6 bound is checked at 64^2)

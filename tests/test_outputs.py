@@ -117,13 +117,13 @@ OUTPUT_DIGESTS = {
     "fig5_dg_burgers/n32/centered_dg/trajectory.csv":
         "7631eae01c3f960f696ae866e993e6f9a15a83bb012603c4b29b272bea16ad5d",
     "fig5_dg_burgers/n32/dg_l2_decay/invariants.csv":
-        "5010ebbe45ac0c547c83f51bfa5610430262f55290df7f41cb223b87beb2b634",
+        "0279a5c6771717cbbb861fbac2544b7b441f2b755cacd422b4f7103d8d44e7a0",
     "fig5_dg_burgers/n32/dg_l2_decay/trajectory.csv":
-        "5146a9e6c3eb7f9d2f0734ba1bb19485e9bc7614e7f12883fd50629a88234222",
+        "9c25a0562121432baadb05af769e855794febd20fd53631cf627067f560c76d8",
     "fig5_dg_burgers/n32/dg_l2_zero/invariants.csv":
-        "a72d3245ccc541d263ed36625b08eabd1ce6d247299a4be832dd2650063b9406",
+        "aed9ae7fd965cd1a337a5e67cdd6d942030de31453016e179cc55e35f145698a",
     "fig5_dg_burgers/n32/dg_l2_zero/trajectory.csv":
-        "2f5d9a45fad7987d0a18ae33d6bb546dd7aa53589f9dd17ac371035908c81360",
+        "746d771f446cfdf54b2f46b4fe9fd83605d1ff70c595738660cf8620b1506aee",
     "fig6_sod/manifest":
         "282d0be9a78d49692bba32117c7c4be4abc6173dd64a83bcba9d8488daaf61d0",
     "fig6_sod/n256/r0/invariants.csv":

@@ -40,11 +40,15 @@ MUTANTS = [
      "float(state.pressure().max()))",
      "        eps_pos = 1e-6 * max(float(state.rho.max()), "
      "float(state.pressure().max()))"),
+    ("line search: achieved rate recorded as the target, not re-measured",
+     "correctors.py",
+     "    return out, Correction(old, new, rate(out))",
+     "    return out, Correction(old, new, new)"),
     ("DEGENERACY_RTOL = 0", "correctors.py",
      "DEGENERACY_RTOL = 1e-13",
      "DEGENERACY_RTOL = 0.0"),
     ("periodic entropy correction: face 0 not mirrored", "correctors.py",
-     "        out[0] = out[-1]",
+     "        out[0] = out[-1]  # face 0 is face N; the rate reads 1..N",
      "        pass"),
     ("SSPRK3: second stage at t + dt/2", "timeloop.py",
      "    u2 = 0.75 * y + 0.25 * (u1 + dt * rhs(u1, t + dt, dt))",
