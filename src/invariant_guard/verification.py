@@ -1,19 +1,25 @@
 """Randomized post-condition suite for the correctors.
 
 Every property draws fresh random inputs per size from a seeded generator,
-applies a corrector, and re-measures the targeted bracket identities with
-independent bracket evaluations; the ``Correction`` a corrector reports is
-never read, so a corrector cannot vouch for itself.  For the same reason
-the suite takes periodic neighbours with ``np.roll``, not ``core.shift``:
-a re-measurement must not share the primitive it checks.  ``run_property_suite``
-returns one result row per property; ``cmd_verify`` prints them and any
-failure is a release blocker.  The corrector function table can be
-overridden to prove the suite detects injected faults.
+applies a corrector and re-measures what it promised; the ``Correction`` a
+corrector reports is never read.  The linear correctors share one contract
+(the rate lands on its target, an update that already meets it passes
+through unchanged, and what must not move stays put), so each is one
+``Case`` in ``CASES``, and one exactness and one no-op property run over
+them.  The re-measurement is not independent: the flux and entropy rates
+are the correctors' own face forms, which take periodic neighbours from
+``core.shift`` (ROADMAP: re-measure from the cell form).
+``run_property_suite`` returns one row per property;
+``cmd_verify`` prints them, and any failure is a release blocker.  The
+corrector table can be overridden to prove the suite detects faults.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -23,8 +29,8 @@ from .core import (DgField, EulerState1D, FvField1D, FvField2D, SpectralField,
 from .dg import dg_l2_rate
 from .errors import DegenerateCorrection, InfeasibleTarget, InvariantGuardError
 from .kernels import local_lax_friedrichs_fluxes
-from .schemes import (BoundaryFluxes2D, euler1d_muscl_flux, ghost_rows,
-                      poisson_solve)
+from .schemes import (BoundaryFluxes2D, euler1d_muscl_flux, fv_rhs_1d,
+                      ghost_rows, poisson_solve)
 
 SIZES_1D = (4, 8, 32, 128)
 SIZES_2D = (4, 8, 16, 32)
@@ -65,158 +71,256 @@ def _rate_close(achieved, target, scale=1.0):
         f"rate {achieved!r} != target {target!r} (tol {tol:.3e})"
 
 
-def _assert_noop(out, original, label):
-    num = np.linalg.norm(np.asarray(out) - np.asarray(original))
-    den = max(np.linalg.norm(np.asarray(original)), 1e-30)
-    assert num <= NOOP_RTOL * den, f"{label}: no-op violated ({num / den:.3e})"
+def _parts(update):
+    """The arrays of an update, one per rate: a 2D flux pair has two."""
+    if isinstance(update, BoundaryFluxes2D):
+        return update.fx, update.fy
+    return (update,)
 
 
-def _random_grid_1d(rng, n):
-    return UniformGrid1D(n, float(rng.uniform(0.5, 4.0)))
+def _unchanged(out, original, bitwise):
+    """Bitwise equality, or a relative 2-norm change of at most NOOP_RTOL."""
+    if bitwise:
+        return all(map(np.array_equal, _parts(out), _parts(original)))
+    return np.linalg.norm(out - original) \
+        <= NOOP_RTOL * max(np.linalg.norm(original), 1e-30)
 
 
-# --- scalar flux corrector -------------------------------------------------
+def _random_grid_1d(rng, n, boundary="periodic"):
+    return UniformGrid1D(n, float(rng.uniform(0.5, 4.0)), boundary)
 
-def check_flux1d_exactness(rng, fns, trials):
-    checks = 0
-    for n in SIZES_1D:
-        for _ in range(trials):
-            grid = _random_grid_1d(rng, n)
-            u = FvField1D(grid, rng.normal(size=n))
-            f = rng.normal(size=n)
-            target = co.L2RateTarget.fixed(-float(rng.uniform(0.0, 3.0)))
-            try:
-                out, _ = fns["correct_flux_l2_1d"](f, u, target)
-            except DegenerateCorrection:
-                continue
-            old = co.flux_l2_rate_1d(f, u)
-            _rate_close(co.flux_l2_rate_1d(out, u), target.resolve(old), old)
+
+# --- the linear corrector contract -------------------------------------------
+
+@dataclass(frozen=True)
+class Case:
+    """One linear corrector as ``verify`` draws and re-measures it.
+
+    ``draw(rng, size)`` yields (state, update) pairs, and ``targets(rng,
+    state)`` draws the targets the corrector ``fns[key]`` takes after them,
+    one per rate.  ``rates(update, state)`` measures those rates;
+    ``project(update, state)`` is the part of an update the corrector keeps,
+    whose rates are the old ones.  ``conserved(update, out, state)`` asserts
+    what the corrector must not move.  The no-op input is the kept part with
+    each rising component negated, under ``noop_targets``; its output must be
+    the same bits when ``bitwise``, else within NOOP_RTOL.  Each size runs
+    trials // divisor (at least one) times; ``noop_sizes`` replaces
+    ``sizes`` for the no-op row.  ``rates`` looks the package's functions up
+    when called, so a wrapper installed on their module sees every call.
+    """
+
+    key: str
+    exact_name: str
+    noop_name: str | None
+    sizes: tuple
+    divisor: int
+    draw: Callable
+    targets: Callable
+    rates: Callable
+    project: Callable = lambda update, state: update
+    conserved: Callable = lambda update, out, state: None
+    bitwise: bool = True
+    noop_targets: tuple = (co.L2RateTarget.clamp(),)
+    noop_sizes: tuple | None = None
+
+    def _draws(self, rng, sizes, trials):
+        for size in sizes:
+            for _ in range(max(1, trials // self.divisor)):
+                yield from self.draw(rng, size)
+
+    def check_exactness(self, rng, fns, trials):
+        checks = 0
+        # random targets below an entropy rate are anti-diffusive on purpose
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", co.AntiDiffusiveTargetWarning)
+            for state, update in self._draws(rng, self.sizes, trials):
+                targets = self.targets(rng, state)
+                try:
+                    out, _ = fns[self.key](update, state, *targets)
+                except DegenerateCorrection:
+                    continue
+                olds = self.rates(self.project(update, state), state)
+                for new, target, old in zip(self.rates(out, state), targets,
+                                            olds):
+                    _rate_close(new, target.resolve(old), old)
+                self.conserved(update, out, state)
+                checks += 1
+        return checks
+
+    def check_noop(self, rng, fns, trials):
+        checks = 0
+        for state, update in self._draws(rng, self.noop_sizes or self.sizes,
+                                         trials):
+            kept = self.project(update, state)
+            for part, rate in zip(_parts(kept), self.rates(kept, state)):
+                if rate > 0:  # the rates are linear: this one now falls
+                    np.negative(part, out=part)
+            out, _ = fns[self.key](kept, state, *self.noop_targets)
+            assert _unchanged(out, kept, self.bitwise), "no-op moved the update"
             checks += 1
-    return checks
+        return checks
 
 
-def check_flux1d_noop(rng, fns, trials):
-    checks = 0
-    for n in SIZES_1D:
-        for _ in range(trials):
-            grid = _random_grid_1d(rng, n)
-            u = FvField1D(grid, rng.normal(size=n))
-            du = np.roll(u.values, -1) - u.values
-            f = rng.normal(size=n)
-            if float(f @ du) > 0:
-                f = -f  # the rate is linear in f, so this forces it negative
-            out, _ = fns["correct_flux_l2_1d"](f, u, co.L2RateTarget.clamp())
-            assert np.array_equal(out, f), "clamp with old rate <= 0 must be bitwise"
-            checks += 1
-    return checks
+def _fixed_below(high, count=1):
+    """``count`` fixed targets, each -U(0, high)."""
+    return lambda rng, state: tuple(
+        co.L2RateTarget.fixed(-float(rng.uniform(0.0, high)))
+        for _ in range(count))
 
 
-def check_flux1d_mass(rng, fns, trials):
-    from .schemes import fv_rhs_1d
-    checks = 0
-    for n in SIZES_1D:
-        for _ in range(trials):
-            grid = _random_grid_1d(rng, n)
-            u = FvField1D(grid, rng.normal(size=n))
-            f = rng.normal(size=n)
-            try:
-                out, _ = fns["correct_flux_l2_1d"](f, u,
-                                                   co.L2RateTarget.fixed(-1.0))
-            except DegenerateCorrection:
-                continue
-            rhs = fv_rhs_1d(out, grid)
-            mass_rate = float(np.sum(rhs * grid.dx))
-            assert abs(mass_rate) <= MASS_ATOL_SCALE * max(
-                float(np.abs(out).max()), 1e-30) * n, "telescoping broken"
-            checks += 1
-    return checks
+def _draw_1d(rng, n, boundary="periodic"):
+    """A cell field and a random update: N cell values or periodic faces,
+    or N + 1 faces on a Dirichlet grid."""
+    u = FvField1D(_random_grid_1d(rng, n, boundary), rng.normal(size=n))
+    yield u, rng.normal(size=n if u.grid.periodic else n + 1)
 
 
-# --- 2D flux corrector -----------------------------------------------------
-
-def check_flux2d_exactness(rng, fns, trials):
-    checks = 0
-    for n in SIZES_2D:
-        for _ in range(max(1, trials // 4)):
-            grid = UniformGrid2D(n, n, 2.0, 3.0)
-            u = FvField2D(grid, rng.normal(size=(n, n)))
-            fl = BoundaryFluxes2D(rng.normal(size=(n, n)), rng.normal(size=(n, n)))
-            tx = co.L2RateTarget.fixed(-float(rng.uniform(0, 2)))
-            ty = co.L2RateTarget.fixed(-float(rng.uniform(0, 2)))
-            try:
-                out, _ = fns["correct_flux_l2_2d"](fl, u, tx, ty)
-            except DegenerateCorrection:
-                continue
-            ox, oy = co.flux_l2_rates_2d(fl, u)
-            nx, ny = co.flux_l2_rates_2d(out, u)
-            _rate_close(nx, tx.resolve(ox), ox)
-            _rate_close(ny, ty.resolve(oy), oy)
-            checks += 1
-    return checks
+def _boundary_faces(f, out, state):
+    """A Dirichlet grid holds its boundary faces; on a periodic grid with
+    N + 1 faces, face 0 is face N."""
+    if not state.grid.periodic:
+        assert np.array_equal(out[0], f[0]) and np.array_equal(out[-1], f[-1]), \
+            "boundary faces moved"
+    elif len(out) > state.grid.n_cells:
+        assert np.array_equal(out[0], out[-1]), "face 0 is not face N"
 
 
-def check_flux2d_noop(rng, fns, trials):
-    checks = 0
-    for n in SIZES_2D:
-        for _ in range(max(1, trials // 4)):
-            grid = UniformGrid2D(n, n, 1.0, 1.0)
-            u = FvField2D(grid, rng.normal(size=(n, n)))
-            dux = np.roll(u.values, -1, 0) - u.values
-            duy = np.roll(u.values, -1, 1) - u.values
-            fx, fy = rng.normal(size=(n, n)), rng.normal(size=(n, n))
-            if grid.dy * float(np.sum(fx * dux)) > 0:
-                fx = -fx
-            if grid.dx * float(np.sum(fy * duy)) > 0:
-                fy = -fy
-            fl = BoundaryFluxes2D(fx, fy)
-            out, _ = fns["correct_flux_l2_2d"](fl, u, co.L2RateTarget.clamp(),
-                                            co.L2RateTarget.clamp())
-            assert np.array_equal(out.fx, fx) and np.array_equal(out.fy, fy)
-            checks += 1
-    return checks
+def _telescoping(f, out, u):
+    mass_rate = float(np.sum(fv_rhs_1d(out, u.grid) * u.grid.dx))
+    assert abs(mass_rate) <= MASS_ATOL_SCALE * max(
+        float(np.abs(out).max()), 1e-30) * u.grid.n_cells, "telescoping broken"
 
 
-# --- RHS corrector ----------------------------------------------------------
-
-def check_rhs_identities(rng, fns, trials):
-    checks = 0
-    for n in SIZES_1D:
-        for _ in range(trials):
-            grid = _random_grid_1d(rng, n)
-            u = FvField1D(grid, rng.normal(size=n))
-            rhs = rng.normal(size=n)
-            target = co.L2RateTarget.fixed(-float(rng.uniform(0, 2)))
-            try:
-                out, _ = fns["correct_rhs_mass_l2"](rhs, u, target)
-            except DegenerateCorrection:
-                continue
-            dx = grid.dx
-            mass = float(np.sum(out * dx))
-            assert abs(mass) <= MASS_ATOL_SCALE * float(np.sum(np.abs(out) * dx) + 1e-30)
-            big_u = u.values - co.volume_mean(u.values, dx)
-            m = rhs - co.volume_mean(rhs, dx)
-            old = bracket(big_u, m, dx)
-            _rate_close(bracket(u.values, out, dx), target.resolve(old), old)
-            checks += 1
-    return checks
+def _draw_flux2d(rng, n):
+    u = FvField2D(UniformGrid2D(n, n, 2.0, 3.0), rng.normal(size=(n, n)))
+    yield u, BoundaryFluxes2D(rng.normal(size=(n, n)), rng.normal(size=(n, n)))
 
 
-def check_rhs_noop(rng, fns, trials):
-    checks = 0
-    for n in SIZES_1D:
-        for _ in range(trials):
-            grid = _random_grid_1d(rng, n)
-            u = FvField1D(grid, rng.normal(size=n))
-            dx = grid.dx
-            rhs = rng.normal(size=n)
-            rhs -= co.volume_mean(rhs, dx)          # mean-free input
-            if bracket(u.values, rhs, dx) > 0:
-                rhs = -rhs
-            out, _ = fns["correct_rhs_mass_l2"](rhs, u,
-                                                co.L2RateTarget.clamp())
-            _assert_noop(out, rhs, "rhs clamp")
-            checks += 1
-    return checks
+def _mass_free(rhs, out, u):
+    mass = float(np.sum(out * u.grid.dx))
+    assert abs(mass) <= MASS_ATOL_SCALE * float(
+        np.sum(np.abs(out) * u.grid.dx) + 1e-30), "mass moved"
+
+
+def _draw_dg(rng, size):
+    p, n = size
+    a = DgField(_random_grid_1d(rng, n), rng.normal(size=(n, p + 1)))
+    yield a, rng.normal(size=(n, p + 1))
+
+
+def _dg_mass(rhs, out, a):
+    dmass = float(np.sum((out[:, 0] - rhs[:, 0])))
+    assert abs(dmass) <= MASS_ATOL_SCALE * (
+        float(np.abs(out).max()) + 1e-30) * a.grid.n_cells, "mass moved"
+
+
+def _draw_spectral(rng, n):
+    c = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    u = SpectralField(float(rng.uniform(0.5, 4.0)), c)
+    yield u, rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+
+
+def _mode0_still(rhs, out, u):
+    assert out[0] == 0.0, "mode-0 rate must vanish exactly"
+
+
+def _draw_vorticity(rng, n):
+    chi = FvField2D(UniformGrid2D(n, n, 2 * np.pi, 2 * np.pi),
+                    rng.normal(size=(n, n)))
+    yield VorticityState2D(chi, poisson_solve(chi)), rng.normal(size=(n, n))
+
+
+def _vorticity_part(x, state):
+    """``x`` demeaned and made orthogonal to the streamfunction: the part
+    of a vorticity RHS the 2D Euler corrector keeps."""
+    vol = state.chi.grid.cell_volume
+    phi = state.psi_bar - np.mean(state.psi_bar)
+    x = x - np.mean(x)
+    return x - bracket(x, phi, vol) / bracket(phi, phi, vol) * phi
+
+
+def _mass_and_energy(rhs, out, state):
+    vol = state.chi.grid.cell_volume
+    scale = float(np.sum(np.abs(out)) * vol) + 1e-30
+    assert abs(np.sum(out) * vol) <= MASS_ATOL_SCALE * scale, "mass moved"
+    psi_scale = float(np.abs(state.psi_bar).max() + 1.0)
+    assert abs(bracket(state.psi_bar, out, vol)) \
+        <= MASS_ATOL_SCALE * scale * psi_scale, "energy moved"
+
+
+def _random_euler_state(rng, n, periodic=True):
+    grid = UniformGrid1D(n, 1.0, boundary="periodic" if periodic else "dirichlet")
+    rho = rng.uniform(0.5, 2.0, size=n)
+    v = rng.uniform(-1.0, 1.0, size=n)
+    p = rng.uniform(0.5, 2.0, size=n)
+    return EulerState1D.from_primitive(grid, rho, v, p, 1.4)
+
+
+def _draw_gas(rng, n):
+    for periodic in (True, False):
+        state = _random_euler_state(rng, n, periodic)
+        f = rng.normal(size=(n + 1, 3))
+        if periodic:
+            f[-1] = f[0]
+        yield state, f
+
+
+def _entropy_target(rng, state):
+    boundary = 0.0 if state.grid.periodic else float(rng.normal())
+    return (co.EntropyRateTarget(boundary, float(rng.uniform(0.0, 3.0))),)
+
+
+FLUX1D = Case(
+    "correct_flux_l2_1d", "flux1d exactness", "flux1d clamp no-op (bitwise)",
+    SIZES_1D, 1, _draw_1d, _fixed_below(3.0),
+    lambda f, u: (co.flux_l2_rate_1d(f, u),), conserved=_boundary_faces)
+FLUX1D_MASS = replace(
+    FLUX1D, exact_name="flux1d mass telescoping", noop_name=None,
+    targets=lambda rng, u: (co.L2RateTarget.fixed(-1.0),),
+    conserved=_telescoping)
+FLUX1D_BOUNDED = replace(
+    FLUX1D, exact_name="flux1d bounded-domain correction", noop_name=None,
+    divisor=2, draw=partial(_draw_1d, boundary="dirichlet"),
+    targets=_fixed_below(2.0))
+FLUX2D = Case(
+    "correct_flux_l2_2d", "flux2d directional exactness",
+    "flux2d clamp no-op (bitwise)", SIZES_2D, 4, _draw_flux2d,
+    _fixed_below(2.0, count=2), lambda fl, u: co.flux_l2_rates_2d(fl, u),
+    noop_targets=(co.L2RateTarget.clamp(),) * 2)
+RHS = Case(
+    "correct_rhs_mass_l2", "rhs mass + rate identities", "rhs clamp no-op",
+    SIZES_1D, 1, _draw_1d, _fixed_below(2.0),
+    lambda rhs, u: (bracket(u.values, rhs, u.grid.dx),),
+    project=lambda rhs, u: rhs - co.volume_mean(rhs, u.grid.dx),
+    conserved=_mass_free, bitwise=False)
+DG = Case(
+    "correct_dg_l2", "dg rate + mass identities", "dg clamp no-op (bitwise)",
+    tuple((p, n) for p in DG_DEGREES for n in (8, 32)), 2, _draw_dg,
+    _fixed_below(2.0), lambda rhs, a: (dg_l2_rate(a, rhs),),
+    conserved=_dg_mass)
+SPECTRAL = Case(
+    "correct_spectral_mass_l2", "spectral mode0 + rate identities",
+    "spectral clamp no-op", SIZES_SPECTRAL, 1, _draw_spectral,
+    _fixed_below(2.0), lambda rhs, u: (co.spectral_l2_rate(u, rhs),),
+    project=lambda rhs, u: np.concatenate(([0.0], rhs[1:])),
+    conserved=_mode0_still, bitwise=False)
+EULER2D = Case(
+    "correct_euler2d_mass_energy_l2",
+    "euler2d mass/energy/enstrophy identities", "euler2d no-op", SIZES_2D, 4,
+    _draw_vorticity, _fixed_below(2.0),
+    lambda rhs, state: (bracket(_vorticity_part(state.chi.values, state), rhs,
+                                state.chi.grid.cell_volume),),
+    project=_vorticity_part, conserved=_mass_and_energy, bitwise=False,
+    noop_sizes=(8, 16))
+ENTROPY = Case(
+    "correct_entropy_euler1d", "euler1d entropy rate exactness",
+    "euler1d entropy R=1 no-op (bitwise)", SIZES_1D, 2, _draw_gas,
+    _entropy_target, lambda f, state: (co.entropy_rate_euler1d(f, state),),
+    conserved=_boundary_faces, noop_targets=(co.EntropyRateTarget(0.0, 1.0),))
+
+#: the linear correctors' cases, in PROPERTIES order
+CASES = (FLUX1D, FLUX1D_MASS, FLUX1D_BOUNDED, FLUX2D, RHS, DG, SPECTRAL,
+         EULER2D, ENTROPY)
 
 
 # --- discrete increment ------------------------------------------------------
@@ -255,7 +359,8 @@ def check_increment_noop(rng, fns, trials):
             inc -= co.volume_mean(inc, dx)
             exact = bracket(u.values, inc, dx) + 0.5 * bracket(inc, inc, dx)
             out, _ = fns["correct_increment_mass_l2"](inc, u, exact)
-            _assert_noop(out, inc, "increment fixed point")
+            assert _unchanged(out, inc, bitwise=False), \
+                "increment fixed point: no-op violated"
             checks += 1
     return checks
 
@@ -280,114 +385,47 @@ def check_increment_infeasible(rng, fns, trials):
     return checks
 
 
-# --- DG corrector -------------------------------------------------------------
-
-def check_dg_identities(rng, fns, trials):
+def check_increment_root_oracle(rng, fns, trials):
+    """eps reproduces the root of the quadratic closest to zero (numpy.roots)."""
     checks = 0
-    for p in DG_DEGREES:
-        for n in (8, 32):
-            for _ in range(max(1, trials // 2)):
-                grid = UniformGrid1D(n, float(rng.uniform(0.5, 4.0)))
-                a = DgField(grid, rng.normal(size=(n, p + 1)))
-                rhs = rng.normal(size=(n, p + 1))
-                target = co.L2RateTarget.fixed(-float(rng.uniform(0, 2)))
-                out, _ = fns["correct_dg_l2"](rhs, a, target)
-                old = dg_l2_rate(a, rhs)
-                _rate_close(dg_l2_rate(a, out), target.resolve(old), old)
-                dmass = float(np.sum((out[:, 0] - rhs[:, 0])))
-                assert abs(dmass) <= MASS_ATOL_SCALE * (
-                    float(np.abs(out).max()) + 1e-30) * n
-                checks += 1
-    return checks
-
-
-def check_dg_noop(rng, fns, trials):
-    checks = 0
-    for p in DG_DEGREES:
-        for _ in range(trials):
-            grid = UniformGrid1D(8, 1.0)
-            a = DgField(grid, rng.normal(size=(8, p + 1)))
-            rhs = rng.normal(size=(8, p + 1))
-            if dg_l2_rate(a, rhs) > 0:
-                rhs = -rhs
-            out, _ = fns["correct_dg_l2"](rhs, a, co.L2RateTarget.clamp())
-            assert np.array_equal(out, rhs), "DG clamp no-op must be bitwise"
-            checks += 1
-    return checks
-
-
-# --- spectral corrector -------------------------------------------------------
-
-def _random_spectral(rng, n):
-    c = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-    return SpectralField(float(rng.uniform(0.5, 4.0)), c)
-
-
-def check_spectral_identities(rng, fns, trials):
-    checks = 0
-    for n in SIZES_SPECTRAL:
-        for _ in range(trials):
-            u = _random_spectral(rng, n)
-            rhs = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-            target = co.L2RateTarget.fixed(-float(rng.uniform(0, 2)))
-            try:
-                out, _ = fns["correct_spectral_mass_l2"](rhs, u, target)
-            except DegenerateCorrection:
-                continue
-            assert out[0] == 0.0, "mode-0 rate must vanish exactly"
-            zeroed = rhs.copy()
-            zeroed[0] = 0.0
-            old = co.spectral_l2_rate(u, zeroed)
-            _rate_close(co.spectral_l2_rate(u, out), target.resolve(old), old)
-            checks += 1
-    return checks
-
-
-def check_spectral_noop(rng, fns, trials):
-    checks = 0
-    for n in SIZES_SPECTRAL:
-        for _ in range(trials):
-            u = _random_spectral(rng, n)
-            rhs = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-            rhs[0] = 0.0
-            if co.spectral_l2_rate(u, rhs) > 0:
-                rhs = -rhs
-            out, _ = fns["correct_spectral_mass_l2"](rhs, u,
-                                                     co.L2RateTarget.clamp())
-            _assert_noop(out.view(np.float64), rhs.view(np.float64),
-                         "spectral clamp")
-            checks += 1
-    return checks
-
-
-# --- 2D Euler corrector --------------------------------------------------------
-
-def _random_vorticity_state(rng, n):
-    grid = UniformGrid2D(n, n, 2 * np.pi, 2 * np.pi)
-    chi = FvField2D(grid, rng.normal(size=(n, n)))
-    return VorticityState2D(chi, poisson_solve(chi))
-
-
-def check_euler2d_identities(rng, fns, trials):
-    checks = 0
-    for n in SIZES_2D:
+    for n in (8, 32):
         for _ in range(max(1, trials // 4)):
-            state = _random_vorticity_state(rng, n)
-            rhs = rng.normal(size=(n, n))
-            target = co.L2RateTarget.fixed(-float(rng.uniform(0, 2)))
-            out, _ = fns["correct_euler2d_mass_energy_l2"](rhs, state, target)
-            vol = state.chi.grid.cell_volume
-            scale = float(np.sum(np.abs(out)) * vol) + 1e-30
-            assert abs(np.sum(out) * vol) <= MASS_ATOL_SCALE * scale
-            psi_scale = float(np.abs(state.psi_bar).max() + 1.0)
-            assert abs(bracket(state.psi_bar, out, vol)) \
-                <= MASS_ATOL_SCALE * scale * psi_scale
-            phi = state.psi_bar - np.mean(state.psi_bar)
-            u_c = state.chi.values - np.mean(state.chi.values)
-            w = u_c - bracket(u_c, phi, vol) / bracket(phi, phi, vol) * phi
-            m = rhs - np.mean(rhs)
-            old = bracket(w, m, vol)
-            _rate_close(bracket(w, out, vol), target.resolve(old), old)
+            grid = _random_grid_1d(rng, n)
+            u = FvField1D(grid, rng.normal(size=n))
+            inc = 0.1 * rng.normal(size=n)
+            delta = -float(rng.uniform(0.0, 0.05))
+            g = co._default_cell_G(u, grid.dx)
+            a, b, c = co.increment_quadratic_coefficients(inc, u, delta)
+            if b * b - a * c < 0:
+                continue
+            roots = np.roots([a, 2.0 * b, c])
+            eps_oracle = roots[np.argmin(np.abs(roots))].real
+            out, _ = fns["correct_increment_mass_l2"](inc, u, delta)
+            bar = inc - co.volume_mean(inc, grid.dx)
+            eps = float((out - bar) @ g) / float(g @ g)
+            assert abs(eps - eps_oracle) <= 1e-9 * max(abs(eps_oracle), 1e-12), \
+                f"eps {eps} vs oracle {eps_oracle}"
+            checks += 1
+    return checks
+
+
+# --- properties of their own ---------------------------------------------------
+
+def check_dg_diffusion_dissipativity(rng, fns, trials):
+    """The DG corrector's diffusion engine: strictly dissipative, mass-free."""
+    from .dg import dg_diffusion_rhs
+    checks = 0
+    for p in (0, 1, 2):
+        for _ in range(max(1, trials // 2)):
+            grid = UniformGrid1D(8, float(rng.uniform(0.5, 4.0)))
+            a = DgField(grid, rng.normal(size=(8, p + 1)))
+            nd = dg_diffusion_rhs(a)
+            assert dg_l2_rate(a, nd) < 0.0, "diffusion must dissipate"
+            assert abs(np.sum(nd[:, 0])) <= 1e-12 * np.abs(nd).max() * 8
+            const = np.zeros((8, p + 1))
+            const[:, 0] = a.coeffs[0, 0]    # a random level: 1 is too easy
+            assert np.all(dg_diffusion_rhs(DgField(grid, const)) == 0.0), \
+                "a constant field must give exactly zero diffusion"
             checks += 1
     return checks
 
@@ -396,87 +434,13 @@ def check_euler2d_projection_invariance(rng, fns, trials):
     checks = 0
     for n in (8, 16):
         for _ in range(max(1, trials // 4)):
-            state = _random_vorticity_state(rng, n)
-            rhs = rng.normal(size=(n, n))
+            state, rhs = next(_draw_vorticity(rng, n))
             phi = state.psi_bar - np.mean(state.psi_bar)
             shifted = rhs + rng.normal() * phi + rng.normal()
             target = co.L2RateTarget.fixed(-1.0)
             a, _ = fns["correct_euler2d_mass_energy_l2"](rhs, state, target)
             b, _ = fns["correct_euler2d_mass_energy_l2"](shifted, state, target)
             assert np.linalg.norm(a - b) <= 1e-12 * max(np.linalg.norm(a), 1e-30)
-            checks += 1
-    return checks
-
-
-def check_euler2d_noop(rng, fns, trials):
-    checks = 0
-    for n in (8, 16):
-        for _ in range(max(1, trials // 4)):
-            state = _random_vorticity_state(rng, n)
-            vol = state.chi.grid.cell_volume
-            rhs = rng.normal(size=(n, n))
-            rhs -= np.mean(rhs)
-            phi = state.psi_bar - np.mean(state.psi_bar)
-            rhs -= bracket(rhs, phi, vol) / bracket(phi, phi, vol) * phi
-            u_c = state.chi.values - np.mean(state.chi.values)
-            w = u_c - bracket(u_c, phi, vol) / bracket(phi, phi, vol) * phi
-            if bracket(w, rhs, vol) > 0:
-                rhs = -rhs
-            out, _ = fns["correct_euler2d_mass_energy_l2"](rhs, state,
-                                                        co.L2RateTarget.clamp())
-            _assert_noop(out, rhs, "euler2d no-op")
-            checks += 1
-    return checks
-
-
-# --- 1D Euler entropy / positivity ---------------------------------------------
-
-def _random_euler_state(rng, n, periodic=True):
-    grid = UniformGrid1D(n, 1.0, boundary="periodic" if periodic else "dirichlet")
-    rho = rng.uniform(0.5, 2.0, size=n)
-    v = rng.uniform(-1.0, 1.0, size=n)
-    p = rng.uniform(0.5, 2.0, size=n)
-    return EulerState1D.from_primitive(grid, rho, v, p, 1.4)
-
-
-def check_entropy_correction(rng, fns, trials):
-    checks = 0
-    for n in SIZES_1D:
-        for _ in range(max(1, trials // 2)):
-            for periodic in (True, False):
-                state = _random_euler_state(rng, n, periodic)
-                f = rng.normal(size=(n + 1, 3))
-                if periodic:
-                    f[-1] = f[0]
-                boundary = 0.0 if periodic else float(rng.normal())
-                ratio = float(rng.uniform(0.0, 3.0))
-                target = co.EntropyRateTarget(boundary, ratio)
-                import warnings
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    try:
-                        out, _ = fns["correct_entropy_euler1d"](f, state, target)
-                    except DegenerateCorrection:
-                        continue
-                old = co.entropy_rate_euler1d(f, state)
-                _rate_close(co.entropy_rate_euler1d(out, state),
-                            target.resolve(old), old)
-                if not periodic:
-                    assert np.array_equal(out[0], f[0])
-                    assert np.array_equal(out[-1], f[-1])
-                checks += 1
-    return checks
-
-
-def check_entropy_ratio_one_noop(rng, fns, trials):
-    checks = 0
-    for n in SIZES_1D:
-        for _ in range(trials):
-            state = _random_euler_state(rng, n, periodic=False)
-            f = rng.normal(size=(n + 1, 3))
-            out, _ = fns["correct_entropy_euler1d"](
-                f, state, co.EntropyRateTarget(0.0, 1.0))
-            assert np.array_equal(out, f), "R = 1 must be bitwise identity"
             checks += 1
     return checks
 
@@ -508,70 +472,6 @@ def check_positivity_limiter(rng, fns, trials):
             f_bad = f_good + 50.0 * rng.normal(size=f_good.shape)
             f_bad[-1] = f_bad[0]
             _assert_limited_step_positive(fns, f_bad, state, dt)
-            checks += 1
-    return checks
-
-
-def check_flux1d_bounded(rng, fns, trials):
-    """Dirichlet grids: boundary fluxes held fixed, rate includes them."""
-    checks = 0
-    for n in SIZES_1D:
-        for _ in range(max(1, trials // 2)):
-            grid = UniformGrid1D(n, float(rng.uniform(0.5, 4.0)),
-                                 boundary="dirichlet")
-            u = FvField1D(grid, rng.normal(size=n))
-            f = rng.normal(size=n + 1)
-            target = co.L2RateTarget.fixed(-float(rng.uniform(0, 2)))
-            try:
-                out, _ = fns["correct_flux_l2_1d"](f, u, target)
-            except DegenerateCorrection:
-                continue
-            assert out[0] == f[0] and out[-1] == f[-1], "boundary fluxes moved"
-            old = co.flux_l2_rate_1d(f, u)
-            _rate_close(co.flux_l2_rate_1d(out, u), target.resolve(old), old)
-            checks += 1
-    return checks
-
-
-def check_increment_root_oracle(rng, fns, trials):
-    """eps reproduces the root of the quadratic closest to zero (numpy.roots)."""
-    checks = 0
-    for n in (8, 32):
-        for _ in range(max(1, trials // 4)):
-            grid = _random_grid_1d(rng, n)
-            u = FvField1D(grid, rng.normal(size=n))
-            inc = 0.1 * rng.normal(size=n)
-            delta = -float(rng.uniform(0.0, 0.05))
-            g = co._default_cell_G(u, grid.dx)
-            a, b, c = co.increment_quadratic_coefficients(inc, u, delta)
-            if b * b - a * c < 0:
-                continue
-            roots = np.roots([a, 2.0 * b, c])
-            eps_oracle = roots[np.argmin(np.abs(roots))].real
-            out, _ = fns["correct_increment_mass_l2"](inc, u, delta)
-            bar = inc - co.volume_mean(inc, grid.dx)
-            eps = float((out - bar) @ g) / float(g @ g)
-            assert abs(eps - eps_oracle) <= 1e-9 * max(abs(eps_oracle), 1e-12), \
-                f"eps {eps} vs oracle {eps_oracle}"
-            checks += 1
-    return checks
-
-
-def check_dg_diffusion_dissipativity(rng, fns, trials):
-    """The DG corrector's diffusion engine: strictly dissipative, mass-free."""
-    from .dg import dg_diffusion_rhs
-    checks = 0
-    for p in (0, 1, 2):
-        for _ in range(max(1, trials // 2)):
-            grid = UniformGrid1D(8, float(rng.uniform(0.5, 4.0)))
-            a = DgField(grid, rng.normal(size=(8, p + 1)))
-            nd = dg_diffusion_rhs(a)
-            assert dg_l2_rate(a, nd) < 0.0, "diffusion must dissipate"
-            assert abs(np.sum(nd[:, 0])) <= 1e-12 * np.abs(nd).max() * 8
-            const = np.zeros((8, p + 1))
-            const[:, 0] = a.coeffs[0, 0]    # a random level: 1 is too easy
-            assert np.all(dg_diffusion_rhs(DgField(grid, const)) == 0.0), \
-                "a constant field must give exactly zero diffusion"
             checks += 1
     return checks
 
@@ -643,28 +543,28 @@ def check_entropy_variable_gradient(rng, fns, trials):
 
 
 PROPERTIES = [
-    ("flux1d exactness", check_flux1d_exactness),
-    ("flux1d clamp no-op (bitwise)", check_flux1d_noop),
-    ("flux1d mass telescoping", check_flux1d_mass),
-    ("flux1d bounded-domain correction", check_flux1d_bounded),
-    ("flux2d directional exactness", check_flux2d_exactness),
-    ("flux2d clamp no-op (bitwise)", check_flux2d_noop),
-    ("rhs mass + rate identities", check_rhs_identities),
-    ("rhs clamp no-op", check_rhs_noop),
+    (FLUX1D.exact_name, FLUX1D.check_exactness),
+    (FLUX1D.noop_name, FLUX1D.check_noop),
+    (FLUX1D_MASS.exact_name, FLUX1D_MASS.check_exactness),
+    (FLUX1D_BOUNDED.exact_name, FLUX1D_BOUNDED.check_exactness),
+    (FLUX2D.exact_name, FLUX2D.check_exactness),
+    (FLUX2D.noop_name, FLUX2D.check_noop),
+    (RHS.exact_name, RHS.check_exactness),
+    (RHS.noop_name, RHS.check_noop),
     ("increment l2 + mass identities", check_increment_identities),
     ("increment fixed point no-op", check_increment_noop),
     ("increment infeasible target", check_increment_infeasible),
     ("increment root vs quadratic oracle", check_increment_root_oracle),
-    ("dg rate + mass identities", check_dg_identities),
-    ("dg clamp no-op (bitwise)", check_dg_noop),
+    (DG.exact_name, DG.check_exactness),
+    (DG.noop_name, DG.check_noop),
     ("dg diffusion dissipativity", check_dg_diffusion_dissipativity),
-    ("spectral mode0 + rate identities", check_spectral_identities),
-    ("spectral clamp no-op", check_spectral_noop),
-    ("euler2d mass/energy/enstrophy identities", check_euler2d_identities),
+    (SPECTRAL.exact_name, SPECTRAL.check_exactness),
+    (SPECTRAL.noop_name, SPECTRAL.check_noop),
+    (EULER2D.exact_name, EULER2D.check_exactness),
     ("euler2d projection invariance", check_euler2d_projection_invariance),
-    ("euler2d no-op", check_euler2d_noop),
-    ("euler1d entropy rate exactness", check_entropy_correction),
-    ("euler1d entropy R=1 no-op (bitwise)", check_entropy_ratio_one_noop),
+    (EULER2D.noop_name, EULER2D.check_noop),
+    (ENTROPY.exact_name, ENTROPY.check_exactness),
+    (ENTROPY.noop_name, ENTROPY.check_noop),
     ("euler1d positivity limiter", check_positivity_limiter),
     ("euler1d positivity theta monotone", check_positivity_theta_monotone),
     ("euler1d entropy variable gradient", check_entropy_variable_gradient),

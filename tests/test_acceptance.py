@@ -23,7 +23,7 @@ from invariant_guard.problems import (ic_random_vorticity, ic_sine, ic_sod,
 from invariant_guard.schemes import FluxScheme, ftcs_increment
 from invariant_guard.surrogate import SurrogateFluxRule
 from invariant_guard.timeloop import StepPlan, run, ssprk3_step
-from invariant_guard.verification import run_property_suite
+from invariant_guard.verification import CASES, run_property_suite
 
 
 def report(criterion, ok, detail):
@@ -39,13 +39,18 @@ def test_criterion_1_exactness_suite():
     t0 = time.time()
     results = run_property_suite(seed=0, trials=200)
     elapsed = time.time() - t0
-    exact_names = [r.name for r in results if "exactness" in r.name
-                   or "identities" in r.name]
+    by_name = {r.name: r for r in results}
+    # every linear case's exactness row ran and checked something
+    exact_names = [case.exact_name for case in CASES]
+    unchecked = [n for n in exact_names if n not in by_name
+                 or by_name[n].checks == 0]
     failures = [r.name for r in results if not r.passed]
     checks = sum(r.checks for r in results)
-    ok = not failures and elapsed < 30.0 and len(exact_names) >= 8
+    ok = (not failures and not unchecked and elapsed < 30.0
+          and len(exact_names) >= 8)
     report(1, ok, f"{len(results)} properties / {checks} randomized checks "
-                  f"in {elapsed:.1f}s (< 30 s), failures: {failures or 'none'}")
+                  f"in {elapsed:.1f}s (< 30 s), failures: {failures or 'none'}, "
+                  f"exactness rows without checks: {unchecked or 'none'}")
 
 
 # -----------------------------------------------------------------------------
@@ -53,11 +58,11 @@ def test_criterion_1_exactness_suite():
 # -----------------------------------------------------------------------------
 
 def test_criterion_2_noop_property():
-    results = run_property_suite(seed=1, trials=200)
-    noop = {r.name: r for r in results if "no-op" in r.name or "fixed point"
-            in r.name}
-    assert len(noop) >= 7, sorted(noop)
-    failed = [n for n, r in noop.items() if not r.passed]
+    by_name = {r.name: r for r in run_property_suite(seed=1, trials=200)}
+    noop = [case.noop_name for case in CASES if case.noop_name] \
+        + ["increment fixed point no-op"]
+    assert len(noop) >= 8 and set(noop) <= set(by_name), noop
+    failed = [n for n in noop if not by_name[n].passed or by_name[n].checks == 0]
     report(2, not failed,
            f"{len(noop)} no-op properties at <= 1e-14 relative "
            f"(bitwise on explicit early returns); failures: {failed or 'none'}")

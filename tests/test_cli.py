@@ -18,6 +18,7 @@ from invariant_guard.correctors import (AntiDiffusiveTargetWarning,
 from invariant_guard.drivers import InfeasibleTargetWarning
 from invariant_guard.errors import ConfigurationError
 from invariant_guard.timeloop import run
+from invariant_guard.verification import PROPERTIES
 
 ALL_CONFIGS = ["fig1_burgers_centered", "fig2_nonconservative", "fig3_ftcs",
                "fig4_euler2d_invariants", "fig4_euler2d_correlation",
@@ -438,7 +439,8 @@ def test_verify_passes_and_counts(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     n_props = int(out.strip().splitlines()[-1].split()[0])
-    assert n_props >= 24  # 8 correctors x 3 properties
+    # 16 rows over the linear corrector CASES, 10 properties of their own
+    assert n_props == len(PROPERTIES) == 26
 
 
 def test_verify_detects_injected_sign_flip(capsys, tmp_path):

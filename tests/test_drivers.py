@@ -327,8 +327,9 @@ def _stage_path_drivers():
 
 @pytest.mark.parametrize("name", list(_stage_path_drivers()))
 def test_stage_path_makes_no_roll(monkeypatch, name):
-    # periodic neighbours come from core.shift on every stage path; only
-    # verification.py, the independent re-measurement, keeps np.roll
+    # periodic neighbours come from core.shift on every stage path; verify
+    # re-measures with the correctors' own shift-based rate functions, so it
+    # is no independent check of shift (ROADMAP: re-measure from the cell form)
     driver = _stage_path_drivers()[name]
 
     def roll(*args, **kwargs):

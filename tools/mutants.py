@@ -81,6 +81,12 @@ MUTANTS = [
      "kernels/euler1d.py",
      "    alpha = np.maximum(speed[:-1], speed[1:])",
      "    alpha = np.minimum(speed[:-1], speed[1:])"),
+    ("verify no-op row: output compared with itself", "verification.py",
+     '            assert _unchanged(out, kept, self.bitwise), "no-op moved the update"',
+     '            assert _unchanged(out, out, self.bitwise), "no-op moved the update"'),
+    ("verify exactness row: rate assertion dropped", "verification.py",
+     "                    _rate_close(new, target.resolve(old), old)",
+     "                    pass"),
 ]
 
 
