@@ -1,11 +1,12 @@
 """Experiment harness: `invariant-guard run|verify|sweep <config>`.
 
-Outputs are CSV only (one sub-directory per resolution/variant plus an
-optional reference run); a `manifest` file records the config hash, package
-and numpy versions, and per-run status.  Exit codes: 0 ok, 1 property
-failure, 2 config or runtime error (any ``InvariantGuardError``).  Any other
-exception is a bug and is left uncaught: Python prints its traceback and
-exits with status 1.
+`run` and `sweep` share one loop over the (resolution, variant) runs of a
+config.  Outputs are CSV only: `run` writes one sub-directory per run plus
+an optional reference run, `sweep` one row of sweep.csv per run; a
+`manifest` file records the config hash, package and numpy versions, and
+per-run status.  Exit codes: 0 ok, 1 property failure, 2 config or runtime
+error (any ``InvariantGuardError``).  Any other exception is a bug and is
+left uncaught: Python prints its traceback and exits with status 1.
 """
 
 from __future__ import annotations
@@ -44,10 +45,6 @@ def bundled_config(name):
         raise ConfigurationError(f"no bundled config {name!r}; "
                                  f"available: {available}")
     return path
-
-
-def _fmt(x):
-    return format(float(x), ".17g")
 
 
 def write_csv(path, header, rows):
@@ -259,8 +256,25 @@ def _resolve_out_dir(ec, output_root):
 def cmd_run(config_path, output_root=None):
     ec = parse_config(config_path)
     out_dir = _resolve_out_dir(ec, output_root)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
+    def write_run(n, variant, traj, ref_coarse):
+        run_dir = out_dir / f"n{n}" / variant.label
+        run_dir.mkdir(parents=True, exist_ok=True)
+        write_trajectory(run_dir / "trajectory.csv", traj, _csv_reorder(ec, n))
+        write_invariants(run_dir / "invariants.csv", traj)
+        if ref_coarse is not None:
+            write_metrics(run_dir / "metrics.csv", traj.times,
+                          traj.snapshots, ref_coarse)
+    return _run_variants(ec, config_path, out_dir, write_run)
+
+
+def _run_variants(ec, config_path, out_dir, finish):
+    """Run the optional reference, then each (resolution, variant) of
+    ``ec``, and hand each finished run to ``finish(n, variant, traj,
+    ref_coarse)``; ``ref_coarse`` is the coarse-grained reference at the
+    run's snapshot times, or None.  Writes the manifest and returns the
+    exit code: 2 if a run failed that no ``expect_blowup`` excuses."""
+    out_dir.mkdir(parents=True, exist_ok=True)
     status = {}
     tracked = None
     ref_traj = None
@@ -276,10 +290,6 @@ def cmd_run(config_path, output_root=None):
         for variant in ec.variants:
             driver = build_driver(ec, variant, n, tracked)
             traj = run(variant_plan(ec, variant), driver)
-            run_dir = out_dir / f"n{n}" / variant.label
-            run_dir.mkdir(parents=True, exist_ok=True)
-            write_trajectory(run_dir / "trajectory.csv", traj, _csv_reorder(ec, n))
-            write_invariants(run_dir / "invariants.csv", traj)
             key = f"n{n}.{variant.label}"
             _count_records(counts, key, traj)
             if traj.error is None:
@@ -291,13 +301,10 @@ def cmd_run(config_path, output_root=None):
                     failures += 1
                     print(f"error: {key}: {traj.error}", file=sys.stderr)
             # snapshots at the reference's times: a variant may end earlier
-            if ref_coarse is not None and traj.times == ref_traj.times:
-                write_metrics(run_dir / "metrics.csv", traj.times,
-                              traj.snapshots, ref_coarse)
+            finish(n, variant, traj, ref_coarse if ref_coarse is not None
+                   and traj.times == ref_traj.times else None)
     _write_manifest(out_dir, config_path, status, counts)
-    if failures:
-        return 2
-    return 0
+    return 2 if failures else 0
 
 
 def _count_records(counts, key, traj):
@@ -346,53 +353,38 @@ def cmd_verify(config_path, output_root=None, fns=None):
     return 1 if n_fail else 0
 
 
+#: the labels of the bundled sweep's variants; only the benchmark harness
+#: reads this, to size the sweep, until it reads the config (ROADMAP item 5)
 SWEEP_VARIANTS = ("centered", "upwind", "muscl", "surrogate", "surrogate_clamp")
 
 
 def cmd_sweep(config_path, output_root=None):
-    """Accuracy-vs-resolution comparison on advection with the surrogate
-    standing in for a learned flux; emits sweep.csv."""
+    """Score each (resolution, variant) run of an advection config against
+    the exact solution; emits sweep.csv with one row per run."""
     ec = parse_config(config_path)
-    if ec.equation != "advection" or ec.integrator == "discrete":
-        raise ConfigurationError("sweep compares flux choices on advection "
-                                 "under a Runge-Kutta integrator")
-    if min(ec.resolutions) < 4:
-        raise ConfigurationError("sweep runs muscl, which needs at least 4 "
-                                 "cells per resolution")
+    if ec.equation != "advection" or ec.integrator == "discrete" \
+            or not ec.variants:
+        raise ConfigurationError("sweep scores the [variant.*] runs of "
+                                 "advection under a Runge-Kutta integrator")
     out_dir = _resolve_out_dir(ec, output_root)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     rows = []
-    counts = {}
-    for n in ec.resolutions:
-        x = UniformGrid1D(n, ec.length).cell_centers()
-        for label in SWEEP_VARIANTS:
-            if label == "surrogate_clamp":
-                variant = VariantConfig(label, scheme="surrogate",
-                                        corrector="flux_l2", target="clamp",
-                                        step_correction="clamp")
-            else:
-                variant = VariantConfig(label, scheme=label)
-            driver = build_driver(ec, variant, n)
-            traj = run(variant_plan(ec, variant), driver)
-            _count_records(counts, f"n{n}.{label}", traj)
-            if traj.error is not None:
-                rows.append([str(n), label, "nan", "nan", "nan"])
-                continue
-            nmse, err_mae = [], []
-            for t, snap in zip(traj.times, traj.snapshots):
-                exact = _exact_advection(ec, x, t)
-                nmse.append(normalized_mse(snap, exact))
-                err_mae.append(mae(snap, exact))
-            l2_ratio = traj.reports[-1].l2 / traj.reports[0].l2
-            rows.append([str(n), label, _fmt(np.mean(nmse)),
-                         _fmt(np.mean(err_mae)), _fmt(l2_ratio)])
+
+    def score(n, variant, traj, ref_coarse):
+        values = [np.nan] * 3
+        if traj.error is None:
+            x = UniformGrid1D(n, ec.length).cell_centers()
+            exact = [_exact_advection(ec, x, t) for t in traj.times]
+            values = [np.mean([err(snap, e) for snap, e
+                               in zip(traj.snapshots, exact)])
+                      for err in (normalized_mse, mae)]
+            values.append(traj.reports[-1].l2 / traj.reports[0].l2)
+        rows.append(f"{n},{variant.label},"
+                    + ",".join(format(float(v), ".17g") for v in values) + "\n")
+    code = _run_variants(ec, config_path, out_dir, score)
     with open(out_dir / "sweep.csv", "w") as fh:
         fh.write("n,variant,normalized_mse,mae,l2_end_over_l2_0\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-    _write_manifest(out_dir, config_path, {"sweep": "ok"}, counts)
-    return 0
+        fh.writelines(rows)
+    return code
 
 
 def _exact_advection(ec, x, t):

@@ -299,6 +299,12 @@ def parse_config(path):
                 errors.append(f"[{section}] {key} = {raw!r}: {err}")
                 continue
             setattr(into, f.name, value)
+    schemes = [v.scheme for v in ec.variants]
+    if ec.reference_resolution:
+        schemes.append(ec.reference_scheme)
+    if cfg.has_section("surrogate") and "surrogate" not in schemes:
+        errors.append("[surrogate]: no variant scheme or reference_scheme "
+                      "is surrogate, so nothing reads it")
     # a rejected equation left the default, which the rules would misname
     if equation == ec.equation:
         errors += _cross_errors(ec)

@@ -159,7 +159,7 @@ OUTPUT_DIGESTS = {
     "fig7_surrogate_respecting/n32/surrogate_clamp/trajectory.csv":
         "7a967a7a052eba327ee33dbf09ed077642d5309f5cee89269b2fc8b1ace21593",
     "sweep_advection/manifest":
-        "c4bf82cac79c1a3262bf26826f9dab23e3f468ac145e5be71d749cc25fe8520d",
+        "e3e325b21f6c56f45139e8fe6804cd26001c967b5f36b0ca7d198a0d70a5b3cb",
     "sweep_advection/sweep.csv":
         "ec8efa251d46e08c4df95da987cabe11fe7c85b9bc305ade70e924706a9679ea",
 }

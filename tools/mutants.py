@@ -81,6 +81,9 @@ MUTANTS = [
      "kernels/euler1d.py",
      "    alpha = np.maximum(speed[:-1], speed[1:])",
      "    alpha = np.minimum(speed[:-1], speed[1:])"),
+    ("sweep scorer: exact solution translated against c", "cli.py",
+     "    shift = (x - ec.c * t) % ec.length",
+     "    shift = (x + ec.c * t) % ec.length"),
     ("verify no-op row: output compared with itself", "verification.py",
      '            assert _unchanged(out, kept, self.bitwise), "no-op moved the update"',
      '            assert _unchanged(out, out, self.bitwise), "no-op moved the update"'),
