@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
 from pathlib import Path
 
@@ -33,8 +32,6 @@ from .problems import (ic_random_vorticity, ic_sine, ic_sod, ic_sum_of_sines)
 from .schemes import FluxScheme
 from .surrogate import SurrogateFluxRule
 from .timeloop import StepPlan, run
-
-OUTPUT_ROOT_ENV = "INVARIANT_GUARD_OUTPUT_ROOT"
 
 
 def bundled_config(name):
@@ -187,36 +184,38 @@ def variant_plan(ec: ExperimentConfig, variant: VariantConfig) -> StepPlan:
 # reference runs and tracked rates
 # ---------------------------------------------------------------------------
 
-def run_reference(ec: ExperimentConfig, out_dir):
-    """High-resolution uncorrected reference run; returns (trajectory,
-    TrackedRateSource or None)."""
-    ref_variant = VariantConfig(label="reference", scheme=ec.reference_scheme)
-    driver = build_driver(ec, ref_variant, ec.reference_resolution)
-    plan = variant_plan(ec, ref_variant)
+def run_with_rates(plan, driver):
+    """``run(plan, driver)`` that also records the rate curve a tracked
+    target reads: for each step t_n -> t_n+1 the row (t_n + dt/2,
+    (q_n+1 - q_n)/dt), where q is the enstrophy, or else the l2, of the
+    driver's ``report``.  Returns (trajectory, TrackedRateSource)."""
+    def quantity(rep):
+        return rep.l2 if rep.enstrophy is None else rep.enstrophy
+    ends = []
+    driver.observe = lambda y, t, traj: ends.append(
+        (t, quantity(driver.report(y, t))))
     traj = run(plan, driver)
+    t, q = np.array([(0.0, quantity(traj.reports[0]))] + ends).T
+    return traj, co.TrackedRateSource(0.5 * (t[:-1] + t[1:]),
+                                      np.diff(q) / np.diff(t))
+
+
+def run_reference(ec: ExperimentConfig, out_dir):
+    """High-resolution uncorrected reference run; writes its trajectory,
+    invariants and rates and returns (trajectory, TrackedRateSource)."""
+    ref_variant = VariantConfig(label="reference", scheme=ec.reference_scheme)
+    traj, tracked = run_with_rates(
+        variant_plan(ec, ref_variant),
+        build_driver(ec, ref_variant, ec.reference_resolution))
     if traj.error is not None:
         raise InvariantGuardError(f"reference run failed: {traj.error}")
-
-    if isinstance(driver, ScalarFv1D):
-        # each snapshot's flux at the dt the run would step it with, which
-        # sets the Lax-Friedrichs dissipation
-        rates = []
-        for y in traj.snapshots:
-            f = driver.state_of(y)
-            dt = driver.stable_dt(y, plan.cfl, plan.dt_max)
-            rates.append(co.flux_l2_rate_1d(driver.fluxes(f, dt), f))
-    else:
-        series = [r.enstrophy if r.enstrophy is not None else r.l2
-                  for r in traj.reports]
-        times = np.asarray(traj.times)
-        rates = np.gradient(np.asarray(series), times)
     ref_dir = out_dir / "reference"
     ref_dir.mkdir(parents=True, exist_ok=True)
     write_trajectory(ref_dir / "trajectory.csv", traj,
                      _csv_reorder(ec, ec.reference_resolution))
     write_invariants(ref_dir / "invariants.csv", traj)
-    write_rates(ref_dir / "rates.csv", traj.times, rates)
-    return traj, co.TrackedRateSource(traj.times, rates)
+    write_rates(ref_dir / "rates.csv", tracked.times, tracked.rates)
+    return traj, tracked
 
 
 def _coarsen_reference(ec, ref_traj, n):
@@ -248,14 +247,9 @@ def write_metrics(path, times, cand_snaps, ref_snaps):
 # commands
 # ---------------------------------------------------------------------------
 
-def _resolve_out_dir(ec, output_root):
-    root = output_root or os.environ.get(OUTPUT_ROOT_ENV) or "."
-    return Path(root) / ec.output
-
-
 def cmd_run(config_path, output_root=None):
     ec = parse_config(config_path)
-    out_dir = _resolve_out_dir(ec, output_root)
+    out_dir = Path(output_root or ".") / ec.output
 
     def write_run(n, variant, traj, ref_coarse):
         run_dir = out_dir / f"n{n}" / variant.label
@@ -296,7 +290,7 @@ def _run_variants(ec, config_path, out_dir, finish):
                 status[key] = "ok"
             else:
                 kind = type(traj.error).__name__
-                status[key] = f"{kind}@t={traj.times[-1]:.6g}"
+                status[key] = f"{kind}@t={traj.error.time:.6g}"
                 if not variant.expect_blowup:
                     failures += 1
                     print(f"error: {key}: {traj.error}", file=sys.stderr)
@@ -366,7 +360,7 @@ def cmd_sweep(config_path, output_root=None):
             or not ec.variants:
         raise ConfigurationError("sweep scores the [variant.*] runs of "
                                  "advection under a Runge-Kutta integrator")
-    out_dir = _resolve_out_dir(ec, output_root)
+    out_dir = Path(output_root or ".") / ec.output
     rows = []
 
     def score(n, variant, traj, ref_coarse):
@@ -405,7 +399,7 @@ def main(argv=None):
         prog="invariant-guard",
         description="Invariant-preserving error correction: replication harness")
     parser.add_argument("--output-root", default=None,
-                        help=f"output root (default: ${OUTPUT_ROOT_ENV} or cwd)")
+                        help="output root (default: the working directory)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in (("run", cmd_run), ("verify", cmd_verify),
                      ("sweep", cmd_sweep)):

@@ -212,6 +212,9 @@ def _cross_errors(ec):
             if getattr(v, key) == "tracked" and not ec.reference_resolution:
                 errors.append(f"{where} {key} = tracked needs a reference run; "
                               "set [run] reference_resolution")
+            elif getattr(v, key) == "tracked" and (v.t_end or 0) > ec.t_end:
+                errors.append(f"{where} t_end: {key} = tracked reads the "
+                              f"reference run, which ends at t = {ec.t_end:g}")
         if v.target == "none" \
                 and v.corrector not in ("none", "euler1d_entropy"):
             errors.append(f"{where} target = none: corrector {v.corrector!r} "

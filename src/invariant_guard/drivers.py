@@ -165,16 +165,13 @@ class ScalarFv1D(_DriverBase):
             return min(cfl_dt(speed, dx, cfl, dt_max), cfl * visc_dt)
         return cfl_dt(speed, self.grid.dx, cfl, dt_max)
 
-    def fluxes(self, field, dt):
-        return self._face_fluxes(field.values, dt)
-
-    def _face_fluxes(self, vals, dt):
+    def face_fluxes(self, vals, dt):
         """The bound rule on cell values ``vals``, with the Lax-Friedrichs
         ratio dx/(2 dt)."""
         return self._rule(vals, self.grid.dx / (2.0 * dt))
 
     def rhs(self, y, t, dt):
-        f = self._face_fluxes(y, dt)
+        f = self.face_fluxes(y, dt)
         if self.target is not None:
             # only a stage with a target wraps y in a field
             f = self._stage_corrected(t, "l2", co.correct_flux_l2_1d, f,

@@ -2,7 +2,10 @@
 
 
 class InvariantGuardError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.  ``time`` is the time of
+    the step that failed when the error ended a ``timeloop.run``."""
+
+    time = None
 
 
 class ConfigurationError(InvariantGuardError):

@@ -105,10 +105,10 @@ def run(plan: StepPlan, problem) -> Trajectory:
     is handed is finite except ``post_step``'s ``y_new``: the initial array
     comes from a checked initial condition, each intermediate stage state
     is checked by the stepper and each step's result here, after
-    ``post_step``, so drivers need not check again.  Blowups
-    and other ``InvariantGuardError``s surface as a trajectory with
-    ``error`` set and the partial record intact; ``ConfigurationError`` and
-    every other exception propagate.
+    ``post_step``, so drivers need not check again.  Blowups and other
+    ``InvariantGuardError``s surface as a trajectory with ``error`` set, its
+    ``time`` the failing step's, and the partial record intact;
+    ``ConfigurationError`` and every other exception propagate.
     """
     traj = Trajectory()
     problem.stage_records = traj.stage_records
@@ -160,6 +160,7 @@ def run(plan: StepPlan, problem) -> Trajectory:
         except ConfigurationError:
             raise
         except InvariantGuardError as exc:  # numerical failures are part of the record
+            exc.time = t
             traj.error = exc
             return traj
         t += dt

@@ -396,7 +396,7 @@ def test_bound_flux_rule_equals_numerical_flux(case, dt):
     lf_ratio = u.grid.dx / (2.0 * dt)
     expected = schemes.numerical_flux_1d(scheme, u, equation, c=c,
                                          lf_ratio=lf_ratio)
-    assert driver.fluxes(u, dt).tobytes() == expected.tobytes()
+    assert driver.face_fluxes(u.values, dt).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("dt", [1e-2, 3.7e-3])
@@ -415,7 +415,7 @@ def test_bound_surrogate_rule_equals_perturbed_flux(base, equation, c,
         base, u, equation, c=c, lf_ratio=u.grid.dx / (2.0 * dt))
     if amplitude:
         expected = expected * (1.0 + amplitude * rule.perturbation(u.grid))
-    assert driver.fluxes(u, dt).tobytes() == expected.tobytes()
+    assert driver.face_fluxes(u.values, dt).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n, boundary, equation, scheme, c", [

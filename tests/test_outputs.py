@@ -29,17 +29,17 @@ RECORDED_MACHINE = "x86_64"
 
 OUTPUT_DIGESTS = {
     "fig1_burgers_centered/manifest":
-        "4fe2f9e76c5d06655c8261a44ba275193f9fa0a0395667dfb9c5fd55b55f7caa",
+        "63e18cd934b6c015b4086530bdfed2f665e06acbc8e84a8ea5fa1a9cf19ae47b",
     "fig1_burgers_centered/n64/centered/invariants.csv":
         "96a0a3a112a0c3c852099ea8be80530170d80ea15128f3cacc062d3e7f2d7fd1",
     "fig1_burgers_centered/n64/centered/trajectory.csv":
         "fb22ed49fe25365f44721c028efea642161b085baf76809c21f35554ee7c4bc1",
     "fig1_burgers_centered/n64/l2_tracked/invariants.csv":
-        "4fc5e44f027511fcf4599b22319f002f7795b1869949891f7a502caaf5bbc3e4",
+        "86b96f0924eab465cedfddf675328b533393490e6d6ab3c28644aa84e7938260",
     "fig1_burgers_centered/n64/l2_tracked/metrics.csv":
-        "54ff4e526ceb07db43f6326945ece5737caf4affae53e07ad6a722cea55d6740",
+        "7b2d66fa35a4508d796cec020d213c211acf3ec1bc41551c79b22cb802b2932b",
     "fig1_burgers_centered/n64/l2_tracked/trajectory.csv":
-        "b2181f1e26307848ddedaa38b9486c549ef61fcbe6965fdd82dea8bf04662887",
+        "365724ab5b4170b5555b4732024c5614f8c670b74152c550475b1bcb85a5f024",
     "fig1_burgers_centered/n64/l2_zero/invariants.csv":
         "1b62b032dc35fe38bd029e735a799a3c855b4195a4b277e5dc2f93cbf30db4cd",
     "fig1_burgers_centered/n64/l2_zero/metrics.csv":
@@ -49,7 +49,7 @@ OUTPUT_DIGESTS = {
     "fig1_burgers_centered/reference/invariants.csv":
         "e23698a91b35d5d2ac1d789c31d1b8460150130745bb9ab7453bb8871f018d96",
     "fig1_burgers_centered/reference/rates.csv":
-        "069622ca607351d7b9591d83545be8ac8c27c6e40cf80fac2d5d99c0651c94a3",
+        "ed90409570a6e5b0a8c1d8dda693274242631d556dee6c242c88dc26ef47f625",
     "fig1_burgers_centered/reference/trajectory.csv":
         "9f1eb4d69579706fed4585eead2dca78f04904b79f6ae3021dd9ab893a2d61ac",
     "fig2_nonconservative/manifest":
@@ -93,7 +93,7 @@ OUTPUT_DIGESTS = {
     "fig4_euler2d_correlation/reference/invariants.csv":
         "46e6d8c863dce9ce34f17d8294ec537a17100b5f901ad5739bd0fa5a71dc80ff",
     "fig4_euler2d_correlation/reference/rates.csv":
-        "70a26d1406c34ff0a30568ea55580e0e001bde95e10169c4d5c38ec5baa7318a",
+        "8dc33005b20371f70dcd0392d1fb3fae6f4c1e647f99f5d0e46cf7df794bfe8c",
     "fig4_euler2d_correlation/reference/trajectory.csv":
         "bfc25b06f3c214d0b1f2e40e274af814f9fda4099fad26fb21114d196d4cba63",
     "fig4_euler2d_invariants/manifest":
@@ -111,7 +111,7 @@ OUTPUT_DIGESTS = {
     "fig4_euler2d_invariants/n64/muscl/trajectory.csv":
         "3b8bdee5f7f4d7fd6050574f1eb872533671ae6851112b1b3bb2a6dbc2726f27",
     "fig5_dg_burgers/manifest":
-        "d9ec7cb10139cdde3e41d31114459ace62ab14ed40e76bd91b7f43ae8e5ff97d",
+        "4b74de00195d8a70a7a5b05a8999a4d48fce55203d7c76c7c32b76b91db6e8c4",
     "fig5_dg_burgers/n32/centered_dg/invariants.csv":
         "65a86a22f2e734aefc4d687b2da39222eb0403067b68ef58edd7c2da9a34d8e0",
     "fig5_dg_burgers/n32/centered_dg/trajectory.csv":

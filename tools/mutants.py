@@ -81,6 +81,10 @@ MUTANTS = [
      "kernels/euler1d.py",
      "    alpha = np.maximum(speed[:-1], speed[1:])",
      "    alpha = np.minimum(speed[:-1], speed[1:])"),
+    ("reference rates: each step's change over the previous step's dt",
+     "cli.py",
+     "                                      np.diff(q) / np.diff(t))",
+     "                                      np.diff(q) / np.roll(np.diff(t), 1))"),
     ("sweep scorer: exact solution translated against c", "cli.py",
      "    shift = (x - ec.c * t) % ec.length",
      "    shift = (x + ec.c * t) % ec.length"),
