@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__
 from . import correctors as co
 from .config import ExperimentConfig, VariantConfig, parse_config, rate_spec
-from .core import (FvField1D, UniformGrid1D, UniformGrid2D, coarse_grain,
-                   coarse_grain_2d, FvField2D)
+from .core import (FvField1D, UniformGrid1D, UniformGrid2D, bracket,
+                   coarse_grain, coarse_grain_2d, FvField2D)
 from .diagnostics import InvariantReport, mae, normalized_mse, vorticity_correlation
 from .dg import burgers_centered_rule, dg_project
 from .drivers import (DgScalar1D, Euler1D, FtcsAdvection,
@@ -187,15 +187,21 @@ def variant_plan(ec: ExperimentConfig, variant: VariantConfig) -> StepPlan:
 def run_with_rates(plan, driver):
     """``run(plan, driver)`` that also records the rate curve a tracked
     target reads: for each step t_n -> t_n+1 the row (t_n + dt/2,
-    (q_n+1 - q_n)/dt), where q is the enstrophy, or else the l2, of the
-    driver's ``report``.  Returns (trajectory, TrackedRateSource)."""
-    def quantity(rep):
-        return rep.l2 if rep.enstrophy is None else rep.enstrophy
+    (q_n+1 - q_n)/dt), where q is the l2 of ``driver.field_of``, the field
+    a step corrector sets (the enstrophy on euler2d).  The driver's own
+    ``observe`` hook, if any, still runs.  Returns (trajectory, rates)."""
+    def l2(y):
+        vals, volume = co._field_parts(driver.field_of(y))
+        return 0.5 * bracket(vals, vals, volume)
     ends = []
-    driver.observe = lambda y, t, traj: ends.append(
-        (t, quantity(driver.report(y, t))))
+    chained = getattr(driver, "observe", lambda y, t, traj: None)
+
+    def observe(y, t, traj):
+        chained(y, t, traj)
+        ends.append((t, l2(y)))
+    driver.observe = observe
     traj = run(plan, driver)
-    t, q = np.array([(0.0, quantity(traj.reports[0]))] + ends).T
+    t, q = np.array([(0.0, l2(traj.snapshots[0]))] + ends).T
     return traj, co.TrackedRateSource(0.5 * (t[:-1] + t[1:]),
                                       np.diff(q) / np.diff(t))
 
@@ -220,19 +226,15 @@ def run_reference(ec: ExperimentConfig, out_dir):
 
 def _coarsen_reference(ec, ref_traj, n):
     """Coarse-grain reference snapshots onto an n-cell run grid."""
-    factor = ec.reference_resolution // n
-    out = []
+    m = ec.reference_resolution
     if ec.equation == "euler2d":
-        grid = UniformGrid2D(ec.reference_resolution, ec.reference_resolution,
-                             ec.length, ec.length)
-        for y in ref_traj.snapshots:
-            f = FvField2D(grid, y.reshape(grid.nx, grid.ny))
-            out.append(coarse_grain_2d(f, factor).values.ravel())
-        return out
-    grid = UniformGrid1D(ec.reference_resolution, ec.length, ec.boundary)
-    for y in ref_traj.snapshots:
-        out.append(coarse_grain(FvField1D(grid, y), factor).values)
-    return out
+        grid = UniformGrid2D(m, m, ec.length, ec.length)
+        return [coarse_grain_2d(FvField2D(grid, y.reshape(m, m)),
+                                m // n).values.ravel()
+                for y in ref_traj.snapshots]
+    grid = UniformGrid1D(m, ec.length, ec.boundary)
+    return [coarse_grain(FvField1D(grid, y), m // n).values
+            for y in ref_traj.snapshots]
 
 
 def write_metrics(path, times, cand_snaps, ref_snaps):
@@ -270,8 +272,7 @@ def _run_variants(ec, config_path, out_dir, finish):
     exit code: 2 if a run failed that no ``expect_blowup`` excuses."""
     out_dir.mkdir(parents=True, exist_ok=True)
     status = {}
-    tracked = None
-    ref_traj = None
+    ref_traj = tracked = None
     if ec.reference_resolution:
         ref_traj, tracked = run_reference(ec, out_dir)
         status["reference"] = "ok"

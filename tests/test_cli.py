@@ -10,7 +10,8 @@ import pytest
 
 from invariant_guard.cli import (SWEEP_VARIANTS, build_driver,
                                  bundled_config, cmd_run, cmd_sweep,
-                                 cmd_verify, main, variant_plan, write_csv)
+                                 cmd_verify, main, run_with_rates,
+                                 variant_plan, write_csv)
 from invariant_guard.config import (_CORRECTORS, _DISCRETE_CORRECTORS, _KEYS,
                                     VariantConfig, parse_config)
 from invariant_guard.correctors import (AntiDiffusiveTargetWarning,
@@ -502,6 +503,20 @@ def test_one_snapshot_reference_runs(tmp_path, snapshots, t_end):
     assert main(["--output-root", str(tmp_path), "run", str(cfg)]) == 0
     rows = (tmp_path / "case" / "reference" / "rates.csv").read_text()
     assert (len(rows.splitlines()) > 2) == (t_end > 0)
+
+
+def test_run_with_rates_keeps_the_drivers_observe_hook():
+    # the rate rows come through the observe hook, which a driver may
+    # already have (Euler1D records its minima there): it still runs
+    ec = parse_config(bundled_config("fig1_burgers_centered"))
+    variant = VariantConfig(label="reference", scheme=ec.reference_scheme)
+    driver = build_driver(ec, variant, 64)
+    seen = []
+    driver.observe = lambda y, t, traj: seen.append(t)
+    plan = dataclasses.replace(variant_plan(ec, variant), t_end=0.5)
+    traj, rates = run_with_rates(plan, driver)
+    assert traj.error is None and len(seen) == len(rates.times) > 1
+    np.testing.assert_allclose(seen, 2.0 * rates.times - np.r_[0.0, seen[:-1]])
 
 
 def test_reproducible_byte_identical_csvs(tmp_path):
