@@ -1,12 +1,14 @@
 """Experiment harness: `invariant-guard run|verify|sweep <config>`.
 
 `run` and `sweep` share one loop over the (resolution, variant) runs of a
-config.  Outputs are CSV only: `run` writes one sub-directory per run plus
-an optional reference run, `sweep` one row of sweep.csv per run; a
-`manifest` file records the config hash, package and numpy versions, and
-per-run status.  Exit codes: 0 ok, 1 property failure, 2 config or runtime
-error (any ``InvariantGuardError``).  Any other exception is a bug and is
-left uncaught: Python prints its traceback and exits with status 1.
+config.  Outputs are CSV only: `run` writes one sub-directory per run (its
+trajectory, invariants, correction log per snapshot interval and, with a
+reference, metrics) plus an optional reference run, `sweep` one row of
+sweep.csv per run; a `manifest` file records the config hash, package and
+numpy versions, and per-run status.  Exit codes: 0 ok, 1 property failure,
+2 config or runtime error (any ``InvariantGuardError``).  Any other
+exception is a bug and is left uncaught: Python prints its traceback and
+exits with status 1.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import ConfigurationError, InvariantGuardError
 from .problems import (ic_random_vorticity, ic_sine, ic_sod, ic_sum_of_sines)
 from .schemes import FluxScheme
 from .surrogate import SurrogateFluxRule
-from .timeloop import StepPlan, run
+from .timeloop import StageRow, StepPlan, run
 
 
 def bundled_config(name):
@@ -84,6 +86,20 @@ def write_invariants(path, traj):
 
 def write_rates(path, times, rates):
     write_csv(path, "t,rate", list(zip(times, rates)))
+
+
+def write_stages(path, traj):
+    """One row per snapshot interval and correction kind of the run's
+    ``CorrectionLog``; floats as ``%.17g``, and an empty
+    ``max_energy_error`` for kinds with no energy bracket."""
+    with open(path, "w") as fh:
+        fh.write(",".join(StageRow._fields) + "\n")
+        for r in traj.stage_records.rows:
+            energy = "" if r.max_energy_error is None \
+                else "%.17g" % r.max_energy_error
+            fh.write("%.17g,%.17g,%s,%d,%d,%.17g,%s\n" % (
+                r.t_start, r.t_end, r.kind, r.records, r.below_old,
+                r.max_rate_error, energy))
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +274,7 @@ def cmd_run(config_path, output_root=None):
         run_dir.mkdir(parents=True, exist_ok=True)
         write_trajectory(run_dir / "trajectory.csv", traj, _csv_reorder(ec, n))
         write_invariants(run_dir / "invariants.csv", traj)
+        write_stages(run_dir / "stages.csv", traj)
         if ref_coarse is not None:
             write_metrics(run_dir / "metrics.csv", traj.times,
                           traj.snapshots, ref_coarse)
@@ -303,16 +320,17 @@ def _run_variants(ec, config_path, out_dir, finish):
 
 
 def _count_records(counts, key, traj):
-    """Add run ``key``'s nonzero counts of correction records to ``counts``:
-    ``clamps.<key>``, infeasible per-step targets clamped, and
-    ``anti_diffusive.<key>``, entropy targets below the old rate.  Each is
-    also warned of, but the counts do not depend on warning filters."""
-    records = traj.stage_records
+    """Add run ``key``'s nonzero counts of correction records to ``counts``,
+    summed over the rows of its ``CorrectionLog``: ``clamps.<key>``,
+    infeasible per-step targets clamped, and ``anti_diffusive.<key>``,
+    entropy targets below the old rate.  Each is also warned of, but the
+    counts do not depend on warning filters."""
+    rows = traj.stage_records.rows
     for name, n in (
-            ("clamps", sum(r.kind == "step_delta_l2_clamped" for r in records)),
-            ("anti_diffusive", sum(r.kind == "entropy"
-                                   and r.target_rate < r.old_rate
-                                   for r in records))):
+            ("clamps", sum(r.records for r in rows
+                           if r.kind == "step_delta_l2_clamped")),
+            ("anti_diffusive", sum(r.below_old for r in rows
+                                   if r.kind == "entropy"))):
         if n:
             counts[f"{name}.{key}"] = n
 

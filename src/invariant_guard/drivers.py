@@ -4,9 +4,10 @@ corrector chains, and the time loop for each replication problem.
 A driver owns its grid, initial data, and corrector configuration.  The
 ``rhs``/``increment`` hooks receive every Runge-Kutta stage and apply the
 corrector chain there.  Every corrector call goes through
-``_DriverBase._corrected``, which records the ``Correction`` the corrector
-returned, stamped with the stage time and a kind, so runs can be audited
-after the fact; drivers never measure a rate themselves.
+``_DriverBase._corrected``, which stamps the ``Correction`` the corrector
+returned with the stage time and a kind and folds it into the run's
+``timeloop.CorrectionLog``, whose per-snapshot-interval rows the ``run``
+command writes to ``stages.csv``; drivers never measure a rate themselves.
 """
 
 from __future__ import annotations
@@ -69,12 +70,12 @@ class _DriverBase:
     ``step_target`` the per-step one, each an L2RateTarget, a
     TrackedRateSource or None (no correction)."""
 
-    stage_records = None   # set by timeloop.run; None outside a run
+    stage_records = None   # timeloop.run's CorrectionLog; None outside a run
     target = None
     step_target = None
 
     def _corrected(self, t, kind, corrector, *args):
-        """Call ``corrector(*args)``, record its report stamped with ``t`` and
+        """Call ``corrector(*args)``, log its report stamped with ``t`` and
         ``kind`` (a tuple of kinds for a pair of reports), return the update."""
         update, report = corrector(*args)
         if self.stage_records is not None:
@@ -82,7 +83,7 @@ class _DriverBase:
                 else ((kind, report),)
             for k, rec in pairs:
                 rec.t, rec.kind = t, k
-                self.stage_records.append(rec)
+                self.stage_records.add(rec)
         return update
 
     def _stage_corrected(self, t, kind, corrector, update, state):

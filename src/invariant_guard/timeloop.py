@@ -3,6 +3,7 @@ discrete-update path, plus the simulation driver."""
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,17 +80,70 @@ def discrete_step(y, t, dt, increment):
     return y + increment(y, t, dt)
 
 
+#: one row of a ``CorrectionLog``: the records of one kind in the snapshot
+#: interval (t_start, t_end]
+StageRow = namedtuple("StageRow", "t_start t_end kind records below_old "
+                      "max_rate_error max_energy_error")
+
+
+class CorrectionLog:
+    """The ``correctors.Correction`` of every corrector call of a run, folded
+    per snapshot interval and kind, so its size grows with the snapshots and
+    not with the stages.
+
+    ``add`` folds a record stamped with its ``kind``; ``close(t)`` ends the
+    interval that began at the previous close (or t = 0) and appends one
+    ``StageRow`` per kind recorded in it to ``rows``.  ``below_old`` counts
+    targets below the old rate, ``max_rate_error`` is the worst
+    |achieved - target| / max(|old|, |target|, 1e-30) and
+    ``max_energy_error`` the worst |energy_bracket| / max(energy_scale,
+    1e-30), None for kinds that report no energy bracket; a NaN error, once
+    seen, stays the interval's worst.  ``len`` counts the records added."""
+
+    def __init__(self):
+        self.rows = []
+        self._open = {}
+        self._t_start = 0.0
+
+    def __len__(self):
+        return sum(row.records for row in self.rows) \
+            + sum(agg[0] for agg in self._open.values())
+
+    def add(self, rec):
+        agg = self._open.get(rec.kind)
+        if agg is None:
+            agg = self._open[rec.kind] = [0, 0, 0.0, None]
+        agg[0] += 1
+        old, target = rec.old_rate, rec.target_rate
+        if target < old:
+            agg[1] += 1
+        err = abs(rec.achieved_rate - target) / max(abs(old), abs(target),
+                                                    1e-30)
+        if err > agg[2] or err != err:
+            agg[2] = err
+        if rec.energy_bracket is not None:
+            err = abs(rec.energy_bracket) / max(rec.energy_scale, 1e-30)
+            if agg[3] is None or err > agg[3] or err != err:
+                agg[3] = err
+
+    def close(self, t):
+        self.rows.extend(StageRow(self._t_start, t, kind, *agg)
+                         for kind, agg in self._open.items())
+        self._open = {}
+        self._t_start = t
+
+
 @dataclass
 class Trajectory:
     """Everything a run emits: cadence snapshots, invariant reports, the
-    ``correctors.Correction`` of every corrector call (stamped by the driver
-    with its stage time and kind), and (on failure) the error that ended the
-    run with the partial record retained."""
+    ``CorrectionLog`` that folds the report of every corrector call per
+    snapshot interval, and (on failure) the error that ended the run with
+    the partial record retained."""
 
     times: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
     reports: list = field(default_factory=list)
-    stage_records: list = field(default_factory=list)
+    stage_records: CorrectionLog = field(default_factory=CorrectionLog)
     step_minima: list = field(default_factory=list)
     error: Exception = None
 
@@ -108,7 +162,9 @@ def run(plan: StepPlan, problem) -> Trajectory:
     ``post_step``, so drivers need not check again.  Blowups and other
     ``InvariantGuardError``s surface as a trajectory with ``error`` set, its
     ``time`` the failing step's, and the partial record intact;
-    ``ConfigurationError`` and every other exception propagate.
+    ``ConfigurationError`` and every other exception propagate.  The
+    trajectory's ``CorrectionLog`` closes an interval at each snapshot and,
+    at the error's ``time``, when a run ends in an error.
     """
     traj = Trajectory()
     problem.stage_records = traj.stage_records
@@ -124,6 +180,12 @@ def run(plan: StepPlan, problem) -> Trajectory:
         traj.times.append(t)
         traj.snapshots.append(problem.snapshot(y))
         traj.reports.append(problem.report(y, t))
+        traj.stage_records.close(t)
+
+    def fail(error):
+        traj.error = error
+        traj.stage_records.close(error.time)
+        return traj
 
     record(y, t)
     if plan.t_end <= 0:
@@ -139,8 +201,7 @@ def run(plan: StepPlan, problem) -> Trajectory:
     step = 0
     while t < plan.t_end - 1e-12 * plan.t_end:
         if step >= plan.max_steps:
-            traj.error = NumericalBlowup("step budget exhausted", step, t)
-            return traj
+            return fail(NumericalBlowup("step budget exhausted", step, t))
         if plan.dt_override is not None:
             dt = plan.dt_override
         else:
@@ -149,8 +210,7 @@ def run(plan: StepPlan, problem) -> Trajectory:
             dt = min(dt, snap_times[next_snap] - t)
         dt = min(dt, plan.t_end - t)
         if not np.isfinite(dt) or dt <= 1e-14 * plan.t_end:
-            traj.error = NumericalBlowup("timestep underflow", step, t)
-            return traj
+            return fail(NumericalBlowup("timestep underflow", step, t))
 
         try:
             y_new = stepper(y, t, dt, advance)
@@ -161,14 +221,12 @@ def run(plan: StepPlan, problem) -> Trajectory:
             raise
         except InvariantGuardError as exc:  # numerical failures are part of the record
             exc.time = t
-            traj.error = exc
-            return traj
+            return fail(exc)
         t += dt
         step += 1
 
         if not np.isfinite(y).all():
-            traj.error = NumericalBlowup("non-finite state", step, t)
-            return traj
+            return fail(NumericalBlowup("non-finite state", step, t))
         if observe is not None:
             observe(y, t, traj)
         while next_snap < len(snap_times) and t >= snap_times[next_snap] - 1e-12:

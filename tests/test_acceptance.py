@@ -181,9 +181,9 @@ def test_criterion_5_fig4_euler2d():
     # invariant check: forcing disabled
     tr_e = run(plan, Vorticity2D(ic, corrector="energy",
                                  target=co.L2RateTarget.clamp()))
-    stage_ok = all(abs(s.energy_bracket)
-                   <= 1e-12 * max(s.energy_scale, 1e-30)
-                   for s in tr_e.stage_records)
+    # max_energy_error: the interval's worst |<psi|N>| / max(scale, 1e-30)
+    stage_ok = all(row.max_energy_error <= 1e-12
+                   for row in tr_e.stage_records.rows)
     energy = np.array([r.energy for r in tr_e.reports])
     e_drift = float(np.abs(energy / energy[0] - 1.0).max())
 
@@ -239,10 +239,10 @@ def test_criterion_6_fig6_sod():
             tr = run(plan, Euler1D(ic, entropy_ratio=ratio))
         assert tr.error is None, f"R={ratio}: {tr.error}"
         minima = np.array([(m[1], m[2]) for m in tr.step_minima])
-        rate_err = max(
-            (abs(s.achieved_rate - s.target_rate)
-             / max(abs(s.old_rate), abs(s.target_rate), 1e-30)
-             for s in tr.stage_records if s.kind == "entropy"), default=0.0)
+        # max_rate_error: the interval's worst |achieved - target|
+        # / max(|old|, |target|, 1e-30)
+        rate_err = max((row.max_rate_error for row in tr.stage_records.rows
+                        if row.kind == "entropy"), default=0.0)
         rho_end = tr.snapshots[-1].reshape(256, 3)[:, 0]
         outcomes[ratio] = (minima, rate_err, total_variation(rho_end, False))
 

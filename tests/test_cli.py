@@ -1,4 +1,5 @@
 import configparser
+import csv
 import dataclasses
 import filecmp
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from invariant_guard import cli
 from invariant_guard.cli import (SWEEP_VARIANTS, build_driver,
                                  bundled_config, cmd_run, cmd_sweep,
                                  cmd_verify, main, run_with_rates,
@@ -661,6 +663,50 @@ def test_run_manifest_counts_anti_diffusive_entropy_targets(tmp_path):
     assert f"anti_diffusive.n64.bad = {n_warned}" in lines
     assert n_warned > 0
     assert not any(line.startswith("anti_diffusive.n64.plain") for line in lines)
+
+
+@pytest.mark.parametrize("name", ["fig6_sod", "fig7_surrogate",
+                                  "sweep_advection"])
+def test_stages_csv_reads_back_the_manifest_counts(tmp_path, monkeypatch,
+                                                   name):
+    # each run's stages.csv folds every correction record of the run, so
+    # its counts sum to the manifest's and to the run's record count, and
+    # fig6's entropy rows keep criterion 6's stage rate bound; the sweep
+    # config, run through `run`, is the bundled one that clamps steps
+    logged = {}
+    count_records = cli._count_records
+
+    def counting(counts, key, traj):
+        logged[key] = len(traj.stage_records)
+        count_records(counts, key, traj)
+    monkeypatch.setattr(cli, "_count_records", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AntiDiffusiveTargetWarning)
+        warnings.simplefilter("ignore", InfeasibleTargetWarning)
+        assert cmd_run(bundled_config(name), output_root=tmp_path) == 0
+    out = tmp_path / name
+    manifest = dict(line.split(" = ")
+                    for line in (out / "manifest").read_text().splitlines())
+    assert logged
+    for key, n_records in logged.items():
+        n, label = key.split(".")
+        with open(out / n / label / "stages.csv") as fh:
+            rows = list(csv.DictReader(fh))
+
+        def total(column, kind=None):
+            return sum(int(row[column]) for row in rows
+                       if kind in (None, row["kind"]))
+        assert total("below_old", "entropy") \
+            == int(manifest.get(f"anti_diffusive.{key}", 0))
+        assert total("records", "step_delta_l2_clamped") \
+            == int(manifest.get(f"clamps.{key}", 0))
+        assert total("records") == n_records
+        if name == "fig6_sod":
+            assert rows and all(float(row["max_rate_error"]) <= 1e-10
+                                for row in rows if row["kind"] == "entropy")
+    # fig6 has anti-diffusive entropy targets, the sweep config clamps
+    assert name == "fig7_surrogate" or any(
+        key.startswith(("anti_diffusive.", "clamps.")) for key in manifest)
 
 
 def test_write_csv_formats_like_the_per_value_formatter(tmp_path):

@@ -181,13 +181,22 @@ def test_euler_stage_state_is_the_stage_array():
 def test_flux_rate_at_most_twice_per_stage(monkeypatch):
     driver = ScalarFv1D(ic_sine(UniformGrid1D(32, 1.0)), "burgers",
                         FluxScheme.CENTERED, target=co.L2RateTarget.fixed(-0.1))
+    reports = []
+    correct = co.correct_flux_l2_1d
+
+    def reporting(*args):
+        update, rec = correct(*args)
+        reports.append(rec)
+        return update, rec
+    monkeypatch.setattr(co, "correct_flux_l2_1d", reporting)
     traj, _, per_stage = _calls_per_stage(
         monkeypatch, driver, StepPlan(t_end=0.1, cfl=0.3, n_snapshots=2),
         (co, "flux_l2_rate_1d"))
     assert per_stage
     assert max(c["flux_l2_rate_1d"] for c in per_stage) <= 2
-    # the records are the corrector's reports, stamped by the driver
-    for rec in traj.stage_records:
+    # the log folds the corrector's reports, stamped by the driver
+    assert len(reports) == len(traj.stage_records)
+    for rec in reports:
         assert isinstance(rec, co.Correction)
         assert rec.kind == "l2" and 0.0 <= rec.t <= 0.1
         assert rec.target_rate == -0.1

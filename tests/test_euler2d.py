@@ -18,6 +18,20 @@ def ic32():
                                seed=12)
 
 
+def _reports(monkeypatch, name):
+    """The list that collects every report of corrector ``co.<name>``; a
+    run's log keeps only their per-interval aggregates."""
+    reports = []
+    correct = getattr(co, name)
+
+    def reporting(*args):
+        update, rec = correct(*args)
+        reports.extend(rec if isinstance(rec, tuple) else (rec,))
+        return update, rec
+    monkeypatch.setattr(co, name, reporting)
+    return reports
+
+
 def test_plain_muscl_decays_energy_and_enstrophy(ic32):
     tr = run(StepPlan(t_end=0.5, cfl=0.3, n_snapshots=6), Vorticity2D(ic32))
     energy = np.array([r.energy for r in tr.reports])
@@ -28,12 +42,15 @@ def test_plain_muscl_decays_energy_and_enstrophy(ic32):
     assert np.abs(masses - masses[0]).max() <= 1e-12
 
 
-def test_energy_corrector_per_stage_and_integrated(ic32):
+def test_energy_corrector_per_stage_and_integrated(ic32, monkeypatch):
+    reports = _reports(monkeypatch, "correct_euler2d_mass_energy_l2")
     tr = run(StepPlan(t_end=0.5, cfl=0.3, n_snapshots=6),
              Vorticity2D(ic32, corrector="energy", target=co.L2RateTarget.clamp()))
-    for rec in tr.stage_records:
-        assert abs(rec.energy_bracket) <= \
-            1e-12 * max(rec.energy_scale, 1e-30)
+    assert len(reports) == len(tr.stage_records)
+    # max_energy_error is the worst |<psi_bar|P'>| / max(scale, 1e-30)
+    for row in tr.stage_records.rows:
+        assert row.max_energy_error <= 1e-12
+    for rec in reports:
         assert rec.achieved_rate <= 1e-12 * max(abs(rec.old_rate), 1.0)
     # integrated drift is the RK3 residual; at this coarse 32^2 grid it sits
     # near 1e-6 (the acceptance-level 1e-6 bound is checked at 64^2)
@@ -60,13 +77,15 @@ def test_forcing_and_viscosity_break_invariants_but_run(ic32):
     assert np.all(np.isfinite(np.asarray(tr.snapshots)))
 
 
-def test_stage_records_carry_rates(ic32):
+def test_stage_records_carry_rates(ic32, monkeypatch):
+    reports = _reports(monkeypatch, "correct_flux_l2_2d")
     tr = run(StepPlan(t_end=0.1, cfl=0.3, n_snapshots=2),
              Vorticity2D(ic32, corrector="flux_l2",
                          target=co.L2RateTarget.fixed(-0.05)))
-    kinds = {rec.kind for rec in tr.stage_records}
+    kinds = {row.kind for row in tr.stage_records.rows}
     assert kinds == {"l2_x", "l2_y"}
-    for rec in tr.stage_records:
+    assert len(reports) == len(tr.stage_records)
+    for rec in reports:
         assert rec.achieved_rate == pytest.approx(rec.target_rate, rel=1e-10,
                                                   abs=1e-12)
 

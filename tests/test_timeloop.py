@@ -1,7 +1,12 @@
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from invariant_guard import correctors as co
+from invariant_guard.cli import build_driver, bundled_config
+from invariant_guard.config import parse_config
 from invariant_guard.core import (FvField1D, SpectralField, UniformGrid1D)
 from invariant_guard.dg import burgers_centered_rule, dg_project
 from invariant_guard.drivers import (DgScalar1D, Euler1D, FtcsAdvection,
@@ -98,12 +103,58 @@ def test_forward_euler_step_corrector_holds_l2():
         l2 = np.array([r.l2 for r in tr.reports])
         growth[step_target] = l2 / l2[0] - 1.0
         if step_target is not None:
-            kinds = [r.kind for r in tr.stage_records]
+            kinds = Counter()
+            for row in tr.stage_records.rows:
+                kinds[row.kind] += row.records
             # one stage, so one flux correction, per step
-            assert kinds.count("l2") == kinds.count("step_delta_l2") > 0
-            assert len(kinds) == 2 * kinds.count("l2")
+            assert kinds["l2"] == kinds["step_delta_l2"] > 0
+            assert len(tr.stage_records) == sum(kinds.values()) \
+                == 2 * kinds["l2"]
     assert np.abs(growth[co.L2RateTarget.fixed(0.0)]).max() <= 1e-12
     assert growth[None][-1] > 10.0
+
+
+def test_correction_log_closes_each_snapshot_interval_and_the_failure():
+    # 12 steps of 0.01 cross the snapshots at 0.05 and 0.1, and the step
+    # budget ends the run at t = 0.12 with its last interval still open
+    drv = ScalarFv1D(ic_sine(UniformGrid1D(32, 1.0)), "burgers",
+                     FluxScheme.CENTERED, target=co.L2RateTarget.fixed(-0.1))
+    tr = run(StepPlan(t_end=0.2, n_snapshots=5, dt_override=0.01,
+                      max_steps=12), drv)
+    assert isinstance(tr.error, NumericalBlowup)
+    rows = tr.stage_records.rows
+    assert [row.kind for row in rows] == ["l2"] * 3
+    assert [(row.t_start, row.t_end) for row in rows] == pytest.approx(
+        [(0.0, 0.05), (0.05, 0.1), (0.1, tr.error.time)])
+    assert [row.records for row in rows] == [15, 15, 6]
+    assert len(tr.stage_records) == 36
+    # the centered flux keeps l2, so every old rate sits above -0.1
+    assert all(row.below_old == row.records for row in rows)
+    assert max(row.max_rate_error for row in rows) <= 1e-12
+    assert all(row.max_energy_error is None for row in rows)
+
+
+def test_correction_log_memory_does_not_grow_with_steps():
+    # the corrected fig5 DG run to t_end and to 4 t_end, 21 snapshots each:
+    # what the run leaves allocated grows with the snapshots, not the steps
+    ec = parse_config(bundled_config("fig5_dg_burgers"))
+    variant = next(v for v in ec.variants if v.label == "dg_l2_zero")
+
+    def retained(t_end):
+        driver = build_driver(ec, variant, 32)
+        tracemalloc.start()
+        try:
+            tr = run(StepPlan(cfl=ec.cfl, t_end=t_end,
+                              n_snapshots=ec.snapshots), driver)
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert tr.error is None and len(tr.snapshots) == ec.snapshots
+        return size, len(tr.stage_records)
+    retained(0.075)  # first-run allocations are not the log's
+    short, long = retained(0.075), retained(0.3)
+    assert long[1] > 4 * short[1]
+    assert long[0] <= 1.5 * short[0]
 
 
 def test_zero_duration_run():

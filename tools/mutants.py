@@ -85,6 +85,13 @@ MUTANTS = [
      "cli.py",
      "                                      np.diff(q) / np.diff(t))",
      "                                      np.diff(q) / np.roll(np.diff(t), 1))"),
+    ("correction log: a target equal to the old rate counted anti-diffusive",
+     "timeloop.py",
+     "        if target < old:",
+     "        if target <= old:"),
+    ("correction log: every record also kept in a list", "timeloop.py",
+     "        agg[0] += 1",
+     '        agg[0] += 1; self.__dict__.setdefault("kept", []).append(rec)'),
     ("sweep scorer: exact solution translated against c", "cli.py",
      "    shift = (x - ec.c * t) % ec.length",
      "    shift = (x + ec.c * t) % ec.length"),
