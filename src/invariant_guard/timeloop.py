@@ -163,8 +163,10 @@ def run(plan: StepPlan, problem) -> Trajectory:
     ``InvariantGuardError``s surface as a trajectory with ``error`` set, its
     ``time`` the failing step's, and the partial record intact;
     ``ConfigurationError`` and every other exception propagate.  The
-    trajectory's ``CorrectionLog`` closes an interval at each snapshot and,
-    at the error's ``time``, when a run ends in an error.
+    trajectory's ``CorrectionLog`` closes an interval at each snapshot and
+    when the run ends: at t_end, or when a run ends in an error at the end
+    of the failing step, so every row's ``t_end`` bounds the stage times of
+    its records.
     """
     traj = Trajectory()
     problem.stage_records = traj.stage_records
@@ -182,9 +184,9 @@ def run(plan: StepPlan, problem) -> Trajectory:
         traj.reports.append(problem.report(y, t))
         traj.stage_records.close(t)
 
-    def fail(error):
+    def fail(error, t_close):
         traj.error = error
-        traj.stage_records.close(error.time)
+        traj.stage_records.close(t_close)
         return traj
 
     record(y, t)
@@ -201,7 +203,7 @@ def run(plan: StepPlan, problem) -> Trajectory:
     step = 0
     while t < plan.t_end - 1e-12 * plan.t_end:
         if step >= plan.max_steps:
-            return fail(NumericalBlowup("step budget exhausted", step, t))
+            return fail(NumericalBlowup("step budget exhausted", step, t), t)
         if plan.dt_override is not None:
             dt = plan.dt_override
         else:
@@ -210,7 +212,7 @@ def run(plan: StepPlan, problem) -> Trajectory:
             dt = min(dt, snap_times[next_snap] - t)
         dt = min(dt, plan.t_end - t)
         if not np.isfinite(dt) or dt <= 1e-14 * plan.t_end:
-            return fail(NumericalBlowup("timestep underflow", step, t))
+            return fail(NumericalBlowup("timestep underflow", step, t), t)
 
         try:
             y_new = stepper(y, t, dt, advance)
@@ -221,15 +223,16 @@ def run(plan: StepPlan, problem) -> Trajectory:
             raise
         except InvariantGuardError as exc:  # numerical failures are part of the record
             exc.time = t
-            return fail(exc)
+            return fail(exc, t + dt)
         t += dt
         step += 1
 
         if not np.isfinite(y).all():
-            return fail(NumericalBlowup("non-finite state", step, t))
+            return fail(NumericalBlowup("non-finite state", step, t), t)
         if observe is not None:
             observe(y, t, traj)
         while next_snap < len(snap_times) and t >= snap_times[next_snap] - 1e-12:
             record(y, snap_times[next_snap])
             next_snap += 1
+    traj.stage_records.close(t)
     return traj

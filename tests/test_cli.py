@@ -665,14 +665,26 @@ def test_run_manifest_counts_anti_diffusive_entropy_targets(tmp_path):
     assert not any(line.startswith("anti_diffusive.n64.plain") for line in lines)
 
 
-@pytest.mark.parametrize("name", ["fig6_sod", "fig7_surrogate",
-                                  "sweep_advection"])
+@pytest.mark.parametrize("name, snapshots", [
+    pytest.param("fig6_sod", None, id="fig6_sod"),
+    pytest.param("fig6_sod", 1, id="fig6_sod_one_snapshot"),
+    pytest.param("fig7_surrogate", None, id="fig7_surrogate"),
+    pytest.param("sweep_advection", None, id="sweep_advection")])
 def test_stages_csv_reads_back_the_manifest_counts(tmp_path, monkeypatch,
-                                                   name):
+                                                   name, snapshots):
     # each run's stages.csv folds every correction record of the run, so
     # its counts sum to the manifest's and to the run's record count, and
     # fig6's entropy rows keep criterion 6's stage rate bound; the sweep
-    # config, run through `run`, is the bundled one that clamps steps
+    # config, run through `run`, is the bundled one that clamps steps, and
+    # a one-snapshot run records no snapshot after t = 0, so only the end
+    # of the run closes its interval
+    config = bundled_config(name)
+    if snapshots is not None:
+        text = re.sub(r"(?m)^snapshots = \d+$", f"snapshots = {snapshots}",
+                      config.read_text())
+        assert f"snapshots = {snapshots}" in text
+        config = tmp_path / f"{name}.cfg"
+        config.write_text(text)
     logged = {}
     count_records = cli._count_records
 
@@ -683,7 +695,7 @@ def test_stages_csv_reads_back_the_manifest_counts(tmp_path, monkeypatch,
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AntiDiffusiveTargetWarning)
         warnings.simplefilter("ignore", InfeasibleTargetWarning)
-        assert cmd_run(bundled_config(name), output_root=tmp_path) == 0
+        assert cmd_run(config, output_root=tmp_path) == 0
     out = tmp_path / name
     manifest = dict(line.split(" = ")
                     for line in (out / "manifest").read_text().splitlines())

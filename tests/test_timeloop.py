@@ -134,6 +134,31 @@ def test_correction_log_closes_each_snapshot_interval_and_the_failure():
     assert all(row.max_energy_error is None for row in rows)
 
 
+def test_correction_log_closes_a_failed_step_at_its_end(monkeypatch):
+    # the step from the snapshot at t = 0.05 fails in its third stage
+    # (stage time 0.055) after its first two (0.05 and 0.06) were logged:
+    # the last row ends at the step's end, past both stage times
+    correct = co.correct_flux_l2_1d
+    calls = []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 18:
+            raise DegenerateCorrection("injected")
+        return correct(*args)
+    monkeypatch.setattr(co, "correct_flux_l2_1d", failing)
+    drv = ScalarFv1D(ic_sine(UniformGrid1D(32, 1.0)), "burgers",
+                     FluxScheme.CENTERED, target=co.L2RateTarget.fixed(-0.1))
+    tr = run(StepPlan(t_end=0.2, n_snapshots=5, dt_override=0.01), drv)
+    assert isinstance(tr.error, DegenerateCorrection)
+    assert tr.error.time == pytest.approx(0.05)
+    rows = tr.stage_records.rows
+    np.testing.assert_allclose([(row.t_start, row.t_end) for row in rows],
+                               [(0.0, 0.05), (0.05, 0.06)], rtol=1e-12)
+    assert [row.records for row in rows] == [15, 2]
+    assert len(tr.stage_records) == 17
+
+
 def test_correction_log_memory_does_not_grow_with_steps():
     # the corrected fig5 DG run to t_end and to 4 t_end, 21 snapshots each:
     # what the run leaves allocated grows with the snapshots, not the steps

@@ -92,6 +92,14 @@ MUTANTS = [
     ("correction log: every record also kept in a list", "timeloop.py",
      "        agg[0] += 1",
      '        agg[0] += 1; self.__dict__.setdefault("kept", []).append(rec)'),
+    ("correction log: last interval left open when the run ends",
+     "timeloop.py",
+     "    traj.stage_records.close(t)",
+     "    pass"),
+    ("correction log: failed step's interval closed at its start",
+     "timeloop.py",
+     "            return fail(exc, t + dt)",
+     "            return fail(exc, t)"),
     ("sweep scorer: exact solution translated against c", "cli.py",
      "    shift = (x - ec.c * t) % ec.length",
      "    shift = (x + ec.c * t) % ec.length"),
