@@ -150,34 +150,40 @@ class EntropyRateTarget:
 class Correction:
     """What one corrector call did: the rate of the incoming update, the
     resolved target and the rate measured on the returned update (per-step
-    l2 changes for the increment corrector).  Drivers stamp ``kind`` and
-    the stage time ``t`` when they record it; the 2D Euler corrector adds
-    its energy bracket <psi_bar|P'> and that bracket's scale."""
+    l2 changes for the increment corrector).  Drivers stamp ``kind`` when
+    they record it; the 2D Euler corrector adds its energy bracket
+    <psi_bar|P'> and that bracket's scale."""
 
     old_rate: float
     target_rate: float
     achieved_rate: float
     kind: str = None
-    t: float = None
     energy_bracket: float = None
     energy_scale: float = None
 
 
 def _line_search(update, part, g, old, new, denom, scale, what, rate):
-    """Add (new - old) * g / denom to ``update[part]`` of a copy and report
-    the ``rate`` measured on it; raise ``DegenerateCorrection`` naming the
-    corrector ``what`` when |denom| <= DEGENERACY_RTOL * scale."""
+    """Add (new - old) * g / denom to ``update[part]`` of a copy, or to all
+    of ``update`` when ``part`` is None, and report the ``rate`` measured on
+    the result; raise ``DegenerateCorrection`` naming the corrector ``what``
+    when |denom| <= DEGENERACY_RTOL * scale."""
     if abs(denom) <= DEGENERACY_RTOL * max(scale, 1e-300):
         raise DegenerateCorrection(
             f"{what}: denominator {denom:.3e} is zero at scale {scale:.3e}")
-    out = update.copy()
-    out[part] += (new - old) * g / denom
+    move = (new - old) * g / denom
+    if part is None:
+        out = update + move
+    else:
+        out = update.copy()
+        out[part] += move
     return out, Correction(old, new, rate(out))
 
 
 def laplacian_1d(values):
-    """Periodic second difference u_{j+1} - 2 u_j + u_{j-1} (not divided by dx^2)."""
-    return shift(values, 1) - 2.0 * values + shift(values, -1)
+    """Periodic second difference u_{j+1} - 2 u_j + u_{j-1} (not divided by
+    dx^2), both neighbours read from one ghost-padded copy."""
+    padded = np.concatenate((values[-1:], values, values[:1]))
+    return padded[2:] - 2.0 * values + padded[:-2]
 
 
 def laplacian_2d(values, dx, dy):
@@ -225,7 +231,7 @@ def correct_flux_l2_1d(fluxes, u: FvField1D, target: L2RateTarget):
         return f, Correction(old, new, old)
 
     denom = float(du @ du)  # G = du: the denominator is its own scale
-    return _line_search(f, slice(None) if u.grid.periodic else slice(1, -1),
+    return _line_search(f, None if u.grid.periodic else slice(1, -1),
                         du, old, new, denom, denom, "correct_flux_l2_1d",
                         lambda out: _flux_rate_1d(out, u, du))
 
@@ -246,7 +252,7 @@ def _correct_direction(f, u, axis, h, old, target):
         return f, Correction(old, new, old)
     du = shift(u.values, 1, axis) - u.values
     denom = float(h * np.sum(du * du))  # G = du: its own scale
-    return _line_search(f, slice(None), du, old, new, denom, denom,
+    return _line_search(f, None, du, old, new, denom, denom,
                         "correct_flux_l2_2d " + "xy"[axis],
                         lambda out: float(h * np.sum(out * du)))
 
@@ -303,7 +309,7 @@ def correct_rhs_mass_l2(rhs, u, target: L2RateTarget):
 
     g = _default_cell_G(u, volume)
     scale = float(np.sqrt(bracket(big_u, big_u, volume) * bracket(g, g, volume)))
-    return _line_search(m, slice(None), g, old, new, bracket(big_u, g, volume),
+    return _line_search(m, None, g, old, new, bracket(big_u, g, volume),
                         scale, "correct_rhs_mass_l2",
                         lambda out: bracket(big_u, out, volume))
 
@@ -351,12 +357,12 @@ def correct_increment_mass_l2(increment, u, delta_l2):
         raise InfeasibleTarget(
             f"delta_l2 = {delta_l2:.6e} is below the achievable minimum "
             f"{min_delta:.6e}", min_delta)
-    root = np.sqrt(disc)
+    root = math.sqrt(disc)
     if b == 0.0:
         eps = root / a
     else:
-        big = -(b + np.sign(b) * root) / a   # larger-magnitude root
-        eps = c / (a * big)                  # smaller-magnitude (plus-sign) root
+        big = -(b + math.copysign(root, b)) / a  # larger-magnitude root
+        eps = c / (a * big)          # smaller-magnitude (plus-sign) root
     out = bar + eps * g
     vals, volume = _field_parts(u)
     achieved = bracket(vals, out, volume) + 0.5 * bracket(out, out, volume)
@@ -380,7 +386,7 @@ def dg_l2_corrector(diffusion):
             return n, Correction(old, new, old)
         n_diff = diffusion(padded)
         cf, d = c.ravel(), n_diff.ravel()
-        return _line_search(n, slice(None), n_diff, old, new,
+        return _line_search(n, None, n_diff, old, new,
                             coeffs_l2_rate(c, n_diff),
                             math.sqrt(cf @ cf) * math.sqrt(d @ d),
                             "correct_dg_l2",
@@ -429,7 +435,7 @@ def correct_spectral_mass_l2(rhs, u: SpectralField, target: L2RateTarget):
     m = np.arange(u.n_modes + 1)
     g = -(m**2) * u.coeffs
     scale = 2.0 * u.length * float(np.linalg.norm(u.coeffs) * np.linalg.norm(g))
-    return _line_search(n, slice(None), g, old, new, spectral_l2_rate(u, g),
+    return _line_search(n, None, g, old, new, spectral_l2_rate(u, g),
                         scale, "correct_spectral_mass_l2",
                         lambda out: spectral_l2_rate(u, out))
 
@@ -471,7 +477,7 @@ def correct_euler2d_mass_energy_l2(rhs, state: VorticityState2D,
         lap_w = laplacian_2d(w, state.chi.grid.dx, state.chi.grid.dy)
         g = lap_w - bracket(lap_w, phi, vol) / pp * phi
         scale = float(np.sqrt(bracket(w, w, vol) * bracket(g, g, vol)))
-        p, report = _line_search(p, slice(None), g, old, new,
+        p, report = _line_search(p, None, g, old, new,
                                  bracket(w, g, vol), scale,
                                  "correct_euler2d_mass_energy_l2",
                                  lambda out: bracket(w, out, vol))

@@ -94,6 +94,11 @@ def _penalty_table(p):
 _POINTS = {p: _point_table(p) for p in (0, 1, 2)}
 _PENALTY = {p: _penalty_table(p) for p in (0, 1, 2)}
 
+#: per degree, the first two columns of the point table as one contiguous
+#: (p+1, 2) table: ``coeffs @ table`` gives u at each cell's right and left
+#: edge
+EDGE_TABLES = {p: np.ascontiguousarray(_POINTS[p][:, :2]) for p in (0, 1, 2)}
+
 
 def periodic_pad(c):
     """Coefficients ``c`` (N, p+1) with a periodic ghost row on each side:
@@ -158,7 +163,7 @@ def face_traces(a: DgField):
     """
     p = a.degree
     _check_supported(a.grid, p)
-    edges = periodic_pad(a.coeffs) @ _POINTS[p][:, :2]
+    edges = periodic_pad(a.coeffs) @ EDGE_TABLES[p]
     return edges[1:-1, 0], edges[2:, 1]
 
 

@@ -5,9 +5,9 @@ A driver owns its grid, initial data, and corrector configuration.  The
 ``rhs``/``increment`` hooks receive every Runge-Kutta stage and apply the
 corrector chain there.  Every corrector call goes through
 ``_DriverBase._corrected``, which stamps the ``Correction`` the corrector
-returned with the stage time and a kind and folds it into the run's
-``timeloop.CorrectionLog``, whose per-snapshot-interval rows the ``run``
-command writes to ``stages.csv``; drivers never measure a rate themselves.
+returned with a kind and folds it into the run's ``timeloop.CorrectionLog``,
+whose per-snapshot-interval rows the ``run`` command writes to
+``stages.csv``; drivers never measure a rate themselves.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import schemes
 from .core import (DgField, EulerState1D, FvField1D, FvField2D, SpectralField,
                    VorticityState2D, _unchecked, bracket)
 from .diagnostics import invariant_report, InvariantReport
-from .dg import dg_operator, face_traces, periodic_pad
+from .dg import EDGE_TABLES, dg_operator, periodic_pad
 # dg_rhs is no longer called here; bench/spans.py still wraps this module's
 # name for it
 from .dg import dg_rhs  # noqa: F401
@@ -53,7 +53,7 @@ def _correct_step_increment(driver, field, inc, t, dt, target):
     else:
         delta = target.rate * dt
     try:
-        return driver._corrected(t, "step_delta_l2",
+        return driver._corrected("step_delta_l2",
                                  co.correct_increment_mass_l2, inc, field, delta)
     except InfeasibleTarget as err:
         delta = err.min_delta_l2 + 1e-12
@@ -61,7 +61,7 @@ def _correct_step_increment(driver, field, inc, t, dt, target):
             f"per-step delta_l2 infeasible at t={t:.6g}; clamped to the "
             f"achievable minimum {delta:.3e}", InfeasibleTargetWarning,
             stacklevel=3)
-        return driver._corrected(t, "step_delta_l2_clamped",
+        return driver._corrected("step_delta_l2_clamped",
                                  co.correct_increment_mass_l2, inc, field, delta)
 
 
@@ -74,15 +74,15 @@ class _DriverBase:
     target = None
     step_target = None
 
-    def _corrected(self, t, kind, corrector, *args):
-        """Call ``corrector(*args)``, log its report stamped with ``t`` and
-        ``kind`` (a tuple of kinds for a pair of reports), return the update."""
+    def _corrected(self, kind, corrector, *args):
+        """Call ``corrector(*args)``, log its report stamped with ``kind`` (a
+        tuple of kinds for a pair of reports), return the update."""
         update, report = corrector(*args)
         if self.stage_records is not None:
             pairs = zip(kind, report) if isinstance(kind, tuple) \
                 else ((kind, report),)
             for k, rec in pairs:
-                rec.t, rec.kind = t, k
+                rec.kind = k
                 self.stage_records.add(rec)
         return update
 
@@ -91,7 +91,7 @@ class _DriverBase:
         is when there is no target."""
         if self.target is None:
             return update
-        return self._corrected(t, kind, corrector, update, state,
+        return self._corrected(kind, corrector, update, state,
                                self.target.at(t))
 
     def post_step(self, y_old, y_new, t, dt):
@@ -273,6 +273,7 @@ class DgScalar1D(_DriverBase):
         self._rhs, diffusion, self._divisor = dg_operator(
             self.grid, self.degree, flux_fn, interface_rule)
         self._correct = co.dg_l2_corrector(diffusion)
+        self._edges = EDGE_TABLES[self.degree]
 
     def initial_array(self):
         return self.ic.coeffs.ravel().copy()
@@ -281,9 +282,9 @@ class DgScalar1D(_DriverBase):
         return _unchecked(DgField, grid=self.grid, coeffs=y.reshape(self._shape))
 
     def stable_dt(self, y, cfl, dt_max):
-        a = self.state_of(y)
-        um, up = face_traces(a)
-        speed = max(float(np.abs(um).max()), float(np.abs(up).max()), 1e-300)
+        # every face's two traces are the edge values of its two cells
+        edges = y.reshape(self._shape) @ self._edges
+        speed = max(float(np.abs(edges).max()), 1e-300)
         return cfl_dt(speed, self.grid.dx / (2 * self.degree + 1), cfl, dt_max)
 
     def rhs(self, y, t, dt):
@@ -451,7 +452,7 @@ class Euler1D(_DriverBase):
             boundary = co.estimate_boundary_entropy_flux(
                 state, ev=ev, boundary_psi=self.boundary_psi)
             target = co.EntropyRateTarget(boundary, self.entropy_ratio)
-            f = self._corrected(t, "entropy", co.correct_entropy_euler1d, f,
+            f = self._corrected("entropy", co.correct_entropy_euler1d, f,
                                 state, target, ev)
         return schemes.euler1d_rhs(f, self.grid).ravel()
 

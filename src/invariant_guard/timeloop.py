@@ -3,6 +3,8 @@ discrete-update path, plus the simulation driver."""
 
 from __future__ import annotations
 
+import cmath
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -52,8 +54,25 @@ def cfl_dt_2d(max_ux, max_uy, dx, dy, cfl, dt_max):
     return min(cfl / denom, dt_max)
 
 
+#: a float64 zero vector per state length ``all_finite`` has seen
+_ZEROS = {}
+
+
+def all_finite(u):
+    """``np.isfinite(u).all()`` for a float64 or complex128 state, as one
+    dot product with zeros: inf * 0 and NaN * 0 are NaN and a sum holding a
+    NaN stays NaN, while every finite entry gives a signed zero.  ``cmath``
+    reads both parts of a complex sum, where ``math.isnan`` would drop the
+    imaginary one, and ``np.vdot``, unlike ``np.dot``, warns of no invalid
+    value on the way."""
+    zeros = _ZEROS.get(u.size)
+    if zeros is None:
+        zeros = _ZEROS[u.size] = np.zeros(u.size)
+    return not cmath.isnan(np.vdot(u, zeros))
+
+
 def _check_stage(u):
-    if not np.isfinite(u).all():
+    if not all_finite(u):
         raise NonFiniteState("Runge-Kutta stage state must be finite")
 
 
@@ -170,13 +189,16 @@ def run(plan: StepPlan, problem) -> Trajectory:
     """
     traj = Trajectory()
     problem.stage_records = traj.stage_records
+    t_end, dt_override, max_steps = plan.t_end, plan.dt_override, plan.max_steps
+    cfl, dt_max = plan.cfl, plan.dt_max
 
     y = problem.initial_array()
     t = 0.0
-    if plan.n_snapshots > 1 and plan.t_end > 0:
-        snap_times = np.linspace(0.0, plan.t_end, plan.n_snapshots)
+    if plan.n_snapshots > 1 and t_end > 0:
+        snap_times = np.linspace(0.0, t_end, plan.n_snapshots).tolist()
     else:
-        snap_times = np.array([0.0])
+        snap_times = [0.0]
+    n_snaps = len(snap_times)
 
     def record(y, t):
         traj.times.append(t)
@@ -190,28 +212,30 @@ def run(plan: StepPlan, problem) -> Trajectory:
         return traj
 
     record(y, t)
-    if plan.t_end <= 0:
+    if t_end <= 0:
         return traj
 
     next_snap = 1
     stepper = discrete_step if plan.integrator == DISCRETE else (
         forward_euler_step if plan.integrator == FORWARD_EULER else ssprk3_step)
     advance = problem.increment if plan.integrator == DISCRETE else problem.rhs
+    stable_dt = problem.stable_dt
     post_step = getattr(problem, "post_step", None)
     observe = getattr(problem, "observe", None)
+    t_stop, dt_floor = t_end - 1e-12 * t_end, 1e-14 * t_end
 
     step = 0
-    while t < plan.t_end - 1e-12 * plan.t_end:
-        if step >= plan.max_steps:
+    while t < t_stop:
+        if step >= max_steps:
             return fail(NumericalBlowup("step budget exhausted", step, t), t)
-        if plan.dt_override is not None:
-            dt = plan.dt_override
+        if dt_override is not None:
+            dt = dt_override
         else:
-            dt = problem.stable_dt(y, plan.cfl, plan.dt_max)
-        if next_snap < len(snap_times):
+            dt = stable_dt(y, cfl, dt_max)
+        if next_snap < n_snaps:
             dt = min(dt, snap_times[next_snap] - t)
-        dt = min(dt, plan.t_end - t)
-        if not np.isfinite(dt) or dt <= 1e-14 * plan.t_end:
+        dt = min(dt, t_end - t)
+        if not math.isfinite(dt) or dt <= dt_floor:
             return fail(NumericalBlowup("timestep underflow", step, t), t)
 
         try:
@@ -227,11 +251,11 @@ def run(plan: StepPlan, problem) -> Trajectory:
         t += dt
         step += 1
 
-        if not np.isfinite(y).all():
+        if not all_finite(y):
             return fail(NumericalBlowup("non-finite state", step, t), t)
         if observe is not None:
             observe(y, t, traj)
-        while next_snap < len(snap_times) and t >= snap_times[next_snap] - 1e-12:
+        while next_snap < n_snaps and t >= snap_times[next_snap] - 1e-12:
             record(y, snap_times[next_snap])
             next_snap += 1
     traj.stage_records.close(t)

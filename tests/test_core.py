@@ -66,6 +66,25 @@ def test_volume_mean_is_bracket_ratio():
         bracket(a, ones, vol) / bracket(ones, ones, vol), rel=1e-15)
 
 
+def test_volume_mean_total_is_kept_per_shape_and_volume():
+    # <1|1> is summed once per (shape, scalar volume): two grids of one N
+    # and different dx, or of one dx and different N, each get their own
+    # total, and an array of volumes is summed on every call
+    rng = np.random.default_rng(12)
+    grids = [UniformGrid1D(32, 1.0), UniformGrid1D(32, 3.0),
+             UniformGrid1D(64, 2.0)]
+    for _ in range(2):     # the second pass reads the totals kept
+        for g in grids:
+            a = rng.normal(size=g.n_cells)
+            ones = np.ones(g.n_cells)
+            assert volume_mean(a, g.dx) == \
+                bracket(a, ones, g.dx) / bracket(ones, ones, g.dx)
+    a = rng.normal(size=16)
+    for scale in (1.0, 2.5):
+        vol = scale * rng.uniform(0.5, 1.5, size=16)
+        assert volume_mean(a, vol) == float(np.sum(a * vol)) / float(np.sum(vol))
+
+
 @pytest.mark.parametrize("shape", [(7,), (64,), (513,), (16, 16), (31, 3)])
 @pytest.mark.parametrize("scale", [1.0, 0.37])
 def test_bracket_and_volume_mean_keep_the_sum_forms_bits(shape, scale):

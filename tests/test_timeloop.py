@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -15,7 +16,7 @@ from invariant_guard.errors import (ConfigurationError, DegenerateCorrection,
                                     NonFiniteState, NumericalBlowup)
 from invariant_guard.problems import ic_sine, ic_sum_of_sines
 from invariant_guard.schemes import FluxScheme
-from invariant_guard.timeloop import (StepPlan, cfl_dt, cfl_dt_2d,
+from invariant_guard.timeloop import (StepPlan, all_finite, cfl_dt, cfl_dt_2d,
                                       discrete_step, run, ssprk3_step)
 
 
@@ -279,6 +280,42 @@ def test_non_finite_stage_is_recorded(kind, stage):
         assert isinstance(tr.error, NumericalBlowup)
         assert tr.error.step == 2
     assert len(tr.snapshots) == 1
+
+
+def _finiteness_cases():
+    """Float64 and complex128 states: inf, -inf and NaN at the first, a
+    middle and the last entry (of either part of a complex state), and
+    finite extremes: +-1.7e308, subnormals and -0.0."""
+    base = np.random.default_rng(8).normal(size=9)
+    reals = [base, np.array([0.0]), np.array([-0.0, 0.0, -0.0]),
+             np.array([1.7e308, -1.7e308, 1.7e308]),
+             np.array([5e-324, -5e-324, 2.2e-310, -0.0])]
+    for bad in (np.inf, -np.inf, np.nan):
+        for i in (0, 4, 8):
+            u = base.copy()
+            u[i] = bad
+            reals.append(u)
+    cases = list(reals)
+    for re in reals:
+        for im in reals:
+            if len(re) == len(im):
+                u = re.astype(complex)
+                u.imag = im     # 1j * inf would put a NaN in the real part
+                cases.append(u)
+    return cases
+
+
+def test_all_finite_answers_as_isfinite_all():
+    # the loop's and the stepper's check is a dot product with zeros; its
+    # answer is np.isfinite(u).all() on every state, a NaN only in an
+    # imaginary part included, and it warns of nothing
+    cases = _finiteness_cases()
+    assert any(np.isnan(u.imag).any() and np.isfinite(u.real).all()
+               for u in cases)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u in cases:
+            assert all_finite(u) is bool(np.isfinite(u).all()), u
 
 
 def _raising_driver(exc):

@@ -54,8 +54,14 @@ MUTANTS = [
      "    u2 = 0.75 * y + 0.25 * (u1 + dt * rhs(u1, t + dt, dt))",
      "    u2 = 0.75 * y + 0.25 * (u1 + dt * rhs(u1, t + 0.5 * dt, dt))"),
     ("SSPRK3: stage states not checked for finiteness", "timeloop.py",
-     "    if not np.isfinite(u).all():",
+     "    if not all_finite(u):",
      "    if False:"),
+    ("finite check reads only the real part", "timeloop.py",
+     "    return not cmath.isnan(np.vdot(u, zeros))",
+     "    return not cmath.isnan(np.vdot(u.real, zeros))"),
+    ("volume-mean total cached by shape alone", "core.py",
+     "    key = (a.shape, volume) if isinstance(volume, float) else None",
+     "    key = a.shape if isinstance(volume, float) else None"),
     ("boundary estimate: cached psi of the Dirichlet pair swapped",
      "drivers.py",
      "            else co.entropy_flux_pair(self.boundary_state, self.gamma)",
