@@ -1,8 +1,9 @@
 """Experiment configuration: flat key-value text with [section] headers.
 
 Parsed with configparser, values literal.  Each field a config sets
-declares its section, range and the equations that read it (``_key``), as
-listed in the README.  A [variant.<label>] inherits the [problem] and
+declares its section and range (``_key``); ``RUN_KINDS`` and ``READ_WHEN``
+say which runs read it, and ``parse_config`` rejects a key that its run
+would not read.  The README lists them all.  A [variant.<label>] inherits the [problem] and
 [plan] defaults and may override some of them.
 """
 
@@ -15,39 +16,54 @@ from pathlib import PurePath
 
 from .errors import ConfigurationError
 
-#: the initial conditions each equation accepts; the first is the default
-_ICS = {
-    "advection": ("sine", "sum_of_sines"),
-    "burgers": ("sine", "sum_of_sines"),
-    "burgers_forced": ("sine", "sum_of_sines", "zero"),
-    "burgers_nonconservative": ("sine", "sum_of_sines"),
-    "dg_burgers": ("sine",),
-    "euler2d": ("random_vorticity",),
-    "euler1d": ("sod", "random_euler"),
+
+_SINES = ("sine", "sum_of_sines")
+_SCALAR = frozenset({"boundary", "ic_offset", "reference_resolution",
+                     "target"})
+_FLUX = _SCALAR | {"scheme", "nu", "step_correction", "reference_scheme"}
+#: Every kind of run: its initial conditions (the first is the default),
+#: correctors, and the fields it reads of those some kind does not read.
+#: A run kind is the equation, but advection under the discrete integrator
+#: is the FTCS demo, ``ftcs``.  Every kind accepts ``ic_seed`` and
+#: ``forcing_seed``: the benchmark seeds a config by writing both.
+RUN_KINDS = {
+    "advection": (_SINES, ("none", "flux_l2"), _FLUX | {"c"}),
+    "ftcs": (_SINES, ("none", "increment_l2"), _SCALAR | {"c"}),
+    "burgers": (_SINES, ("none", "flux_l2"), _FLUX),
+    "burgers_forced": (_SINES + ("zero",), ("none", "flux_l2"), _FLUX),
+    "burgers_nonconservative": (_SINES, ("none", "rhs_l2"), _SCALAR),
+    "dg_burgers": (("sine",), ("none", "dg_l2"),
+                   {"ic_offset", "dg_degree", "target"}),
+    "euler2d": (("random_vorticity",), ("none", "flux_l2", "energy"),
+                {"nu", "forcing", "kolmogorov_k", "drag", "step_correction",
+                 "reference_resolution", "target"}),
+    "euler1d": (("sod", "random_euler"), ("none", "euler1d_entropy"),
+                {"gamma", "boundary", "entropy_ratio", "positivity"}),
 }
+#: the fields some run kind does not read; every kind reads the others
+_RESTRICTED = frozenset().union(*(reads for _, _, reads in RUN_KINDS.values()))
+
+
+def _forced(ec, _):
+    """Whether a run of ``ec``, a variant or the reference, is forced."""
+    runs = [v.forcing for v in ec.variants] + [None] * bool(
+        ec.reference_resolution)
+    return "kolmogorov" in {ec.forcing if f is None else f for f in runs}
+
+
+_CORRECTED = (lambda ec, v: v.corrector != "none",
+              "under a corrector other than none")
+_FORCED = (_forced, "when a run's forcing is kolmogorov")
+#: the fields that a run kind that reads them reads only under a condition
+#: on other values: (the test, of the config and the values of the field's
+#: section, and the condition in words)
+READ_WHEN = {"target": _CORRECTED, "entropy_ratio": _CORRECTED,
+             "reference_scheme": (lambda ec, _: ec.reference_resolution > 0,
+                                  "with a reference_resolution"),
+             "kolmogorov_k": _FORCED, "drag": _FORCED}
 _SCHEMES = ("centered", "upwind", "godunov", "lax_friedrichs", "muscl",
             "surrogate")
 _INTEGRATORS = ("ssprk3", "forward_euler", "discrete")
-#: the correctors each equation accepts under the Runge-Kutta integrators
-_CORRECTORS = {
-    "advection": ("none", "flux_l2"),
-    "burgers": ("none", "flux_l2"),
-    "burgers_forced": ("none", "flux_l2"),
-    "burgers_nonconservative": ("none", "rhs_l2"),
-    "dg_burgers": ("none", "dg_l2"),
-    "euler2d": ("none", "flux_l2", "energy"),
-    "euler1d": ("none", "euler1d_entropy"),
-}
-#: the discrete integrator runs the FTCS advection demo only
-_DISCRETE_CORRECTORS = {"advection": ("none", "increment_l2")}
-#: equations whose driver chains ``step_correction`` over each RK step
-_STEP_CORRECTED = ("advection", "burgers", "burgers_forced", "euler2d")
-#: equations with a reference run (rate curve and coarse-grained snapshots)
-_REFERENCED = ("advection", "burgers", "burgers_forced",
-               "burgers_nonconservative", "euler2d")
-#: equations whose RK driver reads ``scheme`` (``schemes.flux_rule_1d``)
-_FLUX_SCHEMED = ("advection", "burgers", "burgers_forced")
-_SCALAR_1D = _FLUX_SCHEMED + ("burgers_nonconservative",)
 
 
 def rate_spec(text):
@@ -92,13 +108,12 @@ _RELATIVE = _rule(lambda p: not PurePath(p).is_absolute()
 _VARIANT = "variant.<label>"
 
 
-def _key(section, default, rule=None, *equations):
+def _key(section, default, rule=None):
     """A field that ``[section]`` sets under its name less any ``<section>_``
     prefix, read as its annotated type.  ``rule`` raises ValueError on a
-    value out of range; ``equations``, if any, are all that read the key."""
+    value out of range."""
     return field(default=default, metadata=dict(
-        section=section, rule=rule or (lambda value: None),
-        equations=equations))
+        section=section, rule=rule or (lambda value: None)))
 
 
 @dataclass
@@ -108,34 +123,34 @@ class VariantConfig:
     corrector: str = _key(_VARIANT, "none")
     target: str = _key(_VARIANT, "clamp", rate_spec)
     step_correction: str = _key(_VARIANT, "none", rate_spec)
-    entropy_ratio: float = _key(_VARIANT, 1.0, _AT_LEAST_0, "euler1d")
-    positivity: bool = _key(_VARIANT, True, None, "euler1d")
+    entropy_ratio: float = _key(_VARIANT, 1.0, _AT_LEAST_0)
+    positivity: bool = _key(_VARIANT, True)
     # per-variant overrides of the [plan] and [problem] values
     t_end: float = _key(_VARIANT, None, _AT_LEAST_0)
     cfl: float = _key(_VARIANT, None, _CFL)
-    forcing: str = _key(_VARIANT, None, _FORCING, "euler2d")
+    forcing: str = _key(_VARIANT, None, _FORCING)
     nu: float = _key(_VARIANT, None, _AT_LEAST_0)
     expect_blowup: bool = _key(_VARIANT, False)
 
 
 @dataclass
 class ExperimentConfig:
-    equation: str = _key("problem", "advection", _one_of(*_CORRECTORS))
+    equation: str = _key("problem", "advection",
+                         _one_of(*(k for k in RUN_KINDS if k != "ftcs")))
     length: float = _key("problem", 1.0, _rule(lambda x: x > 0.0, "> 0"))
-    c: float = _key("problem", 1.0, None, "advection")
+    c: float = _key("problem", 1.0)
     nu: float = _key("problem", 0.0, _AT_LEAST_0)
-    gamma: float = _key("problem", 1.4, _rule(lambda x: x > 1.0, "> 1"),
-                        "euler1d")
+    gamma: float = _key("problem", 1.4, _rule(lambda x: x > 1.0, "> 1"))
     boundary: str = _key("problem", "periodic",
                          _one_of("periodic", "dirichlet"))
-    ic: str = _key("problem", "sine")    # default: the first of _ICS
+    ic: str = _key("problem", "sine")    # default: the run kind's first
     ic_seed: int = _key("problem", 0)
-    ic_offset: float = _key("problem", 0.0, None, *_SCALAR_1D, "dg_burgers")
-    dg_degree: int = _key("problem", 1, _one_of(0, 1, 2), "dg_burgers")
-    forcing: str = _key("problem", "none", _FORCING, "euler2d")
+    ic_offset: float = _key("problem", 0.0)
+    dg_degree: int = _key("problem", 1, _one_of(0, 1, 2))
+    forcing: str = _key("problem", "none", _FORCING)
     forcing_seed: int = _key("problem", 0)
-    kolmogorov_k: int = _key("problem", 4, _AT_LEAST_1, "euler2d")
-    drag: float = _key("problem", 0.1, _AT_LEAST_0, "euler2d")
+    kolmogorov_k: int = _key("problem", 4, _AT_LEAST_1)
+    drag: float = _key("problem", 0.1, _AT_LEAST_0)
     integrator: str = _key("plan", "ssprk3", _one_of(*_INTEGRATORS))
     cfl: float = _key("plan", 0.3, _CFL)
     t_end: float = _key("plan", 1.0, _AT_LEAST_0)
@@ -187,27 +202,26 @@ _KEYS = {section: {f.name.removeprefix(section + "_"): f
                          _VARIANT)}
 
 
-def _cross_errors(ec):
-    """The rules across keys.  A value its own rule rejects left its field
-    at the default, so each field holds a value its own rule accepts."""
+def _cross_errors(ec, kind):
+    """The rules across keys of a run of ``kind``.  A rejected key left its
+    field at the default, so each field holds a value its rule accepts."""
     errors = []
-    correctors = (_DISCRETE_CORRECTORS if ec.integrator == "discrete"
-                  else _CORRECTORS).get(ec.equation)
-    if correctors is None:
+    if ec.integrator == "discrete" and kind != "ftcs":
         errors.append("[plan] integrator = discrete runs the FTCS advection "
                       "demo only")
-    if ec.ic not in _ICS[ec.equation]:
-        errors.append(f"[problem] ic = {ec.ic!r}: {ec.equation} accepts "
-                      f"{_ICS[ec.equation]}")
-    if ec.boundary == "dirichlet" and ec.equation != "euler1d":
-        errors.append(f"[problem] boundary = dirichlet: {ec.equation} is "
+    ics, correctors, reads = RUN_KINDS[kind]
+    if ec.ic not in ics:
+        errors.append(f"[problem] ic = {ec.ic!r}: {kind} accepts {ics}")
+    if ec.boundary == "dirichlet" and kind != "euler1d":
+        errors.append(f"[problem] boundary = dirichlet: {kind} is "
                       "periodic-only; only euler1d has a bounded solver")
-    steps = ec.equation in _STEP_CORRECTED and ec.integrator != "discrete"
+    if ec.ic == "sod" and ec.boundary != "dirichlet":
+        errors.append("[problem] ic = 'sod' needs boundary = dirichlet")
     for v in ec.variants:
         where = f"[variant.{v.label}]"
-        if correctors is not None and v.corrector not in correctors:
-            errors.append(f"{where} corrector = {v.corrector!r}: {ec.equation} "
-                          f"with {ec.integrator} accepts {correctors}")
+        if v.corrector not in correctors:
+            errors.append(f"{where} corrector = {v.corrector!r}: {kind} "
+                          f"accepts {correctors}")
         for key in ("target", "step_correction"):
             if getattr(v, key) == "tracked" and not ec.reference_resolution:
                 errors.append(f"{where} {key} = tracked needs a reference run; "
@@ -215,22 +229,14 @@ def _cross_errors(ec):
             elif getattr(v, key) == "tracked" and (v.t_end or 0) > ec.t_end:
                 errors.append(f"{where} t_end: {key} = tracked reads the "
                               f"reference run, which ends at t = {ec.t_end:g}")
-        if v.target == "none" \
-                and v.corrector not in ("none", "euler1d_entropy"):
+        if v.target == "none" and v.corrector != "none":
             errors.append(f"{where} target = none: corrector {v.corrector!r} "
                           "needs a target")
-        if v.step_correction != "none" and not steps:
-            errors.append(f"{where} step_correction applies only to "
-                          f"{_STEP_CORRECTED} under a Runge-Kutta integrator")
-    if ec.reference_resolution:
-        if ec.equation not in _REFERENCED:
-            errors.append(f"[run] reference_resolution: {ec.equation} has no "
-                          "reference run")
-        for n in ec.resolutions:
-            if ec.reference_resolution % n != 0:
-                errors.append(f"[run] reference_resolution "
-                              f"{ec.reference_resolution} not divisible by {n}")
-    if ec.equation not in _FLUX_SCHEMED or ec.integrator == "discrete":
+    for n in ec.resolutions:
+        if ec.reference_resolution % n != 0:
+            errors.append(f"[run] reference_resolution "
+                          f"{ec.reference_resolution} not divisible by {n}")
+    if "scheme" not in reads:
         return errors
     # the rules of schemes.flux_rule_1d (ScalarFv1D binds it at build time)
     # for every run of a flux scheme: each variant at the smallest
@@ -243,9 +249,9 @@ def _cross_errors(ec):
     for where, scheme, key, n in runs:
         if scheme == "surrogate":
             where, scheme = "[surrogate] base", ec.surrogate_base
-        if scheme == "upwind" and ec.equation != "advection":
+        if scheme == "upwind" and kind != "advection":
             errors.append(f"{where} = upwind is sign-ambiguous for "
-                          f"{ec.equation}; use godunov")
+                          f"{kind}; use godunov")
         if scheme == "muscl" and n < 4:
             errors.append(f"[run] {key} = {n}: {where} = muscl needs at "
                           "least 4 cells")
@@ -270,7 +276,11 @@ def parse_config(path):
     errors = []
     ec = ExperimentConfig()
     equation = cfg.get("problem", "equation", fallback=ec.equation)
-    ec.ic = _ICS.get(equation, (ec.ic,))[0]
+    discrete = cfg.get("plan", "integrator", fallback="") == "discrete"
+    kind = "ftcs" if equation == "advection" and discrete else equation
+    ics, _, reads = RUN_KINDS.get(kind, ((ec.ic,), (), _RESTRICTED))
+    ec.ic = ics[0]
+    given = []
     for section in cfg.sections():
         into, keys = ec, _KEYS.get(section)
         label = section.removeprefix("variant.")
@@ -290,10 +300,10 @@ def parse_config(path):
                 errors.append(f"[{section}] {key}: unknown key; [{section}] "
                               f"takes {', '.join(keys)}")
                 continue
-            only = f.metadata["equations"]
-            if only and equation not in only:
-                errors.append(f"[{section}] {key}: read on "
-                              f"{', '.join(only)} only, not on {equation}")
+            if f.name in _RESTRICTED and f.name not in reads:
+                errors.append(f"[{section}] {key}: read on " + ", ".join(
+                    k for k, (_, _, r) in RUN_KINDS.items() if f.name in r)
+                    + f" only, not on {kind}")
                 continue
             try:
                 value = _READERS[f.type](raw)
@@ -302,6 +312,10 @@ def parse_config(path):
                 errors.append(f"[{section}] {key} = {raw!r}: {err}")
                 continue
             setattr(into, f.name, value)
+            given.append((f"[{section}] {key}", f.name, into))
+    for where, name, into in given:
+        if name in READ_WHEN and not READ_WHEN[name][0](ec, into):
+            errors.append(f"{where}: read only {READ_WHEN[name][1]}")
     schemes = [v.scheme for v in ec.variants]
     if ec.reference_resolution:
         schemes.append(ec.reference_scheme)
@@ -310,7 +324,7 @@ def parse_config(path):
                       "is surrogate, so nothing reads it")
     # a rejected equation left the default, which the rules would misname
     if equation == ec.equation:
-        errors += _cross_errors(ec)
+        errors += _cross_errors(ec, kind)
     if errors:
         raise ConfigurationError(f"invalid config {path}:\n  "
                                  + "\n  ".join(dict.fromkeys(errors)))

@@ -38,8 +38,8 @@ from .core import (DgField, EulerState1D, FvField1D, FvField2D, SpectralField,
 from .dg import coeffs_l2_rate, dg_diffusion, periodic_pad
 # not called here any more; bench/spans.py still wraps this module's names
 from .dg import dg_diffusion_rhs, dg_l2_rate  # noqa: F401
-from .errors import (CflViolation, DegenerateCorrection, InfeasibleTarget,
-                     PositivityViolation)
+from .errors import (CflViolation, ConfigurationError, DegenerateCorrection,
+                     InfeasibleTarget, PositivityViolation)
 from .schemes import BoundaryFluxes2D, ghost_rows
 from .kernels import local_lax_friedrichs_fluxes
 from .kernels.euler1d import _physical_flux
@@ -203,37 +203,31 @@ def _face_jumps(a, periodic):
     return (shift(a, 1) - a) if periodic else a[1:] - a[:-1]
 
 
-def _flux_rate_1d(f, u, du):
-    vals = u.values
-    if u.grid.periodic:
-        return float(f @ du)
-    return float(f[1:-1] @ du + f[0] * vals[0] - f[-1] * vals[-1])
+def _periodic_jumps(u: FvField1D):
+    """Face jumps u_{j+1} - u_j; ConfigurationError on a bounded grid."""
+    if not u.grid.periodic:
+        raise ConfigurationError("the scalar flux corrector is periodic-only")
+    return _face_jumps(u.values, True)
 
 
 def flux_l2_rate_1d(fluxes, u: FvField1D):
-    """Measured d(l2)/dt of a flux-form update, boundary terms included."""
-    return _flux_rate_1d(np.asarray(fluxes, dtype=np.float64), u,
-                         _face_jumps(u.values, u.grid.periodic))
+    """Measured d(l2)/dt of a flux-form update on a periodic grid."""
+    return float(np.asarray(fluxes, dtype=np.float64) @ _periodic_jumps(u))
 
 
 def correct_flux_l2_1d(fluxes, u: FvField1D, target: L2RateTarget):
-    """Transform interface fluxes so the l2 rate equals the target.
-
-    Periodic grids modify every interface; bounded grids hold the two
-    boundary fluxes fixed and correct the interior, with the boundary terms
-    entering the measured rate.  G is the interface jump u_{j+1}-u_j.
-    """
+    """Transform the N interface fluxes of a periodic grid so the l2 rate
+    equals the target.  G is the interface jump u_{j+1}-u_j."""
     f = np.asarray(fluxes, dtype=np.float64)
-    du = _face_jumps(u.values, u.grid.periodic)
-    old = _flux_rate_1d(f, u, du)
+    du = _periodic_jumps(u)
+    old = float(f @ du)
     new = target.resolve(old)
     if new == old:
         return f, Correction(old, new, old)
 
     denom = float(du @ du)  # G = du: the denominator is its own scale
-    return _line_search(f, None if u.grid.periodic else slice(1, -1),
-                        du, old, new, denom, denom, "correct_flux_l2_1d",
-                        lambda out: _flux_rate_1d(out, u, du))
+    return _line_search(f, None, du, old, new, denom, denom,
+                        "correct_flux_l2_1d", lambda out: float(out @ du))
 
 
 def flux_l2_rates_2d(fluxes, u: FvField2D):

@@ -112,16 +112,14 @@ def numerical_flux_1d(scheme, u: FvField1D, equation, c=None, lf_ratio=None):
 
 
 def flux_divergence_1d(grid):
-    """N_j = -(f_{j+1/2} - f_{j-1/2})/dx on ``grid``: a function of a float64
-    flux array, bound once.  Drivers bind it; ``fv_rhs_1d`` checks its input
-    and binds one per call.
-
-    Periodic grids take N fluxes (f[j] at j+1/2, wrapping); bounded grids
-    take N+1 fluxes including both domain boundaries.
+    """N_j = -(f_{j+1/2} - f_{j-1/2})/dx on a periodic ``grid``, f[j] at
+    j+1/2 (wrapping): a function of a float64 flux array of N entries,
+    bound once; raises ConfigurationError on a bounded grid.  Drivers bind
+    it; ``fv_rhs_1d`` checks its input and binds one per call.
     """
-    dx = grid.dx
     if not grid.periodic:
-        return lambda f: -(f[1:] - f[:-1]) / dx
+        raise ConfigurationError("the scalar flux divergence is periodic-only")
+    dx = grid.dx
 
     def periodic(f):
         out = np.empty(len(f))
@@ -135,13 +133,11 @@ def flux_divergence_1d(grid):
 
 def fv_rhs_1d(fluxes, grid):
     """The flux divergence of ``flux_divergence_1d``, checked on every call."""
+    divergence = flux_divergence_1d(grid)
     f = np.asarray(fluxes, dtype=np.float64)
-    if grid.periodic:
-        if f.shape != (grid.n_cells,):
-            raise ValueError("periodic flux array must have one entry per cell")
-    elif f.shape != (grid.n_cells + 1,):
-        raise ValueError("bounded flux array must have N+1 entries")
-    return flux_divergence_1d(grid)(f)
+    if f.shape != (grid.n_cells,):
+        raise ValueError("the flux array must have one entry per cell")
+    return divergence(f)
 
 
 def fv_rhs_2d(fluxes: BoundaryFluxes2D, grid: UniformGrid2D):

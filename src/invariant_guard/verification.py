@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -86,8 +85,8 @@ def _unchanged(out, original, bitwise):
         <= NOOP_RTOL * max(np.linalg.norm(original), 1e-30)
 
 
-def _random_grid_1d(rng, n, boundary="periodic"):
-    return UniformGrid1D(n, float(rng.uniform(0.5, 4.0)), boundary)
+def _random_grid_1d(rng, n):
+    return UniformGrid1D(n, float(rng.uniform(0.5, 4.0)))
 
 
 # --- the linear corrector contract -------------------------------------------
@@ -165,11 +164,10 @@ def _fixed_below(high, count=1):
         for _ in range(count))
 
 
-def _draw_1d(rng, n, boundary="periodic"):
-    """A cell field and a random update: N cell values or periodic faces,
-    or N + 1 faces on a Dirichlet grid."""
-    u = FvField1D(_random_grid_1d(rng, n, boundary), rng.normal(size=n))
-    yield u, rng.normal(size=n if u.grid.periodic else n + 1)
+def _draw_1d(rng, n):
+    """A cell field and a random update: N cell values or periodic faces."""
+    u = FvField1D(_random_grid_1d(rng, n), rng.normal(size=n))
+    yield u, rng.normal(size=n)
 
 
 def _boundary_faces(f, out, state):
@@ -270,15 +268,11 @@ def _entropy_target(rng, state):
 FLUX1D = Case(
     "correct_flux_l2_1d", "flux1d exactness", "flux1d clamp no-op (bitwise)",
     SIZES_1D, 1, _draw_1d, _fixed_below(3.0),
-    lambda f, u: (co.flux_l2_rate_1d(f, u),), conserved=_boundary_faces)
+    lambda f, u: (co.flux_l2_rate_1d(f, u),))
 FLUX1D_MASS = replace(
     FLUX1D, exact_name="flux1d mass telescoping", noop_name=None,
     targets=lambda rng, u: (co.L2RateTarget.fixed(-1.0),),
     conserved=_telescoping)
-FLUX1D_BOUNDED = replace(
-    FLUX1D, exact_name="flux1d bounded-domain correction", noop_name=None,
-    divisor=2, draw=partial(_draw_1d, boundary="dirichlet"),
-    targets=_fixed_below(2.0))
 FLUX2D = Case(
     "correct_flux_l2_2d", "flux2d directional exactness",
     "flux2d clamp no-op (bitwise)", SIZES_2D, 4, _draw_flux2d,
@@ -316,7 +310,7 @@ ENTROPY = Case(
     conserved=_boundary_faces, noop_targets=(co.EntropyRateTarget(0.0, 1.0),))
 
 #: the linear correctors' cases, in PROPERTIES order
-CASES = (FLUX1D, FLUX1D_MASS, FLUX1D_BOUNDED, FLUX2D, RHS, DG, SPECTRAL,
+CASES = (FLUX1D, FLUX1D_MASS, FLUX2D, RHS, DG, SPECTRAL,
          EULER2D, ENTROPY)
 
 
@@ -543,7 +537,6 @@ PROPERTIES = [
     (FLUX1D.exact_name, FLUX1D.check_exactness),
     (FLUX1D.noop_name, FLUX1D.check_noop),
     (FLUX1D_MASS.exact_name, FLUX1D_MASS.check_exactness),
-    (FLUX1D_BOUNDED.exact_name, FLUX1D_BOUNDED.check_exactness),
     (FLUX2D.exact_name, FLUX2D.check_exactness),
     (FLUX2D.noop_name, FLUX2D.check_noop),
     (RHS.exact_name, RHS.check_exactness),
@@ -575,7 +568,9 @@ def run_property_suite(seed=0, trials=200, fns=None):
     fns = dict(default_correctors(), **(fns or {}))
     results = []
     for index, (name, fn) in enumerate(PROPERTIES):
-        rng = np.random.default_rng([seed, index])
+        # stream 3 was the retired bounded-domain flux row's: the rows after
+        # it keep their streams, so each seed draws what it drew
+        rng = np.random.default_rng([seed, index + (index >= 3)])
         try:
             checks = fn(rng, fns, trials)
             results.append(PropertyResult(name, True, checks))

@@ -14,7 +14,7 @@ from invariant_guard.cli import (SWEEP_VARIANTS, build_driver,
                                  bundled_config, cmd_run, cmd_sweep,
                                  cmd_verify, main, run_with_rates,
                                  variant_plan, write_csv)
-from invariant_guard.config import (_CORRECTORS, _DISCRETE_CORRECTORS, _KEYS,
+from invariant_guard.config import (_KEYS, READ_WHEN, RUN_KINDS,
                                     VariantConfig, parse_config)
 from invariant_guard.correctors import (AntiDiffusiveTargetWarning,
                                         TrackedRateSource)
@@ -64,16 +64,18 @@ def _config(tmp_path, problem, variant, plan="", run="", resolutions=16,
 
 
 @pytest.mark.parametrize("equation,integrator,corrector", [
-    (eq, integrator, corrector)
-    for integrator, table in (("ssprk3", _CORRECTORS),
-                              ("discrete", _DISCRETE_CORRECTORS))
-    for eq, correctors in table.items() for corrector in correctors])
+    ("advection", "discrete", corrector) if kind == "ftcs"
+    else (kind, "ssprk3", corrector)
+    for kind, (_, correctors, _) in RUN_KINDS.items()
+    for corrector in correctors])
 def test_accepted_correctors_build_and_step(tmp_path, equation, integrator,
                                             corrector):
-    # every corrector the table accepts is built and steps without error
+    # every corrector of every run kind is built and steps without error
+    target = "\ntarget = fixed:0" if corrector not in (
+        "none", "euler1d_entropy") else ""
     cfg = _config(tmp_path,
                   f"equation = {equation}\n" + EQUATION_LINES[equation],
-                  f"corrector = {corrector}\ntarget = fixed:0",
+                  f"corrector = {corrector}{target}",
                   plan=f"integrator = {integrator}")
     ec = parse_config(cfg)
     for variant in ec.variants:
@@ -133,6 +135,10 @@ REJECTED = {
         dict(problem="equation = advection\nic = sine", resolutions=2,
              variant="scheme = godunov", run="reference_resolution = 2"),
         "[run] reference_resolution"),
+    "sod_on_a_periodic_grid": (
+        dict(problem="equation = euler1d\nic = sod",
+             variant="corrector = euler1d_entropy"),
+        "[problem] ic"),
     "dirichlet_scalar_fv": (
         dict(problem="equation = advection\nic = sine\nboundary = dirichlet",
              variant="scheme = godunov"),
@@ -237,6 +243,68 @@ REJECTED = {
         dict(problem=BURGERS,
              variant="scheme = godunov\nforcing = kolmogorov"),
         "[variant.bad] forcing"),
+    # keys a run kind accepted but did not read
+    "nu_on_dg_burgers": (
+        dict(problem="equation = dg_burgers\nic = sine\nnu = 5.0",
+             variant="corrector = dg_l2"),
+        "[problem] nu"),
+    "nu_on_euler1d": (
+        dict(problem="equation = euler1d\n" + EQUATION_LINES["euler1d"]
+             + "\nnu = 5.0", variant="corrector = euler1d_entropy"),
+        "[problem] nu"),
+    "nu_on_burgers_nonconservative": (
+        dict(problem="equation = burgers_nonconservative\nic = sine\n"
+             "nu = 5.0", variant="corrector = rhs_l2"),
+        "[problem] nu"),
+    "variant_nu_on_ftcs": (
+        dict(problem="equation = advection\nic = sine",
+             plan="integrator = discrete",
+             variant="corrector = increment_l2\ntarget = fixed:0\nnu = 5.0"),
+        "[variant.bad] nu"),
+    "scheme_on_euler2d": (
+        dict(problem="equation = euler2d",
+             variant="corrector = energy\nscheme = lax_friedrichs"),
+        "[variant.bad] scheme"),
+    "scheme_on_dg_burgers": (
+        dict(problem="equation = dg_burgers\nic = sine",
+             variant="corrector = dg_l2\nscheme = upwind"),
+        "[variant.bad] scheme"),
+    "scheme_on_ftcs": (
+        dict(problem="equation = advection\nic = sine",
+             plan="integrator = discrete", variant="scheme = upwind"),
+        "[variant.bad] scheme"),
+    "scheme_on_burgers_nonconservative": (
+        dict(problem="equation = burgers_nonconservative\nic = sine",
+             variant="corrector = rhs_l2\nscheme = godunov"),
+        "[variant.bad] scheme"),
+    "reference_scheme_on_euler2d": (
+        dict(problem="equation = euler2d", variant="corrector = energy",
+             run="reference_resolution = 32\nreference_scheme = godunov"),
+        "[run] reference_scheme"),
+    "target_on_euler1d": (
+        dict(problem="equation = euler1d\n" + EQUATION_LINES["euler1d"],
+             variant="corrector = euler1d_entropy\ntarget = fixed:-1"),
+        "[variant.bad] target"),
+    # keys read only under a condition on another key's value
+    "target_under_corrector_none": (
+        dict(problem=BURGERS, variant="scheme = godunov\ntarget = fixed:-1"),
+        "[variant.bad] target"),
+    "entropy_ratio_under_corrector_none": (
+        dict(problem="equation = euler1d\n" + EQUATION_LINES["euler1d"],
+             variant="corrector = none\nentropy_ratio = 0.5"),
+        "[variant.bad] entropy_ratio"),
+    "kolmogorov_k_without_kolmogorov_forcing": (
+        dict(problem="equation = euler2d\nkolmogorov_k = 3",
+             variant="corrector = energy"),
+        "[problem] kolmogorov_k"),
+    "drag_without_kolmogorov_forcing": (
+        dict(problem="equation = euler2d\ndrag = 0.2",
+             variant="corrector = energy"),
+        "[problem] drag"),
+    "reference_scheme_without_reference": (
+        dict(problem=BURGERS, variant="scheme = godunov",
+             run="reference_scheme = godunov"),
+        "[run] reference_scheme"),
     # values out of range, which used to fail mid-run or run silently
     # at another value
     "negative_entropy_ratio": (
@@ -339,13 +407,136 @@ def test_seeded_benchmark_configs_parse(tmp_path, name):
     assert dataclasses.asdict(parse_config(path)) == {**bundled, **seeds}
 
 
+#: the values tried in place of a key's: the first that differs from the
+#: key's value in the tiny run and that parse_config accepts
+ALTERNATIVES = {
+    "equation": tuple(k for k in RUN_KINDS if k != "ftcs"),
+    "length": ("2.0",), "c": ("-0.5",), "nu": ("0.01", "0.0"),
+    "gamma": ("1.67",), "boundary": ("periodic", "dirichlet"),
+    "ic": ("sine", "sum_of_sines", "zero", "random_vorticity", "sod",
+           "random_euler"),
+    "ic_seed": ("7",), "ic_offset": ("0.25", "0.0"), "dg_degree": ("0", "2"),
+    "forcing": ("kolmogorov", "none"), "kolmogorov_k": ("2",),
+    "drag": ("0.5",), "integrator": ("forward_euler", "ssprk3", "discrete"),
+    "cfl": ("0.2",), "t_end": ("0.1",), "snapshots": ("3",),
+    "resolutions": ("16",), "reference_resolution": ("32",),
+    "output": ("elsewhere",), "base": ("centered", "upwind"),
+    "amplitude": ("0.7",), "seed": ("9",),
+    "reference_scheme": ("centered", "godunov", "muscl"),
+    "scheme": ("centered", "upwind", "godunov", "lax_friedrichs", "muscl",
+               "surrogate"),
+    "corrector": ("none", "flux_l2", "rhs_l2", "increment_l2", "dg_l2",
+                  "energy", "euler1d_entropy"),
+    "target": ("fixed:-0.5", "clamp", "none", "tracked"),
+    "step_correction": ("none", "clamp", "fixed:-0.5"),
+    "entropy_ratio": ("1.5",), "positivity": ("false", "true"),
+    "expect_blowup": ("false", "true"),
+}
+def _fail_alone(cp, section):
+    """Only the variant of ``section`` runs, without a reference run, and it
+    runs out of steps."""
+    for other in cp.sections():
+        if other.startswith("variant.") and other != section:
+            cp.remove_section(other)
+    cp.remove_option("run", "reference_resolution")
+    cp.remove_option("run", "reference_scheme")
+    cp["plan"]["max_steps"] = "2"
+
+
+#: how a tiny run shows a key it would not show: the CFL limit sets dt only
+#: in a long run, a failing variant shows expect_blowup, and on the Sod tube
+#: the gas limiter acts only past the CFL limit, where it ends the run with
+#: a CflViolation
+SHOWCASE = {"cfl": lambda cp, section: cp["plan"].update(
+    t_end=str(0.6 * float(cp["problem"].get("length", "1")))),
+            "expect_blowup": _fail_alone,
+            "positivity": lambda cp, section: cp["plan"].update(cfl="1.0",
+                                                                t_end="1")}
+
+
+def _tiny(bundled, section, key):
+    """A copy of ``bundled`` cut down to a tiny run, to t = 0.2 on 8 cells,
+    the reference on 16, with two snapshots, then set to show ``key`` of
+    ``section`` as SHOWCASE says."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_dict(bundled)
+    cp["plan"].update(t_end="0.2", snapshots="2")
+    cp["run"]["resolutions"] = "8"
+    if cp.has_option("run", "reference_resolution"):
+        cp["run"]["reference_resolution"] = "16"
+    for name in cp.sections():
+        if name.startswith("variant.") and cp.has_option(name, "t_end"):
+            cp[name]["t_end"] = "0.2"
+    SHOWCASE.get(key, lambda cp, section: None)(cp, section)
+    return cp
+
+
+@pytest.mark.parametrize("name", ALL_CONFIGS)
+def test_every_key_a_bundled_config_sets_is_read(tmp_path, name):
+    # ROADMAP item 16: for each key the config sets, another value of the
+    # key's own range is rejected, or it changes what a tiny run of the
+    # config writes (the manifest's config hash aside) or its exit code
+    bundled = configparser.ConfigParser(interpolation=None)
+    bundled.read(bundled_config(name))
+    command = "sweep" if name == "sweep_advection" else "run"
+    runs = []
+
+    def outputs(cp):
+        runs.append(tmp_path / str(len(runs)))
+        path = runs[-1].with_suffix(".cfg")
+        with open(path, "w") as fh:
+            cp.write(fh)
+        try:
+            parse_config(path)
+        except ConfigurationError:
+            return None
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            code = main(["--output-root", str(runs[-1]), command, str(path)])
+        files = {p.relative_to(runs[-1]).as_posix(): p.read_bytes()
+                 for p in runs[-1].rglob("*") if p.is_file()}
+        for key in [k for k in files if k.endswith("manifest")]:
+            files[key] = re.sub(rb"config_sha256 = \w+\n", b"", files[key])
+        return code, files
+
+    base, unread = {}, []
+    for section in bundled.sections():
+        for key in bundled[section]:
+            showcase = (section, key) if key in SHOWCASE else None
+            if showcase not in base:
+                base[showcase] = outputs(_tiny(bundled, section, key))
+                assert base[showcase] is not None
+            cp = _tiny(bundled, section, key)
+            tiny = cp[section][key]
+            for value in ALTERNATIVES[key]:
+                if value == tiny:
+                    continue
+                cp[section][key] = value
+                changed = outputs(cp)
+                if changed is not None:
+                    if changed == base[showcase]:
+                        unread.append(f"[{section}] {key} = {value}")
+                    break
+    assert not unread
+
+
 def test_readme_documents_every_config_key():
-    # one row per key in the README's "Config format" table, and no other
+    # one row per key in the README's "Config format" table, and no other,
+    # each accepted on the run kinds that read it
     text = (Path(__file__).parents[1] / "README.md").read_text()
     text = text.split("## Config format", 1)[1].split("\n## ", 1)[0]
-    rows = re.findall(r"^\| `\[([^\]]+)\]` \| `(\w+)` \|", text, re.M)
-    assert sorted(rows) == sorted((section, key) for section, keys in
-                                  _KEYS.items() for key in keys)
+    rows = re.findall(r"^\| `\[([^\]]+)\]` \| `(\w+)` \|.*\| ([^|]+) \|$",
+                      text, re.M)
+    want = {}
+    for section, keys in _KEYS.items():
+        for key, f in keys.items():
+            kinds = [k for k, (_, _, reads) in RUN_KINDS.items()
+                     if f.name in reads]
+            want[section, key] = ", ".join(f"`{k}`" for k in kinds) or "all"
+            if f.name in READ_WHEN:
+                want[section, key] += ", " + READ_WHEN[f.name][1]
+    assert {(section, key): accepted for section, key, accepted in rows} \
+        == want
 
 
 def test_random_euler_takes_the_config_gamma(tmp_path):
@@ -537,8 +728,8 @@ def test_verify_passes_and_counts(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     n_props = int(out.strip().splitlines()[-1].split()[0])
-    # 16 rows over the linear corrector CASES, 10 properties of their own
-    assert n_props == len(PROPERTIES) == 26
+    # 15 rows over the linear corrector CASES, 10 properties of their own
+    assert n_props == len(PROPERTIES) == 25
 
 
 def test_verify_detects_injected_sign_flip(capsys, tmp_path):
@@ -884,7 +1075,9 @@ def test_bundled_sweep_corrected_rows_do_not_gain_l2(tmp_path):
 
 
 def test_ic_defaults_to_the_first_the_equation_accepts(tmp_path):
-    for equation, ic in (("euler2d", "random_vorticity"), ("euler1d", "sod"),
+    # (Sod needs its Dirichlet boundary)
+    for equation, ic in (("euler2d", "random_vorticity"),
+                         ("euler1d\nboundary = dirichlet", "sod"),
                          ("advection", "sine")):
         cfg = _config(tmp_path, f"equation = {equation}", "corrector = none")
         assert parse_config(cfg).ic == ic

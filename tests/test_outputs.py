@@ -93,7 +93,7 @@ OUTPUT_DIGESTS = {
     "fig3_ftcs/n64/ftcs_l2_zero/trajectory.csv":
         "be0436297c1a8b765e129ee9de80a8b3bbfa8bbdccf10613898d401edc91c795",
     "fig4_euler2d_correlation/manifest":
-        "1c07e2718d1a32def56333f8d5a68ebb54c340c3a92bc47055ea48e3b7569ab2",
+        "b18f7fe0bcc9a2595dcafe48c3a60dc4e83a47c8462737578c86b91d3cd7efd8",
     "fig4_euler2d_correlation/n64/energy_clamp/invariants.csv":
         "72080fce8794908bab57235dd793222bcf3dcb6982a504743ec1481bc3ad88af",
     "fig4_euler2d_correlation/n64/energy_clamp/metrics.csv":
@@ -211,7 +211,7 @@ OUTPUT_DIGESTS = {
 }
 
 VERIFY_DIGEST = (
-    "b9c39a3590e8a3dd89e988eed1fe0609db276d0d97fda84f36181fdf3b44f29f")
+    "5cc2ebae86496c33836f432b758d476b86fc411c53390457f05a25ad37ed5fdb")
 
 CONFIGS = sorted({key.split("/")[0] for key in OUTPUT_DIGESTS})
 
