@@ -30,7 +30,8 @@ from .dg import burgers_centered_rule, dg_project
 from .drivers import (DgScalar1D, Euler1D, FtcsAdvection,
                       NonconservativeBurgers1D, ScalarFv1D, Vorticity2D)
 from .errors import ConfigurationError, InvariantGuardError
-from .problems import (ic_random_vorticity, ic_sine, ic_sod, ic_sum_of_sines)
+from .problems import (ic_random_euler, ic_random_vorticity, ic_sine, ic_sod,
+                       ic_sum_of_sines)
 from .schemes import FluxScheme
 from .surrogate import SurrogateFluxRule
 from .timeloop import StageRow, StepPlan, run
@@ -128,12 +129,8 @@ def _driver_spec(text, tracked_source):
 
 def _scalar_ic(ec: ExperimentConfig, n):
     grid = UniformGrid1D(n, ec.length, ec.boundary)
-    if ec.ic == "sine":
-        field = ic_sine(grid)
-    elif ec.ic == "sum_of_sines":
-        field = ic_sum_of_sines(grid, ec.ic_seed, "advection")
-    else:  # "zero", which only burgers_forced accepts
-        field = FvField1D(grid, np.zeros(n))
+    field = ic_sine(grid) if ec.ic == "sine" \
+        else ic_sum_of_sines(grid, ec.ic_seed)
     if ec.ic_offset:
         field.values = field.values + ec.ic_offset
     return field
@@ -152,7 +149,6 @@ def build_driver(ec: ExperimentConfig, variant: VariantConfig, n,
     if equation == "advection" and ec.integrator == "discrete":
         return FtcsAdvection(_scalar_ic(ec, n), c=ec.c, target=target)
     step = _driver_spec(variant.step_correction, tracked_source)
-    nu = variant.nu if variant.nu is not None else ec.nu
     if equation == "burgers_nonconservative":
         return NonconservativeBurgers1D(_scalar_ic(ec, n), target=target)
     if equation == "dg_burgers":
@@ -162,27 +158,24 @@ def build_driver(ec: ExperimentConfig, variant: VariantConfig, n,
                         + ec.ic_offset)
         return DgScalar1D(ic, lambda u: 0.5 * u * u, burgers_centered_rule,
                           target=target)
-    if equation in ("advection", "burgers", "burgers_forced"):
-        base_eq = "advection" if equation == "advection" else "burgers"
-        ic = _scalar_ic(ec, n)
-        forcing = None
-        if equation == "burgers_forced":
-            forcing = ic_sum_of_sines(ic.grid, ec.forcing_seed, "burgers-forcing")
+    if equation in ("advection", "burgers"):
         return ScalarFv1D(
-            ic, base_eq, _flux_scheme(variant.scheme, ec, base_eq), c=ec.c,
-            target=target, nu=nu, forcing=forcing, step_target=step)
+            _scalar_ic(ec, n), equation,
+            _flux_scheme(variant.scheme, ec, equation), c=ec.c,
+            target=target, step_target=step)
     if equation == "euler2d":
         grid = UniformGrid2D(n, n, ec.length, ec.length)
         ic = ic_random_vorticity(grid, ec.ic_seed)
         forcing_name = variant.forcing if variant.forcing is not None else ec.forcing
         return Vorticity2D(
-            ic, corrector=variant.corrector, target=target, nu=nu,
+            ic, corrector=variant.corrector, target=target,
+            nu=variant.nu if variant.nu is not None else ec.nu,
             forcing=forcing_name == "kolmogorov", forcing_k=ec.kolmogorov_k,
             drag=ec.drag, step_target=step)
     # euler1d
     grid = UniformGrid1D(n, ec.length, ec.boundary)
     ic = ic_sod(grid, ec.gamma) if ec.ic == "sod" \
-        else ic_sum_of_sines(grid, ec.ic_seed, "euler1d", ec.gamma)
+        else ic_random_euler(grid, ec.ic_seed, ec.gamma)
     return Euler1D(ic, entropy_ratio=variant.entropy_ratio if corrected
                    else None, positivity=variant.positivity)
 

@@ -20,17 +20,17 @@ from .errors import ConfigurationError
 _SINES = ("sine", "sum_of_sines")
 _SCALAR = frozenset({"boundary", "ic_offset", "reference_resolution",
                      "target"})
-_FLUX = _SCALAR | {"scheme", "nu", "step_correction", "reference_scheme"}
+_FLUX = _SCALAR | {"scheme", "step_correction", "reference_scheme"}
 #: Every kind of run: its initial conditions (the first is the default),
 #: correctors, and the fields it reads of those some kind does not read.
 #: A run kind is the equation, but advection under the discrete integrator
-#: is the FTCS demo, ``ftcs``.  Every kind accepts ``ic_seed`` and
-#: ``forcing_seed``: the benchmark seeds a config by writing both.
+#: is the FTCS demo, ``ftcs``.  Every kind accepts ``ic_seed``, and
+#: ``forcing_seed``, which no run reads: the benchmark seeds a config by
+#: writing both.
 RUN_KINDS = {
     "advection": (_SINES, ("none", "flux_l2"), _FLUX | {"c"}),
     "ftcs": (_SINES, ("none", "increment_l2"), _SCALAR | {"c"}),
     "burgers": (_SINES, ("none", "flux_l2"), _FLUX),
-    "burgers_forced": (_SINES + ("zero",), ("none", "flux_l2"), _FLUX),
     "burgers_nonconservative": (_SINES, ("none", "rhs_l2"), _SCALAR),
     "dg_burgers": (("sine",), ("none", "dg_l2"),
                    {"ic_offset", "dg_degree", "target"}),
@@ -63,7 +63,6 @@ READ_WHEN = {"target": _CORRECTED, "entropy_ratio": _CORRECTED,
              "kolmogorov_k": _FORCED, "drag": _FORCED}
 _SCHEMES = ("centered", "upwind", "godunov", "lax_friedrichs", "muscl",
             "surrogate")
-_INTEGRATORS = ("ssprk3", "forward_euler", "discrete")
 
 
 def rate_spec(text):
@@ -148,10 +147,10 @@ class ExperimentConfig:
     ic_offset: float = _key("problem", 0.0)
     dg_degree: int = _key("problem", 1, _one_of(0, 1, 2))
     forcing: str = _key("problem", "none", _FORCING)
-    forcing_seed: int = _key("problem", 0)
+    forcing_seed: int = _key("problem", 0)   # no run reads it
     kolmogorov_k: int = _key("problem", 4, _AT_LEAST_1)
     drag: float = _key("problem", 0.1, _AT_LEAST_0)
-    integrator: str = _key("plan", "ssprk3", _one_of(*_INTEGRATORS))
+    integrator: str = _key("plan", "ssprk3", _one_of("ssprk3", "discrete"))
     cfl: float = _key("plan", 0.3, _CFL)
     t_end: float = _key("plan", 1.0, _AT_LEAST_0)
     snapshots: int = _key("plan", 11, _AT_LEAST_1)

@@ -298,25 +298,24 @@ def bracket(a, b, volume):
     return float(np.add.reduce(a * b * volume, axis=None))
 
 
-#: <1|1> per (shape, scalar cell volume), as ``volume_mean`` sums it
+#: <1|1> per (shape, cell volume), as ``volume_mean`` sums it
 _VOLUME_TOTALS = {}
 
 
 def volume_mean(a, volume):
     """Volume-weighted average <a> = <a|1>/<1|1>.
 
-    a * 1.0 is a exactly, so <a|1> is the sum of a * |Omega| and <1|1> that
-    of |Omega| in every cell: the brackets' bits with no array of ones.
-    <1|1> is summed once per shape and scalar volume; an array of volumes
-    is summed on every call.
+    ``volume`` is the grid's one cell volume.  a * 1.0 is a exactly, so
+    <a|1> is the sum of a * |Omega| and <1|1> that of |Omega| in every
+    cell: the brackets' bits with no array of ones.  <1|1> is summed once
+    per shape and volume.
     """
     a = np.asarray(a, dtype=np.float64)
-    key = (a.shape, volume) if isinstance(volume, float) else None
+    key = (a.shape, volume)
     total = _VOLUME_TOTALS.get(key)
     if total is None:
-        total = float(np.add.reduce(np.full(a.shape, volume), axis=None))
-        if key is not None:
-            _VOLUME_TOTALS[key] = total
+        total = _VOLUME_TOTALS[key] = float(
+            np.add.reduce(np.full(a.shape, volume), axis=None))
     return float(np.add.reduce(a * volume, axis=None)) / total
 
 

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from . import correctors as co
-from . import schemes
+from . import problems, schemes
 from .core import (DgField, EulerState1D, FvField1D, FvField2D, SpectralField,
                    VorticityState2D, _unchecked, bracket)
 from .diagnostics import invariant_report, InvariantReport
@@ -120,8 +120,8 @@ class _DriverBase:
 # ---------------------------------------------------------------------------
 
 class ScalarFv1D(_DriverBase):
-    """Flux-form scalar transport: advection or Burgers, optional diffusion
-    and forcing (never corrected), and an optional flux-l2 corrector.
+    """Flux-form scalar transport, advection or Burgers, with an optional
+    flux-l2 corrector.
 
     ``step_target`` chains the discrete-increment corrector over each full
     RK step; it removes the time-integrator's own l2 residual on top of the
@@ -136,16 +136,13 @@ class ScalarFv1D(_DriverBase):
     """
 
     def __init__(self, ic: FvField1D, equation, scheme, c=1.0,
-                 target=None, nu=0.0, forcing=None, step_target=None):
+                 target=None, step_target=None):
         self.grid = ic.grid
         self.ic = ic
         self.equation = equation
         self.c = c
         self.target = target
-        self.nu = nu
-        self.forcing = forcing
         self.step_target = step_target
-        self._x = self.grid.cell_centers()
         self._rule = scheme.rule(self.grid) if hasattr(scheme, "rule") \
             else schemes.flux_rule_1d(scheme, self.grid, equation, c)
         self._divergence = schemes.flux_divergence_1d(self.grid)
@@ -159,11 +156,6 @@ class ScalarFv1D(_DriverBase):
     def stable_dt(self, y, cfl, dt_max):
         speed = abs(self.c) if self.equation == "advection" \
             else float(np.abs(y).max())
-        if self.nu > 0.0:
-            # explicit diffusion stability floor
-            dx = self.grid.dx
-            visc_dt = 0.5 * dx * dx / self.nu
-            return min(cfl_dt(speed, dx, cfl, dt_max), cfl * visc_dt)
         return cfl_dt(speed, self.grid.dx, cfl, dt_max)
 
     def face_fluxes(self, vals, dt):
@@ -177,12 +169,7 @@ class ScalarFv1D(_DriverBase):
             # only a stage with a target wraps y in a field
             f = self._stage_corrected(t, "l2", co.correct_flux_l2_1d, f,
                                       self.state_of(y))
-        out = self._divergence(f)
-        if self.nu > 0.0:
-            out = out + self.nu * co.laplacian_1d(y) / self.grid.dx**2
-        if self.forcing is not None:
-            out = out + self.forcing(self._x, t, self.grid.length)
-        return out
+        return self._divergence(f)
 
 
 class NonconservativeBurgers1D(_DriverBase):
@@ -382,9 +369,8 @@ class Vorticity2D(_DriverBase):
         if self.nu > 0.0:
             out = out + self.nu * co.laplacian_2d(chi.values, g.dx, g.dy)
         if self.forcing:
-            from .problems import forcing_2d_kolmogorov
-            out = out + forcing_2d_kolmogorov(g, chi.values, self.forcing_k,
-                                              self.drag)
+            out = out + problems.forcing_2d_kolmogorov(
+                g, chi.values, self.forcing_k, self.drag)
         return out.ravel()
 
 

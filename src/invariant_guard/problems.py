@@ -1,13 +1,11 @@
-"""Initial conditions, forcings, and boundary data for the replication runs.
+"""Initial conditions and the Kolmogorov forcing of the replication runs.
 
 Every generator is a deterministic function of (grid, seed).  Cell averages
-are evaluated by the midpoint rule (1-point Gauss quadrature), consistent
-with how the forcing terms are sampled.
+are evaluated by the midpoint rule (1-point Gauss quadrature), as the
+forcing is sampled.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,21 +17,6 @@ SOD_LEFT = (1.0, 0.0, 1.0)
 SOD_RIGHT = (0.125, 0.0, 0.1)
 EULER_IC_RHO_MIN = 0.75
 EULER_IC_P_MIN = 0.5
-
-
-@dataclass
-class SumOfSinesForcing:
-    """F(x, t) = sum_m A_m sin(2 pi k_m x / L - omega_m t + phi_m)."""
-
-    amplitudes: np.ndarray
-    wavenumbers: np.ndarray
-    omegas: np.ndarray
-    phases: np.ndarray
-
-    def __call__(self, x, t, length):
-        arg = (2.0 * np.pi * np.outer(x, self.wavenumbers) / length
-               - self.omegas * t + self.phases)
-        return np.sin(arg) @ self.amplitudes
 
 
 def advection_sine_params(seed):
@@ -51,41 +34,30 @@ def evaluate_sines(params, x, length):
     return np.sin(2.0 * np.pi * np.outer(x, k) / length + phase) @ amp
 
 
-def ic_sum_of_sines(grid: UniformGrid1D, seed, family="advection", gamma=1.4):
-    """Random sum-of-sines data for the three 1D problem families.
+def ic_sum_of_sines(grid: UniformGrid1D, seed):
+    """The ``sum_of_sines`` initial condition: an FvField1D drawn from the
+    1-6 mode, k in 1..4, A in [-1,1] distribution."""
+    vals = evaluate_sines(advection_sine_params(seed), grid.cell_centers(),
+                          grid.length)
+    return FvField1D(grid, vals)
 
-    * ``advection``: returns an FvField1D drawn from the 1-6 mode, k in 1..4,
-      A in [-1,1] distribution.
-    * ``burgers-forcing``: returns a SumOfSinesForcing with 20 modes,
-      A in [-0.5,0.5], omega in [-0.4,0.4], k in {3,4,5,6}.
-    * ``euler1d``: returns an EulerState1D of ratio of specific heats
-      ``gamma`` with floors rho >= 0.75, p >= 0.5 applied to single-mode
-      sine draws.
-    """
+
+def ic_random_euler(grid: UniformGrid1D, seed, gamma=1.4):
+    """The ``random_euler`` initial condition: an EulerState1D of ratio of
+    specific heats ``gamma`` whose rho, v and p are single-mode sine draws,
+    with floors rho >= 0.75, p >= 0.5."""
     rng = np.random.default_rng(seed)
     x = grid.cell_centers()
-    if family == "advection":
-        vals = evaluate_sines(advection_sine_params(seed), x, grid.length)
-        return FvField1D(grid, vals)
-    if family == "burgers-forcing":
-        m = 20
-        return SumOfSinesForcing(
-            amplitudes=rng.uniform(-0.5, 0.5, size=m),
-            wavenumbers=rng.integers(3, 7, size=m).astype(np.float64),
-            omegas=rng.uniform(-0.4, 0.4, size=m),
-            phases=rng.uniform(0.0, 2.0 * np.pi, size=m),
-        )
-    if family == "euler1d":
-        def sine_draw():
-            amp = rng.uniform(0.0, 1.0)
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            return amp * np.sin(2.0 * np.pi * x / grid.length + phase)
 
-        rho = np.maximum(EULER_IC_RHO_MIN, 1.0 + sine_draw())
-        v = sine_draw()
-        p = np.maximum(EULER_IC_P_MIN, 1.0 + sine_draw())
-        return EulerState1D.from_primitive(grid, rho, v, p, gamma)
-    raise ConfigurationError(f"unknown sum-of-sines family {family!r}")
+    def sine_draw():
+        amp = rng.uniform(0.0, 1.0)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        return amp * np.sin(2.0 * np.pi * x / grid.length + phase)
+
+    rho = np.maximum(EULER_IC_RHO_MIN, 1.0 + sine_draw())
+    v = sine_draw()
+    p = np.maximum(EULER_IC_P_MIN, 1.0 + sine_draw())
+    return EulerState1D.from_primitive(grid, rho, v, p, gamma)
 
 
 def ic_sine(grid: UniformGrid1D):

@@ -7,7 +7,7 @@ invariants are stressed.  Amplitude 0 reduces to the base scheme exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +22,7 @@ class SurrogateFluxRule:
 
     ``g`` is a seeded sum of the first four Fourier modes, normalized to
     unit max amplitude.  Use as the ``scheme`` of a scalar driver, which
-    binds ``rule(grid)`` once; the base scheme is checked on first use of
-    each grid.
+    binds ``rule(grid)`` once; binding checks the base scheme on the grid.
     """
 
     base: FluxScheme
@@ -31,31 +30,21 @@ class SurrogateFluxRule:
     amplitude: float
     seed: int
     c: float = 1.0
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def perturbation(self, grid):
-        return self._bound(grid)[1]
-
-    def _bound(self, grid):
-        """(base rule, g) on ``grid``, built and checked on first use."""
-        key = (grid.n_cells, grid.length, grid.boundary)
-        if key not in self._cache:
-            rule = flux_rule_1d(self.base, grid, self.equation, self.c)
-            rng = np.random.default_rng(self.seed)
-            k = np.arange(1, 5)
-            amps = rng.uniform(-1.0, 1.0, size=k.size)
-            phases = rng.uniform(0.0, 2.0 * np.pi, size=k.size)
-            x_face = grid.cell_edges()[1:]  # x_{j+1/2}, j = 0..N-1
-            g = np.sin(2.0 * np.pi * np.outer(x_face, k) / grid.length
-                       + phases) @ amps
-            self._cache[key] = rule, g / np.abs(g).max()
-        return self._cache[key]
+        """g at the faces x_{j+1/2}, j = 0..N-1, of ``grid``."""
+        rng = np.random.default_rng(self.seed)
+        k = np.arange(1, 5)
+        amps = rng.uniform(-1.0, 1.0, size=k.size)
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=k.size)
+        x_face = grid.cell_edges()[1:]
+        g = np.sin(2.0 * np.pi * np.outer(x_face, k) / grid.length
+                   + phases) @ amps
+        return g / np.abs(g).max()
 
     def rule(self, grid):
         """The perturbed flux ``rule(vals, lf_ratio)`` on ``grid``, as
         ``schemes.flux_rule_1d`` binds one."""
-        base, g = self._bound(grid)
-        if self.amplitude == 0.0:
-            return base
-        scale = 1.0 + self.amplitude * g
+        base = flux_rule_1d(self.base, grid, self.equation, self.c)
+        scale = 1.0 + self.amplitude * self.perturbation(grid)
         return lambda vals, lf_ratio: base(vals, lf_ratio) * scale

@@ -3,7 +3,6 @@ discrete-update path, plus the simulation driver."""
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -25,7 +24,6 @@ class StepPlan:
     t_end: float = 1.0
     n_snapshots: int = 11
     dt_max: float = None       # default 0.1 * t_end
-    dt_override: float = None  # fixed dt instead of dynamic CFL
     max_steps: int = 200000
 
     def __post_init__(self):
@@ -54,21 +52,9 @@ def cfl_dt_2d(max_ux, max_uy, dx, dy, cfl, dt_max):
     return min(cfl / denom, dt_max)
 
 
-#: a float64 zero vector per state length ``all_finite`` has seen
-_ZEROS = {}
-
-
 def all_finite(u):
-    """``np.isfinite(u).all()`` for a float64 or complex128 state, as one
-    dot product with zeros: inf * 0 and NaN * 0 are NaN and a sum holding a
-    NaN stays NaN, while every finite entry gives a signed zero.  ``cmath``
-    reads both parts of a complex sum, where ``math.isnan`` would drop the
-    imaginary one, and ``np.vdot``, unlike ``np.dot``, warns of no invalid
-    value on the way."""
-    zeros = _ZEROS.get(u.size)
-    if zeros is None:
-        zeros = _ZEROS[u.size] = np.zeros(u.size)
-    return not cmath.isnan(np.vdot(u, zeros))
+    """Whether every entry of a float64 or complex128 state is finite."""
+    return bool(np.isfinite(u).all())
 
 
 def _check_stage(u):
@@ -189,7 +175,7 @@ def run(plan: StepPlan, problem) -> Trajectory:
     """
     traj = Trajectory()
     problem.stage_records = traj.stage_records
-    t_end, dt_override, max_steps = plan.t_end, plan.dt_override, plan.max_steps
+    t_end, max_steps = plan.t_end, plan.max_steps
     cfl, dt_max = plan.cfl, plan.dt_max
 
     y = problem.initial_array()
@@ -228,10 +214,7 @@ def run(plan: StepPlan, problem) -> Trajectory:
     while t < t_stop:
         if step >= max_steps:
             return fail(NumericalBlowup("step budget exhausted", step, t), t)
-        if dt_override is not None:
-            dt = dt_override
-        else:
-            dt = stable_dt(y, cfl, dt_max)
+        dt = stable_dt(y, cfl, dt_max)
         if next_snap < n_snaps:
             dt = min(dt, snap_times[next_snap] - t)
         dt = min(dt, t_end - t)

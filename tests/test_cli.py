@@ -47,7 +47,7 @@ def test_bundled_configs_parse(name):
 
 EQUATION_LINES = {
     "advection": "ic = sine", "burgers": "ic = sine",
-    "burgers_forced": "ic = sine", "burgers_nonconservative": "ic = sine",
+    "burgers_nonconservative": "ic = sine",
     "dg_burgers": "ic = sine", "euler2d": "ic = random_vorticity",
     "euler1d": "ic = sod\nboundary = dirichlet"}
 
@@ -120,9 +120,8 @@ REJECTED = {
     # the scheme rules of schemes.flux_rule_1d
     "upwind_on_burgers": (dict(problem=BURGERS, variant="scheme = upwind"),
                           "[variant.bad] scheme"),
-    "upwind_surrogate_base_on_burgers_forced": (
-        dict(problem="equation = burgers_forced\nic = sine",
-             variant="scheme = surrogate"),
+    "upwind_surrogate_base_on_burgers": (
+        dict(problem=BURGERS, variant="scheme = surrogate"),
         "[surrogate] base"),
     "upwind_reference_on_burgers": (
         dict(problem=BURGERS, variant="scheme = godunov",
@@ -243,7 +242,27 @@ REJECTED = {
         dict(problem=BURGERS,
              variant="scheme = godunov\nforcing = kolmogorov"),
         "[variant.bad] forcing"),
-    # keys a run kind accepted but did not read
+    # keys, values and run kinds no run reads
+    "burgers_forced": (dict(problem="equation = burgers_forced\nic = sine",
+                            variant="scheme = godunov"),
+                       "[problem] equation"),
+    "zero_ic": (dict(problem="equation = burgers\nic = zero",
+                     variant="scheme = godunov"),
+                "[problem] ic"),
+    "forward_euler_integrator": (
+        dict(problem=BURGERS, plan="integrator = forward_euler",
+             variant="scheme = godunov"),
+        "[plan] integrator"),
+    "nu_on_advection": (
+        dict(problem="equation = advection\nic = sine\nnu = 5.0",
+             variant="scheme = godunov"),
+        "[problem] nu"),
+    "nu_on_burgers": (dict(problem=BURGERS + "\nnu = 5.0",
+                           variant="scheme = godunov"),
+                      "[problem] nu"),
+    "variant_nu_on_burgers": (dict(problem=BURGERS,
+                                   variant="scheme = godunov\nnu = 5.0"),
+                              "[variant.bad] nu"),
     "nu_on_dg_burgers": (
         dict(problem="equation = dg_burgers\nic = sine\nnu = 5.0",
              variant="corrector = dg_l2"),
@@ -311,11 +330,11 @@ REJECTED = {
         dict(problem="equation = euler1d\n" + EQUATION_LINES["euler1d"],
              variant="corrector = euler1d_entropy\nentropy_ratio = -1"),
         "[variant.bad] entropy_ratio"),
-    "negative_nu": (dict(problem=BURGERS + "\nnu = -0.5",
-                         variant="scheme = godunov"),
+    "negative_nu": (dict(problem="equation = euler2d\nnu = -0.5",
+                         variant="corrector = energy"),
                     "[problem] nu"),
-    "negative_variant_nu": (dict(problem=BURGERS,
-                                 variant="scheme = godunov\nnu = -0.5"),
+    "negative_variant_nu": (dict(problem="equation = euler2d",
+                                 variant="corrector = energy\nnu = -0.5"),
                             "[variant.bad] nu"),
     "negative_t_end": (dict(problem=BURGERS, variant="scheme = godunov",
                             t_end=-1),
@@ -413,11 +432,11 @@ ALTERNATIVES = {
     "equation": tuple(k for k in RUN_KINDS if k != "ftcs"),
     "length": ("2.0",), "c": ("-0.5",), "nu": ("0.01", "0.0"),
     "gamma": ("1.67",), "boundary": ("periodic", "dirichlet"),
-    "ic": ("sine", "sum_of_sines", "zero", "random_vorticity", "sod",
+    "ic": ("sine", "sum_of_sines", "random_vorticity", "sod",
            "random_euler"),
     "ic_seed": ("7",), "ic_offset": ("0.25", "0.0"), "dg_degree": ("0", "2"),
     "forcing": ("kolmogorov", "none"), "kolmogorov_k": ("2",),
-    "drag": ("0.5",), "integrator": ("forward_euler", "ssprk3", "discrete"),
+    "drag": ("0.5",), "integrator": ("ssprk3", "discrete"),
     "cfl": ("0.2",), "t_end": ("0.1",), "snapshots": ("3",),
     "resolutions": ("16",), "reference_resolution": ("32",),
     "output": ("elsewhere",), "base": ("centered", "upwind"),
@@ -1081,12 +1100,6 @@ def test_ic_defaults_to_the_first_the_equation_accepts(tmp_path):
                          ("advection", "sine")):
         cfg = _config(tmp_path, f"equation = {equation}", "corrector = none")
         assert parse_config(cfg).ic == ic
-    # forced Burgers may start from rest
-    cfg = _config(tmp_path, "equation = burgers_forced\nic = zero",
-                  "scheme = godunov")
-    ec = parse_config(cfg)
-    driver = build_driver(ec, ec.variants[1], 16)
-    assert not driver.initial_array().any()
 
 
 def test_fig1_config_reproduces_three_variants(tmp_path):

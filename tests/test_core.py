@@ -39,7 +39,7 @@ def test_bracket_hand_cases():
 
 def test_bracket_shape_mismatch():
     with pytest.raises(ValueError):
-        bracket([1, 2], [1, 2, 3], [1, 1])
+        bracket([1, 2], [1, 2, 3], 1.0)
 
 
 def test_bracket_bilinear_symmetric_positive():
@@ -47,29 +47,29 @@ def test_bracket_bilinear_symmetric_positive():
     for _ in range(50):
         n = rng.integers(2, 40)
         a, b, c = rng.normal(size=(3, n))
-        vol = rng.uniform(0.1, 2.0, size=n)
+        vol = rng.uniform(0.1, 2.0)
         al, be = rng.normal(size=2)
         lhs = bracket(al * a + be * b, c, vol)
         rhs = al * bracket(a, c, vol) + be * bracket(b, c, vol)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
         assert bracket(a, b, vol) == pytest.approx(bracket(b, a, vol), rel=1e-14)
         assert bracket(a, a, vol) >= 0.0
-    assert bracket(np.zeros(5), np.zeros(5), np.ones(5)) == 0.0
+    assert bracket(np.zeros(5), np.zeros(5), 1.0) == 0.0
 
 
 def test_volume_mean_is_bracket_ratio():
     rng = np.random.default_rng(3)
     a = rng.normal(size=16)
-    vol = rng.uniform(0.5, 1.5, size=16)
+    vol = rng.uniform(0.5, 1.5)
     ones = np.ones(16)
     assert volume_mean(a, vol) == pytest.approx(
         bracket(a, ones, vol) / bracket(ones, ones, vol), rel=1e-15)
 
 
 def test_volume_mean_total_is_kept_per_shape_and_volume():
-    # <1|1> is summed once per (shape, scalar volume): two grids of one N
-    # and different dx, or of one dx and different N, each get their own
-    # total, and an array of volumes is summed on every call
+    # <1|1> is summed once per (shape, volume): two grids of one N and
+    # different dx, or of one dx and different N, and two volumes of one
+    # shape, each get their own total
     rng = np.random.default_rng(12)
     grids = [UniformGrid1D(32, 1.0), UniformGrid1D(32, 3.0),
              UniformGrid1D(64, 2.0)]
@@ -81,8 +81,9 @@ def test_volume_mean_total_is_kept_per_shape_and_volume():
                 bracket(a, ones, g.dx) / bracket(ones, ones, g.dx)
     a = rng.normal(size=16)
     for scale in (1.0, 2.5):
-        vol = scale * rng.uniform(0.5, 1.5, size=16)
-        assert volume_mean(a, vol) == float(np.sum(a * vol)) / float(np.sum(vol))
+        vol = scale * rng.uniform(0.5, 1.5)
+        assert volume_mean(a, vol) == float(np.sum(a * vol)) \
+            / float(np.sum(np.full(16, vol)))
 
 
 @pytest.mark.parametrize("shape", [(7,), (64,), (513,), (16, 16), (31, 3)])
@@ -94,7 +95,7 @@ def test_bracket_and_volume_mean_keep_the_sum_forms_bits(shape, scale):
     rng = np.random.default_rng(sum(shape))
     a, b = rng.normal(size=shape), rng.normal(size=shape)
     ones = np.ones(shape)
-    for vol in (scale / shape[0], scale * 1.3, rng.uniform(0.5, 1.5, shape)):
+    for vol in (scale / shape[0], scale * 1.3, rng.uniform(0.5, 1.5)):
         assert bracket(a, b, vol) == float(np.sum(a * b * vol))
         assert volume_mean(a, vol) == float(np.sum(a * ones * vol)) \
             / float(np.sum(ones * ones * vol))

@@ -15,8 +15,8 @@ from invariant_guard.drivers import (DgScalar1D, Euler1D, FtcsAdvection,
                                      NonconservativeBurgers1D, ScalarFv1D,
                                      Vorticity2D)
 from invariant_guard.errors import ConfigurationError
-from invariant_guard.problems import (ic_random_vorticity, ic_sine, ic_sod,
-                                      ic_sum_of_sines)
+from invariant_guard.problems import (ic_random_euler, ic_random_vorticity,
+                                      ic_sine, ic_sod, ic_sum_of_sines)
 from invariant_guard.schemes import FluxScheme
 from invariant_guard.surrogate import SurrogateFluxRule
 from invariant_guard.timeloop import StepPlan, run
@@ -316,8 +316,7 @@ def _stage_path_drivers():
     return {
         "centered": ScalarFv1D(ic_sine(g), "burgers", FluxScheme.CENTERED,
                                target=fixed, step_target=co.L2RateTarget.clamp()),
-        "godunov": ScalarFv1D(ic_sine(g), "burgers", FluxScheme.GODUNOV,
-                              nu=1e-3),
+        "godunov": ScalarFv1D(ic_sine(g), "burgers", FluxScheme.GODUNOV),
         "muscl": ScalarFv1D(ic_sine(g), "advection", FluxScheme.MUSCL_MC,
                             target=fixed),
         "surrogate": ScalarFv1D(
@@ -331,7 +330,7 @@ def _stage_path_drivers():
         "vorticity": Vorticity2D(
             ic_random_vorticity(UniformGrid2D(16, 16, 1.0, 1.0), 42),
             corrector="flux_l2", target=fixed, nu=1e-3, step_target=co.L2RateTarget.clamp()),
-        "periodic_euler": Euler1D(ic_sum_of_sines(g, 3, "euler1d"),
+        "periodic_euler": Euler1D(ic_random_euler(g, 3),
                                   entropy_ratio=0.5),
     }
 
@@ -402,7 +401,7 @@ def test_bound_flux_rule_equals_numerical_flux(case, dt):
     # the driver binds each rule once; numerical_flux_1d checks and binds
     # on every call; both give the same bytes
     scheme, equation, c = case
-    u = ic_sum_of_sines(UniformGrid1D(24, 1.0), 5, "advection")
+    u = ic_sum_of_sines(UniformGrid1D(24, 1.0), 5)
     driver = ScalarFv1D(u, equation, scheme, c=c)
     lf_ratio = u.grid.dx / (2.0 * dt)
     expected = schemes.numerical_flux_1d(scheme, u, equation, c=c,
@@ -419,7 +418,7 @@ def test_bound_flux_rule_equals_numerical_flux(case, dt):
 ])
 def test_bound_surrogate_rule_equals_perturbed_flux(base, equation, c,
                                                     amplitude, dt):
-    u = ic_sum_of_sines(UniformGrid1D(24, 1.0), 5, "advection")
+    u = ic_sum_of_sines(UniformGrid1D(24, 1.0), 5)
     rule = SurrogateFluxRule(base, equation, amplitude, 4, c=c)
     driver = ScalarFv1D(u, equation, rule, c=c)
     expected = schemes.numerical_flux_1d(

@@ -4,16 +4,17 @@ import pytest
 from invariant_guard.core import UniformGrid1D, UniformGrid2D
 from invariant_guard.errors import ConfigurationError
 from invariant_guard.problems import (EULER_IC_P_MIN, EULER_IC_RHO_MIN,
-                                      forcing_2d_kolmogorov, ic_random_vorticity,
-                                      ic_sine, ic_sod, ic_sum_of_sines)
+                                      forcing_2d_kolmogorov, ic_random_euler,
+                                      ic_random_vorticity, ic_sine, ic_sod,
+                                      ic_sum_of_sines)
 
 
 def test_sum_of_sines_deterministic():
     g = UniformGrid1D(32, 1.0)
-    a = ic_sum_of_sines(g, seed=4, family="advection")
-    b = ic_sum_of_sines(g, seed=4, family="advection")
+    a = ic_sum_of_sines(g, seed=4)
+    b = ic_sum_of_sines(g, seed=4)
     assert np.array_equal(a.values, b.values)
-    c = ic_sum_of_sines(g, seed=5, family="advection")
+    c = ic_sum_of_sines(g, seed=5)
     assert not np.array_equal(a.values, c.values)
 
 
@@ -25,7 +26,7 @@ def test_single_mode_is_plain_sine():
     for seed in range(64):
         amp, k, phase = advection_sine_params(seed)
         if len(amp) == 1:
-            f = ic_sum_of_sines(g, seed, family="advection")
+            f = ic_sum_of_sines(g, seed)
             expected = amp[0] * np.sin(2 * np.pi * k[0] * x / 2.0 + phase[0])
             assert np.allclose(f.values, expected, atol=1e-14)
             return
@@ -35,26 +36,9 @@ def test_single_mode_is_plain_sine():
 def test_euler_family_floors():
     g = UniformGrid1D(128, 1.0)
     for seed in range(10):
-        s = ic_sum_of_sines(g, seed, family="euler1d")
+        s = ic_random_euler(g, seed)
         assert s.rho.min() >= EULER_IC_RHO_MIN
         assert s.pressure().min() >= EULER_IC_P_MIN - 1e-12
-
-
-def test_forcing_family_bounds():
-    g = UniformGrid1D(16, 2 * np.pi)
-    forcing = ic_sum_of_sines(g, 7, family="burgers-forcing")
-    assert forcing.amplitudes.size == 20
-    assert np.all((forcing.wavenumbers >= 3) & (forcing.wavenumbers <= 6))
-    assert np.all(np.abs(forcing.amplitudes) <= 0.5)
-    assert np.all(np.abs(forcing.omegas) <= 0.4)
-    vals = forcing(g.cell_centers(), 0.3, g.length)
-    assert vals.shape == (16,) and np.all(np.isfinite(vals))
-
-
-def test_unknown_family():
-    g = UniformGrid1D(8, 1.0)
-    with pytest.raises(ConfigurationError):
-        ic_sum_of_sines(g, 0, family="nope")
 
 
 def test_kolmogorov_forcing_structure():

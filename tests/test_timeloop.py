@@ -14,10 +14,16 @@ from invariant_guard.drivers import (DgScalar1D, Euler1D, FtcsAdvection,
                                      ScalarFv1D, SpectralAdvection)
 from invariant_guard.errors import (ConfigurationError, DegenerateCorrection,
                                     NonFiniteState, NumericalBlowup)
-from invariant_guard.problems import ic_sine, ic_sum_of_sines
+from invariant_guard.problems import ic_random_euler, ic_sine, ic_sum_of_sines
 from invariant_guard.schemes import FluxScheme
 from invariant_guard.timeloop import (StepPlan, all_finite, cfl_dt, cfl_dt_2d,
                                       discrete_step, run, ssprk3_step)
+
+
+def _fixed_dt(driver, dt):
+    """``driver`` stepping at ``dt``, cut only at the snapshots and t_end."""
+    driver.stable_dt = lambda y, cfl, dt_max: dt
+    return driver
 
 
 def test_cfl_dt_examples():
@@ -53,9 +59,8 @@ def test_ssprk3_third_order_on_exact_advection():
     ic = SpectralField(g_len, coeffs)
     errs = []
     for dt in (0.1, 0.05, 0.025):
-        drv = SpectralAdvection(ic, c=1.0)
-        plan = StepPlan(t_end=1.0, n_snapshots=2, dt_override=dt)
-        tr = run(plan, drv)
+        drv = _fixed_dt(SpectralAdvection(ic, c=1.0), dt)
+        tr = run(StepPlan(t_end=1.0, n_snapshots=2), drv)
         m = np.arange(5)
         exact = ic.coeffs * np.exp(-2j * np.pi * m * 1.0 / g_len)
         errs.append(np.abs(tr.snapshots[-1] - exact).max())
@@ -120,8 +125,8 @@ def test_correction_log_closes_each_snapshot_interval_and_the_failure():
     # budget ends the run at t = 0.12 with its last interval still open
     drv = ScalarFv1D(ic_sine(UniformGrid1D(32, 1.0)), "burgers",
                      FluxScheme.CENTERED, target=co.L2RateTarget.fixed(-0.1))
-    tr = run(StepPlan(t_end=0.2, n_snapshots=5, dt_override=0.01,
-                      max_steps=12), drv)
+    tr = run(StepPlan(t_end=0.2, n_snapshots=5, max_steps=12),
+             _fixed_dt(drv, 0.01))
     assert isinstance(tr.error, NumericalBlowup)
     rows = tr.stage_records.rows
     assert [row.kind for row in rows] == ["l2"] * 3
@@ -150,7 +155,7 @@ def test_correction_log_closes_a_failed_step_at_its_end(monkeypatch):
     monkeypatch.setattr(co, "correct_flux_l2_1d", failing)
     drv = ScalarFv1D(ic_sine(UniformGrid1D(32, 1.0)), "burgers",
                      FluxScheme.CENTERED, target=co.L2RateTarget.fixed(-0.1))
-    tr = run(StepPlan(t_end=0.2, n_snapshots=5, dt_override=0.01), drv)
+    tr = run(StepPlan(t_end=0.2, n_snapshots=5), _fixed_dt(drv, 0.01))
     assert isinstance(tr.error, DegenerateCorrection)
     assert tr.error.time == pytest.approx(0.05)
     rows = tr.stage_records.rows
@@ -209,9 +214,8 @@ def test_advection_one_period_translation_identity():
     coeffs[1] = 0.5 + 0.1j
     coeffs[2] = -0.2 + 0.3j
     ic = SpectralField(2 * np.pi, coeffs)
-    drv = SpectralAdvection(ic, c=1.0)
-    plan = StepPlan(t_end=2 * np.pi, n_snapshots=2, dt_override=2 * np.pi / 20000)
-    tr = run(plan, drv)
+    drv = _fixed_dt(SpectralAdvection(ic, c=1.0), 2 * np.pi / 20000)
+    tr = run(StepPlan(t_end=2 * np.pi, n_snapshots=2), drv)
     assert np.abs(tr.snapshots[-1] - ic.coeffs).max() <= 1e-10
 
 
@@ -221,7 +225,7 @@ def test_determinism_same_seed_same_trajectory():
     plan = StepPlan(t_end=0.5, cfl=0.3, n_snapshots=6)
     runs = []
     for _ in range(2):
-        ic = ic_sum_of_sines(g, seed=9, family="advection")
+        ic = ic_sum_of_sines(g, seed=9)
         tr = run(plan, ScalarFv1D(ic, "advection", FluxScheme.MUSCL_MC, c=1.0))
         runs.append(np.asarray(tr.snapshots))
     assert np.array_equal(runs[0], runs[1])
@@ -236,8 +240,8 @@ def test_blowup_keeps_partial_trajectory():
 
     drv = Exploding(ic_sine(g), "advection", FluxScheme.UPWIND, c=1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        tr = run(StepPlan(t_end=1.0, cfl=0.3, n_snapshots=11, dt_override=0.01),
-                 drv)
+        tr = run(StepPlan(t_end=1.0, cfl=0.3, n_snapshots=11),
+                 _fixed_dt(drv, 0.01))
     assert tr.error is not None
     assert len(tr.snapshots) >= 1  # the initial snapshot survives
 
@@ -249,7 +253,7 @@ def _small_driver(kind):
     if kind == "DgScalar1D":
         return DgScalar1D(dg_project(g, 1, lambda x: np.sin(2.0 * np.pi * x)),
                           lambda u: 0.5 * u * u, burgers_centered_rule)
-    return Euler1D(ic_sum_of_sines(g, 3, "euler1d"))
+    return Euler1D(ic_random_euler(g, 3))
 
 
 @pytest.mark.parametrize("stage", [1, 2, 3])
@@ -270,7 +274,7 @@ def test_non_finite_stage_is_recorded(kind, stage):
     drv.rhs = overflowing
     dt = 1e-3
     with np.errstate(invalid="ignore"):
-        tr = run(StepPlan(t_end=1.0, n_snapshots=2, dt_override=dt), drv)
+        tr = run(StepPlan(t_end=1.0, n_snapshots=2), _fixed_dt(drv, dt))
     assert len(times) == 3 + stage          # no stage ran after the overflow
     assert dt <= times[-1] <= 2 * dt        # on step 2
     if stage < 3:
@@ -306,10 +310,16 @@ def _finiteness_cases():
 
 
 def test_all_finite_answers_as_isfinite_all():
-    # the loop's and the stepper's check is a dot product with zeros; its
-    # answer is np.isfinite(u).all() on every state, a NaN only in an
-    # imaginary part included, and it warns of nothing
+    # the loop's and the stepper's check answers as np.isfinite(u).all() on
+    # every state, a NaN only in an imaginary part included, and on states
+    # above 10,000 entries (the 128^2 euler2d state among them), where a
+    # BLAS reduction would split over threads; it warns of nothing
     cases = _finiteness_cases()
+    for size in (10_001, 16_384):
+        for last in (1.0, np.nan, np.inf):
+            u = np.random.default_rng(size).normal(size=size)
+            u[-1] = last
+            cases.append(u)
     assert any(np.isnan(u.imag).any() and np.isfinite(u.real).all()
                for u in cases)
     with warnings.catch_warnings():
@@ -332,14 +342,14 @@ def _raising_driver(exc):
                                  ConfigurationError("bad option")])
 def test_programming_and_configuration_errors_propagate(exc):
     with pytest.raises(type(exc)):
-        run(StepPlan(t_end=1.0, n_snapshots=2, dt_override=0.1),
-            _raising_driver(exc))
+        run(StepPlan(t_end=1.0, n_snapshots=2),
+            _fixed_dt(_raising_driver(exc), 0.1))
 
 
 def test_corrector_error_is_recorded():
     exc = DegenerateCorrection("zero denominator")
-    tr = run(StepPlan(t_end=1.0, n_snapshots=2, dt_override=0.1),
-             _raising_driver(exc))
+    tr = run(StepPlan(t_end=1.0, n_snapshots=2),
+             _fixed_dt(_raising_driver(exc), 0.1))
     assert tr.error is exc
     assert len(tr.snapshots) == 1
 

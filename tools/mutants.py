@@ -34,6 +34,11 @@ PACKAGE = "src/invariant_guard"
 #: (label, file under src/invariant_guard, original line, mutated line,
 #: killer: the check that kills it, a pytest node id or "verify")
 MUTANTS = [
+    ("config: burgers reads nu", "config.py",
+     '    "burgers": (_SINES, ("none", "flux_l2"), _FLUX),',
+     '    "burgers": (_SINES, ("none", "flux_l2"), _FLUX | {"nu"}),',
+     "tests/test_cli.py::test_rejected_config_exits_2_before_any_output"
+     "[nu_on_burgers]"),
     ("config: dg_burgers reads nu", "config.py",
      '                   {"ic_offset", "dg_degree", "target"}),',
      '                   {"ic_offset", "dg_degree", "target", "nu"}),',
@@ -81,13 +86,14 @@ MUTANTS = [
      "tests/test_timeloop.py::"
      "test_non_finite_stage_is_recorded[ScalarFv1D-1]"),
     ("finite check reads only the real part", "timeloop.py",
-     "    return not cmath.isnan(np.vdot(u, zeros))",
-     "    return not cmath.isnan(np.vdot(u.real, zeros))",
+     "    return bool(np.isfinite(u).all())",
+     "    return bool(np.isfinite(u.real).all())",
      "tests/test_timeloop.py::test_all_finite_answers_as_isfinite_all"),
     ("volume-mean total cached by shape alone", "core.py",
-     "    key = (a.shape, volume) if isinstance(volume, float) else None",
-     "    key = a.shape if isinstance(volume, float) else None",
-     "verify"),
+     "    key = (a.shape, volume)",
+     "    key = a.shape",
+     "tests/test_core.py::"
+     "test_volume_mean_total_is_kept_per_shape_and_volume"),
     ("boundary estimate: cached psi of the Dirichlet pair swapped",
      "drivers.py",
      "            else co.entropy_flux_pair(self.boundary_state, self.gamma)",
