@@ -15,14 +15,14 @@ G is fixed by the solution representation: the face jump of u for fluxes,
 the demeaned discrete Laplacian of u for a cell RHS or increment, -m^2 u~_m
 for spectral modes, the streamfunction-orthogonal Laplacian of W for 2D
 Euler, and (0, dv, dp) at the faces for the Euler entropy fluxes.  Every
-corrector but the discrete-increment one (a quadratic root) makes its move
-in one place, ``_line_search``: it adds (new - old) * G / denom, denom being
-the rate of G, raises ``DegenerateCorrection`` when |denom| is round-off at
-its scale, and re-measures the achieved rate on the output.
-
-When the input already satisfies the target the output equals the input
-and the achieved rate is the old one, so correction never perturbs an
-update that is already invariant-legal.
+corrector but the discrete-increment one (a quadratic root) hands its
+input, its rate and its G to one contract, ``_line_search``.  It measures
+the old rate and resolves the target.  When the two are equal it returns
+the update it was handed and builds no G, so correction never perturbs an
+update that is already invariant-legal.  Otherwise it builds G, raises
+``DegenerateCorrection`` when denom, the rate of G, is round-off at its
+scale, adds (new - old) * G / denom and re-measures the achieved rate on
+the output.
 """
 
 from __future__ import annotations
@@ -162,11 +162,20 @@ class Correction:
     energy_scale: float = None
 
 
-def _line_search(update, part, g, old, new, denom, scale, what, rate):
-    """Add (new - old) * g / denom to ``update[part]`` of a copy, or to all
-    of ``update`` when ``part`` is None, and report the ``rate`` measured on
-    the result; raise ``DegenerateCorrection`` naming the corrector ``what``
-    when |denom| <= DEGENERACY_RTOL * scale."""
+def _line_search(update, target, rate, weight, what, part=None):
+    """The contract of a linear corrector: measure old = ``rate(update)``
+    and resolve new = ``target.resolve(old)``.  When new == old, return
+    ``update`` itself.  Otherwise ``weight()`` gives (G, denom, scale),
+    denom being the rate of G: raise ``DegenerateCorrection`` naming the
+    corrector ``what`` when |denom| <= DEGENERACY_RTOL * scale, add
+    (new - old) * G / denom to ``update[part]`` of a copy, or to all of
+    ``update`` when ``part`` is None, and report the ``rate`` measured on
+    the result."""
+    old = rate(update)
+    new = target.resolve(old)
+    if new == old:
+        return update, Correction(old, new, old)
+    g, denom, scale = weight()
     if abs(denom) <= DEGENERACY_RTOL * max(scale, 1e-300):
         raise DegenerateCorrection(
             f"{what}: denominator {denom:.3e} is zero at scale {scale:.3e}")
@@ -210,6 +219,11 @@ def _periodic_jumps(u: FvField1D):
     return _face_jumps(u.values, True)
 
 
+def _self_weight(du, denom):
+    """(G, denom, scale) of a flux corrector: G = du is its own scale."""
+    return du, denom, denom
+
+
 def flux_l2_rate_1d(fluxes, u: FvField1D):
     """Measured d(l2)/dt of a flux-form update on a periodic grid."""
     return float(np.asarray(fluxes, dtype=np.float64) @ _periodic_jumps(u))
@@ -220,14 +234,9 @@ def correct_flux_l2_1d(fluxes, u: FvField1D, target: L2RateTarget):
     equals the target.  G is the interface jump u_{j+1}-u_j."""
     f = np.asarray(fluxes, dtype=np.float64)
     du = _periodic_jumps(u)
-    old = float(f @ du)
-    new = target.resolve(old)
-    if new == old:
-        return f, Correction(old, new, old)
-
-    denom = float(du @ du)  # G = du: the denominator is its own scale
-    return _line_search(f, None, du, old, new, denom, denom,
-                        "correct_flux_l2_1d", lambda out: float(out @ du))
+    return _line_search(f, target, lambda out: float(out @ du),
+                        lambda: _self_weight(du, float(du @ du)),
+                        "correct_flux_l2_1d")
 
 
 def flux_l2_rates_2d(fluxes, u: FvField2D):
@@ -239,25 +248,21 @@ def flux_l2_rates_2d(fluxes, u: FvField2D):
             float(g.dx * np.sum(fluxes.fy * duy)))
 
 
-def _correct_direction(f, u, axis, h, old, target):
-    """One direction of ``correct_flux_l2_2d``: its fluxes and Correction."""
-    new = target.resolve(old)
-    if new == old:
-        return f, Correction(old, new, old)
+def _correct_direction(f, u, axis, h, target):
+    """One direction of ``correct_flux_l2_2d``: its fluxes and Correction,
+    with the rate of ``flux_l2_rates_2d`` along ``axis``."""
     du = shift(u.values, 1, axis) - u.values
-    denom = float(h * np.sum(du * du))  # G = du: its own scale
-    return _line_search(f, None, du, old, new, denom, denom,
-                        "correct_flux_l2_2d " + "xy"[axis],
-                        lambda out: float(h * np.sum(out * du)))
+    return _line_search(f, target, lambda out: float(h * np.sum(out * du)),
+                        lambda: _self_weight(du, float(h * np.sum(du * du))),
+                        "correct_flux_l2_2d " + "xy"[axis])
 
 
 def correct_flux_l2_2d(fluxes, u: FvField2D, target_x: L2RateTarget,
                        target_y: L2RateTarget):
     """Directional analogue of ``correct_flux_l2_1d`` on a periodic 2D grid;
     the report is a pair of ``Correction``s, x first."""
-    old_x, old_y = flux_l2_rates_2d(fluxes, u)
-    fx, cx = _correct_direction(fluxes.fx, u, 0, u.grid.dy, old_x, target_x)
-    fy, cy = _correct_direction(fluxes.fy, u, 1, u.grid.dx, old_y, target_y)
+    fx, cx = _correct_direction(fluxes.fx, u, 0, u.grid.dy, target_x)
+    fy, cy = _correct_direction(fluxes.fy, u, 1, u.grid.dx, target_y)
     if fx is not fluxes.fx or fy is not fluxes.fy:
         fluxes = BoundaryFluxes2D(fx, fy)
     return fluxes, (cx, cy)
@@ -295,17 +300,14 @@ def correct_rhs_mass_l2(rhs, u, target: L2RateTarget):
         raise ValueError("RHS shape must match the field")
 
     big_u = vals - volume_mean(vals, volume)
-    m = n - volume_mean(n, volume)
-    old = bracket(big_u, m, volume)
-    new = target.resolve(old)
-    if new == old:
-        return m, Correction(old, new, old)
 
-    g = _default_cell_G(u, volume)
-    scale = float(np.sqrt(bracket(big_u, big_u, volume) * bracket(g, g, volume)))
-    return _line_search(m, None, g, old, new, bracket(big_u, g, volume),
-                        scale, "correct_rhs_mass_l2",
-                        lambda out: bracket(big_u, out, volume))
+    def weight():
+        g = _default_cell_G(u, volume)
+        return g, bracket(big_u, g, volume), float(np.sqrt(
+            bracket(big_u, big_u, volume) * bracket(g, g, volume)))
+    return _line_search(n - volume_mean(n, volume), target,
+                        lambda out: bracket(big_u, out, volume), weight,
+                        "correct_rhs_mass_l2")
 
 
 def _increment_terms(increment, u):
@@ -374,17 +376,14 @@ def dg_l2_corrector(diffusion):
     (``dg.dg_diffusion``).  A driver binds it once."""
     def correct(n, padded, target):
         c = padded[1:-1]
-        old = coeffs_l2_rate(c, n)
-        new = target.resolve(old)
-        if new == old:
-            return n, Correction(old, new, old)
-        n_diff = diffusion(padded)
-        cf, d = c.ravel(), n_diff.ravel()
-        return _line_search(n, None, n_diff, old, new,
-                            coeffs_l2_rate(c, n_diff),
-                            math.sqrt(cf @ cf) * math.sqrt(d @ d),
-                            "correct_dg_l2",
-                            lambda out: coeffs_l2_rate(c, out))
+
+        def weight():
+            n_diff = diffusion(padded)
+            cf, d = c.ravel(), n_diff.ravel()
+            return (n_diff, coeffs_l2_rate(c, n_diff),
+                    math.sqrt(cf @ cf) * math.sqrt(d @ d))
+        return _line_search(n, target, lambda out: coeffs_l2_rate(c, out),
+                            weight, "correct_dg_l2")
     return correct
 
 
@@ -421,17 +420,13 @@ def correct_spectral_mass_l2(rhs, u: SpectralField, target: L2RateTarget):
         raise ValueError("RHS must cover modes m = 0..N")
     n[0] = 0.0
 
-    old = spectral_l2_rate(u, n)
-    new = target.resolve(old)
-    if new == old:
-        return n, Correction(old, new, old)
-
-    m = np.arange(u.n_modes + 1)
-    g = -(m**2) * u.coeffs
-    scale = 2.0 * u.length * float(np.linalg.norm(u.coeffs) * np.linalg.norm(g))
-    return _line_search(n, None, g, old, new, spectral_l2_rate(u, g),
-                        scale, "correct_spectral_mass_l2",
-                        lambda out: spectral_l2_rate(u, out))
+    def weight():
+        m = np.arange(u.n_modes + 1)
+        g = -(m**2) * u.coeffs
+        return g, spectral_l2_rate(u, g), 2.0 * u.length * float(
+            np.linalg.norm(u.coeffs) * np.linalg.norm(g))
+    return _line_search(n, target, lambda out: spectral_l2_rate(u, out),
+                        weight, "correct_spectral_mass_l2")
 
 
 # ---------------------------------------------------------------------------
@@ -463,18 +458,15 @@ def correct_euler2d_mass_energy_l2(rhs, state: VorticityState2D,
     big_u = chi - volume_mean(chi, vol)
     m = n - volume_mean(n, vol)
     w = big_u - bracket(big_u, phi, vol) / pp * phi
-    p = m - bracket(m, phi, vol) / pp * phi
-    old = bracket(w, p, vol)
-    new = target.resolve(old)
-    report = Correction(old, new, old)
-    if new != old:
+
+    def weight():
         lap_w = laplacian_2d(w, state.chi.grid.dx, state.chi.grid.dy)
         g = lap_w - bracket(lap_w, phi, vol) / pp * phi
-        scale = float(np.sqrt(bracket(w, w, vol) * bracket(g, g, vol)))
-        p, report = _line_search(p, None, g, old, new,
-                                 bracket(w, g, vol), scale,
-                                 "correct_euler2d_mass_energy_l2",
-                                 lambda out: bracket(w, out, vol))
+        return g, bracket(w, g, vol), float(np.sqrt(
+            bracket(w, w, vol) * bracket(g, g, vol)))
+    p, report = _line_search(m - bracket(m, phi, vol) / pp * phi, target,
+                             lambda out: bracket(w, out, vol), weight,
+                             "correct_euler2d_mass_energy_l2")
     psi = state.psi_bar
     report.energy_bracket = bracket(psi, p, vol)
     report.energy_scale = float(np.sqrt(bracket(psi, psi, vol)
@@ -559,25 +551,23 @@ def correct_entropy_euler1d(fluxes, state: EulerState1D,
         ev = entropy_variables_euler1d(state)
     w = ev.w
     dw = _face_jumps(w, periodic)
-    old = _entropy_rate(f, w, dw, periodic)
-    new = target.resolve(old)
-    if new == old:
-        return f, Correction(old, new, old)
-    if new < old:
+
+    def weight():
+        g = np.zeros_like(dw)
+        g[:, 1] = _face_jumps(ev.v, periodic)
+        g[:, 2] = _face_jumps(ev.p, periodic)
+        return g, float((g * dw).sum()), float(np.linalg.norm(g)
+                                                * np.linalg.norm(dw))
+    out, report = _line_search(
+        f, target, lambda out: _entropy_rate(out, w, dw, periodic), weight,
+        "correct_entropy_euler1d",
+        slice(1, None) if periodic else slice(1, -1))
+    if periodic and out is not f:
+        out[0] = out[-1]  # face 0 is face N; the rate reads 1..N
+    if report.target_rate < report.old_rate:
         warnings.warn("entropy target below the current rate adds "
                       "anti-diffusion; positivity is no longer guaranteed",
                       AntiDiffusiveTargetWarning, stacklevel=2)
-
-    g = np.zeros_like(dw)
-    g[:, 1] = _face_jumps(ev.v, periodic)
-    g[:, 2] = _face_jumps(ev.p, periodic)
-    out, report = _line_search(
-        f, slice(1, None) if periodic else slice(1, -1), g, old, new,
-        float((g * dw).sum()), float(np.linalg.norm(g) * np.linalg.norm(dw)),
-        "correct_entropy_euler1d",
-        lambda out: _entropy_rate(out, w, dw, periodic))
-    if periodic:
-        out[0] = out[-1]  # face 0 is face N; the rate reads 1..N
     return out, report
 
 

@@ -7,7 +7,12 @@ corrector chain there.  Every corrector call goes through
 ``_DriverBase._corrected``, which stamps the ``Correction`` the corrector
 returned with a kind and folds it into the run's ``timeloop.CorrectionLog``,
 whose per-snapshot-interval rows the ``run`` command writes to
-``stages.csv``; drivers never measure a rate themselves.
+``stages.csv``.  Drivers measure no rate themselves, with one exception:
+for a clamp target ``_correct_step_increment`` measures the step's l2
+change on the increment before demeaning.  Leaving that to the increment
+corrector would change the bytes of ``fig7_surrogate``'s clamped CSVs and
+of ``sweep.csv``, so it stays until the per-step clamp is reworked
+(ROADMAP item 1).
 """
 
 from __future__ import annotations

@@ -428,7 +428,8 @@ def test_degenerate_weight_is_refused(name, case):
 # brackets, applied from scratch), the target, the expected resolved target,
 # and a no-op input/target pair built from the first report.  ``same`` marks
 # correctors whose no-op returns the input object itself; the others still
-# demean or project it.
+# demean or project it.  A ``same`` case's rate is the package's own public
+# rate function, so its record's old rate must equal it bit for bit.
 
 def _clamp_noop(update, rate):
     """Clamp on the input turned to a non-growing rate: nothing to correct."""
@@ -561,6 +562,8 @@ def test_correction_reports_what_it_did(case):
             _as_tuple(report), olds, _as_tuple(c["expected"](olds[0])),
             _as_tuple(c["rate"](out))):
         assert rec.old_rate == pytest.approx(old, rel=1e-10, abs=1e-12)
+        if c["same"]:
+            assert rec.old_rate == old
         assert rec.target_rate == pytest.approx(expected, rel=1e-10, abs=1e-12)
         assert rec.achieved_rate == pytest.approx(achieved, rel=1e-10, abs=1e-12)
         assert rec.achieved_rate == pytest.approx(rec.target_rate, rel=1e-10,

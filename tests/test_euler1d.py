@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -330,6 +332,20 @@ def test_entropy_antidiffusive_warns():
     target = co.EntropyRateTarget(old - 1.0, 0.0)  # below the current rate
     with pytest.warns(co.AntiDiffusiveTargetWarning):
         co.correct_entropy_euler1d(f, s, target)
+
+
+def test_refused_antidiffusive_target_does_not_warn():
+    # a uniform Dirichlet state has entropy rate 0 and G = 0: the target -1
+    # lies below the rate, but the call leaves no record, so no warning
+    g = UniformGrid1D(8, 1.0, boundary="dirichlet")
+    s = EulerState1D.from_primitive(g, np.ones(8), np.full(8, 0.3),
+                                    np.ones(8), 1.4)
+    f = euler1d_muscl_flux(s)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DegenerateCorrection):
+            co.correct_entropy_euler1d(f, s, co.EntropyRateTarget(-1.0, 0.0))
+    assert caught == []
 
 
 @pytest.mark.filterwarnings("ignore::invariant_guard.correctors."

@@ -60,6 +60,10 @@ MUTANTS = [
      "float(state.pressure().max()))",
      "tests/test_euler1d.py::"
      "test_limiter_default_eps_admits_a_near_vacuum_half_state"),
+    ("line search: a met target still moves", "correctors.py",
+     "    if new == old:",
+     "    if False:",
+     "tests/test_correctors.py::test_correction_reports_what_it_did[flux1d]"),
     ("line search: achieved rate recorded as the target, not re-measured",
      "correctors.py",
      "    return out, Correction(old, new, rate(out))",
