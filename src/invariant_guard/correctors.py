@@ -582,31 +582,29 @@ def entropy_flux_pair(pair, gamma):
     return (rho * g) * (mom / rho)
 
 
-def estimate_boundary_entropy_flux(state: EulerState1D, boundary_state=None,
-                                   ev=None, boundary_psi=None):
+def estimate_boundary_entropy_flux(state: EulerState1D, ev=None,
+                                   boundary_psi=None):
     """Conservative psi(0) - psi(L) estimate for open domains.
 
     Each end takes the minimum of the boundary-state value and the
     outermost-cell value of psi = rho*v*g(s).  The boundary states are the
-    (left, right) pair of conserved triples the fluxes use, ``boundary_state``,
-    which defaults to the outermost cells.  A caller that holds the state's
-    entropy variables ``ev`` or the pair's psi (``entropy_flux_pair``)
-    passes them in.  Periodic grids return 0.
+    (left, right) pair of conserved triples the fluxes use; their psi,
+    ``boundary_psi = entropy_flux_pair(pair, gamma)``, defaults to that of
+    the outermost cells.  A caller that holds the state's entropy variables
+    ``ev`` passes them in.  Periodic grids return 0.
     """
     if state.grid.periodic:
         return 0.0
     if ev is None:
         ev = entropy_variables_euler1d(state)
     if boundary_psi is None:
-        if boundary_state is None:
-            boundary_state = (state.u[0], state.u[-1])
-        boundary_psi = entropy_flux_pair(boundary_state, state.gamma)
+        boundary_psi = entropy_flux_pair(state.u[[0, -1]], state.gamma)
     return float(min(boundary_psi[0], ev.psi[0])
                  - min(boundary_psi[1], ev.psi[-1]))
 
 
 def limit_positivity_euler1d(fluxes, state: EulerState1D, dt, eps_pos=None,
-                             boundary_state=None, rows=None):
+                             rows=None):
     """Blend each interface flux toward the MUSCL kernel's first-order local
     Lax-Friedrichs fallback until a forward-Euler step keeps rho and p at or
     above ``eps_pos``.
@@ -618,8 +616,8 @@ def limit_positivity_euler1d(fluxes, state: EulerState1D, dt, eps_pos=None,
     its half-states are then convex combinations of admissible states (Zhang
     & Shu 2010); SSPRK3 takes dt from the step start, so a later stage can
     exceed that bound.  Raises ``CflViolation`` when even theta = 0 fails.
-    A caller that holds the state's ``schemes.ghost_rows`` passes them in
-    as ``rows``, which then stand for ``boundary_state``.
+    The ghost cells are ``rows = schemes.ghost_rows(state, pair)``, the
+    outermost cells' when not given, as in ``schemes.euler1d_muscl_flux``.
     """
     f = np.asarray(fluxes, dtype=np.float64)
     n = state.grid.n_cells
@@ -632,7 +630,7 @@ def limit_positivity_euler1d(fluxes, state: EulerState1D, dt, eps_pos=None,
     # component rows of the N+2 cells the faces read and their fluxes, and
     # both as C-contiguous pairs of the cells left ([:, 0]) and right ([:, 1])
     if rows is None:
-        rows = ghost_rows(state, boundary_state)
+        rows = ghost_rows(state)
     q = rows[:, 1:-1]
     fq = _physical_flux(q[1], q[2], q[1] / q[0], gamma, np.empty(q.shape))
     cells, f_cells = np.empty((2, 3, 2, n + 1))

@@ -1,17 +1,20 @@
 """Problem drivers: the per-stage pipelines that connect spatial schemes,
 corrector chains, and the time loop for each replication problem.
 
-A driver owns its grid, initial data, and corrector configuration.  The
-``rhs``/``increment`` hooks receive every Runge-Kutta stage and apply the
-corrector chain there.  Every corrector call goes through
-``_DriverBase._corrected``, which stamps the ``Correction`` the corrector
-returned with a kind and folds it into the run's ``timeloop.CorrectionLog``,
-whose per-snapshot-interval rows the ``run`` command writes to
-``stages.csv``.  Drivers measure no rate themselves, with one exception:
-for a clamp target ``_correct_step_increment`` measures the step's l2
-change on the increment before demeaning.  Leaving that to the increment
-corrector would change the bytes of ``fig7_surrogate``'s clamped CSVs and
-of ``sweep.csv``, so it stays until the per-step clamp is reworked
+A driver owns its grid, initial data, and corrector configuration;
+``_DriverBase.__init__`` keeps the first two and the stage and step
+targets, and ``_PeriodicScalar1D`` gives the periodic scalar drivers their
+``FvField1D`` state and a CFL dt from each one's ``speed``.  The ``rhs``/``increment`` hooks receive every
+Runge-Kutta stage and apply the corrector chain there.  Every corrector
+call goes through ``_DriverBase._corrected``, which stamps the
+``Correction`` the corrector returned with a kind and folds it into the
+run's ``timeloop.CorrectionLog``, whose per-snapshot-interval rows the
+``run`` command writes to ``stages.csv``.  Drivers measure no rate
+themselves, with one exception: for a clamp target
+``_correct_step_increment`` measures the step's l2 change on the
+increment before demeaning.  Leaving that to the increment corrector
+would change the bytes of ``fig7_surrogate``'s clamped CSVs and of
+``sweep.csv``, so it stays until the per-step clamp is reworked
 (ROADMAP item 1).
 """
 
@@ -76,8 +79,13 @@ class _DriverBase:
     TrackedRateSource or None (no correction)."""
 
     stage_records = None   # timeloop.run's CorrectionLog; None outside a run
-    target = None
     step_target = None
+
+    def __init__(self, ic, target=None, step_target=None):
+        self.ic = ic
+        self.grid = ic.grid
+        self.target = target
+        self.step_target = step_target
 
     def _corrected(self, kind, corrector, *args):
         """Call ``corrector(*args)``, log its report stamped with ``kind`` (a
@@ -120,11 +128,25 @@ class _DriverBase:
         return y.copy()
 
 
+class _PeriodicScalar1D(_DriverBase):
+    """A periodic ``FvField1D`` state; each driver gives its CFL speed,
+    ``speed(y)``."""
+
+    def initial_array(self):
+        return self.ic.values.copy()
+
+    def state_of(self, y):
+        return _unchecked(FvField1D, grid=self.grid, values=y)
+
+    def stable_dt(self, y, cfl, dt_max):
+        return cfl_dt(self.speed(y), self.grid.dx, cfl, dt_max)
+
+
 # ---------------------------------------------------------------------------
 # scalar 1D, flux form
 # ---------------------------------------------------------------------------
 
-class ScalarFv1D(_DriverBase):
+class ScalarFv1D(_PeriodicScalar1D):
     """Flux-form scalar transport, advection or Burgers, with an optional
     flux-l2 corrector.
 
@@ -142,26 +164,16 @@ class ScalarFv1D(_DriverBase):
 
     def __init__(self, ic: FvField1D, equation, scheme, c=1.0,
                  target=None, step_target=None):
-        self.grid = ic.grid
-        self.ic = ic
+        super().__init__(ic, target, step_target)
         self.equation = equation
         self.c = c
-        self.target = target
-        self.step_target = step_target
         self._rule = scheme.rule(self.grid) if hasattr(scheme, "rule") \
             else schemes.flux_rule_1d(scheme, self.grid, equation, c)
         self._divergence = schemes.flux_divergence_1d(self.grid)
 
-    def initial_array(self):
-        return self.ic.values.copy()
-
-    def state_of(self, y):
-        return _unchecked(FvField1D, grid=self.grid, values=y)
-
-    def stable_dt(self, y, cfl, dt_max):
-        speed = abs(self.c) if self.equation == "advection" \
+    def speed(self, y):
+        return abs(self.c) if self.equation == "advection" \
             else float(np.abs(y).max())
-        return cfl_dt(speed, self.grid.dx, cfl, dt_max)
 
     def face_fluxes(self, vals, dt):
         """The bound rule on cell values ``vals``, with the Lax-Friedrichs
@@ -177,7 +189,7 @@ class ScalarFv1D(_DriverBase):
         return self._divergence(f)
 
 
-class NonconservativeBurgers1D(_DriverBase):
+class NonconservativeBurgers1D(_PeriodicScalar1D):
     """Upwinded finite-difference Burgers scheme N_j = -u_j (du)_j.
 
     Does not conserve mass by construction; the cell-RHS corrector restores
@@ -185,18 +197,10 @@ class NonconservativeBurgers1D(_DriverBase):
     """
 
     def __init__(self, ic: FvField1D, target=None):
-        self.grid = ic.grid
-        self.ic = ic
-        self.target = target
+        super().__init__(ic, target)
 
-    def initial_array(self):
-        return self.ic.values.copy()
-
-    def state_of(self, y):
-        return _unchecked(FvField1D, grid=self.grid, values=y)
-
-    def stable_dt(self, y, cfl, dt_max):
-        return cfl_dt(float(np.abs(y).max()), self.grid.dx, cfl, dt_max)
+    def speed(self, y):
+        return float(np.abs(y).max())
 
     def rhs(self, y, t, dt):
         # d[k] = (u_k - u_{k-1})/dx for k = 0..N, wrapping: cell j reads
@@ -214,25 +218,17 @@ class NonconservativeBurgers1D(_DriverBase):
 # FTCS discrete-time demo
 # ---------------------------------------------------------------------------
 
-class FtcsAdvection(_DriverBase):
+class FtcsAdvection(_PeriodicScalar1D):
     """Forward-time centered-space advection whose increment, with a
     ``target``, is corrected to a per-step l2 change as
     ``ScalarFv1D.step_target`` corrects a full RK step."""
 
     def __init__(self, ic: FvField1D, c=1.0, target=None):
-        self.grid = ic.grid
-        self.ic = ic
+        super().__init__(ic, target)
         self.c = c
-        self.target = target
 
-    def initial_array(self):
-        return self.ic.values.copy()
-
-    def state_of(self, y):
-        return _unchecked(FvField1D, grid=self.grid, values=y)
-
-    def stable_dt(self, y, cfl, dt_max):
-        return cfl_dt(abs(self.c), self.grid.dx, cfl, dt_max)
+    def speed(self, y):
+        return abs(self.c)
 
     def increment(self, y, t, dt):
         field = self.state_of(y)
@@ -257,10 +253,8 @@ class DgScalar1D(_DriverBase):
     """
 
     def __init__(self, ic: DgField, flux_fn, interface_rule, target=None):
-        self.grid = ic.grid
-        self.ic = ic
+        super().__init__(ic, target)
         self.degree = ic.degree
-        self.target = target
         self._shape = (self.grid.n_cells, self.degree + 1)
         self._rhs, diffusion, self._divisor = dg_operator(
             self.grid, self.degree, flux_fn, interface_rule)
@@ -292,6 +286,7 @@ class DgScalar1D(_DriverBase):
 
 class SpectralAdvection(_DriverBase):
     def __init__(self, ic: SpectralField, c=1.0, target=None):
+        # not _DriverBase.__init__: a SpectralField has no grid
         self.ic = ic
         self.c = c
         self.target = target
@@ -325,15 +320,12 @@ class Vorticity2D(_DriverBase):
                  step_target=None):
         if corrector not in ("none", "flux_l2", "energy"):
             raise ValueError(f"unknown 2D corrector {corrector!r}")
-        self.grid = ic.grid
-        self.ic = ic
+        super().__init__(ic, target, step_target)
         self.corrector = corrector
-        self.target = target
         self.nu = nu
         self.forcing = forcing
         self.forcing_k = forcing_k
         self.drag = drag
-        self.step_target = step_target
 
     def initial_array(self):
         return self.ic.values.ravel().copy()
@@ -400,8 +392,7 @@ class Euler1D(_DriverBase):
     function that reads it."""
 
     def __init__(self, ic: EulerState1D, entropy_ratio=None, positivity=True):
-        self.grid = ic.grid
-        self.ic = ic
+        super().__init__(ic)
         self.gamma = ic.gamma
         self.entropy_ratio = entropy_ratio
         self.positivity = positivity

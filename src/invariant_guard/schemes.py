@@ -259,8 +259,7 @@ def ghost_rows(state: EulerState1D, boundary_state=None):
     return q
 
 
-def euler1d_muscl_flux(state: EulerState1D, boundary_state=None, p=None,
-                       rows=None):
+def euler1d_muscl_flux(state: EulerState1D, p=None, rows=None):
     """Characteristic-MUSCL interface fluxes F_{j+1/2}, shape (N+1, 3).
 
     Face 0 and face N are the domain boundaries; on periodic grids they are
@@ -268,15 +267,16 @@ def euler1d_muscl_flux(state: EulerState1D, boundary_state=None, p=None,
     states themselves are non-positive (the eigendecomposition needs
     positive rho and p); degenerate reconstructed faces silently fall back
     to the first-order local Lax-Friedrichs flux.  A caller that already
-    holds the state's pressure ``p`` or its ``ghost_rows`` passes them in
-    (``rows`` then stands for ``boundary_state``).
+    holds the state's pressure ``p`` or its ``ghost_rows`` passes them in;
+    a Dirichlet pair other than the outermost cells reaches the fluxes
+    only as ``rows = ghost_rows(state, pair)``.
     """
     if p is None:
         p = state.pressure()
     if (state.rho <= 0.0).any() or (p <= 0.0).any():
         raise PositivityViolation("non-positive density or pressure in state")
     if rows is None:
-        rows = ghost_rows(state, boundary_state)
+        rows = ghost_rows(state)
     return kernels.characteristic_muscl_fluxes(rows, state.gamma)
 
 

@@ -111,15 +111,18 @@ def _stage_inputs(monkeypatch, driver, plan):
 
 def _standalone_rhs(driver, y, dt):
     """One stage through the public entry points, each given the bare state
-    and computing what it needs itself."""
+    and the Dirichlet pair as the functions that take it make it (ghost
+    rows, the pair's psi), and computing the rest itself."""
     state = driver.state_of(y)
-    f = schemes.euler1d_muscl_flux(state, driver.boundary_state)
+    pair = driver.boundary_state
+    rows = schemes.ghost_rows(state, pair)
+    f = schemes.euler1d_muscl_flux(state, rows=rows)
     if driver.positivity:
         f = co.limit_positivity_euler1d(f, state, dt, driver.eps_pos,
-                                        driver.boundary_state)
+                                        rows=rows)
     if driver.entropy_ratio is not None:
-        boundary = co.estimate_boundary_entropy_flux(state,
-                                                     driver.boundary_state)
+        psi = None if pair is None else co.entropy_flux_pair(pair, state.gamma)
+        boundary = co.estimate_boundary_entropy_flux(state, boundary_psi=psi)
         f, _ = co.correct_entropy_euler1d(
             f, state, co.EntropyRateTarget(boundary, driver.entropy_ratio))
     return schemes.euler1d_rhs(f, driver.grid).ravel()

@@ -379,7 +379,8 @@ def test_boundary_flux_minimum_selection():
     # cell psi = rho*v*g(s) = 1 * 1 * 1 = 1; boundary state with slower
     # flow, as conserved (rho, rho*v, E) triples with p = 1
     bs = ((1.0, 0.25, 2.5 + 0.5 * 0.25**2), (1.0, 1.0, 3.0))
-    est = co.estimate_boundary_entropy_flux(s, bs)
+    est = co.estimate_boundary_entropy_flux(
+        s, boundary_psi=co.entropy_flux_pair(bs, s.gamma))
     # left: min(0.25, 1.0) = 0.25, right: min(1.0, 1.0) = 1.0
     assert est == pytest.approx(0.25 - 1.0, rel=1e-14)
 
@@ -397,7 +398,8 @@ def test_boundary_flux_reads_end_cells_as_entropy_variables_do():
 def test_boundary_flux_takes_the_conserved_pair_the_fluxes_take():
     s = random_state(80, boundary="dirichlet")
     default = co.estimate_boundary_entropy_flux(s)
-    assert co.estimate_boundary_entropy_flux(s, (s.u[0], s.u[-1])) == default
+    psi = co.entropy_flux_pair((s.u[0], s.u[-1]), s.gamma)
+    assert co.estimate_boundary_entropy_flux(s, boundary_psi=psi) == default
 
 
 @pytest.mark.parametrize("side", [0, 1])
@@ -406,4 +408,54 @@ def test_boundary_flux_rejects_a_nonpositive_boundary_state(side):
     bs = [s.u[0], s.u[-1]]
     bs[side] = np.array([1.0, 1.0, 0.5])      # E = rho*v^2/2: p = 0
     with pytest.raises(PositivityViolation):
-        co.estimate_boundary_entropy_flux(s, tuple(bs))
+        co.entropy_flux_pair(tuple(bs), s.gamma)
+
+
+# --- precomputed inputs are caches ------------------------------------------------------
+
+def _bytes(*values):
+    return b"".join(np.asarray(v, dtype=np.float64).tobytes() for v in values)
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_precomputed_inputs_change_no_byte(boundary, n):
+    # each entry point gives the same bytes from the bare state as from the
+    # pressure, ghost rows, entropy variables or pair psi a stage hands it
+    s = random_state(300 + n, n=n, boundary=boundary)
+    rng = np.random.default_rng(n)
+    p, rows = s.pressure(), ghost_rows(s)
+    f = euler1d_muscl_flux(s)
+    assert _bytes(euler1d_muscl_flux(s, p=p, rows=rows)) == _bytes(f)
+
+    noisy = f + 5.0 * rng.normal(size=f.shape)
+    dt = _stable_dt(s)
+    limited = co.limit_positivity_euler1d(noisy, s, dt)
+    assert not np.array_equal(limited, noisy)
+    assert _bytes(co.limit_positivity_euler1d(noisy, s, dt, rows=rows)) \
+        == _bytes(limited)
+
+    ev = co.entropy_variables_euler1d(s)
+    ev_p = co.entropy_variables_euler1d(s, p)
+    assert _bytes(ev.w, ev.eta, ev.p_star, ev.psi, ev.v, ev.p) \
+        == _bytes(ev_p.w, ev_p.eta, ev_p.p_star, ev_p.psi, ev_p.v, ev_p.p)
+
+    psi = co.entropy_flux_pair((s.u[0], s.u[-1]), s.gamma)
+    boundary_flux = co.estimate_boundary_entropy_flux(s)
+    assert _bytes(co.estimate_boundary_entropy_flux(s, ev=ev, boundary_psi=psi)) \
+        == _bytes(boundary_flux)
+
+    target = co.EntropyRateTarget(boundary_flux, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", co.AntiDiffusiveTargetWarning)
+        bare, bare_rec = co.correct_entropy_euler1d(f, s, target)
+        cached, rec = co.correct_entropy_euler1d(f, s, target, ev)
+    assert _bytes(cached, rec.old_rate, rec.target_rate, rec.achieved_rate) \
+        == _bytes(bare, bare_rec.old_rate, bare_rec.target_rate,
+                  bare_rec.achieved_rate)
+
+    if boundary == "dirichlet":
+        # a pair other than the end cells reaches the fluxes through rows
+        pair = (1.1 * s.u[0], 0.9 * s.u[-1])
+        assert not np.array_equal(
+            euler1d_muscl_flux(s, rows=ghost_rows(s, pair)), f)

@@ -98,6 +98,11 @@ MUTANTS = [
      "    key = a.shape",
      "tests/test_core.py::"
      "test_volume_mean_total_is_kept_per_shape_and_volume"),
+    ("scalar CFL: advection speed taken as max |u|, not |c|", "drivers.py",
+     '        return abs(self.c) if self.equation == "advection" \\',
+     '        return float(np.abs(y).max()) if self.equation == "advection" \\',
+     "tests/test_outputs.py::"
+     "test_bundled_outputs_are_pinned[fig7_surrogate]"),
     ("boundary estimate: cached psi of the Dirichlet pair swapped",
      "drivers.py",
      "            else co.entropy_flux_pair(self.boundary_state, self.gamma)",
