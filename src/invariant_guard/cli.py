@@ -16,6 +16,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -47,15 +49,20 @@ def bundled_config(name):
     return path
 
 
+#: the ``%`` template of a CSV cell by value type, ``%.17g`` for any other
+#: (a number); ``%.0s`` prints none of its argument
+_CELL = {str: "%s", type(None): "%.0s"}
+
+
 def write_csv(path, header, rows):
-    """Write ``header`` and one line per row of numbers, each value as
-    ``%.17g``, which formats a float exactly as ``format(x, ".17g")``."""
-    rows = np.asarray(rows, dtype=np.float64)
+    """Write ``header`` and one line per row: a number as ``%.17g``, which
+    formats a float exactly as ``format(x, ".17g")``, a string as it is and
+    None as an empty cell.  Every CSV of a run or sweep is written here."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        if rows.size:
-            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-            fh.writelines(line % tuple(row) for row in rows.tolist())
+        for row in rows:
+            fh.write((",".join([_CELL.get(type(v), "%.17g") for v in row])
+                      + "\n") % tuple(row))
 
 
 def write_trajectory(path, traj, reorder=None):
@@ -67,7 +74,7 @@ def write_trajectory(path, traj, reorder=None):
         snaps = [reorder(flat) for flat in snaps]
     rows = np.column_stack((traj.times, snaps))
     header = "t," + ",".join(f"c{i}" for i in range(rows.shape[1] - 1))
-    write_csv(path, header, rows)
+    write_csv(path, header, rows.tolist())
 
 
 def _csv_reorder(ec, n):
@@ -79,28 +86,20 @@ def _csv_reorder(ec, n):
 
 
 def write_invariants(path, traj):
-    with open(path, "w") as fh:
-        fh.write(InvariantReport.CSV_HEADER + "\n")
-        for rep in traj.reports:
-            fh.write(rep.csv_row() + "\n")
+    """One row per ``InvariantReport`` of the run, one column per field."""
+    names = [f.name for f in fields(InvariantReport)]
+    write_csv(path, ",".join(names), map(attrgetter(*names), traj.reports))
 
 
 def write_rates(path, times, rates):
-    write_csv(path, "t,rate", list(zip(times, rates)))
+    write_csv(path, "t,rate", zip(times, rates))
 
 
 def write_stages(path, traj):
     """One row per snapshot interval and correction kind of the run's
-    ``CorrectionLog``; floats as ``%.17g``, and an empty
-    ``max_energy_error`` for kinds with no energy bracket."""
-    with open(path, "w") as fh:
-        fh.write(",".join(StageRow._fields) + "\n")
-        for r in traj.stage_records.rows:
-            energy = "" if r.max_energy_error is None \
-                else "%.17g" % r.max_energy_error
-            fh.write("%.17g,%.17g,%s,%d,%d,%.17g,%s\n" % (
-                r.t_start, r.t_end, r.kind, r.records, r.below_old,
-                r.max_rate_error, energy))
+    ``CorrectionLog``, one column per ``StageRow`` field; a kind with no
+    energy bracket has None, an empty cell, as ``max_energy_error``."""
+    write_csv(path, ",".join(StageRow._fields), traj.stage_records.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +383,10 @@ def cmd_sweep(config_path, output_root=None):
                                in zip(traj.snapshots, exact)])
                       for err in (normalized_mse, mae)]
             values.append(traj.reports[-1].l2 / traj.reports[0].l2)
-        rows.append(f"{n},{variant.label},"
-                    + ",".join(format(float(v), ".17g") for v in values) + "\n")
+        rows.append([n, variant.label, *values])
     code = _run_variants(ec, config_path, out_dir, score)
-    with open(out_dir / "sweep.csv", "w") as fh:
-        fh.write("n,variant,normalized_mse,mae,l2_end_over_l2_0\n")
-        fh.writelines(rows)
+    write_csv(out_dir / "sweep.csv",
+              "n,variant,normalized_mse,mae,l2_end_over_l2_0", rows)
     return code
 
 

@@ -3,8 +3,8 @@
 Parsed with configparser, values literal.  Each field a config sets
 declares its section and range (``_key``); ``RUN_KINDS`` and ``READ_WHEN``
 say which runs read it, and ``parse_config`` rejects a key that its run
-would not read.  The README lists them all.  A [variant.<label>] inherits the [problem] and
-[plan] defaults and may override some of them.
+would not read.  The README lists them all.  A [variant.<label>] inherits
+the [problem] and [plan] defaults and may override some of them.
 """
 
 from __future__ import annotations

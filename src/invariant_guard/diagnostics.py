@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +15,8 @@ from .dg import dg_l2, dg_mass
 @dataclass
 class InvariantReport:
     """Snapshot of the tracked functionals; fields absent for an equation
-    kind stay None and serialize as empty CSV cells."""
+    kind stay None.  ``cli.write_invariants`` writes one column per field,
+    in field order, and a None as an empty cell."""
 
     t: float
     mass: float = None
@@ -26,15 +27,6 @@ class InvariantReport:
     entropy_total: float = None
     min_rho: float = None
     min_p: float = None
-
-    CSV_HEADER = "t,mass,l2,tv,energy,enstrophy,entropy_total,min_rho,min_p"
-
-    def csv_row(self):
-        cells = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            cells.append("" if v is None else format(v, ".17g"))
-        return ",".join(cells)
 
 
 def total_variation(values, periodic=True):

@@ -4,17 +4,17 @@ corrector chains, and the time loop for each replication problem.
 A driver owns its grid, initial data, and corrector configuration;
 ``_DriverBase.__init__`` keeps the first two and the stage and step
 targets, and ``_PeriodicScalar1D`` gives the periodic scalar drivers their
-``FvField1D`` state and a CFL dt from each one's ``speed``.  The ``rhs``/``increment`` hooks receive every
-Runge-Kutta stage and apply the corrector chain there.  Every corrector
-call goes through ``_DriverBase._corrected``, which stamps the
-``Correction`` the corrector returned with a kind and folds it into the
-run's ``timeloop.CorrectionLog``, whose per-snapshot-interval rows the
-``run`` command writes to ``stages.csv``.  Drivers measure no rate
-themselves, with one exception: for a clamp target
-``_correct_step_increment`` measures the step's l2 change on the
-increment before demeaning.  Leaving that to the increment corrector
-would change the bytes of ``fig7_surrogate``'s clamped CSVs and of
-``sweep.csv``, so it stays until the per-step clamp is reworked
+``FvField1D`` state and a CFL dt from each one's ``speed``.  The
+``rhs``/``increment`` hooks receive every Runge-Kutta stage and apply the
+corrector chain there.  Every corrector call goes through
+``_DriverBase._corrected``, which stamps the ``Correction`` the corrector
+returned with a kind and folds it into the run's ``timeloop.CorrectionLog``,
+whose per-snapshot-interval rows the ``run`` command writes to
+``stages.csv``.  Drivers measure no rate themselves, with one exception:
+for a clamp target ``_correct_step_increment`` measures the step's l2
+change on the increment before demeaning.  Leaving that to the increment
+corrector would change the bytes of ``fig7_surrogate``'s clamped CSVs and
+of ``sweep.csv``, so it stays until the per-step clamp is reworked
 (ROADMAP item 1).
 """
 

@@ -334,7 +334,8 @@ def check_increment_identities(rng, fns, trials):
             l2_new = 0.5 * bracket(unew, unew, dx)
             _rate_close(l2_new - l2_old, delta, l2_old)
             mean = float(np.sum(out * dx))
-            assert abs(mean) <= MASS_ATOL_SCALE * float(np.sum(np.abs(out) * dx) + 1e-30)
+            assert abs(mean) <= MASS_ATOL_SCALE * float(
+                np.sum(np.abs(out) * dx) + 1e-30)
             checks += 1
     return checks
 

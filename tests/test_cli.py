@@ -18,9 +18,10 @@ from invariant_guard.config import (_KEYS, READ_WHEN, RUN_KINDS,
                                     VariantConfig, parse_config)
 from invariant_guard.correctors import (AntiDiffusiveTargetWarning,
                                         TrackedRateSource)
+from invariant_guard.diagnostics import InvariantReport
 from invariant_guard.drivers import InfeasibleTargetWarning
 from invariant_guard.errors import ConfigurationError
-from invariant_guard.timeloop import run
+from invariant_guard.timeloop import StageRow, Trajectory, run
 from invariant_guard.verification import PROPERTIES
 
 ALL_CONFIGS = ["fig1_burgers_centered", "fig2_nonconservative", "fig3_ftcs",
@@ -943,6 +944,26 @@ def test_write_csv_formats_like_the_per_value_formatter(tmp_path):
     want = ["a,b,c,d"] + [",".join(format(float(v), ".17g") for v in row)
                           for row in values]
     assert path.read_text() == "\n".join(want) + "\n"
+
+
+def test_write_csv_formats_each_cell_by_its_type(tmp_path):
+    # a number as %.17g, a string as it is, None as an empty cell
+    path = tmp_path / "cells.csv"
+    write_csv(path, "h", [[3, "l2", None, 0.1, -0.0, float("nan"),
+                           np.float64(1 / 3)]])
+    assert path.read_text() == \
+        "h\n3,l2,,0.10000000000000001,-0,nan,0.33333333333333331\n"
+    # the record files take their columns from the record types
+    traj = Trajectory(reports=[InvariantReport(t=0.5, l2=2.0)])
+    traj.stage_records.rows.append(
+        StageRow(0.0, 0.5, "flux_l2", 3, 1, 0.25, None))
+    cli.write_invariants(tmp_path / "invariants.csv", traj)
+    cli.write_stages(tmp_path / "stages.csv", traj)
+    names = [f.name for f in dataclasses.fields(InvariantReport)]
+    assert (tmp_path / "invariants.csv").read_text().splitlines() == \
+        [",".join(names), "0.5,,2,,,,,,"]
+    assert (tmp_path / "stages.csv").read_text().splitlines() == \
+        [",".join(StageRow._fields), "0,0.5,flux_l2,3,1,0.25,"]
 
 
 def test_sweep_rejects_non_advection(tmp_path):

@@ -170,6 +170,10 @@ MUTANTS = [
      "    shift = (x + ec.c * t) % ec.length",
      "tests/test_cli.py::"
      "test_sweep_correction_keeps_an_accurate_scheme_accurate"),
+    ("CSV writer: float cells as %.16g", "cli.py",
+     '            fh.write((",".join([_CELL.get(type(v), "%.17g") for v in row])',
+     '            fh.write((",".join([_CELL.get(type(v), "%.16g") for v in row])',
+     "tests/test_outputs.py::test_bundled_outputs_are_pinned[fig3_ftcs]"),
     ("verify no-op row: output compared with itself", "verification.py",
      '            assert _unchanged(out, kept, self.bitwise), "no-op moved the update"',
      '            assert _unchanged(out, out, self.bitwise), "no-op moved the update"',
