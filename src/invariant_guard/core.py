@@ -49,6 +49,9 @@ def shift(a, k, axis=0):
     ``shift(u, 1)`` is u_{j+1} and ``shift(u, -1)`` is u_{j-1}.  The result
     equals numpy's ``roll(a, -k, axis)`` bit for bit, but two slices and one
     concatenate cost a fraction of a roll on the small grids stencils see.
+    Only 2D code calls it: every periodic 1D stencil reads its neighbours
+    from slices of a ghost-padded or wrapped copy, or of the array itself,
+    and builds no shifted copy per neighbour.
     """
     k %= a.shape[axis]
     if axis == 0:

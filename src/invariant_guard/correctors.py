@@ -209,7 +209,12 @@ def _face_jumps(a, periodic):
     """a_{j+1} - a_j along axis 0 at the interfaces a flux correction moves:
     faces 1..N (the last wraps to cell 0) on a periodic grid, 1..N-1 on a
     bounded one."""
-    return (shift(a, 1) - a) if periodic else a[1:] - a[:-1]
+    if not periodic:
+        return a[1:] - a[:-1]
+    out = np.empty(a.shape)
+    np.subtract(a[1:], a[:-1], out=out[:-1])
+    out[-1] = a[0] - a[-1]
+    return out
 
 
 def _periodic_jumps(u: FvField1D):

@@ -14,7 +14,8 @@ def mc_limit(centered, fwd, bwd):
 
 
 def mc_limited_slopes(u, axis=0):
-    """MC-limited slope per cell along ``axis`` (periodic), in units of du."""
+    """MC-limited slope per cell along ``axis`` (periodic), in units of du;
+    the 2D kernel's.  The 1D kernels call ``mc_limit`` on slices."""
     um = shift(u, -1, axis)
     up = shift(u, 1, axis)
     return mc_limit(0.5 * (up - um), 2.0 * (up - u), 2.0 * (u - um))

@@ -34,8 +34,12 @@ class BoundaryFluxes2D:
 # scalar 1D fluxes and RHS
 # ---------------------------------------------------------------------------
 
-def _burgers_flux(u):
-    return 0.5 * u * u
+def _wrapped(vals):
+    """``vals`` with cell 0 appended, so ``_wrapped(vals)[1:]`` is u_{j+1}."""
+    out = np.empty(len(vals) + 1)
+    out[:-1] = vals
+    out[-1] = vals[0]
+    return out
 
 
 def flux_rule_1d(scheme, grid, equation, c=None):
@@ -67,13 +71,26 @@ def flux_rule_1d(scheme, grid, equation, c=None):
             # the monotone flux of a linear f(u)=c*u is plain upwinding
             if c >= 0:
                 return lambda vals, lf_ratio: c * vals
-            return lambda vals, lf_ratio: c * shift(vals, 1)
+
+            def upwind(vals, lf_ratio):
+                out = np.empty(len(vals))
+                np.multiply(c, vals[1:], out=out[:-1])
+                out[-1] = c * vals[0]
+                return out
+            return upwind
+        half_c = 0.5 * c
         if scheme is FluxScheme.CENTERED:
-            return lambda vals, lf_ratio: 0.5 * c * (vals + shift(vals, 1))
+            def centered(vals, lf_ratio):
+                out = np.empty(len(vals))
+                np.add(vals[:-1], vals[1:], out=out[:-1])
+                out[-1] = vals[-1] + vals[0]
+                out *= half_c
+                return out
+            return centered
         if scheme is FluxScheme.LAX_FRIEDRICHS:
             def lax_friedrichs(vals, lf_ratio):
-                up = shift(vals, 1)
-                return 0.5 * c * (vals + up) - lf_ratio * (up - vals)
+                up = _wrapped(vals)[1:]
+                return half_c * (vals + up) - lf_ratio * (up - vals)
             return lax_friedrichs
     else:
         if scheme is FluxScheme.UPWIND:
@@ -91,13 +108,19 @@ def flux_rule_1d(scheme, grid, equation, c=None):
                 return out
             return centered
         if scheme is FluxScheme.GODUNOV:
-            return lambda vals, lf_ratio: \
-                kernels.godunov_burgers_flux(vals, shift(vals, 1))
+            def godunov(vals, lf_ratio):
+                faces = np.empty((2, len(vals)))
+                faces[0] = vals
+                faces[1, :-1] = vals[1:]
+                faces[1, -1] = vals[0]
+                return kernels.godunov_burgers_flux(faces)
+            return godunov
         if scheme is FluxScheme.LAX_FRIEDRICHS:
             def lax_friedrichs(vals, lf_ratio):
-                up = shift(vals, 1)
-                return 0.5 * (_burgers_flux(vals) + _burgers_flux(up)) \
-                    - lf_ratio * (up - vals)
+                wrapped = _wrapped(vals)
+                f = 0.5 * wrapped * wrapped
+                up = wrapped[1:]
+                return 0.5 * (f[:-1] + f[1:]) - lf_ratio * (up - vals)
             return lax_friedrichs
     raise ConfigurationError(f"unsupported scheme {scheme} for {equation}")
 
@@ -119,14 +142,14 @@ def flux_divergence_1d(grid):
     """
     if not grid.periodic:
         raise ConfigurationError("the scalar flux divergence is periodic-only")
-    dx = grid.dx
+    # x/(-dx) is -(x/dx) bit for bit, signed zeros included
+    neg_dx = -grid.dx
 
     def periodic(f):
         out = np.empty(len(f))
         np.subtract(f[1:], f[:-1], out=out[1:])
         out[0] = f[0] - f[-1]
-        np.negative(out, out=out)
-        out /= dx
+        out /= neg_dx
         return out
     return periodic
 
@@ -153,7 +176,8 @@ def ftcs_increment(u: FvField1D, c, dt):
     if not u.grid.periodic:
         raise ConfigurationError("the FTCS demo update is periodic-only")
     vals = u.values
-    return -(c * dt) / (2.0 * u.grid.dx) * (shift(vals, 1) - shift(vals, -1))
+    padded = np.concatenate((vals[-1:], vals, vals[:1]))
+    return -(c * dt) / (2.0 * u.grid.dx) * (padded[2:] - padded[:-2])
 
 
 # ---------------------------------------------------------------------------

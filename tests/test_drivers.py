@@ -1,5 +1,6 @@
 """Drivers record what the correctors report instead of re-measuring it."""
 
+import sys
 import warnings
 from collections import Counter
 
@@ -340,9 +341,9 @@ def _stage_path_drivers():
 
 @pytest.mark.parametrize("name", list(_stage_path_drivers()))
 def test_stage_path_makes_no_roll(monkeypatch, name):
-    # periodic neighbours come from core.shift on every stage path; verify
-    # re-measures with the correctors' own shift-based rate functions, so it
-    # is no independent check of shift (ROADMAP: re-measure from the cell form)
+    # periodic neighbours come from slices (1D) or core.shift (2D); verify
+    # re-measures with the correctors' own rate functions, so it is no
+    # independent check of them (ROADMAP: re-measure from the cell form)
     driver = _stage_path_drivers()[name]
 
     def roll(*args, **kwargs):
@@ -396,6 +397,50 @@ def _flux_case_id(case):
     scheme, equation, c = case
     sign = "" if c is None else ("+c" if c > 0 else "-c")
     return f"{scheme.value}-{equation}{sign}"
+
+
+def _one_d_stage_drivers():
+    """A driver of each 1D kind whose stages read periodic neighbours: the
+    flux driver with every scheme it accepts, the surrogate included, with
+    and without a flux-l2 target; the non-conservative Burgers and FTCS
+    drivers; a periodic gas tube with the entropy corrector."""
+    g = UniformGrid1D(16, 1.0)
+    fixed = co.L2RateTarget.fixed(-0.1)
+    surrogate = (SurrogateFluxRule(FluxScheme.UPWIND, "advection", 0.3, 0,
+                                   c=-0.7), "advection", -0.7)
+    out = {}
+    for case in _FLUX_CASES + [surrogate]:
+        scheme, equation, c = case
+        name = "surrogate" if case is surrogate else _flux_case_id(case)
+        out[name] = ScalarFv1D(ic_sine(g), equation, scheme, c=c)
+        out[name + "-flux_l2"] = ScalarFv1D(ic_sine(g), equation, scheme, c=c,
+                                            target=fixed)
+    out["nonconservative"] = NonconservativeBurgers1D(ic_sine(g), target=fixed)
+    out["ftcs"] = FtcsAdvection(ic_sine(g), c=-0.7,
+                                target=co.L2RateTarget.clamp())
+    out["periodic_euler"] = Euler1D(ic_random_euler(g, 3), entropy_ratio=0.5)
+    return out
+
+
+@pytest.mark.parametrize("name", list(_one_d_stage_drivers()))
+def test_one_d_stage_reads_no_shift(monkeypatch, name):
+    # core.shift builds a concatenated copy per neighbour read; every 1D
+    # stencil reads its neighbours from slices instead
+    driver = _one_d_stage_drivers()[name]
+
+    def shift(*args, **kwargs):
+        raise AssertionError("core.shift on a 1D stage path")
+    original = core.shift
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "invariant_guard" \
+                and getattr(module, "shift", None) is original:
+            monkeypatch.setattr(module, "shift", shift)
+    advance = driver.increment if name == "ftcs" else driver.rhs
+    y = driver.initial_array()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", co.AntiDiffusiveTargetWarning)
+        out = advance(y, 0.0, 1e-3)
+    assert out.shape == y.shape and np.isfinite(out).all()
 
 
 @pytest.mark.parametrize("dt", [1e-2, 3.7e-3])

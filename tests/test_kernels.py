@@ -12,6 +12,7 @@ import pytest
 from invariant_guard.kernels import (characteristic_muscl_fluxes, mc_limited_slopes,
                                      muscl_advective_fluxes_2d, muscl_fluxes_advection,
                                      muscl_fluxes_burgers)
+from test_schemes import _signed_zero_data
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +244,22 @@ def random_euler_ext(rng, n):
     return np.concatenate([u[-2:], u, u[:2]], axis=0)
 
 
-@pytest.mark.parametrize("n", [8, 33, 128])
-def test_scalar1d_matches_reference(n):
-    rng = np.random.default_rng(n)
-    u = rng.normal(size=n)
-    assert np.array_equal(mc_limited_slopes(u), ref_mc_slopes(u))
+_SCALAR1D_DATA = [(n, False) for n in (4, 5, 8, 33, 128)] \
+    + [(n, True) for n in (4, 5, 8, 64)]
+
+
+@pytest.mark.parametrize("n, signed_zero", _SCALAR1D_DATA,
+                         ids=[f"{n}-signed_zero" if z else str(n)
+                              for n, z in _SCALAR1D_DATA])
+def test_scalar1d_matches_reference(n, signed_zero):
+    # bytes, not values: a -0.0 where the loop gives +0.0 fails too
+    u = _signed_zero_data(n, n) if signed_zero \
+        else np.random.default_rng(n).normal(size=n)
+    assert mc_limited_slopes(u).tobytes() == ref_mc_slopes(u).tobytes()
     for c in (1.0, -0.7):
-        assert np.array_equal(muscl_fluxes_advection(u, c), ref_muscl_advection(u, c))
-    assert np.array_equal(muscl_fluxes_burgers(u), ref_muscl_burgers(u))
+        assert muscl_fluxes_advection(u, c).tobytes() \
+            == ref_muscl_advection(u, c).tobytes()
+    assert muscl_fluxes_burgers(u).tobytes() == ref_muscl_burgers(u).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(8, 8), (16, 12)])

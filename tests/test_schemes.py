@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from invariant_guard import schemes
+from invariant_guard import correctors, schemes
 from invariant_guard.core import (FvField1D, FvField2D, UniformGrid1D,
                                   UniformGrid2D, bracket, shift)
 from invariant_guard.errors import ConfigurationError
@@ -150,6 +150,68 @@ def test_centered_burgers_rule_equals_shift_formula_bitwise(n, seed):
     rule = schemes.flux_rule_1d(FluxScheme.CENTERED, UniformGrid1D(n, 0.7),
                                 "burgers")
     assert rule(u, 0.37).tobytes() == (0.25 * (u * u + up * up)).tobytes()
+
+
+def _godunov_burgers_pair(ul, ur):
+    """The Godunov-Burgers flux of two separate face-state arrays."""
+    fl, fr = 0.5 * ul * ul, 0.5 * ur * ur
+    fmin = np.where((ul <= 0.0) & (ur >= 0.0), 0.0, np.minimum(fl, fr))
+    return np.where(ul <= ur, fmin, np.maximum(fl, fr))
+
+
+#: (scheme, equation, c, the shift formula of f_{j+1/2} from u, its right
+#: neighbour up = shift(u, 1) and the Lax-Friedrichs ratio lf)
+_SHIFT_FORMULAS = [
+    (FluxScheme.UPWIND, "advection", -0.7, lambda u, up, lf: -0.7 * up),
+    (FluxScheme.GODUNOV, "advection", -0.7, lambda u, up, lf: -0.7 * up),
+    (FluxScheme.CENTERED, "advection", 1.3,
+     lambda u, up, lf: 0.5 * 1.3 * (u + up)),
+    (FluxScheme.CENTERED, "advection", -0.7,
+     lambda u, up, lf: 0.5 * -0.7 * (u + up)),
+    (FluxScheme.LAX_FRIEDRICHS, "advection", 1.3,
+     lambda u, up, lf: 0.5 * 1.3 * (u + up) - lf * (up - u)),
+    (FluxScheme.LAX_FRIEDRICHS, "advection", -0.7,
+     lambda u, up, lf: 0.5 * -0.7 * (u + up) - lf * (up - u)),
+    (FluxScheme.GODUNOV, "burgers", None,
+     lambda u, up, lf: _godunov_burgers_pair(u, up)),
+    (FluxScheme.LAX_FRIEDRICHS, "burgers", None,
+     lambda u, up, lf: 0.5 * (0.5 * u * u + 0.5 * up * up) - lf * (up - u)),
+]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n", [2, 4, 5, 64])
+@pytest.mark.parametrize("scheme, equation, c, formula", _SHIFT_FORMULAS,
+                         ids=[f"{s.value}-{e}" + ("" if c is None else f"{c:+}")
+                              for s, e, c, _ in _SHIFT_FORMULAS])
+def test_flux_rule_equals_shift_formula_bitwise(scheme, equation, c, formula,
+                                                n, seed):
+    u = _signed_zero_data(n, seed)
+    rule = schemes.flux_rule_1d(scheme, UniformGrid1D(n, 0.7), equation, c)
+    expected = formula(u, shift(u, 1), 0.37)
+    assert rule(u, 0.37).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n", [2, 4, 5, 64])
+@pytest.mark.parametrize("c", [1.3, -0.7])
+def test_ftcs_increment_equals_shift_formula_bitwise(c, n, seed):
+    u = FvField1D(UniformGrid1D(n, 0.7), _signed_zero_data(n, seed))
+    expected = -(c * 0.01) / (2.0 * u.grid.dx) \
+        * (shift(u.values, 1) - shift(u.values, -1))
+    assert ftcs_increment(u, c, 0.01).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n", [2, 4, 5, 64])
+@pytest.mark.parametrize("columns", [None, 3])
+def test_periodic_face_jumps_equal_shift_formula_bitwise(columns, n, seed):
+    # (N,) for the scalar flux corrector, (N, 3) for the entropy variables
+    a = _signed_zero_data(n if columns is None else n * columns, seed)
+    if columns is not None:
+        a = a.reshape(n, columns)
+    expected = shift(a, 1) - a
+    assert correctors._face_jumps(a, True).tobytes() == expected.tobytes()
 
 
 def test_fv_rhs_2d_patterns():

@@ -131,6 +131,15 @@ MUTANTS = [
      "                sq[-1] = sq[0]",
      "                sq[-1] = sq[-2]",
      "tests/test_acceptance.py::test_criterion_3_fig1_burgers"),
+    ("MUSCL kernel: left ghost reads u[0], not u[-1]", "kernels/scalar1d.py",
+     "    p[0] = u[-1]",
+     "    p[0] = u[0]",
+     "tests/test_kernels.py::test_scalar1d_matches_reference[128]"),
+    ("periodic face jumps: wrap element reads a[1], not a[0]",
+     "correctors.py",
+     "    out[-1] = a[0] - a[-1]",
+     "    out[-1] = a[1] - a[-1]",
+     "tests/test_correctors.py::test_flux1d_hand_case"),
     ("Lax-Friedrichs fallback: alpha the smaller speed of the face",
      "kernels/euler1d.py",
      "    alpha = np.maximum(speed[:-1], speed[1:])",
