@@ -195,21 +195,22 @@ def variant_plan(ec: ExperimentConfig, variant: VariantConfig) -> StepPlan:
 def run_with_rates(plan, driver):
     """``run(plan, driver)`` that also records the rate curve a tracked
     target reads: for each step t_n -> t_n+1 the row (t_n + dt/2,
-    (q_n+1 - q_n)/dt), where q is the l2 of ``driver.field_of``, the field
-    a step corrector sets (the enstrophy on euler2d).  The driver's own
+    (q_n+1 - q_n)/dt), where q is the l2 of ``driver.field_of`` of the
+    evaluated state (the enstrophy on euler2d).  The driver's own
     ``observe`` hook, if any, still runs.  Returns (trajectory, rates)."""
-    def l2(y):
-        vals, volume = co._field_parts(driver.field_of(y))
+    def l2(state):
+        vals, volume = co._field_parts(driver.field_of(state))
         return 0.5 * bracket(vals, vals, volume)
     ends = []
-    chained = getattr(driver, "observe", lambda y, t, traj: None)
+    chained = getattr(driver, "observe", lambda state, t, traj: None)
 
-    def observe(y, t, traj):
-        chained(y, t, traj)
-        ends.append((t, l2(y)))
+    def observe(state, t, traj):
+        chained(state, t, traj)
+        ends.append((t, l2(state)))
     driver.observe = observe
     traj = run(plan, driver)
-    t, q = np.array([(0.0, l2(traj.snapshots[0]))] + ends).T
+    q0 = l2(driver.evaluate(traj.snapshots[0]))
+    t, q = np.array([(0.0, q0)] + ends).T
     return traj, co.TrackedRateSource(0.5 * (t[:-1] + t[1:]),
                                       np.diff(q) / np.diff(t))
 

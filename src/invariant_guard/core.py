@@ -13,6 +13,7 @@ operators) assumes equal cells.  So a cell volume is one scalar.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -264,6 +265,12 @@ class EulerState1D:
         p = np.asarray(p, dtype=np.float64)
         u = np.stack([rho, rho * v, p / (gamma - 1.0) + 0.5 * rho * v**2], axis=1)
         return cls(grid, u, gamma)
+
+
+#: an ``EulerState1D`` and its pressure ``p``, with rho and p checked
+#: positive: what ``drivers.Euler1D.evaluate`` builds once per state array
+#: and every gas hook and ``diagnostics.invariant_report`` read
+EvaluatedEuler1D = namedtuple("EvaluatedEuler1D", "state p")
 
 
 @dataclass

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DgField, EulerState1D, FvField1D, FvField2D, SpectralField,
-                   VorticityState2D, bracket)
+from .core import (DgField, EvaluatedEuler1D, FvField1D, VorticityState2D,
+                   bracket)
 from .correctors import entropy_variables_euler1d
 from .dg import dg_l2, dg_mass
 
@@ -54,14 +54,6 @@ def invariant_report(state, t) -> InvariantReport:
             l2=dg_l2(state),
             tv=total_variation(state.cell_means(), state.grid.periodic),
         )
-    if isinstance(state, SpectralField):
-        c = state.coeffs
-        power = float(c[0].real ** 2 + 2.0 * np.sum(np.abs(c[1:]) ** 2))
-        return InvariantReport(
-            t=t,
-            mass=state.length * float(c[0].real),
-            l2=0.5 * state.length * power,
-        )
     if isinstance(state, VorticityState2D):
         vol = state.chi.grid.cell_volume
         chi = state.chi.values
@@ -71,22 +63,18 @@ def invariant_report(state, t) -> InvariantReport:
             enstrophy=0.5 * bracket(chi, chi, vol),
             energy=0.5 * bracket(chi, state.psi_bar, vol),
         )
-    if isinstance(state, EulerState1D):
-        # entropy is defined only for positive rho and p; otherwise its cell
-        # stays empty and the minima show why
-        dx = state.grid.dx
-        min_rho = float(state.rho.min())
-        min_p = float(state.pressure().min())
-        entropy = None
-        if min_rho > 0.0 and min_p > 0.0:
-            entropy = float(np.sum(entropy_variables_euler1d(state).eta * dx))
+    if isinstance(state, EvaluatedEuler1D):
+        # rho and p were checked positive, so the entropy is defined
+        gas, p = state
+        dx = gas.grid.dx
         return InvariantReport(
             t=t,
-            mass=float(np.sum(state.rho * dx)),
-            tv=total_variation(state.rho, state.grid.periodic),
-            entropy_total=entropy,
-            min_rho=min_rho,
-            min_p=min_p,
+            mass=float(np.sum(gas.rho * dx)),
+            tv=total_variation(gas.rho, gas.grid.periodic),
+            entropy_total=float(np.sum(
+                entropy_variables_euler1d(gas, p).eta * dx)),
+            min_rho=float(gas.rho.min()),
+            min_p=float(p.min()),
         )
     raise TypeError(f"no invariant report for {type(state).__name__}")
 

@@ -4,37 +4,42 @@ corrector chains, and the time loop for each replication problem.
 A driver owns its grid, initial data, and corrector configuration;
 ``_DriverBase.__init__`` keeps the first two and the stage and step
 targets, and ``_PeriodicScalar1D`` gives the periodic scalar drivers their
-``FvField1D`` state and a CFL dt from each one's ``speed``.  The
-``rhs``/``increment`` hooks receive every Runge-Kutta stage and apply the
-corrector chain there.  Every corrector call goes through
-``_DriverBase._corrected``, which stamps the ``Correction`` the corrector
-returned with a kind and folds it into the run's ``timeloop.CorrectionLog``,
-whose per-snapshot-interval rows the ``run`` command writes to
-``stages.csv``.  Drivers measure no rate themselves, with one exception:
-for a clamp target ``_correct_step_increment`` measures the step's l2
-change on the increment before demeaning.  Leaving that to the increment
-corrector would change the bytes of ``fig7_surrogate``'s clamped CSVs and
-of ``sweep.csv``, so it stays until the per-step clamp is reworked
-(ROADMAP item 1).
+``FvField1D`` field and a CFL dt from each one's ``speed``.
+``evaluate(y)`` derives, once per state array, the state that
+``stable_dt``, the ``rhs``/``increment`` stage hook, ``post_step``,
+``observe``, ``report`` and ``field_of`` read: the array itself on the
+scalar drivers, the padded coefficients on DG, a ``Flow2D`` on euler2d and
+an ``EvaluatedEuler1D`` on euler1d.  The stage hook receives every
+Runge-Kutta stage and applies the corrector chain there.  Every corrector
+call goes through ``_DriverBase._corrected``, which stamps the
+``Correction`` the corrector returned with a kind and folds it into the
+run's ``timeloop.CorrectionLog``, whose per-snapshot-interval rows the
+``run`` command writes to ``stages.csv``.  Drivers measure no rate
+themselves, with one exception: for a clamp target
+``_correct_step_increment`` measures the step's l2 change on the increment
+before demeaning.  Leaving that to the increment corrector would change
+the bytes of ``fig7_surrogate``'s clamped CSVs and of ``sweep.csv``, so it
+stays until the per-step clamp is reworked (ROADMAP item 1).
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from functools import cached_property
 
 import numpy as np
 
 from . import correctors as co
 from . import problems, schemes
-from .core import (DgField, EulerState1D, FvField1D, FvField2D, SpectralField,
-                   VorticityState2D, _unchecked, bracket)
+from .core import (DgField, EulerState1D, EvaluatedEuler1D, FvField1D,
+                   FvField2D, VorticityState2D, _unchecked, bracket)
 from .diagnostics import invariant_report, InvariantReport
 from .dg import EDGE_TABLES, dg_operator, periodic_pad
 # dg_rhs is no longer called here; bench/spans.py still wraps this module's
 # name for it
 from .dg import dg_rhs  # noqa: F401
-from .errors import InfeasibleTarget
+from .errors import InfeasibleTarget, PositivityViolation
 from .timeloop import cfl_dt, cfl_dt_2d
 
 
@@ -107,35 +112,37 @@ class _DriverBase:
         return self._corrected(kind, corrector, update, state,
                                self.target.at(t))
 
-    def post_step(self, y_old, y_new, t, dt):
-        """Correct the full step y_old -> y_new to ``self.step_target``."""
+    def evaluate(self, y):
+        return y
+
+    def post_step(self, start, y_new, t, dt):
+        """Correct the full step from the evaluated ``start`` to the array
+        ``y_new`` to ``self.step_target``; returns the step's array."""
         if self.step_target is None:
             return y_new
-        field = self.field_of(y_old)
-        shape = field.values.shape
-        inc = _correct_step_increment(self, field, (y_new - y_old).reshape(shape),
-                                      t, dt, self.step_target)
-        return (y_old.reshape(shape) + inc).reshape(y_old.shape)
+        field = self.field_of(start)
+        old = field.values
+        inc = _correct_step_increment(self, field,
+                                      y_new.reshape(old.shape) - old, t, dt,
+                                      self.step_target)
+        return (old + inc).reshape(y_new.shape)
 
-    def field_of(self, y):
-        """The field whose l2 the step corrector sets."""
-        return self.state_of(y)
-
-    def report(self, y, t) -> InvariantReport:
-        return invariant_report(self.state_of(y), t)
+    def report(self, state, t) -> InvariantReport:
+        return invariant_report(self.field_of(state), t)
 
     def snapshot(self, y):
         return y.copy()
 
 
 class _PeriodicScalar1D(_DriverBase):
-    """A periodic ``FvField1D`` state; each driver gives its CFL speed,
-    ``speed(y)``."""
+    """A periodic state array, read as an ``FvField1D``; each driver gives
+    its CFL speed, ``speed(y)``."""
 
     def initial_array(self):
         return self.ic.values.copy()
 
-    def state_of(self, y):
+    def field_of(self, y):
+        """The field whose l2 the step corrector sets."""
         return _unchecked(FvField1D, grid=self.grid, values=y)
 
     def stable_dt(self, y, cfl, dt_max):
@@ -185,7 +192,7 @@ class ScalarFv1D(_PeriodicScalar1D):
         if self.target is not None:
             # only a stage with a target wraps y in a field
             f = self._stage_corrected(t, "l2", co.correct_flux_l2_1d, f,
-                                      self.state_of(y))
+                                      self.field_of(y))
         return self._divergence(f)
 
 
@@ -211,7 +218,7 @@ class NonconservativeBurgers1D(_PeriodicScalar1D):
         d /= self.grid.dx
         out = -y * np.where(y >= 0.0, d[:-1], d[1:])
         return self._stage_corrected(t, "l2", co.correct_rhs_mass_l2, out,
-                                     self.state_of(y))
+                                     self.field_of(y))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +238,7 @@ class FtcsAdvection(_PeriodicScalar1D):
         return abs(self.c)
 
     def increment(self, y, t, dt):
-        field = self.state_of(y)
+        field = self.field_of(y)
         inc = schemes.ftcs_increment(field, self.c, dt)
         if self.target is None:
             return inc
@@ -248,8 +255,8 @@ class DgScalar1D(_DriverBase):
     The operator (``dg.dg_operator``) and the corrector
     (``correctors.dg_l2_corrector``) are checked and bound here, so an
     unsupported grid or degree raises ``ConfigurationError`` before any
-    stage runs.  A stage pads its coefficients once; the operator and the
-    corrector both read that array.
+    stage runs.  The CFL speed, the operator and the corrector all read
+    the evaluated state, the padded coefficients.
     """
 
     def __init__(self, ic: DgField, flux_fn, interface_rule, target=None):
@@ -264,52 +271,32 @@ class DgScalar1D(_DriverBase):
     def initial_array(self):
         return self.ic.coeffs.ravel().copy()
 
-    def state_of(self, y):
-        return _unchecked(DgField, grid=self.grid, coeffs=y.reshape(self._shape))
+    def evaluate(self, y):
+        return periodic_pad(y.reshape(self._shape))
 
-    def stable_dt(self, y, cfl, dt_max):
+    def field_of(self, padded):
+        return _unchecked(DgField, grid=self.grid, coeffs=padded[1:-1])
+
+    def stable_dt(self, padded, cfl, dt_max):
         # every face's two traces are the edge values of its two cells
-        edges = y.reshape(self._shape) @ self._edges
+        edges = padded[1:-1] @ self._edges
         speed = max(float(np.abs(edges).max()), 1e-300)
         return cfl_dt(speed, self.grid.dx / (2 * self.degree + 1), cfl, dt_max)
 
-    def rhs(self, y, t, dt):
-        padded = periodic_pad(y.reshape(self._shape))
+    def rhs(self, padded, t, dt):
         n = self._stage_corrected(t, "l2", self._correct, self._rhs(padded),
                                   padded)
         return (n / self._divisor).ravel()
 
 
 # ---------------------------------------------------------------------------
-# spectral advection
-# ---------------------------------------------------------------------------
-
-class SpectralAdvection(_DriverBase):
-    def __init__(self, ic: SpectralField, c=1.0, target=None):
-        # not _DriverBase.__init__: a SpectralField has no grid
-        self.ic = ic
-        self.c = c
-        self.target = target
-
-    def initial_array(self):
-        return self.ic.coeffs.copy()
-
-    def state_of(self, y):
-        return SpectralField(self.ic.length, y)
-
-    def stable_dt(self, y, cfl, dt_max):
-        dx_eff = self.ic.length / (2 * self.ic.n_modes + 1)
-        return cfl_dt(abs(self.c), dx_eff, cfl, dt_max)
-
-    def rhs(self, y, t, dt):
-        u = self.state_of(y)
-        return self._stage_corrected(t, "l2", co.correct_spectral_mass_l2,
-                                     schemes.spectral_rhs_advection(u, self.c), u)
-
-
-# ---------------------------------------------------------------------------
 # 2D incompressible Euler (vorticity form)
 # ---------------------------------------------------------------------------
+
+#: the evaluated euler2d state: the ``VorticityState2D`` and the face
+#: velocities of its streamfunction
+Flow2D = namedtuple("Flow2D", "state ux uy")
+
 
 class Vorticity2D(_DriverBase):
     """MUSCL vorticity transport with the optional flux-l2 or
@@ -330,26 +317,29 @@ class Vorticity2D(_DriverBase):
     def initial_array(self):
         return self.ic.values.ravel().copy()
 
-    def field_of(self, y):
-        return _unchecked(FvField2D, grid=self.grid,
-                          values=y.reshape(self.grid.nx, self.grid.ny))
+    def evaluate(self, y):
+        chi = _unchecked(FvField2D, grid=self.grid,
+                         values=y.reshape(self.grid.nx, self.grid.ny))
+        psi_bar = schemes.poisson_solve(chi)
+        return Flow2D(_unchecked(VorticityState2D, chi=chi, psi_bar=psi_bar),
+                      *schemes.face_velocities(psi_bar, self.grid))
 
-    def state_of(self, y):
-        chi = self.field_of(y)
-        return _unchecked(VorticityState2D, chi=chi,
-                          psi_bar=schemes.poisson_solve(chi))
+    def field_of(self, flow):
+        """The vorticity, whose l2 (the enstrophy) the step corrector sets."""
+        return flow.state.chi
 
-    def stable_dt(self, y, cfl, dt_max):
-        state = self.state_of(y)
-        ux, uy = schemes.face_velocities(state.psi_bar, self.grid)
-        return cfl_dt_2d(float(np.abs(ux).max()), float(np.abs(uy).max()),
+    def report(self, flow, t) -> InvariantReport:
+        return invariant_report(flow.state, t)
+
+    def stable_dt(self, flow, cfl, dt_max):
+        return cfl_dt_2d(float(np.abs(flow.ux).max()),
+                         float(np.abs(flow.uy).max()),
                          self.grid.dx, self.grid.dy, cfl, dt_max)
 
-    def rhs(self, y, t, dt):
+    def rhs(self, flow, t, dt):
         g = self.grid
-        state = self.state_of(y)
+        state, ux, uy = flow
         chi = state.chi
-        ux, uy = schemes.face_velocities(state.psi_bar, g)
         fluxes = schemes.advective_fluxes_2d(chi, ux, uy)
 
         if self.corrector == "flux_l2":
@@ -387,9 +377,9 @@ class Euler1D(_DriverBase):
     """Characteristic MUSCL gas dynamics with the positivity limiter and the
     entropy-rate corrector applied per stage, in that order.
 
-    A stage computes the state's pressure, its ghost rows and, under the
-    entropy corrector, its entropy variables once, and hands each to every
-    function that reads it."""
+    A stage computes its ghost rows and, under the entropy corrector, its
+    entropy variables once, and hands each, with the evaluated pressure, to
+    every function that reads it."""
 
     def __init__(self, ic: EulerState1D, entropy_ratio=None, positivity=True):
         super().__init__(ic)
@@ -404,13 +394,23 @@ class Euler1D(_DriverBase):
     def initial_array(self):
         return self.ic.u.ravel().copy()
 
-    def state_of(self, y):
-        return _unchecked(EulerState1D, grid=self.grid,
-                          u=y.reshape(self.grid.n_cells, 3), gamma=self.gamma)
+    def evaluate(self, y):
+        state = _unchecked(EulerState1D, grid=self.grid,
+                           u=y.reshape(self.grid.n_cells, 3), gamma=self.gamma)
+        p = state.pressure()
+        if (state.rho <= 0.0).any() or (p <= 0.0).any():
+            raise PositivityViolation("non-positive density or pressure "
+                                      "in state")
+        return EvaluatedEuler1D(state, p)
 
-    def stable_dt(self, y, cfl, dt_max):
-        state = self.state_of(y)
-        speed = float((np.abs(state.velocity()) + state.sound_speed()).max())
+    def report(self, gas, t) -> InvariantReport:
+        return invariant_report(gas, t)
+
+    def stable_dt(self, gas, cfl, dt_max):
+        state, p = gas
+        # the sound speed of EulerState1D.sound_speed, from the evaluated p
+        c = np.sqrt(self.gamma * p / state.rho)
+        speed = float((np.abs(state.velocity()) + c).max())
         return cfl_dt(speed, self.grid.dx, cfl, dt_max)
 
     @cached_property
@@ -421,9 +421,8 @@ class Euler1D(_DriverBase):
         return None if self.boundary_state is None \
             else co.entropy_flux_pair(self.boundary_state, self.gamma)
 
-    def rhs(self, y, t, dt):
-        state = self.state_of(y)
-        p = state.pressure()
+    def rhs(self, gas, t, dt):
+        state, p = gas
         rows = schemes.ghost_rows(state, self.boundary_state)
         f = schemes.euler1d_muscl_flux(state, p=p, rows=rows)
         if self.positivity:
@@ -438,7 +437,6 @@ class Euler1D(_DriverBase):
                                 state, target, ev)
         return schemes.euler1d_rhs(f, self.grid).ravel()
 
-    def observe(self, y, t, traj):
-        state = self.state_of(y)
-        traj.step_minima.append((t, float(state.rho.min()),
-                                 float(state.pressure().min())))
+    def observe(self, gas, t, traj):
+        traj.step_minima.append((t, float(gas.state.rho.min()),
+                                 float(gas.p.min())))

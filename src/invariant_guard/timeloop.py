@@ -1,5 +1,7 @@
 """Time integration with corrector hooks: SSPRK3, forward Euler, and the
-discrete-update path, plus the simulation driver."""
+discrete-update path, plus the simulation driver.  A stepper takes the
+array ``y``, its evaluated ``state``, ``t``, ``dt``, the driver's stage
+hook and ``evaluate``, and returns the next array."""
 
 from __future__ import annotations
 
@@ -62,27 +64,31 @@ def _check_stage(u):
         raise NonFiniteState("Runge-Kutta stage state must be finite")
 
 
-def ssprk3_step(y, t, dt, rhs):
-    """Shu-Osher 3rd-order SSP step; rhs(y, t, dt) is called once per stage.
+def ssprk3_step(y, state, t, dt, rhs, evaluate):
+    """Shu-Osher 3rd-order SSP step from the array ``y`` and its evaluated
+    ``state = evaluate(y)``; ``rhs(state, t, dt)`` is called once per stage.
 
-    The intermediate stage states are checked here, once each, and a
-    non-finite one raises ``NonFiniteState`` before ``rhs`` sees it; ``y``
-    and the result are the caller's to check, as ``run`` does every step.
+    The two intermediate stage states are checked here for finiteness and
+    evaluated, once each; a non-finite one raises ``NonFiniteState`` before
+    it is evaluated.  ``y`` and the result are the caller's to check and
+    evaluate, as ``run`` does every step.
     """
-    u1 = y + dt * rhs(y, t, dt)
+    u1 = y + dt * rhs(state, t, dt)
     _check_stage(u1)
-    u2 = 0.75 * y + 0.25 * (u1 + dt * rhs(u1, t + dt, dt))
+    u2 = 0.75 * y + 0.25 * (u1 + dt * rhs(evaluate(u1), t + dt, dt))
     _check_stage(u2)
-    return y / 3.0 + 2.0 / 3.0 * (u2 + dt * rhs(u2, t + 0.5 * dt, dt))
+    u3 = u2 + dt * rhs(evaluate(u2), t + 0.5 * dt, dt)
+    return y / 3.0 + 2.0 / 3.0 * u3
 
 
-def forward_euler_step(y, t, dt, rhs):
-    return y + dt * rhs(y, t, dt)
+def forward_euler_step(y, state, t, dt, rhs, evaluate):
+    return y + dt * rhs(state, t, dt)
 
 
-def discrete_step(y, t, dt, increment):
-    """Single increment application u + Delta u (the FTCS-demo path)."""
-    return y + increment(y, t, dt)
+def discrete_step(y, state, t, dt, increment, evaluate):
+    """Single increment application u + Delta u (the FTCS-demo path), with
+    no intermediate state to evaluate."""
+    return y + increment(state, t, dt)
 
 
 #: one row of a ``CorrectionLog``: the records of one kind in the snapshot
@@ -157,28 +163,32 @@ def run(plan: StepPlan, problem) -> Trajectory:
     """Advance a problem driver to t_end, emitting snapshots at the cadence
     times k * t_end / (n_snapshots - 1).
 
-    The driver supplies ``initial_array()``, ``stable_dt(y, cfl, dt_max)``,
-    one of ``rhs(y, t, dt)`` / ``increment(y, t, dt)``, ``snapshot(y)``,
-    ``report(y, t)`` and optional ``post_step(y_old, y_new, t, dt)`` /
-    ``observe(y, t, traj)`` hooks, each looked up once.  Every state a hook
-    is handed is finite except ``post_step``'s ``y_new``: the initial array
-    comes from a checked initial condition, each intermediate stage state
-    is checked by the stepper and each step's result here, after
-    ``post_step``, so drivers need not check again.  Blowups and other
-    ``InvariantGuardError``s surface as a trajectory with ``error`` set, its
-    ``time`` the failing step's, and the partial record intact;
-    ``ConfigurationError`` and every other exception propagate.  The
-    trajectory's ``CorrectionLog`` closes an interval at each snapshot and
-    when the run ends: at t_end, or when a run ends in an error at the end
-    of the failing step, so every row's ``t_end`` bounds the stage times of
-    its records.
+    The driver supplies ``initial_array()``, ``evaluate(y)``,
+    ``stable_dt(state, cfl, dt_max)``, one of ``rhs(state, t, dt)`` /
+    ``increment(state, t, dt)``, ``snapshot(y)``, ``report(state, t)`` and
+    optional ``post_step(start, y_new, t, dt)`` / ``observe(state, t,
+    traj)`` hooks, each looked up once.  Each state array is checked for
+    finiteness and then evaluated once: the initial one and each step's
+    result here, after ``post_step``, the intermediate stage states in the
+    stepper.  A step's evaluated end state serves ``observe``, a snapshot's
+    ``report``, the next ``stable_dt`` and the next step's first stage.
+    Blowups and other ``InvariantGuardError``s, a failed evaluation
+    included, surface as a trajectory with ``error`` set, its ``time`` the
+    failing step's, and the partial record intact; ``ConfigurationError``
+    and every other exception propagate.  The trajectory's
+    ``CorrectionLog`` closes an interval at each snapshot and when the run
+    ends: at t_end, or when a run ends in an error at the end of the
+    failing step, so every row's ``t_end`` bounds the stage times of its
+    records.
     """
     traj = Trajectory()
     problem.stage_records = traj.stage_records
     t_end, max_steps = plan.t_end, plan.max_steps
     cfl, dt_max = plan.cfl, plan.dt_max
+    evaluate = problem.evaluate
 
     y = problem.initial_array()
+    state = evaluate(y)
     t = 0.0
     if plan.n_snapshots > 1 and t_end > 0:
         snap_times = np.linspace(0.0, t_end, plan.n_snapshots).tolist()
@@ -186,10 +196,10 @@ def run(plan: StepPlan, problem) -> Trajectory:
         snap_times = [0.0]
     n_snaps = len(snap_times)
 
-    def record(y, t):
+    def record(y, state, t):
         traj.times.append(t)
         traj.snapshots.append(problem.snapshot(y))
-        traj.reports.append(problem.report(y, t))
+        traj.reports.append(problem.report(state, t))
         traj.stage_records.close(t)
 
     def fail(error, t_close):
@@ -197,7 +207,7 @@ def run(plan: StepPlan, problem) -> Trajectory:
         traj.stage_records.close(t_close)
         return traj
 
-    record(y, t)
+    record(y, state, t)
     if t_end <= 0:
         return traj
 
@@ -214,18 +224,20 @@ def run(plan: StepPlan, problem) -> Trajectory:
     while t < t_stop:
         if step >= max_steps:
             return fail(NumericalBlowup("step budget exhausted", step, t), t)
-        dt = stable_dt(y, cfl, dt_max)
+        dt = stable_dt(state, cfl, dt_max)
         if next_snap < n_snaps:
             dt = min(dt, snap_times[next_snap] - t)
         dt = min(dt, t_end - t)
         if not math.isfinite(dt) or dt <= dt_floor:
             return fail(NumericalBlowup("timestep underflow", step, t), t)
 
+        start = state
         try:
-            y_new = stepper(y, t, dt, advance)
+            y = stepper(y, start, t, dt, advance, evaluate)
             if post_step is not None:
-                y_new = post_step(y, y_new, t, dt)
-            y = y_new
+                y = post_step(start, y, t, dt)
+            # None: a non-finite result, which is not evaluated
+            state = evaluate(y) if all_finite(y) else None
         except ConfigurationError:
             raise
         except InvariantGuardError as exc:  # numerical failures are part of the record
@@ -234,12 +246,12 @@ def run(plan: StepPlan, problem) -> Trajectory:
         t += dt
         step += 1
 
-        if not all_finite(y):
+        if state is None:
             return fail(NumericalBlowup("non-finite state", step, t), t)
         if observe is not None:
-            observe(y, t, traj)
+            observe(state, t, traj)
         while next_snap < n_snaps and t >= snap_times[next_snap] - 1e-12:
-            record(y, snap_times[next_snap])
+            record(y, state, snap_times[next_snap])
             next_snap += 1
     traj.stage_records.close(t)
     return traj

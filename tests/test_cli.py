@@ -493,8 +493,8 @@ def _tiny(bundled, section, key):
 
 @pytest.mark.parametrize("name", ALL_CONFIGS)
 def test_every_key_a_bundled_config_sets_is_read(tmp_path, name):
-    # ROADMAP item 16: for each key the config sets, another value of the
-    # key's own range is rejected, or it changes what a tiny run of the
+    # every key is read: for each key the config sets, another value of
+    # the key's own range is rejected, or it changes what a tiny run of the
     # config writes (the manifest's config hash aside) or its exit code
     bundled = configparser.ConfigParser(interpolation=None)
     bundled.read(bundled_config(name))
@@ -725,7 +725,7 @@ def test_run_with_rates_keeps_the_drivers_observe_hook():
     variant = VariantConfig(label="reference", scheme=ec.reference_scheme)
     driver = build_driver(ec, variant, 64)
     seen = []
-    driver.observe = lambda y, t, traj: seen.append(t)
+    driver.observe = lambda state, t, traj: seen.append(t)
     plan = dataclasses.replace(variant_plan(ec, variant), t_end=0.5)
     traj, rates = run_with_rates(plan, driver)
     assert traj.error is None and len(seen) == len(rates.times) > 1

@@ -103,7 +103,7 @@ def test_driver_stage_is_the_library_chain_bitwise(p):
         if target is not None:
             n, _ = co.correct_dg_l2(n, a, target)
         y = driver.initial_array()
-        assert driver.rhs(y, 0.0, 1e-3).tobytes() \
+        assert driver.rhs(driver.evaluate(y), 0.0, 1e-3).tobytes() \
             == dg_coefficient_rate(a, n).ravel().tobytes()
 
 

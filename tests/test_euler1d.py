@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from invariant_guard import correctors as co
+from invariant_guard.cli import cmd_run
 from invariant_guard.core import EulerState1D, UniformGrid1D
 from invariant_guard.errors import (CflViolation, DegenerateCorrection,
                                     PositivityViolation)
 from invariant_guard.drivers import Euler1D
 from invariant_guard.kernels import local_lax_friedrichs_fluxes
+from invariant_guard.problems import ic_random_euler, ic_sod
 from invariant_guard.schemes import euler1d_muscl_flux, euler1d_rhs, ghost_rows
 from invariant_guard.timeloop import StepPlan, run
 
@@ -459,3 +461,77 @@ def test_precomputed_inputs_change_no_byte(boundary, n):
         pair = (1.1 * s.u[0], 0.9 * s.u[-1])
         assert not np.array_equal(
             euler1d_muscl_flux(s, rows=ghost_rows(s, pair)), f)
+
+
+# --- the driver's evaluated state --------------------------------------------
+
+@pytest.mark.parametrize("bad", ["rho", "p"])
+def test_nonpositive_euler_state_fails_evaluation(bad):
+    # every gas hook reads an evaluated state, so none is handed one with
+    # rho <= 0 or p <= 0: evaluation refuses it, and warns of nothing
+    g = UniformGrid1D(8, 2.0, boundary="dirichlet")
+    rho = np.linspace(0.5, 1.2, 8)
+    p = np.linspace(0.3, 1.0, 8)
+    (rho if bad == "rho" else p)[3] = -0.25
+    s = EulerState1D.from_primitive(g, rho, np.full(8, 0.4), p, 1.4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PositivityViolation):
+            Euler1D(ic_sod(g)).evaluate(s.u.ravel())
+
+
+NONPOSITIVE_TUBE = """
+[problem]
+equation = euler1d
+boundary = dirichlet
+ic = random_euler
+ic_seed = 27
+
+[plan]
+cfl = 0.5
+t_end = 0.6
+snapshots = 5
+
+[run]
+resolutions = 32
+output = tube
+
+[variant.r0]
+corrector = euler1d_entropy
+entropy_ratio = 0.0
+positivity = false
+"""
+
+
+def test_gas_step_that_ends_nonpositive_fails_at_that_step(tmp_path):
+    # without the limiter, the step from t = 0.289081 ends with min p =
+    # -1.21.  The run ends there with a PositivityViolation, not at the next
+    # step with a "timestep underflow" after a NaN sound speed and numpy's
+    # "invalid value encountered in sqrt"
+    config = tmp_path / "tube.cfg"
+    config.write_text(NONPOSITIVE_TUBE)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cmd_run(config, tmp_path) == 2
+    manifest = (tmp_path / "tube" / "manifest").read_text().splitlines()
+    assert "status.n32.r0 = PositivityViolation@t=0.289081" in manifest
+    assert [str(w.message) for w in caught
+            if w.category is RuntimeWarning] == []
+
+
+@pytest.mark.filterwarnings("ignore::invariant_guard.correctors."
+                            "AntiDiffusiveTargetWarning")
+@pytest.mark.parametrize("ratio", [0.0, 0.5])
+def test_periodic_gas_stage_sets_the_cell_form_entropy_rate(ratio):
+    # the corrected stage's entropy rate measured in cell form, sum_j w_j .
+    # rhs_j dx, and not in the corrector's own face form, is R times the
+    # uncorrected stage's: a wrong periodic wrap of the face jumps moves it
+    ic = ic_random_euler(UniformGrid1D(32, 1.0), 3)
+    plain, corrected = Euler1D(ic), Euler1D(ic, entropy_ratio=ratio)
+    gas = plain.evaluate(plain.initial_array())
+    dt = plain.stable_dt(gas, 0.3, 1.0)
+    w = co.entropy_variables_euler1d(*gas).w
+    old, new = (w * driver.rhs(gas, 0.0, dt).reshape(w.shape) * ic.grid.dx
+                for driver in (plain, corrected))
+    scale = np.abs(old).sum() + np.abs(new).sum()
+    assert abs(new.sum() - ratio * old.sum()) <= 1e-13 * scale

@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 
 from invariant_guard import correctors as co
+from invariant_guard import schemes
 from invariant_guard.cli import build_driver, bundled_config
 from invariant_guard.config import parse_config
-from invariant_guard.core import (FvField1D, SpectralField, UniformGrid1D)
+from invariant_guard.core import EulerState1D, FvField1D, UniformGrid1D
 from invariant_guard.dg import burgers_centered_rule, dg_project
 from invariant_guard.drivers import (DgScalar1D, Euler1D, FtcsAdvection,
-                                     ScalarFv1D, SpectralAdvection)
+                                     ScalarFv1D)
 from invariant_guard.errors import (ConfigurationError, DegenerateCorrection,
                                     NonFiniteState, NumericalBlowup)
-from invariant_guard.problems import ic_random_euler, ic_sine, ic_sum_of_sines
+from invariant_guard.problems import (ic_random_euler, ic_sine, ic_sod,
+                                      ic_sum_of_sines)
 from invariant_guard.schemes import FluxScheme
 from invariant_guard.timeloop import (StepPlan, all_finite, cfl_dt, cfl_dt_2d,
                                       discrete_step, run, ssprk3_step)
@@ -36,34 +38,69 @@ def test_cfl_dt_examples():
         pytest.approx(0.3 / (2.0 + 8.0), rel=1e-14)
 
 
+def _identity(u):
+    return u
+
+
 def test_ssprk3_zero_rhs():
     y = np.array([1.0, -2.0, 3.0])
-    out = ssprk3_step(y, 0.0, 0.1, lambda u, t, dt: np.zeros(3))
+    out = ssprk3_step(y, y, 0.0, 0.1, lambda u, t, dt: np.zeros(3), _identity)
     assert np.allclose(out, y, atol=1e-16)
 
 
 def test_ssprk3_stability_polynomial():
     # u' = -u: one step must equal 1 - z + z^2/2 - z^3/6 at z = dt
     for dt in (0.1, 0.37, 1.0):
-        out = ssprk3_step(np.array([1.0]), 0.0, dt, lambda u, t, h: -u)
+        y = np.array([1.0])
+        out = ssprk3_step(y, y, 0.0, dt, lambda u, t, h: -u, _identity)
         poly = 1.0 - dt + dt**2 / 2.0 - dt**3 / 6.0
         assert out[0] == pytest.approx(poly, rel=1e-14)
 
 
+def test_ssprk3_evaluates_each_intermediate_state_once():
+    # the first stage reads the state handed in; the two intermediate
+    # states are evaluated once each, and the stage reads what came back
+    seen, evaluated = [], []
+
+    def evaluate(u):
+        evaluated.append(u.copy())
+        return ("evaluated", u)
+
+    def rhs(state, t, dt):
+        seen.append(state)
+        return -state[1]
+    y = np.array([1.0, 2.0])
+    ssprk3_step(y, ("evaluated", y), 0.0, 0.1, rhs, evaluate)
+    assert len(evaluated) == 2 and len(seen) == 3
+    assert all(s[0] == "evaluated" for s in seen)
+    assert seen[0][1] is y
+    assert [s[1].tobytes() for s in seen[1:]] == \
+        [u.tobytes() for u in evaluated]
+
+
+def _modal_advection(coeffs, length, c, dt, n_steps):
+    """``n_steps`` SSPRK3 steps of ``dt`` on the modal advection ODE
+    u_m' = -i (2 pi m / L) c u_m, exact in space, from ``coeffs``."""
+    k = 2j * np.pi * np.arange(len(coeffs)) / length
+    u = coeffs
+    for n in range(n_steps):
+        u = ssprk3_step(u, u, n * dt, dt, lambda v, t, h: -c * k * v,
+                        _identity)
+    return u
+
+
 def test_ssprk3_third_order_on_exact_advection():
-    # spectral RHS is exact in space, so dt halving shows pure 3rd order
+    # the modal RHS is exact in space, so dt halving shows pure 3rd order
     g_len = 2 * np.pi
     coeffs = np.zeros(5, dtype=complex)
     coeffs[1] = 0.4 - 0.3j
     coeffs[2] = 0.1 + 0.2j
-    ic = SpectralField(g_len, coeffs)
     errs = []
     for dt in (0.1, 0.05, 0.025):
-        drv = _fixed_dt(SpectralAdvection(ic, c=1.0), dt)
-        tr = run(StepPlan(t_end=1.0, n_snapshots=2), drv)
+        out = _modal_advection(coeffs, g_len, 1.0, dt, round(1.0 / dt))
         m = np.arange(5)
-        exact = ic.coeffs * np.exp(-2j * np.pi * m * 1.0 / g_len)
-        errs.append(np.abs(tr.snapshots[-1] - exact).max())
+        exact = coeffs * np.exp(-2j * np.pi * m * 1.0 / g_len)
+        errs.append(np.abs(out - exact).max())
     r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
     assert 6.5 <= r1 <= 9.5, r1
     assert 6.5 <= r2 <= 9.5, r2
@@ -84,7 +121,8 @@ def test_clamp_chain_is_noop_on_monotone_flux():
 def test_discrete_step_and_ftcs_chain():
     g = UniformGrid1D(16, 1.0)
     u = ic_sine(g)
-    out = discrete_step(u.values, 0.0, 0.1, lambda y, t, dt: np.zeros(16))
+    out = discrete_step(u.values, u.values, 0.0, 0.1,
+                        lambda y, t, dt: np.zeros(16), _identity)
     assert np.array_equal(out, u.values)
 
     plan = StepPlan(integrator="discrete", t_end=0.5, cfl=0.5, n_snapshots=6)
@@ -188,6 +226,34 @@ def test_correction_log_memory_does_not_grow_with_steps():
     assert long[0] <= 1.5 * short[0]
 
 
+@pytest.mark.parametrize("case", ["vorticity", "sod"])
+def test_run_derives_each_state_once(monkeypatch, case):
+    # each state array is evaluated once, the initial one included, and
+    # every hook reads that: a euler2d run solves for the streamfunction,
+    # and a gas run computes the pressure, at most once per stage plus once
+    if case == "vorticity":
+        ec = parse_config(bundled_config("fig4_euler2d_correlation"))
+        variant = next(v for v in ec.variants if v.label == "energy_clamp")
+        driver = build_driver(ec, variant, 16)
+        owner, name = schemes, "poisson_solve"
+    else:
+        driver = Euler1D(ic_sod(UniformGrid1D(64, 1.0, "dirichlet")),
+                         entropy_ratio=2.0)
+        owner, name = EulerState1D, "pressure"
+    derived, stages = [], []
+    fn = getattr(owner, name)
+    monkeypatch.setattr(owner, name,
+                        lambda *args: derived.append(1) or fn(*args))
+    rhs = driver.rhs
+    driver.rhs = lambda state, t, dt: stages.append(t) or rhs(state, t, dt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", co.AntiDiffusiveTargetWarning)
+        traj = run(StepPlan(t_end=0.05, cfl=0.3, n_snapshots=3), driver)
+    assert traj.error is None and len(traj.reports) == 3
+    assert len(stages) > 6
+    assert len(derived) <= len(stages) + 1
+
+
 def test_zero_duration_run():
     g = UniformGrid1D(8, 1.0)
     drv = ScalarFv1D(ic_sine(g), "advection", FluxScheme.UPWIND, c=1.0)
@@ -213,10 +279,8 @@ def test_advection_one_period_translation_identity():
     coeffs = np.zeros(5, dtype=complex)
     coeffs[1] = 0.5 + 0.1j
     coeffs[2] = -0.2 + 0.3j
-    ic = SpectralField(2 * np.pi, coeffs)
-    drv = _fixed_dt(SpectralAdvection(ic, c=1.0), 2 * np.pi / 20000)
-    tr = run(StepPlan(t_end=2 * np.pi, n_snapshots=2), drv)
-    assert np.abs(tr.snapshots[-1] - ic.coeffs).max() <= 1e-10
+    out = _modal_advection(coeffs, 2 * np.pi, 1.0, 2 * np.pi / 20000, 20000)
+    assert np.abs(out - coeffs).max() <= 1e-10
 
 
 def test_determinism_same_seed_same_trajectory():
@@ -265,12 +329,13 @@ def test_non_finite_stage_is_recorded(kind, stage):
     # and does not raise.
     drv = _small_driver(kind)
     rhs, times = drv.rhs, []
+    inf = np.full_like(drv.initial_array(), np.inf)
 
-    def overflowing(y, t, dt):
+    def overflowing(state, t, dt):
         times.append(t)
         if len(times) == 3 + stage:
-            return np.full_like(y, np.inf)
-        return rhs(y, t, dt)
+            return inf
+        return rhs(state, t, dt)
     drv.rhs = overflowing
     dt = 1e-3
     with np.errstate(invalid="ignore"):

@@ -80,8 +80,9 @@ MUTANTS = [
      "        pass",
      "verify"),
     ("SSPRK3: second stage at t + dt/2", "timeloop.py",
-     "    u2 = 0.75 * y + 0.25 * (u1 + dt * rhs(u1, t + dt, dt))",
-     "    u2 = 0.75 * y + 0.25 * (u1 + dt * rhs(u1, t + 0.5 * dt, dt))",
+     "    u2 = 0.75 * y + 0.25 * (u1 + dt * rhs(evaluate(u1), t + dt, dt))",
+     "    u2 = 0.75 * y + 0.25 * (u1 + dt * rhs(evaluate(u1), t + 0.5 * dt, "
+     "dt))",
      "tests/test_outputs.py::"
      "test_bundled_outputs_are_pinned[fig1_burgers_centered]"),
     ("SSPRK3: stage states not checked for finiteness", "timeloop.py",
@@ -174,6 +175,17 @@ MUTANTS = [
      "            return fail(exc, t)",
      "tests/test_timeloop.py::"
      "test_correction_log_closes_a_failed_step_at_its_end"),
+    ("time loop: a snapshot's report handed the step's start state",
+     "timeloop.py",
+     "            record(y, state, snap_times[next_snap])",
+     "            record(y, start, snap_times[next_snap])",
+     "tests/test_outputs.py::"
+     "test_bundled_outputs_are_pinned[fig1_burgers_centered]"),
+    ("gas evaluation: rho and p not checked positive", "drivers.py",
+     "        if (state.rho <= 0.0).any() or (p <= 0.0).any():",
+     "        if False:",
+     "tests/test_euler1d.py::"
+     "test_gas_step_that_ends_nonpositive_fails_at_that_step"),
     ("sweep scorer: exact solution translated against c", "cli.py",
      "    shift = (x - ec.c * t) % ec.length",
      "    shift = (x + ec.c * t) % ec.length",
