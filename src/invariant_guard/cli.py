@@ -181,7 +181,6 @@ def build_driver(ec: ExperimentConfig, variant: VariantConfig, n,
 
 def variant_plan(ec: ExperimentConfig, variant: VariantConfig) -> StepPlan:
     return StepPlan(
-        integrator=ec.integrator,
         cfl=variant.cfl if variant.cfl is not None else ec.cfl,
         t_end=variant.t_end if variant.t_end is not None else ec.t_end,
         n_snapshots=ec.snapshots,
@@ -209,7 +208,9 @@ def run_with_rates(plan, driver):
         ends.append((t, l2(state)))
     driver.observe = observe
     traj = run(plan, driver)
-    q0 = l2(driver.evaluate(traj.snapshots[0]))
+    # q_0: the initial report holds this bracket of the same array
+    first = traj.reports[0]
+    q0 = first.enstrophy if first.l2 is None else first.l2
     t, q = np.array([(0.0, q0)] + ends).T
     return traj, co.TrackedRateSource(0.5 * (t[:-1] + t[1:]),
                                       np.diff(q) / np.diff(t))

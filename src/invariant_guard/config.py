@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import PurePath
 
+from .core import UniformGrid1D
 from .errors import ConfigurationError
+from .schemes import FluxScheme, flux_rule_1d
 
 
 _SINES = ("sine", "sum_of_sines")
@@ -248,12 +250,11 @@ def _cross_errors(ec, kind):
     for where, scheme, key, n in runs:
         if scheme == "surrogate":
             where, scheme = "[surrogate] base", ec.surrogate_base
-        if scheme == "upwind" and kind != "advection":
-            errors.append(f"{where} = upwind is sign-ambiguous for "
-                          f"{kind}; use godunov")
-        if scheme == "muscl" and n < 4:
-            errors.append(f"[run] {key} = {n}: {where} = muscl needs at "
-                          "least 4 cells")
+        try:
+            flux_rule_1d(FluxScheme(scheme), UniformGrid1D(n, ec.length),
+                         kind, ec.c)
+        except (ConfigurationError, ValueError) as err:  # ValueError: n < 2
+            errors.append(f"{where} = {scheme} at [run] {key} = {n}: {err}")
     return errors
 
 

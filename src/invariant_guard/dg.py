@@ -13,8 +13,8 @@ so a call costs O(N).
 the stage formulas.  Each formula reads the coefficients padded with one
 periodic ghost row per side (``periodic_pad``), so u^+ at face j+1/2 and
 the neighbour differences are slices of one (N+2, p+1) array.
-``dg_rhs``, ``dg_diffusion_rhs`` and ``face_traces`` are the checked
-library entry points: they check and bind on every call.
+``dg_rhs`` and ``dg_diffusion_rhs`` are the checked library entry points:
+they check and bind on every call.
 """
 
 import numpy as np
@@ -136,7 +136,7 @@ def dg_operator(grid: UniformGrid1D, degree, flux_fn, interface_rule):
     once: ``(rhs, diffusion, divisor)``.  ``rhs(padded)`` is the formula of
     ``dg_rhs`` and ``diffusion(padded)`` that of ``dg_diffusion_rhs``, both
     reading ``periodic_pad`` of the coefficients; ``rhs / divisor`` is
-    da/dt, the divisor dx <psi_k|psi_k> of ``dg_coefficient_rate``."""
+    da/dt, with the divisor dx <psi_k|psi_k>."""
     diffusion = dg_diffusion(grid, degree)
     points = _POINTS[degree]
     edge_plus, edge_minus = _EDGE_PLUS[: degree + 1], _EDGE_MINUS[: degree + 1]
@@ -156,17 +156,6 @@ def dg_operator(grid: UniformGrid1D, degree, flux_fn, interface_rule):
     return rhs, diffusion, grid.dx * LEGENDRE_NORMS[: degree + 1]
 
 
-def face_traces(a: DgField):
-    """Solution just left (u^-) and just right (u^+) of each interface j+1/2.
-
-    Index j wraps periodically, so both arrays have length N.
-    """
-    p = a.degree
-    _check_supported(a.grid, p)
-    edges = periodic_pad(a.coeffs) @ EDGE_TABLES[p]
-    return edges[1:-1, 0], edges[2:, 1]
-
-
 def dg_rhs(a: DgField, flux_fn, interface_rule):
     """Bracket-form coefficient RHS N_{jk} for du/dt + d f(u)/dx = 0.
 
@@ -178,11 +167,6 @@ def dg_rhs(a: DgField, flux_fn, interface_rule):
     """
     rhs, _, _ = dg_operator(a.grid, a.degree, flux_fn, interface_rule)
     return rhs(periodic_pad(a.coeffs))
-
-
-def dg_coefficient_rate(a: DgField, rhs):
-    """Convert a bracket-form RHS into da/dt."""
-    return rhs / (a.grid.dx * a.basis_norms)
 
 
 def burgers_centered_rule(um, up):

@@ -130,9 +130,6 @@ class _DriverBase:
     def report(self, state, t) -> InvariantReport:
         return invariant_report(self.field_of(state), t)
 
-    def snapshot(self, y):
-        return y.copy()
-
 
 class _PeriodicScalar1D(_DriverBase):
     """A periodic state array, read as an ``FvField1D``; each driver gives

@@ -1,7 +1,7 @@
-"""Time integration with corrector hooks: SSPRK3, forward Euler, and the
-discrete-update path, plus the simulation driver.  A stepper takes the
-array ``y``, its evaluated ``state``, ``t``, ``dt``, the driver's stage
-hook and ``evaluate``, and returns the next array."""
+"""Time integration with corrector hooks: SSPRK3 and the discrete-update
+path, plus the simulation driver.  A stepper takes the array ``y``, its
+evaluated ``state``, ``t``, ``dt``, the driver's stage hook and
+``evaluate``, and returns the next array."""
 
 from __future__ import annotations
 
@@ -14,29 +14,19 @@ import numpy as np
 from .errors import (ConfigurationError, InvariantGuardError, NonFiniteState,
                      NumericalBlowup)
 
-SSPRK3 = "ssprk3"
-FORWARD_EULER = "forward_euler"
-DISCRETE = "discrete"
-
 
 @dataclass
 class StepPlan:
-    integrator: str = SSPRK3
     cfl: float = 0.3
     t_end: float = 1.0
     n_snapshots: int = 11
-    dt_max: float = None       # default 0.1 * t_end
     max_steps: int = 200000
 
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("cfl must lie in (0, 1]")
-        if self.integrator not in (SSPRK3, FORWARD_EULER, DISCRETE):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
         if self.n_snapshots < 1:
             raise ValueError("need at least the initial snapshot")
-        if self.dt_max is None:
-            self.dt_max = 0.1 * self.t_end if self.t_end > 0 else 1.0
 
 
 def cfl_dt(max_speed, dx, cfl, dt_max):
@@ -82,6 +72,8 @@ def ssprk3_step(y, state, t, dt, rhs, evaluate):
 
 
 def forward_euler_step(y, state, t, dt, rhs, evaluate):
+    """One forward-Euler step.  ``run`` never takes it; it stays only because
+    ``bench/spans.py`` wraps this name."""
     return y + dt * rhs(state, t, dt)
 
 
@@ -161,17 +153,19 @@ class Trajectory:
 
 def run(plan: StepPlan, problem) -> Trajectory:
     """Advance a problem driver to t_end, emitting snapshots at the cadence
-    times k * t_end / (n_snapshots - 1).
+    times k * t_end / (n_snapshots - 1), with dt capped at 0.1 * t_end.
 
     The driver supplies ``initial_array()``, ``evaluate(y)``,
-    ``stable_dt(state, cfl, dt_max)``, one of ``rhs(state, t, dt)`` /
-    ``increment(state, t, dt)``, ``snapshot(y)``, ``report(state, t)`` and
-    optional ``post_step(start, y_new, t, dt)`` / ``observe(state, t,
-    traj)`` hooks, each looked up once.  Each state array is checked for
-    finiteness and then evaluated once: the initial one and each step's
-    result here, after ``post_step``, the intermediate stage states in the
-    stepper.  A step's evaluated end state serves ``observe``, a snapshot's
-    ``report``, the next ``stable_dt`` and the next step's first stage.
+    ``stable_dt(state, cfl, dt_max)``, ``post_step(start, y_new, t, dt)``,
+    ``report(state, t)``, an optional ``observe(state, t, traj)`` and one
+    stage hook, each looked up once.  The hook picks the stepper: a driver
+    with ``increment(state, t, dt)`` steps by ``discrete_step``, any other
+    by ``ssprk3_step`` with its ``rhs(state, t, dt)``.  Each state array is
+    checked for finiteness and then evaluated once: the initial one and
+    each step's result here, after ``post_step``, the intermediate stage
+    states in the stepper.  A step's evaluated end state serves
+    ``observe``, a snapshot's ``report``, the next ``stable_dt`` and the
+    next step's first stage; a snapshot stores a copy of the array.
     Blowups and other ``InvariantGuardError``s, a failed evaluation
     included, surface as a trajectory with ``error`` set, its ``time`` the
     failing step's, and the partial record intact; ``ConfigurationError``
@@ -183,8 +177,7 @@ def run(plan: StepPlan, problem) -> Trajectory:
     """
     traj = Trajectory()
     problem.stage_records = traj.stage_records
-    t_end, max_steps = plan.t_end, plan.max_steps
-    cfl, dt_max = plan.cfl, plan.dt_max
+    t_end, max_steps, cfl = plan.t_end, plan.max_steps, plan.cfl
     evaluate = problem.evaluate
 
     y = problem.initial_array()
@@ -198,7 +191,7 @@ def run(plan: StepPlan, problem) -> Trajectory:
 
     def record(y, state, t):
         traj.times.append(t)
-        traj.snapshots.append(problem.snapshot(y))
+        traj.snapshots.append(y.copy())
         traj.reports.append(problem.report(state, t))
         traj.stage_records.close(t)
 
@@ -212,12 +205,13 @@ def run(plan: StepPlan, problem) -> Trajectory:
         return traj
 
     next_snap = 1
-    stepper = discrete_step if plan.integrator == DISCRETE else (
-        forward_euler_step if plan.integrator == FORWARD_EULER else ssprk3_step)
-    advance = problem.increment if plan.integrator == DISCRETE else problem.rhs
-    stable_dt = problem.stable_dt
-    post_step = getattr(problem, "post_step", None)
+    if hasattr(problem, "increment"):
+        stepper, advance = discrete_step, problem.increment
+    else:
+        stepper, advance = ssprk3_step, problem.rhs
+    stable_dt, post_step = problem.stable_dt, problem.post_step
     observe = getattr(problem, "observe", None)
+    dt_max = 0.1 * t_end
     t_stop, dt_floor = t_end - 1e-12 * t_end, 1e-14 * t_end
 
     step = 0
@@ -234,8 +228,7 @@ def run(plan: StepPlan, problem) -> Trajectory:
         start = state
         try:
             y = stepper(y, start, t, dt, advance, evaluate)
-            if post_step is not None:
-                y = post_step(start, y, t, dt)
+            y = post_step(start, y, t, dt)
             # None: a non-finite result, which is not evaluated
             state = evaluate(y) if all_finite(y) else None
         except ConfigurationError:

@@ -7,8 +7,9 @@ corrector reports is never read.  The linear correctors share one contract
 through unchanged, and what must not move stays put), so each is one
 ``Case`` in ``CASES``, and one exactness and one no-op property run over
 them.  The re-measurement is not independent: the flux and entropy rates
-are the correctors' own face forms, which take periodic neighbours from
-``core.shift`` (ROADMAP: re-measure from the cell form).
+are the correctors' own face forms, which read periodic neighbours from
+slices in 1D and from ``core.shift`` in 2D (ROADMAP: re-measure from the
+cell form).
 ``run_property_suite`` returns one row per property;
 ``cmd_verify`` prints them, and any failure is a release blocker.  The
 corrector table can be overridden to prove the suite detects faults.

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from invariant_guard import cli
+from invariant_guard import cli, schemes
 from invariant_guard.cli import (SWEEP_VARIANTS, build_driver,
                                  bundled_config, cmd_run, cmd_sweep,
                                  cmd_verify, main, run_with_rates,
@@ -135,6 +135,10 @@ REJECTED = {
         dict(problem="equation = advection\nic = sine", resolutions=2,
              variant="scheme = godunov", run="reference_resolution = 2"),
         "[run] reference_resolution"),
+    "reference_of_one_cell": (
+        dict(problem=BURGERS, variant="scheme = godunov",
+             run="reference_resolution = 1"),
+        "[run] reference_resolution = 1"),
     "sod_on_a_periodic_grid": (
         dict(problem="equation = euler1d\nic = sod",
              variant="corrector = euler1d_entropy"),
@@ -730,6 +734,24 @@ def test_run_with_rates_keeps_the_drivers_observe_hook():
     traj, rates = run_with_rates(plan, driver)
     assert traj.error is None and len(seen) == len(rates.times) > 1
     np.testing.assert_allclose(seen, 2.0 * rates.times - np.r_[0.0, seen[:-1]])
+
+
+def test_euler2d_reference_solves_poisson_once_per_state(monkeypatch):
+    # each state array is evaluated once: the initial one and the end of
+    # each SSPRK3 stage, one Poisson solve apiece; the rate curve reads q_0
+    # from the initial report, not from a second solve of snapshot 0
+    ec = parse_config(bundled_config("fig4_euler2d_correlation"))
+    variant = VariantConfig(label="reference", scheme=ec.reference_scheme)
+    driver = build_driver(ec, variant, 16)
+    solves, stages = [], []
+    solve, rhs = schemes.poisson_solve, driver.rhs
+    monkeypatch.setattr(schemes, "poisson_solve",
+                        lambda chi: solves.append(chi) or solve(chi))
+    driver.rhs = lambda flow, t, dt: stages.append(t) or rhs(flow, t, dt)
+    plan = dataclasses.replace(variant_plan(ec, variant), t_end=0.1)
+    traj, rates = run_with_rates(plan, driver)
+    assert traj.error is None and len(rates.times) == len(stages) // 3 > 1
+    assert len(solves) == len(stages) + 1
 
 
 def test_reproducible_byte_identical_csvs(tmp_path):

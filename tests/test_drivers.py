@@ -316,6 +316,12 @@ def test_ftcs_tracked_step_changes_l2_by_rate_times_dt():
         y = y_new
 
 
+def _fixed_dt(driver, dt):
+    """``driver`` stepping at ``dt``, cut only at the snapshots and t_end."""
+    driver.stable_dt = lambda y, cfl, dt_max: dt
+    return driver
+
+
 def _stage_path_drivers():
     g = UniformGrid1D(32, 1.0)
     fixed = co.L2RateTarget.fixed(-0.1)
@@ -352,11 +358,9 @@ def test_stage_path_makes_no_roll(monkeypatch, name):
     def roll(*args, **kwargs):
         raise AssertionError("np.roll on the stage path")
     monkeypatch.setattr(np, "roll", roll)
-    integrator = "discrete" if name == "ftcs" else "ssprk3"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", co.AntiDiffusiveTargetWarning)
-        traj = run(StepPlan(integrator, t_end=1e-3, n_snapshots=2, dt_max=1e-3),
-                   driver)
+        traj = run(StepPlan(t_end=1e-3, n_snapshots=2), _fixed_dt(driver, 1e-3))
     assert traj.error is None and traj.times == [0.0, 1e-3]
     assert name == "godunov" or traj.stage_records
 
@@ -372,15 +376,13 @@ def test_run_checks_each_state_once(monkeypatch, name):
     check = timeloop._check_stage
     monkeypatch.setattr(timeloop, "_check_stage",
                         lambda u: stage_checks.append(u) or check(u))
-    integrator = "discrete" if name == "ftcs" else "ssprk3"
     advance = "increment" if name == "ftcs" else "rhs"
     calls = []
     inner = getattr(driver, advance)
     setattr(driver, advance, lambda y, t, dt: calls.append(t) or inner(y, t, dt))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", co.AntiDiffusiveTargetWarning)
-        traj = run(StepPlan(integrator, t_end=3e-3, n_snapshots=2, dt_max=1e-3),
-                   driver)
+        traj = run(StepPlan(t_end=3e-3, n_snapshots=2), _fixed_dt(driver, 1e-3))
     assert traj.error is None and calls
     assert constructed == []
     assert len(stage_checks) == (0 if name == "ftcs" else 2 * len(calls) // 3)

@@ -181,6 +181,10 @@ MUTANTS = [
      "            record(y, start, snap_times[next_snap])",
      "tests/test_outputs.py::"
      "test_bundled_outputs_are_pinned[fig1_burgers_centered]"),
+    ("time loop: every driver stepped by SSPRK3, FTCS too", "timeloop.py",
+     '    if hasattr(problem, "increment"):',
+     "    if False:",
+     "tests/test_outputs.py::test_bundled_outputs_are_pinned[fig3_ftcs]"),
     ("gas evaluation: rho and p not checked positive", "drivers.py",
      "        if (state.rho <= 0.0).any() or (p <= 0.0).any():",
      "        if False:",
